@@ -73,20 +73,20 @@ def gamma(d: float, tol: float = 1e-10, path: str = "log") -> QuadResult:
     nev_inner = [0]
 
     def kernel_um1(um1):
-        v, _, n = angular_kernel_batch(d, [um1], [0.0], tol=ktol)
+        v, _, n = angular_kernel_batch(d, um1, 0.0, tol=ktol)
         nev_inner[0] += n
-        return float(v[0])
+        return v
 
     if path == "log":
         smax = 40.0 / min(1.0, d / 2.0) + 25.0
 
         def f(s):
-            return _bracket_log(d, s) * kernel_um1(2.0 * math.sinh(s / 2.0) ** 2)
+            return _bracket_log(d, s) * kernel_um1(2.0 * np.sinh(s / 2.0) ** 2)
 
         res = integrate_adaptive(f, 0.0, smax, tol)
     elif path == "direct":
         def f(r):
-            um1 = (math.sqrt(r) - 1.0 / math.sqrt(r)) ** 2 / 2.0
+            um1 = (np.sqrt(r) - 1.0 / np.sqrt(r)) ** 2 / 2.0
             return bracket(d, r) * kernel_um1(um1) / r
 
         res = integrate_adaptive(f, 0.0, 1.0, tol)
@@ -195,8 +195,7 @@ class TrialFunction:
                     * math.exp(d * d * self.sigma ** 2 / 4.0 + d * self.center))
         S = self.s_extent(d)
         res = integrate_adaptive(
-            lambda s: math.exp(d * s) * float(self.profile_log(s)) ** 2,
-            -S, S, 1e-12)
+            lambda s: np.exp(d * s) * self.profile_log(s) ** 2, -S, S, 1e-12)
         return sphere_surface(d - 1) * res.value
 
 
@@ -272,7 +271,6 @@ def _band_moments(d, h, n, eps, tol=1e-11):
     phi2 = np.empty(n)
 
     def kern(x):
-        x = np.atleast_1d(x)
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
         eta = 2.0 * eps * np.cosh((d + 1.0) * x / 2.0)
         v, _, _ = angular_kernel_batch(d, um1, eta, tol=tol)
@@ -281,7 +279,7 @@ def _band_moments(d, h, n, eps, tol=1e-11):
     for k in range(n_adapt):
         a = max(0.0, k * h - h / 2.0)
         b = k * h + h / 2.0
-        res = integrate_adaptive(lambda x: float(kern(x)[0]) * x * x, a, b, 1e-10)
+        res = integrate_adaptive(lambda x: kern(x) * x * x, a, b, 1e-10)
         phi2[k] = res.value
     if n > n_adapt:
         ks = np.arange(n_adapt, n)
@@ -430,9 +428,9 @@ def nonrel_form(psi: TrialFunction, tol: float = 1e-11) -> float:
     S = psi.s_extent(2.0) + 10.0
 
     def f(s):
-        p = float(psi.profile_log(s))
-        dp = float(psi.dprofile_log(s))
-        return (dp * dp - 0.5 * p * p) * math.exp(s)
+        p = psi.profile_log(s)
+        dp = psi.dprofile_log(s)
+        return (dp * dp - 0.5 * p * p) * np.exp(s)
 
     res = integrate_adaptive(f, -S, S, tol)
     return 2.0 * math.pi * res.value

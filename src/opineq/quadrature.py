@@ -13,29 +13,7 @@ from scipy.special import gamma as gamma_fn
 
 from . import kernels
 from .errors import AccuracyError, DomainError, SingularInputError
-
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_GIDX = np.arange(1, 15, 2)
+from .kernels import GIDX, WG, WK, XK
 
 SUBDIVISION_BUDGET = 10_000
 
@@ -84,19 +62,36 @@ def sphere_surface(k: float) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / gamma_fn((k + 1) / 2.0)
 
 
-def _gk15(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = np.array([f(mid + half * x) for x in _XK], dtype=float)
+def _nodes(a, b):
+    return 0.5 * (a + b) + 0.5 * (b - a) * XK
+
+
+def _evaluate(f, x, a, b):
+    """f on the node array x, checked for shape and finiteness on [a, b]."""
+    try:
+        fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    except ValueError:
+        raise DomainError("integrand must map an array of %d nodes to as many values"
+                          % x.size) from None
     if not np.all(np.isfinite(fx)):
         raise DomainError("integrand returned NaN or infinity on [%g, %g]" % (a, b))
-    ik = float(_WK @ fx) * half
-    ig = float(_WG @ fx[_GIDX]) * half
+    return fx
+
+
+def _gk15(fx, a, b):
+    half = 0.5 * (b - a)
+    ik = float(WK @ fx) * half
+    ig = float(WG @ fx[GIDX]) * half
     return ik, abs(ik - ig)
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
     """Adaptive Gauss-Kronrod integral of f over (a, b); b may be +inf.
+
+    f is vectorized: it maps a 1D ndarray of nodes to an ndarray of the
+    integrand's values there (a scalar result is broadcast).  The first
+    panel costs one call on its 15 nodes; each subdivision then costs one
+    call on the 30 nodes of both halves.  Panels are split worst-first.
 
     A semi-infinite upper limit is mapped to (0, 1) through
     x = a + t/(1-t).  Raises AccuracyError (carrying the best estimate)
@@ -114,7 +109,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
             return _f(_a + t / w) / (w * w)
         a, b = 0.0, 1.0
 
-    val, err = _gk15(g, a, b)
+    val, err = _gk15(_evaluate(g, _nodes(a, b), a, b), a, b)
     heap = [(-err, a, b, val, err)]
     total, toterr, abssum = val, err, abs(val)
     nev = 15
@@ -132,8 +127,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
             )
         _, lo, hi, v0, e0 = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(g, lo, mid)
-        v2, e2 = _gk15(g, mid, hi)
+        fx = _evaluate(g, np.concatenate([_nodes(lo, mid), _nodes(mid, hi)]), lo, hi)
+        v1, e1 = _gk15(fx[:15], lo, mid)
+        v2, e2 = _gk15(fx[15:], mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
         total += v1 + v2 - v0

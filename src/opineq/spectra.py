@@ -138,7 +138,6 @@ def _angular_diff_band_moments(m: int, h: float, n: int, tol: float = 1e-10):
     """phi0[k] = int over band k of (A_0 - A_m)(cosh x) dx, the positive
     channel-coupling kernel; integrable log singularity in band 0."""
     def Dm(x):
-        x = np.atleast_1d(np.asarray(x, float))
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
         v, _, _ = kernels.polar_batch(1.5, 0.0, m, um1, np.zeros_like(um1),
                                       tol, True)
@@ -148,7 +147,7 @@ def _angular_diff_band_moments(m: int, h: float, n: int, tol: float = 1e-10):
     for kb in range(min(3, n)):
         a = max(0.0, kb * h - h / 2.0)
         b = kb * h + h / 2.0
-        phi0[kb] = integrate_adaptive(lambda x: float(Dm(x)[0]), a, b, 1e-9).value
+        phi0[kb] = integrate_adaptive(Dm, a, b, 1e-9).value
     if n > 3:
         xi, wi = np.polynomial.legendre.leggauss(12)
         ks = np.arange(3, n)
@@ -314,8 +313,8 @@ def mellin_multiplier(m: int, s: float = 0.0, tol: float = 1e-9) -> float:
     even in s), with t = y^2 flattening the endpoint.
     """
     def f(y):
-        km = float(coulomb_channel_kernel(m, y * y)[0])
-        return 4.0 * km * math.cos(2.0 * s * math.log(y))
+        km = coulomb_channel_kernel(m, y * y)
+        return 4.0 * km * np.cos(2.0 * s * np.log(y))
 
     return integrate_adaptive(f, 0.0, 1.0, tol).value
 

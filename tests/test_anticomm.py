@@ -108,7 +108,7 @@ def test_trial_norm_closed_form():
     d = 2.0
     from opineq.quadrature import integrate_adaptive, sphere_surface
     num = integrate_adaptive(
-        lambda s: math.exp(d * s) * float(psi.profile_log(s)) ** 2, -40, 40, 1e-12)
+        lambda s: np.exp(d * s) * psi.profile_log(s) ** 2, -40, 40, 1e-12)
     assert psi.norm_sq(d) == pytest.approx(sphere_surface(d - 1) * num.value,
                                            rel=1e-10)
 

@@ -1,9 +1,11 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from opineq.errors import AccuracyError, DomainError, SingularInputError
+from opineq.kernels import GIDX, WG, WK, XK
 from opineq.quadrature import (AngularKernelQuery, QuadResult, angular_kernel,
                                angular_kernel_batch, integrate_adaptive,
                                sphere_surface)
@@ -23,16 +25,76 @@ def test_inverse_sqrt_endpoint_singularity():
 
 
 def test_semi_infinite_exponential():
-    res = integrate_adaptive(lambda x: math.exp(-x), 0.0, math.inf, 1e-10)
+    res = integrate_adaptive(lambda x: np.exp(-x), 0.0, math.inf, 1e-10)
     assert abs(res.value - 1.0) < 1e-9
 
 
 def test_nonconvergence_carries_best_estimate():
     # oscillation far beyond what the subdivision budget can resolve
     with pytest.raises(AccuracyError) as exc:
-        integrate_adaptive(lambda x: math.cos(3e7 * x * x), 0.0, 1.0, 1e-10)
+        integrate_adaptive(lambda x: np.cos(3e7 * x * x), 0.0, 1.0, 1e-10)
     assert exc.value.best is not None
     assert exc.value.best.evaluations > 1000
+
+
+def _scalar_reference(f, a, b, tol):
+    """The adaptive scheme with one scalar integrand call per node:
+    (value, evaluations), for comparison with the batched calls."""
+    if math.isinf(b):
+        f0, a0 = f, a
+
+        def f(t):
+            w = 1.0 - t
+            return f0(a0 + t / w) / (w * w)
+        a, b = 0.0, 1.0
+
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = np.array([f(mid + half * x) for x in XK])
+        ik = float(WK @ fx) * half
+        return ik, abs(ik - float(WG @ fx[GIDX]) * half)
+
+    val, err = panel(a, b)
+    heap = [(-err, a, b, val, err)]
+    total, toterr, abssum, nev = val, err, abs(val), 15
+    while toterr > max(tol * abs(total), 1e-14 * abssum, 1e-300):
+        _, lo, hi, v0, e0 = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        (v1, e1), (v2, e2) = panel(lo, mid), panel(mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
+        total += v1 + v2 - v0
+        toterr += e1 + e2 - e0
+        abssum += abs(v1) + abs(v2) - abs(v0)
+        nev += 30
+    return total, nev
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: np.exp(x) * np.cos(3.0 * x), 0.0, 2.0),     # smooth
+    (lambda x: np.log(x) / np.sqrt(x), 0.0, 1.0),          # endpoint singular
+    (lambda x: np.exp(-x) * np.cos(x), 0.0, math.inf),     # semi-infinite
+])
+def test_array_integrand_contract(f, a, b):
+    sizes = []
+
+    def counted(x):
+        assert isinstance(x, np.ndarray) and x.ndim == 1
+        sizes.append(x.size)
+        return f(x)
+
+    res = integrate_adaptive(counted, a, b, 1e-11)
+    assert sizes[0] == 15 and len(sizes) > 1
+    assert all(n == 30 for n in sizes[1:])
+    assert res.evaluations == sum(sizes)
+    ref, nev = _scalar_reference(f, a, b, 1e-11)
+    assert res.evaluations == nev
+    assert abs(res.value - ref) <= 1e-15 * abs(ref)
+
+
+def test_integrand_shape_mismatch_is_domain_error():
+    with pytest.raises(DomainError):
+        integrate_adaptive(lambda x: x[:3], 0.0, 1.0)
 
 
 def test_nan_integrand_is_domain_error():
