@@ -254,40 +254,41 @@ def _diag_second_derivative(s, h, G, H, wexp):
     return val, val_abs
 
 
-_GL24 = np.polynomial.legendre.leggauss(24)
+_GL12 = np.polynomial.legendre.leggauss(12)
 
 
-def _band_moments(d, h, n, eps, tol=1e-11):
+def band_moments(f, h, n):
+    """m[k] = int over band k of f(x) dx, k = 0..n-1, for a vectorized f.
+
+    Band 0 is [0, h/2], band k >= 1 is [kh - h/2, kh + h/2].  Bands 0-3
+    hold the Lieb-Yau kernels' ridge at x = 0 and are integrated
+    adaptively; the rest use 12-point Gauss-Legendre in one call of f.
+    """
+    xi, wi = _GL12
+    out = np.empty(n)
+    for k in range(min(4, n)):
+        out[k] = integrate_adaptive(f, max(0.0, k * h - h / 2.0),
+                                    k * h + h / 2.0, 1e-10).value
+    if n > 4:
+        x = (np.arange(4, n)[:, None] * h + (h / 2.0) * xi[None, :]).ravel()
+        out[4:] = (h / 2.0) * f(x).reshape(n - 4, xi.size) @ wi
+    return out
+
+
+def ridge_moments(d, h, n, eps, ktol=1e-11):
     """phi2[k] = int over band k of K_d(cosh x, eta_eps(x)) x^2 dx.
 
-    Band 0 is [0, h/2], band k >= 1 is [kh - h/2, kh + h/2].  eta_eps(x)
-    = 2 eps cosh((d+1)x/2) is the regularizer after the (2 r rho)^((d+1)/2)
-    factor is pulled out of |x - y|^(d+1).  The first bands hold the
-    kernel's 1/x^2 ridge and are integrated adaptively; the rest use
-    fixed Gauss-Legendre, batched into one kernel call.
+    eta_eps(x) = 2 eps cosh((d+1)x/2) is the regularizer after the
+    (2 r rho)^((d+1)/2) factor is pulled out of |x - y|^(d+1); the x^2
+    carries the numerator's quadratic vanishing across the 1/x^2 ridge.
     """
-    xi, wi = _GL24
-    n_adapt = min(4, n)
-    phi2 = np.empty(n)
-
-    def kern(x):
+    def f(x):
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
         eta = 2.0 * eps * np.cosh((d + 1.0) * x / 2.0)
-        v, _, _ = angular_kernel_batch(d, um1, eta, tol=tol)
-        return v
+        v, _, _ = angular_kernel_batch(d, um1, eta, tol=ktol)
+        return v * x * x
 
-    for k in range(n_adapt):
-        a = max(0.0, k * h - h / 2.0)
-        b = k * h + h / 2.0
-        res = integrate_adaptive(lambda x: kern(x) * x * x, a, b, 1e-10)
-        phi2[k] = res.value
-    if n > n_adapt:
-        ks = np.arange(n_adapt, n)
-        mids = ks * h
-        x = (mids[:, None] + (h / 2.0) * xi[None, :]).ravel()
-        vals = (kern(x) * x * x).reshape(len(ks), xi.size)
-        phi2[n_adapt:] = (h / 2.0) * vals @ wi
-    return phi2
+    return band_moments(f, h, n)
 
 
 def _form_engine(d, s, h, G, H, eps, ktol=1e-11):
@@ -295,7 +296,7 @@ def _form_engine(d, s, h, G, H, eps, ktol=1e-11):
     with A = |S^(d-1)| 2^(-(d+1)/2); returns (value, abs_scale)."""
     Fk, Fk_abs = _offset_sums(s, h, G, H, d - 1.0)
     D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
-    phi2 = _band_moments(d, h, s.size, eps, tol=ktol)
+    phi2 = ridge_moments(d, h, s.size, eps, ktol)
     k = np.arange(1, s.size)
     w = phi2[1:] / (k * h) ** 2
     A = sphere_surface(d - 1) * 2.0 ** (-(d + 1.0) / 2.0)

@@ -45,6 +45,13 @@ GIDX = np.arange(1, 15, 2)
 
 _HALF_PI = 0.5 * np.pi
 
+# Error estimates of resolved panels sit at a few ulps of the absolute mass,
+# so an integral that cancels stops refining at this fraction of it; the
+# outer quadrature applies the same floor.
+ROUNDOFF_FLOOR = 1e-14
+MAX_PANELS = 800
+CHUNK = 2048
+
 
 def _eval_panels(a, b, region, q, p, w, m, omc, um1, eta):
     """GK15 on panels [a_j, b_j]; returns (vals, errs) of shape (npanel, ne)."""
@@ -78,13 +85,16 @@ def _eval_panels(a, b, region, q, p, w, m, omc, um1, eta):
     return vals, errs
 
 
-def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False,
-                max_panels=800, chunk=2048):
+def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False):
     """Batched polar integral; returns (values, abs_errors, n_evaluations).
 
-    Elements are processed `chunk` at a time, and within a chunk panels
-    are evaluated in blocks of at most `chunk` panel-elements, which
-    bounds the size of every temporary array.
+    An element is converged once its error estimate is within `tol` of
+    its value, or within ROUNDOFF_FLOOR of its absolute mass when the
+    integral cancels; the returned errors are the estimates either way.
+    Elements are processed CHUNK at a time, and within a chunk panels
+    are evaluated in blocks of at most CHUNK panel-elements, which
+    bounds the size of every temporary array.  A chunk stops refining at
+    MAX_PANELS panels.
     """
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
     eta = np.broadcast_to(np.asarray(eta, dtype=float), um1.shape).copy()
@@ -93,19 +103,19 @@ def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False,
     out_e = np.empty(ne)
     nev = 0
     q = max(2.0, 2.0 / (w + 1.0))
-    for lo in range(0, ne, chunk):
-        hi = min(lo + chunk, ne)
+    for lo in range(0, ne, CHUNK):
+        hi = min(lo + CHUNK, ne)
         v, e, n = _polar_chunk(p, w, m, um1[lo:hi], eta[lo:hi], tol,
-                               one_minus_cos, q, max_panels, chunk)
+                               one_minus_cos, q)
         out_v[lo:hi] = v
         out_e[lo:hi] = e
         nev += n
     return out_v, out_e, nev
 
 
-def _polar_chunk(p, w, m, um1, eta, tol, omc, q, max_panels, chunk):
+def _polar_chunk(p, w, m, um1, eta, tol, omc, q):
     ne = um1.size
-    block = max(1, chunk // ne)
+    block = max(1, CHUNK // ne)
 
     def evaluate(a, b, reg):
         vals = np.empty((a.size, ne))
@@ -124,15 +134,15 @@ def _polar_chunk(p, w, m, um1, eta, tol, omc, q, max_panels, chunk):
     vals, errs = evaluate(a, b, reg)
     nev = 15 * a.size * ne
 
-    while a.size < max_panels:
-        tot = vals.sum(axis=0)
+    while a.size < MAX_PANELS:
         err = errs.sum(axis=0)
-        scale = np.maximum(np.abs(tot), 1e-300)
-        live = err > tol * scale
+        target = np.maximum(tol * np.abs(vals.sum(axis=0)),
+                            ROUNDOFF_FLOOR * np.abs(vals).sum(axis=0))
+        live = err > target
         if not live.any():
             break
         # refine every panel holding more than its share of a live element's budget
-        share = tol * scale[None, live] / (4.0 * a.size)
+        share = target[None, live] / (4.0 * a.size)
         split = (errs[:, live] > share).any(axis=1)
         if not split.any():
             split[np.argmax(errs[:, live].max(axis=1))] = True

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import flux_delta
 from .errors import ConfigurationError, DomainError
 
 
@@ -101,11 +102,6 @@ def make_fields(B: float, R: float, grid: SquareGrid) -> LatticeField:
     bg = np.stack(_background(B, X, Y))
     cav = np.stack(_cavity(B, R, X, Y))
     return LatticeField(grid=grid, B=B, R=R, A_background=bg, A_cavity=cav)
-
-
-def flux_delta(B: float, R: float) -> float:
-    """Missing flux parameter delta = B R^2 / 2 (e = 1)."""
-    return 0.5 * B * R * R
 
 
 def field_bound_check(fld: LatticeField) -> float:

@@ -13,7 +13,7 @@ from scipy.special import gamma as gamma_fn
 
 from . import kernels
 from .errors import AccuracyError, DomainError, SingularInputError
-from .kernels import GIDX, WG, WK, XK
+from .kernels import GIDX, ROUNDOFF_FLOOR, WG, WK, XK
 
 SUBDIVISION_BUDGET = 10_000
 
@@ -115,10 +115,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
     nev = 15
     splits = 0
     while True:
-        # roundoff floor: error estimates of resolved panels sit at a few
-        # ulps of the absolute mass, so a cancelling integral stops there
-        floor = 1e-14 * abssum
-        if toterr <= max(tol * abs(total), floor, 1e-300):
+        # a cancelling integral stops at the kernel's roundoff floor
+        if toterr <= max(tol * abs(total), ROUNDOFF_FLOOR * abssum, 1e-300):
             return QuadResult(total, toterr, nev)
         if splits >= SUBDIVISION_BUDGET:
             raise AccuracyError(

@@ -5,6 +5,11 @@ Hankel transform on Bessel-function zeros (momentum_channel) and a
 position-space Lieb-Yau band assembly on the log grid (used by the
 Chandrasekhar scan, where the trial support must span many decades).
 They are cross-checked against each other in the tests.
+
+The log-grid matrix is a graph Laplacian in u = e^{-s} v with Toeplitz
+weights W_ij = e^{(s_i+s_j)/2} w_|i-j| built from the same band moments
+as the anticommutator forms (anticomm.band_moments), so it is positive
+semi-definite by construction for m = 0 and is assembled in closed form.
 """
 
 import math
@@ -15,8 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import jn_zeros, jv
 
-from . import kernels
-from .anticomm import _band_moments
+from . import anticomm, kernels
 from .errors import (DomainError, GridRejectionError, OpineqError,
                      RefinementNeededError)
 from .quadrature import integrate_adaptive
@@ -134,73 +138,54 @@ def momentum_channel(m: int, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # Lieb-Yau band assembly of |p| on the log grid (2D channel m)
 
-def _angular_diff_band_moments(m: int, h: float, n: int, tol: float = 1e-10):
+def _channel_moments(m: int, h: float, n: int):
     """phi0[k] = int over band k of (A_0 - A_m)(cosh x) dx, the positive
     channel-coupling kernel; integrable log singularity in band 0."""
-    def Dm(x):
+    def f(x):
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
         v, _, _ = kernels.polar_batch(1.5, 0.0, m, um1, np.zeros_like(um1),
-                                      tol, True)
+                                      1e-10, True)
         return 2.0 * v
 
-    phi0 = np.empty(n)
-    for kb in range(min(3, n)):
-        a = max(0.0, kb * h - h / 2.0)
-        b = kb * h + h / 2.0
-        phi0[kb] = integrate_adaptive(Dm, a, b, 1e-9).value
-    if n > 3:
-        xi, wi = np.polynomial.legendre.leggauss(12)
-        ks = np.arange(3, n)
-        x = (ks[:, None] * h + (h / 2.0) * xi[None, :]).ravel()
-        vals = Dm(x).reshape(len(ks), xi.size)
-        phi0[3:] = (h / 2.0) * vals @ wi
-    return phi0
+    return anticomm.band_moments(f, h, n)
 
 
 @lru_cache(maxsize=64)
 def _momentum_log_grid(m: int, n: int, L: float):
     """|p| (2D channel m) on the scaled log grid [1, e^L] with n nodes.
 
-    Assembled from the position-space double integral with per-offset
-    exact band weights; PSD by construction for m = 0.  Returns
-    (matrix, nodes).  Physical grids [r_min, r_max] rescale by 1/r_min.
+    With u = e^{-s} v the position-space double integral is the graph
+    Laplacian sum_{i<j} W_ij (u_i - u_j)^2 with Toeplitz weights
+    W_ij = e^{(s_i+s_j)/2} w_|i-j|, w_k = 2 c0 phi2[k] / (kh)^2 from the
+    ridge moments, plus a central-difference band for the diagonal
+    offset; PSD by construction for m = 0.  Channel m != 0 adds the
+    (A_0 - A_m) moments to every offset.  Returns (matrix, nodes).
+    Physical grids [r_min, r_max] rescale by 1/r_min.
     """
     h = L / (n - 1)
     s = np.arange(n) * h
-    a = np.exp(-s)
-    ehalf = np.exp(0.5 * s)
-    phi2 = _band_moments(2.0, h, n, 0.0)
     c0 = 2.0 ** -2.5 / (2.0 * math.pi)
-    P = np.zeros((n, n))
-    ks = np.arange(1, n)
-    coef = 2.0 * c0 * phi2[1:] / (ks * h) ** 2
-    for k in range(1, n):
-        g = coef[k - 1] * ehalf[:n - k] * ehalf[k:]
-        gaa = g * a[:n - k] ** 2
-        gbb = g * a[k:] ** 2
-        gab = g * a[:n - k] * a[k:]
-        idx = np.arange(n - k)
-        P[idx, idx] += gaa
-        P[idx + k, idx + k] += gbb
-        P[idx, idx + k] -= gab
-        P[idx + k, idx] -= gab
-    # diagonal band: quadratic-vanishing limit through central differences
-    q = c0 * phi2[0] * np.exp(s[1:-1]) / (2.0 * h * h)
-    for i in range(1, n - 1):
-        cplus, cminus = a[i + 1], a[i - 1]
-        P[i + 1, i + 1] += q[i - 1] * cplus * cplus
-        P[i - 1, i - 1] += q[i - 1] * cminus * cminus
-        P[i + 1, i - 1] -= q[i - 1] * cplus * cminus
-        P[i - 1, i + 1] -= q[i - 1] * cplus * cminus
+    phi2 = anticomm.ridge_moments(2.0, h, n, 0.0)
+    w = np.zeros(n)
+    w[1:] = 2.0 * c0 * phi2[1:] / (np.arange(1, n) * h) ** 2
+    col = -w
     if m != 0:
-        phi0 = _angular_diff_band_moments(abs(m), h, n)
-        d0 = 2.0 * c0 * phi0
-        for k in range(1, n):
-            g = d0[k] * ehalf[:n - k] * ehalf[k:] * a[:n - k] * a[k:]
-            idx = np.arange(n - k)
-            P[idx, idx + k] += g
-            P[idx + k, idx] += g
-        P[np.arange(n), np.arange(n)] += d0[0] * np.exp(s) * a * a
+        col += 2.0 * c0 * _channel_moments(abs(m), h, n)
+    e = np.exp(-0.5 * s)
+    P = sla.toeplitz(col)
+    P *= np.outer(e, e)
+    # Laplacian degrees e^{-2 s_i} sum_j W_ij
+    P[np.diag_indices(n)] += e ** 3 * np.convolve(
+        np.exp(0.5 * s), np.concatenate([w[:0:-1], w]), "valid")
+    # diagonal band: quadratic-vanishing limit through central differences
+    a = np.exp(-s)
+    i = np.arange(1, n - 1)
+    q = c0 * phi2[0] * np.exp(s[i]) / (2.0 * h * h)
+    g = q * a[i + 1] * a[i - 1]
+    P[i + 1, i + 1] += q * a[i + 1] * a[i + 1]
+    P[i - 1, i - 1] += q * a[i - 1] * a[i - 1]
+    P[i + 1, i - 1] -= g
+    P[i - 1, i + 1] -= g
     return P, np.exp(s)
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from opineq.anticomm import (TrialFunction, alpha, bracket, find_nonrel_violation,
-                             gamma, lower_bound, momentum_expectation, nonrel_form,
-                             relativistic_form, relativistic_form_direct)
+from opineq.anticomm import (TrialFunction, alpha, band_moments, bracket,
+                             find_nonrel_violation, gamma, lower_bound,
+                             momentum_expectation, nonrel_form, relativistic_form,
+                             relativistic_form_direct)
 from opineq.errors import ConfigurationError, DomainError
 
 # mpmath references (30-digit quadrature, two independent substitutions)
@@ -111,6 +112,16 @@ def test_trial_norm_closed_form():
         lambda s: np.exp(d * s) * psi.profile_log(s) ** 2, -40, 40, 1e-12)
     assert psi.norm_sq(d) == pytest.approx(sphere_surface(d - 1) * num.value,
                                            rel=1e-10)
+
+
+def test_band_moments_polynomial():
+    # adaptive bands 0-3 and Gauss-Legendre bands 4+ against int x^2 dx
+    h, n = 0.3, 10
+    got = band_moments(lambda x: x * x, h, n)
+    k = np.arange(n)
+    exact = h ** 3 * (k * k + 1.0 / 12.0)
+    exact[0] = h ** 3 / 24.0
+    assert np.all(np.abs(got - exact) <= 1e-14 * exact)
 
 
 def test_relativistic_form_matches_mellin_oracle():

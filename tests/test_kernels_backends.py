@@ -60,3 +60,15 @@ def test_relative_precision_at_the_ends(p, w, m, omc, um1):
         exact = float(mpmath.quad(f, breaks))
     assert e[0] <= 1e-11 * abs(v[0])
     assert abs(v[0] - exact) <= 1e-13 * abs(exact)
+
+
+def test_cancelling_element_stops_at_roundoff_floor():
+    # the cos(2t) integral at u - 1 = 100 cancels to ~1e-6 of its absolute
+    # mass; refinement stops at the roundoff floor instead of the panel cap
+    v, e, n = kernels.polar_batch(0.5, 0.0, 2, [100.0], [0.0], 1e-11)
+    assert n < 1000
+    with mpmath.workdps(30):
+        exact = float(mpmath.quad(
+            lambda t: mpmath.cos(2 * t) / mpmath.sqrt(100 + 2 * mpmath.sin(t / 2) ** 2),
+            [0, mpmath.pi / 2, mpmath.pi]))
+    assert abs(v[0] - exact) <= e[0]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from opineq.bounds import flux_delta
 from opineq.errors import ConfigurationError, DomainError
 from opineq.lattice import (LatticeField, SquareGrid, discrete_curl,
-                            field_bound_check, flux_delta, kato_random_run,
-                            kato_test, kinetic_matrix, make_fields,
-                            _background, _cavity)
+                            field_bound_check, kato_random_run, kato_test,
+                            kinetic_matrix, make_fields, _background, _cavity)
 
 
 def test_background_formula():
@@ -18,12 +18,6 @@ def test_cavity_continuity_at_rim():
     for r in (R * (1 - 1e-9), R * (1 + 1e-9)):
         ax, ay = _cavity(B, R, np.array([r]), np.array([0.0]))
         assert np.hypot(ax, ay)[0] == pytest.approx(B * R / 2.0, rel=1e-8)
-
-
-def test_flux_delta_examples():
-    assert flux_delta(1.0, 2.0) == 2.0
-    assert flux_delta(0.0, 5.0) == 0.0
-    assert flux_delta(2.0, 1.0) == 1.0
 
 
 def test_field_bound_check():

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0
 
-from opineq.anticomm import TrialFunction, momentum_expectation
+from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
 from opineq.errors import DomainError, GridRejectionError, RefinementNeededError
-from opineq.spectra import (GridSpec, chandrasekhar_lowest, classify_coupling,
+from opineq.spectra import (GridSpec, _channel_moments, _momentum_log_grid,
+                            chandrasekhar_lowest, classify_coupling,
                             coulomb_channel_kernel, critical_coupling_bisect,
                             critical_coupling_mellin, hydrogen2d,
                             lambda_min_anticomm, mellin_multiplier,
@@ -64,6 +65,49 @@ def test_momentum_channel_log_agrees():
     assert q_log == pytest.approx(q_ly, rel=1e-3)
     ev = np.linalg.eigvalsh(op.matrix)
     assert ev[0] >= -1e-10 * ev[-1]  # PSD by pairwise-square construction
+
+
+def _pairwise_log_grid(m, n, L):
+    """Reference assembly of the log-grid form one offset and one central
+    difference at a time, from the same band moments."""
+    h = L / (n - 1)
+    s = np.arange(n) * h
+    a = np.exp(-s)
+    ehalf = np.exp(0.5 * s)
+    c0 = 2.0 ** -2.5 / (2.0 * math.pi)
+    phi2 = ridge_moments(2.0, h, n, 0.0)
+    P = np.zeros((n, n))
+    for k in range(1, n):
+        g = 2.0 * c0 * phi2[k] / (k * h) ** 2 * ehalf[:n - k] * ehalf[k:]
+        idx = np.arange(n - k)
+        P[idx, idx] += g * a[:n - k] ** 2
+        P[idx + k, idx + k] += g * a[k:] ** 2
+        P[idx, idx + k] -= g * a[:n - k] * a[k:]
+        P[idx + k, idx] -= g * a[:n - k] * a[k:]
+    for i in range(1, n - 1):
+        q = c0 * phi2[0] * np.exp(s[i]) / (2.0 * h * h)
+        P[i + 1, i + 1] += q * a[i + 1] ** 2
+        P[i - 1, i - 1] += q * a[i - 1] ** 2
+        P[i + 1, i - 1] -= q * a[i + 1] * a[i - 1]
+        P[i - 1, i + 1] -= q * a[i + 1] * a[i - 1]
+    if m != 0:
+        d0 = 2.0 * c0 * _channel_moments(m, h, n)
+        for k in range(1, n):
+            g = d0[k] * ehalf[:n - k] * ehalf[k:] * a[:n - k] * a[k:]
+            idx = np.arange(n - k)
+            P[idx, idx + k] += g
+            P[idx + k, idx] += g
+        P[np.arange(n), np.arange(n)] += d0[0] * a
+    return P
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_log_grid_matches_pairwise_form(m):
+    P, nodes = _momentum_log_grid(m, 64, 20.0)
+    ref = _pairwise_log_grid(m, 64, 20.0)
+    assert np.array_equal(P, P.T)
+    assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.allclose(nodes, np.exp(np.arange(64) * 20.0 / 63))
 
 
 def test_momentum_channel_homogeneity():
