@@ -131,6 +131,16 @@ def test_kato_nonneg_phi_zero_field_exact(capsys):
     assert abs(float(rows[0].split(",")[1])) < 1e-12
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_kato_without_samples_is_failure_record(samples, capsys):
+    code, _, err = run(["kato", "--samples", samples, "--grid-size", "10",
+                        "--extent", "6"], capsys)
+    assert code == 1
+    record = json.loads(err.splitlines()[-1])
+    assert record["command"] == "kato"
+    assert "DomainError" in record["failures"][0]
+
+
 def test_domain_error_becomes_failure_record(capsys):
     # inadmissible trial decay for the requested dimension
     code, out, err = run(["positivity", "--family", "log_linear_cutoff",

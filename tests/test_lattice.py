@@ -1,11 +1,55 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opineq.bounds import flux_delta
 from opineq.errors import ConfigurationError, DomainError
 from opineq.lattice import (LatticeField, SquareGrid, discrete_curl,
                             field_bound_check, kato_random_run, kato_test,
-                            kinetic_matrix, make_fields, _background, _cavity)
+                            kinetic_matrix, make_fields, _background, _cavity,
+                            _kinetic_square, _parity_classes)
+
+
+def _hop_matrices(A, grid, boundary):
+    """Reference: covariant centered-difference momenta P_x, P_y as dense
+    complex matrices, one link at a time."""
+    n = grid.n
+    h = grid.h
+    N = n * n
+    Px = np.zeros((N, N), dtype=complex)
+    Py = np.zeros((N, N), dtype=complex)
+    idx = lambda i, j: i * n + j
+    for i in range(n):
+        for j in range(n):
+            a = idx(i, j)
+            for P, di, dj, comp in ((Px, 1, 0, 0), (Py, 0, 1, 1)):
+                i2, j2 = i + di, j + dj
+                if boundary == "periodic":
+                    i2w, j2w = i2 % n, j2 % n
+                elif 0 <= i2 < n and 0 <= j2 < n:
+                    i2w, j2w = i2, j2
+                else:
+                    continue
+                b = idx(i2w, j2w)
+                theta = 0.5 * h * (A[comp][i, j] + A[comp][i2w, j2w])
+                u = np.exp(-1j * theta)
+                # centered difference: hop of length h forward/backward
+                P[a, b] += -1j * u / (2.0 * h)
+                P[b, a] += 1j * np.conj(u) / (2.0 * h)
+    return Px, Py
+
+
+def _reference_square(fld, component, boundary="open"):
+    Px, Py = _hop_matrices(fld.component(component), fld.grid, boundary)
+    return Px @ Px + Py @ Py
+
+
+def _cross_class(M, n):
+    """M with every entry inside a parity class set to 0."""
+    out = M.copy()
+    for c in _parity_classes(n):
+        out[np.ix_(c, c)] = 0.0
+    return out
 
 
 def test_background_formula():
@@ -129,3 +173,111 @@ def test_lattice_field_invariant_guard():
     with pytest.raises(DomainError):
         LatticeField(grid=grid, B=1.0, R=1.0,
                      A_background=fld.A_background, A_cavity=bad)
+
+
+_ASSEMBLY_CASES = [(n, "open", comp) for n in (2, 4, 10, 16)
+                   for comp in ("none", "background", "total")]
+_ASSEMBLY_CASES += [(n, "periodic", "none") for n in (2, 4, 10, 16)]
+
+
+@pytest.mark.parametrize("n,boundary,component", _ASSEMBLY_CASES)
+def test_direct_assembly_matches_loop(n, boundary, component):
+    fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
+    ref = _reference_square(fld, component, boundary)
+    H = _kinetic_square(fld.component(component), fld.grid, boundary)
+    assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n,boundary,component",
+                         [(10, "open", "none"), (10, "open", "background"),
+                          (16, "open", "total"), (16, "periodic", "none")])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_block_structure(n, boundary, component, mass):
+    fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
+    H = _kinetic_square(fld.component(component), fld.grid, boundary)
+    T = kinetic_matrix(fld, mass, component, boundary)
+    assert not np.any(_cross_class(H, n))
+    assert not np.any(_cross_class(T.matrix, n))
+    # the full N x N construction, as one eigensolve of the reference square
+    w, V = np.linalg.eigh(_reference_square(fld, component, boundary))
+    w = np.where(w < 1e-13 * max(w[-1], 1.0), 0.0, w)
+    f = np.sqrt(w + mass * mass) - mass
+    ref = (V * f) @ V.conj().T
+    assert np.max(np.abs(T.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert T.norm == pytest.approx(f[-1], rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("component", ["background", "total"])
+def test_heat_kernel_domination(n, component):
+    # |exp(-t H_A)| <= exp(-t H_0) entrywise: the reason the discrete
+    # diamagnetic inequality holds exactly
+    fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
+    H0 = _kinetic_square(fld.component("none"), fld.grid, "open")
+    HA = _kinetic_square(fld.component(component), fld.grid, "open")
+    for t in (0.05, 0.5, 2.0):
+        K0 = scipy.linalg.expm(-t * H0).real
+        KA = np.abs(scipy.linalg.expm(-t * HA))
+        assert np.all(KA <= K0 + 1e-12 * np.max(K0))
+
+
+def test_kinetic_matrix_eigensolve_count(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 16)), 0.5, "total")
+    assert sizes == [(64, 64)] * 4
+
+
+def test_stacked_kato_test_matches_single_calls():
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 16))
+    T_free = kinetic_matrix(fld, 0.5, "none")
+    T_mag = kinetic_matrix(fld, 0.5, "total")
+    rng = np.random.default_rng(3)
+    eta = np.abs(rng.standard_normal((20, 256)))
+    phi = rng.standard_normal((20, 256)) + 1j * rng.standard_normal((20, 256))
+    lhs, rhs = kato_test(eta, phi, T_free, T_mag)
+    assert lhs.shape == rhs.shape == (20,)
+    single = [kato_test(e, p, T_free, T_mag) for e, p in zip(eta, phi)]
+    assert all(type(x) is float for pair in single for x in pair)
+    np.testing.assert_allclose(lhs, [l for l, _ in single], rtol=1e-13)
+    np.testing.assert_allclose(rhs, [r for _, r in single], rtol=1e-13)
+    eta[7, 100] = -1e-3
+    with pytest.raises(DomainError):
+        kato_test(eta, phi, T_free, T_mag)
+
+
+@pytest.mark.parametrize("nonneg_phi", [False, True])
+def test_kato_random_run_matches_per_sample_loop(nonneg_phi):
+    # the seeded draws keep their per-sample order: eta, then phi
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
+    run = kato_random_run(fld, 1.0, "total", samples=30, seed=11,
+                          nonneg_phi=nonneg_phi)
+    T_free = kinetic_matrix(fld, 1.0, "none")
+    T_mag = kinetic_matrix(fld, 1.0, "total")
+    rng = np.random.default_rng(11)
+    gaps, tols = [], []
+    for _ in range(30):
+        eta = np.abs(rng.standard_normal(144))
+        if nonneg_phi:
+            phi = np.abs(rng.standard_normal(144)).astype(complex)
+        else:
+            phi = rng.standard_normal(144) + 1j * rng.standard_normal(144)
+        lhs, rhs = kato_test(eta, phi, T_free, T_mag)
+        gaps.append(lhs - rhs)
+        tols.append(1e-10 * fld.grid.h ** 2 * np.linalg.norm(eta)
+                    * np.linalg.norm(phi) * T_mag.norm)
+    assert run.tol_violation == pytest.approx(min(tols), rel=1e-13)
+    assert abs(run.max_violation - max(gaps)) <= 1e-4 * run.tol_violation
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_kato_random_run_needs_a_sample(samples):
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
+    with pytest.raises(DomainError):
+        kato_random_run(fld, 0.0, "none", samples=samples)
