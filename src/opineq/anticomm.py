@@ -6,7 +6,8 @@ Radial trial functions reduce everything to integrals over log-radius
 s = ln r.  The double integrals are evaluated on a uniform s-lattice with
 exact per-offset band integration of the kernel, which keeps the
 diagonal |x - y| -> 0 region accurate: the numerator vanishes
-quadratically there, so each band carries the x^2-moment of the kernel.
+quadratically there, so each band carries the x^2-moment of the kernel
+and the unregularized kernel is integrable band by band.
 """
 
 import math
@@ -58,7 +59,7 @@ def _bracket_log(d, s):
 
 
 def gamma(d: float, tol: float = 1e-10, path: str = "log") -> QuadResult:
-    """gamma_d = 2^(-(d-1)/2) int_0^1 dr/r bracket(d,r) K_d((r+1/r)/2, 0).
+    """gamma_d = 2^(-(d-1)/2) int_0^1 dr/r bracket(d,r) K_d((r+1/r)/2).
 
     `path` selects the quadrature route: "log" substitutes r = e^{-s},
     "direct" integrates in r on (0, 1], "sqrt" substitutes r = t^2.  All
@@ -73,7 +74,7 @@ def gamma(d: float, tol: float = 1e-10, path: str = "log") -> QuadResult:
     nev_inner = [0]
 
     def kernel_um1(um1):
-        v, _, n = angular_kernel_batch(d, um1, 0.0, tol=ktol)
+        v, _, n = angular_kernel_batch(d, um1, tol=ktol)
         nev_inner[0] += n
         return v
 
@@ -201,21 +202,12 @@ class TrialFunction:
 
 @dataclass(frozen=True)
 class FormValue:
-    """Regularized form value with its epsilon schedule and extrapolation."""
+    """Form value t[psi], its absolute scale (the same sums over |terms|,
+    the reference for roundoff-level negativity) and ||psi||^2."""
 
     value: float
-    epsilon_schedule: tuple
-    extrapolated: bool
-    scale: float = 0.0
-    norm_sq: float = 0.0
-    monotone: bool = True
-
-    def __post_init__(self):
-        if self.extrapolated:
-            eps = [e for e, _ in self.epsilon_schedule]
-            if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ConfigurationError(
-                    "extrapolation requires >= 3 strictly decreasing epsilons")
+    scale: float
+    norm_sq: float
 
 
 def _lattice(psi, d, h=H_STEP):
@@ -275,28 +267,27 @@ def band_moments(f, h, n):
     return out
 
 
-def ridge_moments(d, h, n, eps, ktol=1e-11):
-    """phi2[k] = int over band k of K_d(cosh x, eta_eps(x)) x^2 dx.
+def ridge_moments(d, h, n, ktol=1e-11):
+    """phi2[k] = int over band k of K_d(cosh x) x^2 dx.
 
-    eta_eps(x) = 2 eps cosh((d+1)x/2) is the regularizer after the
-    (2 r rho)^((d+1)/2) factor is pulled out of |x - y|^(d+1); the x^2
-    carries the numerator's quadratic vanishing across the 1/x^2 ridge.
+    K_d(cosh x) is the kernel after the (2 r rho)^((d+1)/2) factor is
+    pulled out of |x - y|^(d+1); it has a 1/x^2 ridge at x = 0, and the
+    x^2 carries the numerator's quadratic vanishing across it.
     """
     def f(x):
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
-        eta = 2.0 * eps * np.cosh((d + 1.0) * x / 2.0)
-        v, _, _ = angular_kernel_batch(d, um1, eta, tol=ktol)
+        v, _, _ = angular_kernel_batch(d, um1, tol=ktol)
         return v * x * x
 
     return band_moments(f, h, n)
 
 
-def _form_engine(d, s, h, G, H, eps, ktol=1e-11):
-    """A * iint e^{(d-1)(s+t)/2} (G(s)-G(t))(H(s)-H(t)) K~_eps(s-t) ds dt
+def _form_engine(d, s, h, G, H, ktol=1e-11):
+    """A * iint e^{(d-1)(s+t)/2} (G(s)-G(t))(H(s)-H(t)) K~(s-t) ds dt
     with A = |S^(d-1)| 2^(-(d+1)/2); returns (value, abs_scale)."""
     Fk, Fk_abs = _offset_sums(s, h, G, H, d - 1.0)
     D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
-    phi2 = ridge_moments(d, h, s.size, eps, ktol)
+    phi2 = ridge_moments(d, h, s.size, ktol)
     k = np.arange(1, s.size)
     w = phi2[1:] / (k * h) ** 2
     A = sphere_surface(d - 1) * 2.0 ** (-(d + 1.0) / 2.0)
@@ -305,108 +296,29 @@ def _form_engine(d, s, h, G, H, eps, ktol=1e-11):
     return val, sca
 
 
-DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
-
-
-def _neville_at_zero(xs, ys):
-    p = list(ys)
-    x = list(xs)
-    m = len(p)
-    for j in range(1, m):
-        for i in range(m - j):
-            p[i] = (x[i + j] * p[i] - x[i] * p[i + 1]) / (x[i + j] - x[i])
-    return p[0]
-
-
-def _extrapolate_schedule(eps, vals):
-    """Limit of vals as eps -> 0, assuming a single-power tail c * eps^p.
-
-    The regularized form converges at a fractional rate (measured
-    ~ eps^((3-d)/(d+1)), not O(eps)), so p is calibrated from the last
-    three schedule points; falls back to polynomial extrapolation when
-    the differences do not look like a power tail.
-    """
-    e1, e2, e3 = eps[-3], eps[-2], eps[-1]
-    v1, v2, v3 = vals[-3], vals[-2], vals[-1]
-    d12, d23 = v1 - v2, v2 - v3
-    if d12 == 0.0 or d23 == 0.0 or (d12 > 0) != (d23 > 0) or abs(d12) <= abs(d23):
-        return _neville_at_zero(eps, vals)
-    target = d12 / d23
-
-    def mismatch(p):
-        return (e1 ** p - e2 ** p) / (e2 ** p - e3 ** p) - target
-
-    lo, hi = 1e-3, 6.0
-    flo, fhi = mismatch(lo), mismatch(hi)
-    if not (flo < 0 < fhi or fhi < 0 < flo):
-        return _neville_at_zero(eps, vals)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = mismatch(mid)
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-12:
-            break
-    p = 0.5 * (lo + hi)
-    c = d23 / (e2 ** p - e3 ** p)
-    return v3 - c * e3 ** p
-
-
 def relativistic_form(psi: TrialFunction, d: float,
-                      eps_schedule=DEFAULT_EPS_SCHEDULE,
                       ktol: float = 1e-11) -> FormValue:
-    """t = Re iint (psi(x)-psi(y)) (|x|psi(x)-|y|psi(y)) / (|x-y|^(d+1) + reg)
+    """t = Re iint (psi(x)-psi(y)) (|x|psi(x)-|y|psi(y)) / |x-y|^(d+1)
 
     for a radial trial, reduced to the (r_x, r_y) plane with the angular
-    kernel, evaluated at each epsilon of the schedule and extrapolated to
-    epsilon -> 0.  The regularizer 2^((d+1)/2) eps (|x|^(d+1) + |y|^(d+1))
-    is added to the denominator; after factoring out (2 r_x r_y)^((d+1)/2)
-    it becomes eta = 2 eps cosh((d+1)x/2) per log-separation x.  Multiply
-    by alpha(d) for the full form value.
+    kernel and evaluated once on the log-radius lattice.  No regularizer
+    is needed: the numerator vanishes quadratically on the diagonal, so
+    the ridge moments are finite.  Multiply by alpha(d) for the full
+    form value.
     """
     d = _check_dimension(d)
-    eps_schedule = tuple(float(e) for e in eps_schedule)
-    if len(eps_schedule) < 3:
-        raise ConfigurationError("epsilon schedule needs at least 3 entries")
-    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])) \
-            or any(e <= 0 for e in eps_schedule):
-        raise ConfigurationError("epsilon schedule must be positive and strictly decreasing")
-
     s, h = _lattice(psi, d)
     G = psi.profile_log(s)
     H = np.exp(s) * G
     norm = sphere_surface(d - 1) * h * float(np.dot(np.exp(d * s), G * G))
-
-    vals = []
-    scale = 0.0
-    for eps in eps_schedule:
-        v, sc = _form_engine(d, s, h, G, H, eps, ktol)
-        vals.append(v)
-        scale = max(scale, sc)
-    t0 = _extrapolate_schedule(eps_schedule, vals)
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= 0) or np.all(diffs <= 0))
-    return FormValue(value=float(t0),
-                     epsilon_schedule=tuple(zip(eps_schedule, vals)),
-                     extrapolated=True, scale=float(scale),
-                     norm_sq=float(norm), monotone=monotone)
+    v, sc = _form_engine(d, s, h, G, H, ktol)
+    return FormValue(value=float(v), scale=float(sc), norm_sq=float(norm))
 
 
 def relativistic_form_direct(psi: TrialFunction, d: float,
                              ktol: float = 1e-11) -> float:
-    """Unregularized (eps = 0) evaluation; cross-check for the extrapolation.
-
-    Integrable on the lattice because the numerator vanishes
-    quadratically on the diagonal.
-    """
-    d = _check_dimension(d)
-    s, h = _lattice(psi, d)
-    G = psi.profile_log(s)
-    H = np.exp(s) * G
-    v, _ = _form_engine(d, s, h, G, H, 0.0, ktol)
-    return v
+    """The value of relativistic_form as a float."""
+    return relativistic_form(psi, d, ktol).value
 
 
 def momentum_expectation(psi: TrialFunction, d: float,
@@ -415,7 +327,7 @@ def momentum_expectation(psi: TrialFunction, d: float,
     d = _check_dimension(d)
     s, h = _lattice(psi, d)
     G = psi.profile_log(s)
-    v, _ = _form_engine(d, s, h, G, G, 0.0, ktol)
+    v, _ = _form_engine(d, s, h, G, G, ktol)
     return alpha(d) * v
 
 

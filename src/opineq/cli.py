@@ -124,15 +124,14 @@ def cmd_positivity(args):
             rows.append({"sigma": sigma, "nonrel_Q": q,
                          "provenance": "quadrature"})
             continue
-        fv = relativistic_form(psi, args.dimension, args.eps_schedule)
-        fl = relativistic_form(psi.scaled(lam), args.dimension, args.eps_schedule)
+        fv = relativistic_form(psi, args.dimension)
+        fl = relativistic_form(psi.scaled(lam), args.dimension)
         ratio = fl.value / fv.value if fv.value != 0 else float("nan")
         expected = lam ** (-args.dimension)
-        rows.append({"sigma": sigma, "t_extrapolated": fv.value,
+        rows.append({"sigma": sigma, "t": fv.value,
                      "scale": fv.scale, "norm_sq": fv.norm_sq,
-                     "eps_monotone": fv.monotone,
                      "t_scaled_lambda": fl.value, "lambda_ratio": ratio,
-                     "provenance": "quadrature+extrapolation"})
+                     "provenance": "quadrature"})
         if fv.value < -1e-6 * fv.scale:
             failures.append("form value %r below -1e-6*scale at sigma=%g"
                             % (fv.value, sigma))
@@ -140,13 +139,12 @@ def cmd_positivity(args):
             failures.append("lambda-scaling ratio %r != %r at sigma=%g"
                             % (ratio, expected, sigma))
     cols = (["sigma", "nonrel_Q", "provenance"] if args.nonrel else
-            ["sigma", "t_extrapolated", "scale", "norm_sq", "eps_monotone",
-             "t_scaled_lambda", "lambda_ratio", "provenance"])
+            ["sigma", "t", "scale", "norm_sq", "t_scaled_lambda",
+             "lambda_ratio", "provenance"])
     meta = _meta(args, "positivity", family=args.family,
                  sigma_grid=",".join(map(repr, args.sigma_grid)),
                  dimension=args.dimension, nonrel=args.nonrel,
-                 lambda_scale=lam,
-                 eps_schedule=",".join(map(repr, args.eps_schedule)))
+                 lambda_scale=lam)
     write_output(meta, cols, rows, args.output, args.format)
     return failures
 
@@ -335,8 +333,6 @@ def build_parser():
     p.add_argument("--sigma-grid", type=_parse_floats,
                    default=(0.25, 0.5, 1.0, 2.0, 4.0))
     p.add_argument("--dimension", type=float, default=2.0)
-    p.add_argument("--eps-schedule", type=_parse_floats,
-                   default=(1e-2, 1e-3, 1e-4))
     p.add_argument("--lambda-scale", type=float, default=2.0)
     p.add_argument("--nonrel", action="store_true")
     common(p)

@@ -245,7 +245,10 @@ def kato_test(eta, phi, T_free: KineticMatrix, T_mag: KineticMatrix):
     absphi = np.abs(phi)
     sgn = np.zeros_like(phi)
     nz = absphi > 0
-    sgn[nz] = phi[nz] / absphi[nz]
+    # parts divided separately: complex division leaves phi/|phi| off 1
+    # by an ulp for real phi, and the zero-field equality case needs it exact
+    sgn.real[nz] = phi.real[nz] / absphi[nz]
+    sgn.imag[nz] = phi.imag[nz] / absphi[nz]
     # rows times T^T = (T @ row) per row, as two GEMMs
     lhs = h2 * np.einsum("sa,sa->s", eta, (absphi @ T_free.matrix.T).real)
     rhs = h2 * np.einsum("sa,sa->s", eta, (sgn.conj() * (phi @ T_mag.matrix.T)).real)

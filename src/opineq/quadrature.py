@@ -37,14 +37,13 @@ class QuadResult:
 class AngularKernelQuery:
     """Inputs of the S^(d-1) kernel integral.
 
-    u is the reduced variable (r + 1/r)/2 >= 1 and eta the regularizer
-    added to the (u - w.e)^((d+1)/2) denominator.  The kernel depends on
-    the unit vector e only through w.e, so it never appears explicitly.
+    u is the reduced variable (r + 1/r)/2 >= 1 of the (u - w.e)^((d+1)/2)
+    denominator.  The kernel depends on the unit vector e only through
+    w.e, so it never appears explicitly.
     """
 
     d: float
     u: float
-    eta: float = 0.0
 
     def __post_init__(self):
         # d > 1 for the continued sin^(d-2) weight; d = 1 exactly is the
@@ -53,8 +52,6 @@ class AngularKernelQuery:
             raise DomainError("dimension must be >= 1")
         if self.u < 1:
             raise DomainError("u = (r + 1/r)/2 is >= 1 by construction")
-        if self.eta < 0:
-            raise DomainError("regularizer eta must be >= 0")
 
 
 def sphere_surface(k: float) -> float:
@@ -137,32 +134,39 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
         splits += 1
 
 
-def angular_kernel_batch(d: float, um1, eta, tol: float = 1e-11):
-    """K_d(u, eta) for arrays of u-1 and eta; returns (values, errors, evals).
+def angular_kernel_batch(d: float, um1, tol: float = 1e-11):
+    """K_d(u) for an array of u-1; returns (values, errors, evals).
 
-    K_d(u, eta) = int over S^(d-1) of dw / ((u - w.e)^((d+1)/2) + eta),
-    reduced to the polar integral with weight |S^(d-2)| sin^(d-2).
+    K_d(u) = int over S^(d-1) of dw / (u - w.e)^((d+1)/2), reduced to the
+    polar integral with weight |S^(d-2)| sin^(d-2).  Raises DomainError
+    if a value or its error is not finite (u - 1 so small that the
+    kernel overflows).
     """
     if not d > 1:
         raise DomainError("batched kernel needs d > 1 (d = 1 is the two-point sum)")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
-    eta = np.broadcast_to(np.asarray(eta, dtype=float), um1.shape)
     if np.any(um1 < 0):
         raise DomainError("u must be >= 1")
-    if np.any((um1 == 0.0) & (eta == 0.0)):
-        raise SingularInputError("u = 1 with eta = 0 is a non-integrable singularity")
+    if np.any(um1 == 0.0):
+        raise SingularInputError("u = 1 is a non-integrable singularity")
     p = (d + 1) / 2.0
-    vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1, eta, tol)
+    # an overflowing kernel is reported below as a DomainError, not a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1,
+                                              np.zeros_like(um1), tol)
+    bad = ~(np.isfinite(vals) & np.isfinite(errs))
+    if bad.any():
+        raise DomainError("angular kernel is not finite at u - 1 = %g" % um1[bad][0])
     c = sphere_surface(d - 2)
     return c * vals, c * errs, nev
 
 
 def angular_kernel(q: AngularKernelQuery, tol: float = 1e-11) -> QuadResult:
-    """Surface integral K_d(u, eta); d = 1 served by the exact two-point S^0 sum."""
+    """Surface integral K_d(u); d = 1 served by the exact two-point S^0 sum."""
     if q.d == 1.0:
-        if q.u == 1.0 and q.eta == 0.0:
-            raise SingularInputError("u = 1 with eta = 0 is singular")
-        v = 1.0 / ((q.u - 1.0) + q.eta) + 1.0 / ((q.u + 1.0) + q.eta)
+        if q.u == 1.0:
+            raise SingularInputError("u = 1 is singular")
+        v = 1.0 / (q.u - 1.0) + 1.0 / (q.u + 1.0)
         return QuadResult(v, 0.0, 2)
-    vals, errs, nev = angular_kernel_batch(q.d, [q.u - 1.0], [q.eta], tol)
+    vals, errs, nev = angular_kernel_batch(q.d, [q.u - 1.0], tol)
     return QuadResult(float(vals[0]), float(errs[0]), int(nev))

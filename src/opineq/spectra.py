@@ -165,7 +165,7 @@ def _momentum_log_grid(m: int, n: int, L: float):
     h = L / (n - 1)
     s = np.arange(n) * h
     c0 = 2.0 ** -2.5 / (2.0 * math.pi)
-    phi2 = anticomm.ridge_moments(2.0, h, n, 0.0)
+    phi2 = anticomm.ridge_moments(2.0, h, n)
     w = np.zeros(n)
     w[1:] = 2.0 * c0 * phi2[1:] / (np.arange(1, n) * h) ** 2
     col = -w

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from opineq import anticomm
 from opineq.anticomm import (TrialFunction, alpha, band_moments, bracket,
                              find_nonrel_violation, gamma, lower_bound,
                              momentum_expectation, nonrel_form, relativistic_form,
-                             relativistic_form_direct)
+                             relativistic_form_direct, ridge_moments)
 from opineq.errors import ConfigurationError, DomainError
 
 # mpmath references (30-digit quadrature, two independent substitutions)
@@ -128,12 +129,20 @@ def test_relativistic_form_matches_mellin_oracle():
     for (d, sig), ref in MELLIN_T.items():
         psi = TrialFunction("log_gaussian", sig)
         fv = relativistic_form(psi, d)
-        assert fv.extrapolated and fv.monotone
-        assert fv.value / fv.norm_sq == pytest.approx(ref, rel=5e-2)
-        direct = relativistic_form_direct(psi, d)
-        assert direct / fv.norm_sq == pytest.approx(ref, rel=5e-3)
-        # extrapolation should land near the unregularized evaluation
-        assert fv.value == pytest.approx(direct, rel=5e-2)
+        assert fv.value / fv.norm_sq == pytest.approx(ref, rel=5e-3)
+        assert fv.value == relativistic_form_direct(psi, d)
+
+
+def test_relativistic_form_is_one_band_evaluation(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ridge_moments(*args, **kwargs)
+
+    monkeypatch.setattr(anticomm, "ridge_moments", counting)
+    relativistic_form(TrialFunction("log_gaussian", 1.0), 2.0)
+    assert len(calls) == 1
 
 
 def test_relativistic_form_positivity_d2():
@@ -149,14 +158,6 @@ def test_relativistic_form_scaling_covariance():
         t1 = relativistic_form(psi, d).value
         t2 = relativistic_form(psi.scaled(2.0), d).value
         assert t2 / t1 == pytest.approx(2.0 ** -d, rel=1e-6)
-
-
-def test_relativistic_form_schedule_validation():
-    psi = TrialFunction("log_gaussian", 1.0)
-    with pytest.raises(ConfigurationError):
-        relativistic_form(psi, 2.0, (1e-2, 1e-3))
-    with pytest.raises(ConfigurationError):
-        relativistic_form(psi, 2.0, (1e-3, 1e-2, 1e-4))
 
 
 def test_chain_consistency_with_lower_bound():

@@ -92,6 +92,27 @@ def test_positivity_lambda_column(capsys):
     assert ratio == pytest.approx(0.25, rel=1e-6)
 
 
+def test_positivity_default_columns(capsys):
+    code, out, _ = run(["positivity", "--sigma-grid", "1"], capsys)
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == ("sigma,t,scale,norm_sq,t_scaled_lambda,lambda_ratio,"
+                       "provenance")
+    assert rows[1].endswith(",quadrature")
+
+
+def test_epsilon_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["positivity", "--eps-schedule", "1e-2,1e-3,1e-4"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "eps.cfg"
+    # config keys are normalized like flag names ("-" -> "_")
+    cfg.write_text("eps-schedule=1e-2,1e-3,1e-4\n")
+    with pytest.raises(SystemExit, match="unknown config keys"):
+        main(["positivity", "--config", str(cfg)])
+    capsys.readouterr()
+
+
 def test_hydrogen_command(capsys):
     code, out, _ = run(["hydrogen", "--charge", "1", "--m-max", "2"], capsys)
     assert code == 0

@@ -157,6 +157,14 @@ def test_kato_equality_case():
         kato_test(-eta, phi, T, T)
 
 
+def test_kato_zero_field_equality_is_exact():
+    # sgn(phi) = 1 exactly for real positive phi, so every gap is 0
+    run = kato_random_run(make_fields(1, 1, SquareGrid(12, 12)), 0.0, "none",
+                          200, 12, nonneg_phi=True)
+    assert run.max_violation == 0.0
+    assert run.histogram_counts == (0, 0, 0, 0, 200, 0, 0)
+
+
 def test_kato_random_runs_no_violation():
     fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
     for comp in ("none", "background", "total"):

@@ -123,8 +123,6 @@ def test_angular_query_invariants():
         AngularKernelQuery(d=0.5, u=2.0)
     with pytest.raises(DomainError):
         AngularKernelQuery(d=2.0, u=0.5)
-    with pytest.raises(DomainError):
-        AngularKernelQuery(d=2.0, u=2.0, eta=-1.0)
 
 
 def test_kernel_d3_closed_form():
@@ -149,19 +147,17 @@ def test_kernel_d2_regression_constant():
     assert abs(res.value - K2_AT_2) < 1e-10
 
 
-def test_kernel_monotone_in_u_and_eta():
+def test_kernel_monotone_in_u():
     for d in (1.5, 2.0, 3.0):
-        vals, _, _ = angular_kernel_batch(d, [0.1, 0.5, 2.0, 10.0], 0.0)
+        vals, _, _ = angular_kernel_batch(d, [0.1, 0.5, 2.0, 10.0])
         assert np.all(np.diff(vals) < 0)
-        vals_eta, _, _ = angular_kernel_batch(d, [0.5] * 4, [0.0, 0.1, 1.0, 10.0])
-        assert np.all(np.diff(vals_eta) < 0)
 
 
 def test_kernel_u_to_one_limit():
-    # (u-1) K_d(u, 0) approaches a finite positive limit
+    # (u-1) K_d(u) approaches a finite positive limit
     for d in (1.5, 2.0, 3.0):
         um1 = np.array([1e-2, 1e-4, 1e-6])
-        vals, _, _ = angular_kernel_batch(d, um1, 0.0, tol=1e-12)
+        vals, _, _ = angular_kernel_batch(d, um1, tol=1e-12)
         lim = um1 * vals
         assert np.all(lim > 0)
         ratios = lim[1:] / lim[:-1]
@@ -170,10 +166,16 @@ def test_kernel_u_to_one_limit():
 
 def test_kernel_singular_input():
     with pytest.raises(SingularInputError):
-        angular_kernel(AngularKernelQuery(d=2.0, u=1.0, eta=0.0))
-    # regularized evaluation at u = 1 is fine
-    res = angular_kernel(AngularKernelQuery(d=2.0, u=1.0, eta=0.5))
-    assert res.value > 0
+        angular_kernel(AngularKernelQuery(d=2.0, u=1.0))
+    with pytest.raises(SingularInputError):
+        angular_kernel(AngularKernelQuery(d=1.0, u=1.0))
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0])
+def test_kernel_overflow_is_domain_error(d):
+    # (u - 1)^((d+1)/2) underflows to 0, so the kernel would be infinite
+    with pytest.raises(DomainError):
+        angular_kernel_batch(d, [1e-300])
 
 
 def test_sphere_surface_values():
@@ -183,7 +185,7 @@ def test_sphere_surface_values():
 
 
 def test_kernel_deterministic():
-    q = AngularKernelQuery(d=2.3, u=1.37, eta=1e-3)
+    q = AngularKernelQuery(d=2.3, u=1.37)
     a = angular_kernel(q, tol=1e-11)
     b = angular_kernel(q, tol=1e-11)
     assert a.value == b.value and a.evaluations == b.evaluations
