@@ -29,7 +29,7 @@ class ConfigurationError(OpineqError, ValueError):
 
 
 class GridRejectionError(OpineqError):
-    """Discrete transform failed its conditioning check on this grid."""
+    """An assembled channel matrix is not symmetric on this grid."""
 
 
 class RefinementNeededError(OpineqError):

@@ -16,6 +16,8 @@ Gauss-Kronrod panels refined where any batch element still needs it.
 
 import numpy as np
 
+from .errors import DomainError
+
 backend_name = "python"
 
 # Gauss7/Kronrod15 nodes and weights on [-1, 1], shared with the outer
@@ -94,8 +96,11 @@ def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False):
     Elements are processed CHUNK at a time, and within a chunk panels
     are evaluated in blocks of at most CHUNK panel-elements, which
     bounds the size of every temporary array.  A chunk stops refining at
-    MAX_PANELS panels.
+    MAX_PANELS panels.  A tolerance that is not positive raises
+    DomainError: only the roundoff floor would end its refinement.
     """
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
     eta = np.broadcast_to(np.asarray(eta, dtype=float), um1.shape).copy()
     ne = um1.size

@@ -1,13 +1,13 @@
 """Radial angular-momentum-channel eigenproblems.
 
-Two independent discrete realizations of |p| live here: a quasi-discrete
-Hankel transform on Bessel-function zeros (momentum_channel) and a
-position-space Lieb-Yau band assembly on the log grid (used by the
-Chandrasekhar scan, where the trial support must span many decades).
-They are cross-checked against each other in the tests.
+One discrete realization of |p| lives here: the position-space Lieb-Yau
+band assembly on the log grid, in any dimension d > 1.  The Chandrasekhar
+scan uses its 2D channel matrices on their own grid, where the trial
+support must span many decades; lambda_min_anticomm uses the interior
+block of a padded grid, the operator restricted to a log-interval.
 
-The log-grid matrix is a graph Laplacian in u = e^{-s} v with Toeplitz
-weights W_ij = e^{(s_i+s_j)/2} w_|i-j| built from the same band moments
+The log-grid matrix is a graph Laplacian in u = e^{-ds/2} v with weights
+W_ij = e^{(d-1)(s_i+s_j)/2} w_|i-j| built from the same band moments
 as the anticommutator forms (anticomm.band_moments), so it is positive
 semi-definite by construction for m = 0 and is assembled in closed form.
 """
@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import jn_zeros, jv
 
 from . import anticomm, kernels
 from .errors import (DomainError, GridRejectionError, OpineqError,
@@ -67,7 +66,6 @@ class ChannelOperator:
     r: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
-    kind: str = "qdht"
 
     def __post_init__(self):
         M = self.matrix
@@ -99,43 +97,6 @@ class SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# quasi-discrete Hankel transform realization of |p| (2D channel m)
-
-COND_THRESHOLD = 0.05
-
-
-def _qdht(nu: int, R: float, n: int):
-    j = jn_zeros(nu, n + 1)
-    J = j[n]
-    r = j[:n] * (R / J)
-    k = j[:n] / R
-    scale = np.abs(jv(nu + 1, j[:n]))
-    C = (2.0 / J) * jv(nu, np.outer(j[:n], j[:n]) / J) / np.outer(scale, scale)
-    w = 2.0 / ((J / R) ** 2 * scale ** 2)
-    return r, k, w, C
-
-
-def momentum_channel(m: int, grid: GridSpec,
-                     cond_threshold: float = COND_THRESHOLD) -> ChannelOperator:
-    """|p| on the 2D channel e^{i m theta}: Hankel transform of order |m|
-    on Bessel zeros, multiply by |k|, transform back; dense symmetric PSD.
-
-    Nodes are the scaled Bessel zeros (grid supplies r_max and n).
-    """
-    if abs(m) > 64:
-        raise DomainError("|m| must be <= 64")
-    r, k, w, C = _qdht(abs(m), grid.r_max, grid.n)
-    resid = np.max(np.abs(C @ C - np.eye(grid.n)))
-    if resid > cond_threshold:
-        raise GridRejectionError(
-            "Hankel transform involution residual %.3g exceeds %.3g"
-            % (resid, cond_threshold))
-    P = C @ (k[:, None] * C)
-    P = 0.5 * (P + P.T)
-    return ChannelOperator(m=m, grid=grid, r=r, w=w, matrix=P, kind="qdht")
-
-
-# ---------------------------------------------------------------------------
 # Lieb-Yau band assembly of |p| on the log grid (2D channel m)
 
 def _channel_moments(m: int, h: float, n: int):
@@ -151,21 +112,26 @@ def _channel_moments(m: int, h: float, n: int):
 
 
 @lru_cache(maxsize=64)
-def _momentum_log_grid(m: int, n: int, L: float):
-    """|p| (2D channel m) on the scaled log grid [1, e^L] with n nodes.
+def _momentum_log_grid(m: int, n: int, L: float, d: float = 2.0):
+    """|p| (channel m, dimension d) on the scaled log grid [1, e^L] with n nodes.
 
-    With u = e^{-s} v the position-space double integral is the graph
-    Laplacian sum_{i<j} W_ij (u_i - u_j)^2 with Toeplitz weights
-    W_ij = e^{(s_i+s_j)/2} w_|i-j|, w_k = 2 c0 phi2[k] / (kh)^2 from the
-    ridge moments, plus a central-difference band for the diagonal
-    offset; PSD by construction for m = 0.  Channel m != 0 adds the
+    The matrix acts on v = G e^{ds/2} sqrt(h), the weighted samples of a
+    radial G.  With u = e^{-ds/2} v the position-space double integral is
+    the graph Laplacian sum_{i<j} W_ij (u_i - u_j)^2 with weights
+    W_ij = e^{(d-1)(s_i+s_j)/2} w_|i-j|, w_k = 2 c0 phi2[k] / (kh)^2 from
+    the ridge moments, plus a central-difference band for the diagonal
+    offset; PSD by construction for m = 0.  In v the off-diagonal part is
+    the Toeplitz matrix -w scaled by e^{-(s_i+s_j)/2} in every dimension.
+    Channel m != 0 (d = 2 only) adds the
     (A_0 - A_m) moments to every offset.  Returns (matrix, nodes).
     Physical grids [r_min, r_max] rescale by 1/r_min.
     """
+    if m != 0 and d != 2.0:
+        raise DomainError("channel m != 0 is implemented for d = 2 only")
     h = L / (n - 1)
     s = np.arange(n) * h
-    c0 = 2.0 ** -2.5 / (2.0 * math.pi)
-    phi2 = anticomm.ridge_moments(2.0, h, n)
+    c0 = anticomm.alpha(d) * 2.0 ** (-(d + 1.0) / 2.0)
+    phi2 = anticomm.ridge_moments(d, h, n)
     w = np.zeros(n)
     w[1:] = 2.0 * c0 * phi2[1:] / (np.arange(1, n) * h) ** 2
     col = -w
@@ -174,18 +140,20 @@ def _momentum_log_grid(m: int, n: int, L: float):
     e = np.exp(-0.5 * s)
     P = sla.toeplitz(col)
     P *= np.outer(e, e)
-    # Laplacian degrees e^{-2 s_i} sum_j W_ij
-    P[np.diag_indices(n)] += e ** 3 * np.convolve(
-        np.exp(0.5 * s), np.concatenate([w[:0:-1], w]), "valid")
-    # diagonal band: quadratic-vanishing limit through central differences
-    a = np.exp(-s)
+    # Laplacian degrees e^{-ds_i} sum_j W_ij, summed over the offset
+    # k = j - i so that no factor grows like e^{ds}
+    k = np.arange(1 - n, n)
+    P[np.diag_indices(n)] += e * e * np.convolve(
+        np.ones(n), w[np.abs(k)] * np.exp(-0.5 * (d - 1.0) * h * k), "valid")
+    # diagonal band: quadratic-vanishing limit through central differences,
+    # c e^{(d-1)s_i} (a_{i+1} v_{i+1} - a_{i-1} v_{i-1})^2 with a = e^{-ds/2};
+    # the products of a reduce to e^{-ds_i} e^{-+dh}, so no factor grows
     i = np.arange(1, n - 1)
-    q = c0 * phi2[0] * np.exp(s[i]) / (2.0 * h * h)
-    g = q * a[i + 1] * a[i - 1]
-    P[i + 1, i + 1] += q * a[i + 1] * a[i + 1]
-    P[i - 1, i - 1] += q * a[i - 1] * a[i - 1]
-    P[i + 1, i - 1] -= g
-    P[i - 1, i + 1] -= g
+    b = c0 * phi2[0] / (2.0 * h * h) * e[i] * e[i]
+    P[i + 1, i + 1] += b * math.exp(-d * h)
+    P[i - 1, i - 1] += b * math.exp(d * h)
+    P[i + 1, i - 1] -= b
+    P[i - 1, i + 1] -= b
     return P, np.exp(s)
 
 
@@ -196,7 +164,7 @@ def momentum_channel_log(m: int, grid: GridSpec) -> ChannelOperator:
     r = nodes * grid.r_min
     w = grid.log_step() * r * r  # v_k = f(r_k) r_k sqrt(h)
     return ChannelOperator(m=m, grid=grid, r=r, w=w,
-                           matrix=P / grid.r_min, kind="lieb-yau-log")
+                           matrix=P / grid.r_min)
 
 
 def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
@@ -395,40 +363,34 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
 # ---------------------------------------------------------------------------
 # anticommutator spectral estimate
 
-def _sine_momentum_3d(n: int, R: float):
-    """|p| restricted to l = 0 in 3D: u = r f maps the channel to the
-    Dirichlet half-line, diagonal in the sine transform."""
-    k = np.arange(1, n + 1)
-    r = k * (R / (n + 1))
-    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-    kl = np.pi * k / R
-    P = S @ (kl[:, None] * S)
-    return 0.5 * (P + P.T), r
+ANTICOMM_SPANS = (20.0, 44.0, 76.0)
+ANTICOMM_STEP = 0.08
+# the pair weights fall off as e^{-|s_i - s_j|}: pads of 30 and 60 agree to 1e-15
+ANTICOMM_PAD = 40.0
 
 
-def lambda_min_anticomm(d: int, grid: GridSpec = None, refine_steps: int = 3):
-    """Rayleigh-quotient estimate of inf spec of |x||p| + |p||x| (a pure
-    number by scale invariance), with a grid-refinement trace.
+def _anticomm_lowest(d, L):
+    n_pad = round(ANTICOMM_PAD / ANTICOMM_STEP)
+    n = round(L / ANTICOMM_STEP) + 1
+    # uncached: the padded matrices are large and used once
+    P, r = _momentum_log_grid.__wrapped__(0, n + 2 * n_pad,
+                                          L + 2.0 * ANTICOMM_PAD, d)
+    inner = slice(n_pad, n_pad + n)
+    r = r[inner]
+    H = (r[:, None] + r[None, :]) * P[inner, inner]
+    return float(sla.eigvalsh(H, subset_by_index=[0, 0])[0])
 
-    The anticommutator matrix is (x_i + x_j) P_ij: the X^{1/2} P X^{1/2}
-    sandwich completed with its double-commutator term, so it is the
-    exact matrix anticommutator X P + P X.
+
+def lambda_min_anticomm(d: float):
+    """inf spec of |x||p| + |p||x| in channel 0 (a pure number by scale
+    invariance, exactly d - 2), with the trace of (L, lambda) pairs.
+
+    For each span L the matrix is (r_i + r_j) P_ij, the exact matrix
+    anticommutator X P + P X, where P is |p| restricted to functions on
+    a log-interval of width L: the interior block of the log grid padded
+    by ANTICOMM_PAD on each side, so that the pairs reaching outside the
+    interval count.  The estimate decreases towards d - 2 as L grows.
     """
-    if d not in (2, 3):
-        raise DomainError("d must be 2 or 3")
-    if grid is None:
-        grid = GridSpec(1e-3, 1.0, 1024 if d == 2 else 1200)
-    trace = []
-    value = None
-    for step in range(refine_steps, 0, -1):
-        n = max(32, grid.n // 2 ** (step - 1))
-        if d == 2:
-            op = momentum_channel(0, GridSpec(grid.r_min, grid.r_max, n))
-            P, r = op.matrix, op.r
-        else:
-            P, r = _sine_momentum_3d(n, grid.r_max)
-        H = (r[:, None] + r[None, :]) * P
-        lam = float(sla.eigvalsh(H, subset_by_index=[0, 0])[0])
-        trace.append((n, lam))
-        value = lam
-    return value, tuple(trace)
+    d = anticomm._check_dimension(d)
+    trace = tuple((L, _anticomm_lowest(d, L)) for L in ANTICOMM_SPANS)
+    return trace[-1][1], trace

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import opineq.kernels as kernels
+from opineq.anticomm import ridge_moments
+from opineq.errors import DomainError
 
 
 def test_selected_backend_deterministic():
@@ -72,3 +74,12 @@ def test_cancelling_element_stops_at_roundoff_floor():
             lambda t: mpmath.cos(2 * t) / mpmath.sqrt(100 + 2 * mpmath.sin(t / 2) ** 2),
             [0, mpmath.pi / 2, mpmath.pi]))
     assert abs(v[0] - exact) <= e[0]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_non_positive_tolerance_rejected(tol):
+    # only the roundoff floor would end the refinement
+    with pytest.raises(DomainError):
+        kernels.polar_batch(1.5, 0, 0, [0.5], [0], tol)
+    with pytest.raises(DomainError):
+        ridge_moments(2.0, 0.1, 8, tol)

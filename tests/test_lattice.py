@@ -242,6 +242,18 @@ def test_kinetic_matrix_eigensolve_count(monkeypatch):
     assert sizes == [(64, 64)] * 4
 
 
+def test_kinetic_matrix_rejects_non_hermitian_block(monkeypatch):
+    def broken(A, grid, boundary):
+        H = _kinetic_square(A, grid, boundary)
+        c = _parity_classes(grid.n)[3]
+        H[c[0], c[1]] += 1e-3  # one block, one triangle only
+        return H
+
+    monkeypatch.setattr("opineq.lattice._kinetic_square", broken)
+    with pytest.raises(DomainError, match="hermiticity"):
+        kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 16)), 0.5, "total")
+
+
 def test_stacked_kato_test_matches_single_calls():
     fld = make_fields(1.0, 1.0, SquareGrid(8.0, 16))
     T_free = kinetic_matrix(fld, 0.5, "none")
