@@ -3,11 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
 from opineq.errors import DomainError, GridRejectionError, RefinementNeededError
-from opineq.spectra import (ANTICOMM_SPANS, ChannelOperator, GridSpec,
-                            _channel_moments, _momentum_log_grid,
+from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
+                            DEFAULT_SCAN_SCHEDULE, ChannelOperator, GridSpec,
+                            _channel_moments, _hydrogen_channel,
+                            _lowest_eigenvalue, _momentum_log_grid,
                             chandrasekhar_lowest, classify_coupling,
                             coulomb_channel_kernel, critical_coupling_bisect,
                             critical_coupling_mellin, hydrogen2d,
@@ -150,6 +153,32 @@ def test_hydrogen_refinement_monotone():
         assert all(y < x for x, y in zip(a, b))
 
 
+def _dense_hydrogen_channel(Z, m, grid, count):
+    """The log-grid finite-difference matrix of _hydrogen_channel assembled
+    densely and solved with the general symmetric solver."""
+    n, h = grid.n, grid.log_step()
+    s = np.log(grid.nodes())
+    main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - Z * np.exp(s)
+    main[0] -= 0.5 / (h * h)
+    main[-1] -= 0.5 / (h * h)
+    if m == 0:
+        main[0] -= Z * grid.r_min / h
+    d = np.exp(-s)
+    A = np.diag(main * d * d)
+    idx = np.arange(n - 1)
+    A[idx, idx + 1] = A[idx + 1, idx] = -0.5 / (h * h) * d[:-1] * d[1:]
+    return sla.eigvalsh(A, subset_by_index=[0, count - 1])
+
+
+@pytest.mark.parametrize("Z", [1.0, 1.7])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_hydrogen_channel_tridiagonal_matches_dense(Z, m):
+    grid = DEFAULT_HYDROGEN_GRID.scaled(1.0 / Z)
+    ev = _hydrogen_channel(Z, m, grid, 3)
+    ref = _dense_hydrogen_channel(Z, m, grid, 3)
+    assert np.all(np.abs(ev - ref) <= 1e-13 * np.abs(ref))
+
+
 def test_hydrogen_too_coarse_raises_with_trace():
     with pytest.raises(RefinementNeededError) as exc:
         hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 40))
@@ -188,6 +217,54 @@ def test_chandrasekhar_higher_channel_harder_to_bind():
     e1 = chandrasekhar_lowest(0.4, 1, g)
     assert e0 < e1
     assert e1 > -1e-3
+
+
+@pytest.fixture
+def solved_orders(monkeypatch):
+    """The order of every matrix handed to the dense solver."""
+    orders, solve = [], sla.eigvalsh
+
+    def recorder(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvalsh", recorder)
+    return orders
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.2, 0.3, 0.6])
+def test_deflated_lowest_eigenvalue_within_bound(nu):
+    # |lambda_1(H) - lambda_1(H11)| <= max(lambda_1(H11), 0) + sqrt(2) eps
+    # ||H||_F (the deflation bound), plus eps ||H||_2 for each of the two
+    # backward-stable solves
+    eps = np.finfo(float).eps
+    for g in DEFAULT_SCAN_SCHEDULE:
+        P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
+        H = P - nu * np.diag(1.0 / nodes)
+        full = sla.eigvalsh(H, subset_by_index=[0, 0])[0]
+        lam = _lowest_eigenvalue(H)
+        tol = (max(lam, 0.0) + math.sqrt(2.0) * eps * np.linalg.norm(H)
+               + 2.0 * eps * np.linalg.norm(H, 2))
+        assert abs(full - lam) <= tol
+
+
+def test_deflation_sizes(solved_orders):
+    # the scan grids share h = 0.08 and keep the rows with s below ~36;
+    # the pool grids and the anticommutator blocks are solved whole
+    for g in DEFAULT_SCAN_SCHEDULE:
+        chandrasekhar_lowest(0.3, 0, g)
+    assert solved_orders == [452, 452, 452]
+    assert all(g.n > 452 for g in DEFAULT_SCAN_SCHEDULE)
+    solved_orders.clear()
+    pool = ((20.0, 300), (23.0, 400), (26.0, 500))
+    for span, n in pool:
+        for m in (0, 1, 2):
+            chandrasekhar_lowest(0.3, m, GridSpec(math.exp(-span), 1.0, n))
+    assert solved_orders == [n for _, n in pool for _ in range(3)]
+    solved_orders.clear()
+    for d in (2, 3):
+        lambda_min_anticomm(d)
+    assert solved_orders == 2 * [round(L / 0.08) + 1 for L in ANTICOMM_SPANS]
 
 
 def test_classify_endpoints():
@@ -258,6 +335,17 @@ def test_lambda_min_anticommutator():
             assert 0.0 < v - (d - 2) <= 1.1 * _kappa(d) * math.pi ** 2 / L ** 2
     with pytest.raises(DomainError):
         lambda_min_anticomm(1)
+
+
+def test_lambda_min_anticomm_large_dimension():
+    # at d = 12 the degree weights underflow to 0 where their exponential
+    # factor overflows; the excess over d - 2 stays near 0.077 as L grows,
+    # a step-size error, so the kappa_d pi^2 / L^2 gate does not apply
+    lam, trace = lambda_min_anticomm(12)
+    vals = [v for _, v in trace]
+    assert np.all(np.isfinite(vals))
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+    assert lam > 10.0
 
 
 def test_anticommutator_scale_invariance():
