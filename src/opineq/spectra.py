@@ -184,9 +184,12 @@ def _lowest_eigenvalue(H):
     solver's own backward error is of the same size, so nothing it could
     resolve is lost.  Graded matrices, whose rows decay like e^{-s_i} on
     the log grid, deflate to the rows above the roundoff level; the
-    others keep k = n and the full solve.
+    others keep k = n and the full solve.  An inf or NaN entry raises
+    DomainError.
     """
     tail = np.cumsum(np.einsum("ij,ij->i", H, H)[::-1])[::-1]
+    if not np.isfinite(tail[0]):
+        raise DomainError("matrix has entries that are not finite")
     k = int(np.count_nonzero(tail > np.finfo(float).eps ** 2 * tail[0]))
     return float(sla.eigvalsh(H[:k, :k], subset_by_index=[0, 0])[0])
 

@@ -234,18 +234,26 @@ def solved_orders(monkeypatch):
 
 @pytest.mark.parametrize("nu", [0.05, 0.2, 0.3, 0.6])
 def test_deflated_lowest_eigenvalue_within_bound(nu):
-    # |lambda_1(H) - lambda_1(H11)| <= max(lambda_1(H11), 0) + sqrt(2) eps
-    # ||H||_F (the deflation bound), plus eps ||H||_2 for each of the two
-    # backward-stable solves
+    # Weyl: lambda_1(H) >= min(lambda_1(H11), 0) - sqrt(2) eps ||H||_F;
+    # interlacing: lambda_1(H) <= lambda_1(H11); plus eps ||H||_2 for each
+    # of the two backward-stable solves
     eps = np.finfo(float).eps
     for g in DEFAULT_SCAN_SCHEDULE:
         P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
         H = P - nu * np.diag(1.0 / nodes)
         full = sla.eigvalsh(H, subset_by_index=[0, 0])[0]
         lam = _lowest_eigenvalue(H)
-        tol = (max(lam, 0.0) + math.sqrt(2.0) * eps * np.linalg.norm(H)
-               + 2.0 * eps * np.linalg.norm(H, 2))
-        assert abs(full - lam) <= tol
+        solves = 2.0 * eps * np.linalg.norm(H, 2)
+        assert full <= lam + solves
+        assert full >= min(lam, 0.0) - math.sqrt(2.0) * eps * np.linalg.norm(H) - solves
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_lowest_eigenvalue_rejects_non_finite(bad):
+    H = np.eye(4)
+    H[3, 3] = bad
+    with pytest.raises(DomainError):
+        _lowest_eigenvalue(H)
 
 
 def test_deflation_sizes(solved_orders):

@@ -1,78 +1,90 @@
 """Alternating before/after runs of perfbench, summarized into BENCH_<pr>.json.
 
     python3 tools/bench_pair.py BASE_REV --workload coupling --workload kato \
-        --pairs 10 --pr 8 [--seed 1206] [--seconds 20]
+        --pairs 10 --pr 8 [--seed 5192]
 
 The base side is BASE_REV exported with `git archive` into a temporary
 directory; the new side is this working tree.  Each pair runs
-`perfbench/run.py --seconds S --out <tmpdir>` once per side, and the side
-that goes first alternates from pair to pair.  After the pairs, one
+`perfbench/run.py --workload W --out <dir>` once per side, with run.py's
+own defaults for the run length and, unless --seed is given, the seed; the
+side that goes first alternates from pair to pair.  After the pairs, one
 `--trace 1` run per side gives the machine-independent per-layer counts.
 
-BENCH_<pr>.json at the repository root gets one entry per (workload, seed):
-for each side the median and quartiles of every end-to-end metric and the
-traced counts, plus the number of pairs in which the new side was better on
-each metric.  Entries for other (workload, seed) pairs already in the file
+perfbench/compare.py then judges the two sides: it refuses runs from
+different environments (this script stops with its exit code) and gives a
+verdict per end-to-end metric.  BENCH_<pr>.json at the repository root gets
+one entry per (workload, seed): compare.py's verdicts and table, the median
+and quartiles of every end-to-end metric on each side (compare.spread), the
+number of pairs in which the new side was better on each metric, and the
+traced counts.  Entries for other (workload, seed) pairs already in the file
 are kept, so the held-out seed can be added by a second call.
 """
 
 import argparse
-import glob
+import contextlib
+import io
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import compare  # noqa: E402
+
 SIDES = ("base", "new")
 
 
-def run_bench(tree, workload, seed, seconds, trace, out):
-    """One perfbench run in `tree`; returns its record."""
+def run_bench(tree, out, workload, seed, trace):
+    """One perfbench run in `tree`, recorded in `out`; returns its record."""
+    before = set(os.listdir(out))
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace), "--out", out]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
-    (path,) = glob.glob(os.path.join(out, "*.json"))
-    with open(path) as fh:
+    (name,) = set(os.listdir(out)) - before
+    with open(os.path.join(out, name)) as fh:
         return json.load(fh)
 
 
-def summary(values):
-    q1, med, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                   else values * 3)
-    return {"median": med, "q1": q1, "q3": q3, "values": values}
-
-
-def compare(workload, seed, seconds, pairs, spec, tmp):
-    trees = {"base": os.path.join(tmp, "base"), "new": ROOT}
+def pair_runs(workload, seed, pairs, spec, trees, tmp):
+    outs = {side: os.path.join(tmp, "%s-%s-%s" % (workload, seed, side))
+            for side in SIDES}
+    for out in outs.values():
+        os.makedirs(out)
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            out = os.path.join(tmp, "%s-%s-%d-%d" % (workload, side, seed, i))
-            runs[side].append(run_bench(trees[side], workload, seed, seconds, 0, out))
-            print("%s seed %d pair %d %s: tasks_per_s %.4g"
-                  % (workload, seed, i, side,
-                     runs[side][-1]["metrics"]["tasks_per_s"]), file=sys.stderr)
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(run_bench(trees[side], outs[side], workload, seed, 0))
+            print("%s pair %d %s: tasks_per_s %.4g"
+                  % (workload, i, side, runs[side][-1]["metrics"]["tasks_per_s"]),
+                  file=sys.stderr)
+    traced = {side: run_bench(trees[side], outs[side], workload, seed, 1)
+              for side in SIDES}
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        status = compare.main([outs["base"], outs["new"]])
+    if status != 0:
+        sys.exit(status)
+    rows = [line.split() for line in table.getvalue().splitlines()[1:]]
+    records = runs["base"] + runs["new"]
+    env = {k: v for k, v in records[0]["env"].items()
+           if all(r["env"].get(k) == v for r in records)}
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
-    # the machine stamp only: commit and source hash differ between the sides
-    env = {k: v for k, v in runs["new"][0]["env"].items()
-           if k not in ("commit", "source_sha256")}
-    entry = {"workload": workload, "seed": seed, "seconds": seconds,
-             "pairs": pairs, "env": env, "wins": {}}
+    entry = {"workload": workload, "seed": records[0]["seed"], "pairs": pairs,
+             "env": env,
+             "verdicts": {row[1]: row[-1] for row in rows if row[1] != "oracle"},
+             "compare": table.getvalue().splitlines(), "wins": {}}
     for side in SIDES:
-        out = os.path.join(tmp, "%s-%s-%d-trace" % (workload, side, seed))
-        traced = run_bench(trees[side], workload, seed, seconds, 1, out)
-        entry[side] = {
-            "metrics": {m["name"]: summary([r["metrics"][m["name"]] for r in runs[side]])
-                        for m in spec["end_to_end"]},
-            "failed": sum(r["oracle_fail_frac"]["failed"] for r in runs[side]),
-            "attempted": sum(r["oracle_fail_frac"]["attempted"] for r in runs[side]),
-            "traced_counts": {k: traced["metrics"][k] for k in counts},
-        }
+        metrics = {}
+        for m in spec["end_to_end"]:
+            values = [r["metrics"][m["name"]] for r in runs[side]]
+            med, q1, q3 = compare.spread(values)
+            metrics[m["name"]] = {"median": med, "q1": q1, "q3": q3, "values": values}
+        entry[side] = {"metrics": metrics,
+                       "traced_counts": {k: traced[side]["metrics"][k] for k in counts}}
     for m in spec["end_to_end"]:
         sign = 1.0 if m["better"] == "higher" else -1.0
         entry["wins"][m["name"]] = sum(
@@ -87,8 +99,7 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--pr", required=True, help="suffix of BENCH_<pr>.json")
-    ap.add_argument("--seed", type=int, default=1206)
-    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--seed", type=int, help="default: run.py's")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -104,15 +115,15 @@ def main(argv=None):
         if doc["base_rev"] != rev:
             ap.error("%s compares against %s, not %s" % (path, doc["base_rev"], rev))
     with tempfile.TemporaryDirectory() as tmp:
-        base = os.path.join(tmp, "base")
-        os.makedirs(base)
+        trees = {"base": os.path.join(tmp, "base"), "new": ROOT}
+        os.makedirs(trees["base"])
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", trees["base"]], input=archive, check=True)
         for workload in args.workload:
-            entry = compare(workload, args.seed, args.seconds, args.pairs, spec, tmp)
+            entry = pair_runs(workload, args.seed, args.pairs, spec, trees, tmp)
             doc["entries"] = [e for e in doc["entries"]
-                              if (e["workload"], e["seed"]) != (workload, args.seed)]
+                              if (e["workload"], e["seed"]) != (workload, entry["seed"])]
             doc["entries"].append(entry)
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1)
