@@ -12,11 +12,13 @@ and the unregularized kernel is integrable band by band.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .errors import ConfigurationError, DomainError
+from . import kernels
+from .errors import AccuracyError, ConfigurationError, DomainError
 from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
                          sphere_surface)
 
@@ -247,6 +249,15 @@ def _diag_second_derivative(s, h, G, H, wexp):
 
 
 _GL12 = np.polynomial.legendre.leggauss(12)
+# bands 0.._RIDGE_BANDS-1 hold the Lieb-Yau kernels' ridge at x = 0
+_RIDGE_BANDS = 4
+
+
+def _gl_bands(f, h, k0, k1):
+    """Bands k0..k1-1 (k0 >= 1) by 12-point Gauss-Legendre in one call of f."""
+    xi, wi = _GL12
+    x = (np.arange(k0, k1)[:, None] * h + (h / 2.0) * xi[None, :]).ravel()
+    return (h / 2.0) * f(x).reshape(k1 - k0, xi.size) @ wi
 
 
 def band_moments(f, h, n):
@@ -254,32 +265,80 @@ def band_moments(f, h, n):
 
     Band 0 is [0, h/2], band k >= 1 is [kh - h/2, kh + h/2].  Bands 0-3
     hold the Lieb-Yau kernels' ridge at x = 0 and are integrated
-    adaptively; the rest use 12-point Gauss-Legendre in one call of f.
+    adaptively; the rest use 12-point Gauss-Legendre in one call of f,
+    so f sees the nodes of band 4 + j at positions 12 j .. 12 j + 11 of
+    its argument (ridge_moments relies on that layout).
     """
-    xi, wi = _GL12
     out = np.empty(n)
-    for k in range(min(4, n)):
+    for k in range(min(_RIDGE_BANDS, n)):
         out[k] = integrate_adaptive(f, max(0.0, k * h - h / 2.0),
                                     k * h + h / 2.0, 1e-10).value
-    if n > 4:
-        x = (np.arange(4, n)[:, None] * h + (h / 2.0) * xi[None, :]).ravel()
-        out[4:] = (h / 2.0) * f(x).reshape(n - 4, xi.size) @ wi
+    if n > _RIDGE_BANDS:
+        out[_RIDGE_BANDS:] = _gl_bands(f, h, _RIDGE_BANDS, n)
     return out
 
 
+# the fewest Gauss-Legendre bands that fill whole kernel chunks (512)
+_RIDGE_BLOCK = math.lcm(kernels.CHUNK, _GL12[0].size) // _GL12[0].size
+
+
+@lru_cache(maxsize=64)
+def _ridge_store(d, h, ktol):
+    # a one-slot list: the read-only prefix of phi2 computed so far
+    return [np.empty(0)]
+
+
 def ridge_moments(d, h, n, ktol=1e-11):
-    """phi2[k] = int over band k of K_d(cosh x) x^2 dx.
+    """phi2[k] = int over band k of K_d(cosh x) x^2 dx, as a read-only array.
 
     K_d(cosh x) is the kernel after the (2 r rho)^((d+1)/2) factor is
     pulled out of |x - y|^(d+1); it has a 1/x^2 ridge at x = 0, and the
     x^2 carries the numerator's quadratic vanishing across it.
+
+    Each band is computed once per process.  A store keyed by
+    (d, h, ktol), bounded like the log-grid matrix cache, holds the bands
+    computed so far; it grows by the four ridge bands and then by whole
+    blocks of _RIDGE_BLOCK = 512 Gauss-Legendre bands.  The 12 nodes per
+    band of a block fill exactly three kernel chunks (the kernels.CHUNK
+    elements that share one panel refinement), the same chunks one
+    band_moments call over those bands forms, so every band comes out bit
+    for bit as that call gives it, whatever was computed before.  A kernel
+    element that ends above its tolerance (the integrand is positive, so
+    only the panel cap can leave one) raises AccuracyError carrying the
+    estimate of the n bands, and nothing is stored.
     """
+    if not ktol > 0:
+        raise DomainError("tolerance must be positive")
+    slot = _ridge_store(d, h, ktol)
+    if n > slot[0].size:
+        slot[0] = _grow_ridge(d, h, ktol, slot[0], n)
+    return slot[0][:n]
+
+
+def _grow_ridge(d, h, ktol, done, n):
+    """done extended to the first whole block holding band n - 1."""
+    unconverged = [0]
+
     def f(x):
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
-        v, _, _ = angular_kernel_batch(d, um1, tol=ktol)
+        v, e, _ = angular_kernel_batch(d, um1, tol=ktol)
+        unconverged[0] += int(np.count_nonzero(
+            e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
         return v * x * x
 
-    return band_moments(f, h, n)
+    parts = [done]
+    if done.size == 0:
+        parts.append(band_moments(f, h, _RIDGE_BANDS))
+    blocks = -(-(n - _RIDGE_BANDS) // _RIDGE_BLOCK)
+    for k0 in range(max(done.size, _RIDGE_BANDS),
+                    _RIDGE_BANDS + blocks * _RIDGE_BLOCK, _RIDGE_BLOCK):
+        parts.append(_gl_bands(f, h, k0, k0 + _RIDGE_BLOCK))
+    phi2 = np.concatenate(parts)
+    if unconverged[0]:
+        raise AccuracyError("%d ridge kernel elements missed tolerance %g"
+                            % (unconverged[0], ktol), best=phi2[:n])
+    phi2.flags.writeable = False
+    return phi2
 
 
 def _form_engine(d, s, h, G, H, ktol=1e-11):

@@ -408,7 +408,8 @@ ANTICOMM_PAD = 40.0
 def _anticomm_lowest(d, L):
     n_pad = round(ANTICOMM_PAD / ANTICOMM_STEP)
     n = round(L / ANTICOMM_STEP) + 1
-    # uncached: the padded matrices are large and used once
+    # uncached: the padded matrices are large and used once; their ridge
+    # moments come from anticomm's store, so the spans share them
     P, r = _momentum_log_grid.__wrapped__(0, n + 2 * n_pad,
                                           L + 2.0 * ANTICOMM_PAD, d)
     inner = slice(n_pad, n_pad + n)

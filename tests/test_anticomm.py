@@ -1,31 +1,63 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from opineq import anticomm
+from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, alpha, band_moments, bracket,
                              find_nonrel_violation, gamma, lower_bound,
                              momentum_expectation, nonrel_form, relativistic_form,
                              relativistic_form_direct, ridge_moments)
-from opineq.errors import ConfigurationError, DomainError
+from opineq.errors import AccuracyError, ConfigurationError, DomainError
+from opineq.quadrature import angular_kernel_batch
 
 # mpmath references (30-digit quadrature, two independent substitutions)
 GAMMA_15 = -2.30720541054060085
 GAMMA_25 = 4.03308358400775607
 GAMMA_201 = 0.0631802461365732294
 
-# t[psi]/||psi||^2 for log-Gaussians from the closed-form Mellin symbol
-# of the anticommutator (Gamma-function multiplier, Plancherel in log space)
-MELLIN_T = {
-    (2.0, 0.25): 27.2281824175103,
-    (2.0, 0.5): 12.5730791194058,
-    (2.0, 1.0): 5.17087598976948,
-    (2.0, 2.0): 1.77240054301193,
-    (2.0, 4.0): 0.510732043003011,
-    (2.5, 1.0): 9.20894758210052,
-    (3.0, 1.0): 14.9855499045004,
-}
+# the points at which the lattice form is checked against the Mellin oracle
+MELLIN_POINTS = ((2.0, 0.25), (2.0, 0.5), (2.0, 1.0), (2.0, 2.0), (2.0, 4.0),
+                 (2.5, 1.0), (3.0, 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def mellin_t(d, sigma):
+    """t[psi]/||psi||^2 for psi = exp(-(ln r)^2 / (2 sigma^2)) in dimension d.
+
+    |x||p| + |p||x| acts on r^-beta, beta = d/2 - i xi, by the symbol
+    2 Re c_0(xi), c_0 = 2 G((d-beta)/2) G((beta+1)/2) / [G(beta/2) G((d-beta-1)/2)]
+    (G = Gamma), and the trial's Mellin weight is e^{-sigma^2 xi^2}, so
+    t/||psi||^2 = int e^{-sigma^2 xi^2} Re c_0 dxi / (alpha_d int e^{-sigma^2 xi^2} dxi).
+    """
+    with mpmath.workdps(20):
+        d, sigma = mpmath.mpf(d), mpmath.mpf(sigma)
+
+        def re_c0(xi):
+            b = d / 2 - 1j * xi
+            return mpmath.re(2 * mpmath.gamma((d - b) / 2) * mpmath.gamma((b + 1) / 2)
+                             / (mpmath.gamma(b / 2) * mpmath.gamma((d - b - 1) / 2)))
+
+        num = mpmath.quad(lambda xi: mpmath.exp(-(sigma * xi) ** 2) * re_c0(xi),
+                          [0, mpmath.inf])
+        a = mpmath.gamma((d + 1) / 2) / (2 * mpmath.pi ** ((d + 1) / 2))
+        return float(num / (a * mpmath.sqrt(mpmath.pi) / (2 * sigma)))
+
+
+@pytest.fixture
+def empty_ridge_store():
+    anticomm._ridge_store.cache_clear()
+    yield
+    anticomm._ridge_store.cache_clear()
+
+
+def _forbid_kernel_calls(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("unexpected kernel call")
+
+    monkeypatch.setattr(kernels, "polar_batch", fail)
 
 
 def nonrel_gaussian_scale(sigma):
@@ -132,12 +164,82 @@ def test_band_moments_polynomial():
     assert np.all(np.abs(got - exact) <= 1e-14 * exact)
 
 
+def test_mellin_generator_reproduces_d2_table():
+    # the digits frozen before the generator existed; at d = 2.5 and 3 the
+    # frozen digits were off by 4.9e-13 and 7.5e-13 relative
+    frozen = {0.25: 27.2281824175103, 0.5: 12.5730791194058,
+              1.0: 5.17087598976948, 2.0: 1.77240054301193,
+              4.0: 0.510732043003011}
+    for sigma, ref in frozen.items():
+        assert mellin_t(2.0, sigma) == pytest.approx(ref, rel=2e-15)
+
+
 def test_relativistic_form_matches_mellin_oracle():
-    for (d, sig), ref in MELLIN_T.items():
+    for d, sig in MELLIN_POINTS:
         psi = TrialFunction("log_gaussian", sig)
         fv = relativistic_form(psi, d)
-        assert fv.value / fv.norm_sq == pytest.approx(ref, rel=5e-3)
+        assert fv.value / fv.norm_sq == pytest.approx(mellin_t(d, sig), rel=5e-3)
         assert fv.value == relativistic_form_direct(psi, d)
+
+
+def _ridge_integrand(d, ktol=1e-11):
+    def f(x):
+        v, _, _ = angular_kernel_batch(d, 2.0 * np.sinh(x / 2.0) ** 2, tol=ktol)
+        return v * x * x
+    return f
+
+
+def test_ridge_store_prefixes_agree(empty_ridge_store):
+    # a slice of a large fill and a fresh small fill, in both orders
+    d, h = 2.5, 0.1
+    big = ridge_moments(d, h, 700).copy()
+    anticomm._ridge_store.cache_clear()
+    small = ridge_moments(d, h, 40).copy()
+    assert np.array_equal(big[:40], small)
+    assert np.array_equal(ridge_moments(d, h, 700), big)
+
+
+def test_ridge_blocks_match_one_band_moments_call(empty_ridge_store):
+    d, h = 3.0, 0.08
+    n = anticomm._RIDGE_BANDS + 2 * anticomm._RIDGE_BLOCK
+    assert anticomm._RIDGE_BLOCK * 12 % kernels.CHUNK == 0
+    for m in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
+        got = ridge_moments(d, h, m)
+    assert np.array_equal(got, band_moments(_ridge_integrand(d), h, n))
+
+
+def test_ridge_moments_read_only(empty_ridge_store):
+    phi2 = ridge_moments(2.0, 0.1, 20)
+    with pytest.raises(ValueError):
+        phi2[3] = 0.0
+
+
+def test_repeated_form_makes_no_kernel_call(empty_ridge_store, monkeypatch):
+    psi = TrialFunction("log_gaussian", 1.0)
+    first = relativistic_form(psi, 2.0)
+    _forbid_kernel_calls(monkeypatch)
+    assert relativistic_form(psi, 2.0) == first
+    # the dilated trial needs 18 more bands, inside the block already filled
+    assert relativistic_form(psi.scaled(2.0), 2.0).value > 0
+
+
+def test_ridge_store_bounded_and_clean_on_error(empty_ridge_store):
+    assert anticomm._ridge_store.cache_info().maxsize == 64
+    with pytest.raises(DomainError):
+        ridge_moments(2.0, 0.1, 8, 0.0)
+    assert anticomm._ridge_store.cache_info().currsize == 0
+
+
+def test_ridge_kernel_miss_raises_accuracy_error(empty_ridge_store, monkeypatch):
+    # two panels cannot resolve the ridge: the miss is reported, not stored
+    monkeypatch.setattr(kernels, "MAX_PANELS", 2)
+    with pytest.raises(AccuracyError) as info:
+        ridge_moments(2.0, 0.1, 30)
+    assert info.value.best.shape == (30,)
+    assert np.all(np.isfinite(info.value.best))
+    monkeypatch.undo()
+    assert ridge_moments(2.0, 0.1, 30).size == 30
+    assert not np.array_equal(ridge_moments(2.0, 0.1, 30), info.value.best)
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

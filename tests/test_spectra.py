@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from opineq import kernels
 from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
 from opineq.errors import DomainError, GridRejectionError, RefinementNeededError
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
@@ -343,6 +344,17 @@ def test_lambda_min_anticommutator():
             assert 0.0 < v - (d - 2) <= 1.1 * _kappa(d) * math.pi ** 2 / L ** 2
     with pytest.raises(DomainError):
         lambda_min_anticomm(1)
+
+
+def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
+    # the three spans share their ridge moments through the ridge store
+    first = lambda_min_anticomm(3)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("unexpected kernel call")
+
+    monkeypatch.setattr(kernels, "polar_batch", fail)
+    assert lambda_min_anticomm(3) == first
 
 
 def test_lambda_min_anticomm_large_dimension():
