@@ -28,9 +28,11 @@ def mellin_t(d, sigma):
     """t[psi]/||psi||^2 for psi = exp(-(ln r)^2 / (2 sigma^2)) in dimension d.
 
     |x||p| + |p||x| acts on r^-beta, beta = d/2 - i xi, by the symbol
-    2 Re c_0(xi), c_0 = 2 G((d-beta)/2) G((beta+1)/2) / [G(beta/2) G((d-beta-1)/2)]
+    2 Re c_0(xi) with
+        c_0 = 2 G((d-beta)/2) G((beta+1)/2) / [G(beta/2) G((d-beta-1)/2)]
     (G = Gamma), and the trial's Mellin weight is e^{-sigma^2 xi^2}, so
-    t/||psi||^2 = int e^{-sigma^2 xi^2} Re c_0 dxi / (alpha_d int e^{-sigma^2 xi^2} dxi).
+        t/||psi||^2 = int e^{-sigma^2 xi^2} Re c_0 dxi
+                      / (alpha_d int e^{-sigma^2 xi^2} dxi).
     """
     with mpmath.workdps(20):
         d, sigma = mpmath.mpf(d), mpmath.mpf(sigma)

@@ -347,7 +347,7 @@ def test_lambda_min_anticommutator():
 
 
 def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
-    # the three spans share their ridge moments through the ridge store
+    # the second call finds every ridge band in anticomm's store
     first = lambda_min_anticomm(3)
 
     def fail(*args, **kwargs):
