@@ -265,9 +265,7 @@ def band_moments(f, h, n):
 
     Band 0 is [0, h/2], band k >= 1 is [kh - h/2, kh + h/2].  Bands 0-3
     hold the Lieb-Yau kernels' ridge at x = 0 and are integrated
-    adaptively; the rest use 12-point Gauss-Legendre in one call of f,
-    so f sees the nodes of band 4 + j at positions 12 j .. 12 j + 11 of
-    its argument (ridge_moments relies on that layout).
+    adaptively; the rest use 12-point Gauss-Legendre in one call of f.
     """
     out = np.empty(n)
     for k in range(min(_RIDGE_BANDS, n)):
@@ -282,12 +280,6 @@ def band_moments(f, h, n):
 _RIDGE_BLOCK = math.lcm(kernels.CHUNK, _GL12[0].size) // _GL12[0].size
 
 
-@lru_cache(maxsize=64)
-def _ridge_store(d, h, ktol):
-    # a one-slot list: the read-only prefix of phi2 computed so far
-    return [np.empty(0)]
-
-
 def ridge_moments(d, h, n, ktol=1e-11):
     """phi2[k] = int over band k of K_d(cosh x) x^2 dx, as a read-only array.
 
@@ -295,28 +287,29 @@ def ridge_moments(d, h, n, ktol=1e-11):
     pulled out of |x - y|^(d+1); it has a 1/x^2 ridge at x = 0, and the
     x^2 carries the numerator's quadratic vanishing across it.
 
-    Each band is computed once per process.  A store keyed by
-    (d, h, ktol), bounded like the log-grid matrix cache, holds the bands
-    computed so far; it grows by the four ridge bands and then by whole
-    blocks of _RIDGE_BLOCK = 512 Gauss-Legendre bands.  The 12 nodes per
+    The bands come from fixed blocks, each computed once per process and
+    cached by (d, h, ktol, block index) like the log-grid matrices: block
+    0 is the four ridge bands and the first _RIDGE_BLOCK = 512
+    Gauss-Legendre bands, block j >= 1 the next 512.  The 12 nodes per
     band of a block fill exactly three kernel chunks (the kernels.CHUNK
     elements that share one panel refinement), the same chunks one
     band_moments call over those bands forms, so every band comes out bit
-    for bit as that call gives it, whatever was computed before.  A kernel
-    element that ends above its tolerance (the integrand is positive, so
-    only the panel cap can leave one) raises AccuracyError carrying the
-    estimate of the n bands, and nothing is stored.
+    for bit as that call gives it, whatever was computed before.
     """
     if not ktol > 0:
         raise DomainError("tolerance must be positive")
-    slot = _ridge_store(d, h, ktol)
-    if n > slot[0].size:
-        slot[0] = _grow_ridge(d, h, ktol, slot[0], n)
-    return slot[0][:n]
+    blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
+    phi2 = np.concatenate([_ridge_block(d, h, ktol, j) for j in range(blocks)])
+    phi2.flags.writeable = False
+    return phi2[:n]
 
 
-def _grow_ridge(d, h, ktol, done, n):
-    """done extended to the first whole block holding band n - 1."""
+@lru_cache(maxsize=64)
+def _ridge_block(d, h, ktol, j):
+    """Ridge-moment block j, read-only.  A kernel element that ends above
+    its tolerance (the integrand is positive, so only the panel cap can
+    leave one) raises AccuracyError carrying the block's estimate, and
+    the block is not cached."""
     unconverged = [0]
 
     def f(x):
@@ -326,19 +319,16 @@ def _grow_ridge(d, h, ktol, done, n):
             e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
         return v * x * x
 
-    parts = [done]
-    if done.size == 0:
-        parts.append(band_moments(f, h, _RIDGE_BANDS))
-    blocks = -(-(n - _RIDGE_BANDS) // _RIDGE_BLOCK)
-    for k0 in range(max(done.size, _RIDGE_BANDS),
-                    _RIDGE_BANDS + blocks * _RIDGE_BLOCK, _RIDGE_BLOCK):
-        parts.append(_gl_bands(f, h, k0, k0 + _RIDGE_BLOCK))
-    phi2 = np.concatenate(parts)
+    k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
+    if j == 0:
+        out = band_moments(f, h, k1)
+    else:
+        out = _gl_bands(f, h, k1 - _RIDGE_BLOCK, k1)
     if unconverged[0]:
         raise AccuracyError("%d ridge kernel elements missed tolerance %g"
-                            % (unconverged[0], ktol), best=phi2[:n])
-    phi2.flags.writeable = False
-    return phi2
+                            % (unconverged[0], ktol), best=out)
+    out.flags.writeable = False
+    return out
 
 
 def _form_engine(d, s, h, G, H, ktol=1e-11):

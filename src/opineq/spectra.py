@@ -160,6 +160,19 @@ def _momentum_log_grid(m: int, n: int, L: float, d: float = 2.0):
     return P, np.exp(s)
 
 
+_clear_grids = _momentum_log_grid.cache_clear
+
+
+def _clear_grids_and_ridge_blocks():
+    """The grids are assembled from anticomm's ridge-moment blocks, so
+    clearing the grid cache clears those too: the next assembly is cold."""
+    _clear_grids()
+    anticomm._ridge_block.cache_clear()
+
+
+_momentum_log_grid.cache_clear = _clear_grids_and_ridge_blocks
+
+
 def momentum_channel_log(m: int, grid: GridSpec) -> ChannelOperator:
     """Log-grid Lieb-Yau realization of |p| in 2D channel m."""
     L = math.log(grid.r_max / grid.r_min)
@@ -409,7 +422,7 @@ def _anticomm_lowest(d, L):
     n_pad = round(ANTICOMM_PAD / ANTICOMM_STEP)
     n = round(L / ANTICOMM_STEP) + 1
     # uncached: the padded matrices are large and used once; their ridge
-    # moments come from anticomm's store, so the spans share them
+    # moments come from anticomm's block cache, so the spans share them
     P, r = _momentum_log_grid.__wrapped__(0, n + 2 * n_pad,
                                           L + 2.0 * ANTICOMM_PAD, d)
     inner = slice(n_pad, n_pad + n)

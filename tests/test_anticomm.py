@@ -49,10 +49,10 @@ def mellin_t(d, sigma):
 
 
 @pytest.fixture
-def empty_ridge_store():
-    anticomm._ridge_store.cache_clear()
+def cold_ridge_blocks():
+    anticomm._ridge_block.cache_clear()
     yield
-    anticomm._ridge_store.cache_clear()
+    anticomm._ridge_block.cache_clear()
 
 
 def _forbid_kernel_calls(monkeypatch):
@@ -191,17 +191,17 @@ def _ridge_integrand(d, ktol=1e-11):
     return f
 
 
-def test_ridge_store_prefixes_agree(empty_ridge_store):
+def test_ridge_block_prefixes_agree(cold_ridge_blocks):
     # a slice of a large fill and a fresh small fill, in both orders
     d, h = 2.5, 0.1
     big = ridge_moments(d, h, 700).copy()
-    anticomm._ridge_store.cache_clear()
+    anticomm._ridge_block.cache_clear()
     small = ridge_moments(d, h, 40).copy()
     assert np.array_equal(big[:40], small)
     assert np.array_equal(ridge_moments(d, h, 700), big)
 
 
-def test_ridge_blocks_match_one_band_moments_call(empty_ridge_store):
+def test_ridge_blocks_match_one_band_moments_call(cold_ridge_blocks):
     d, h = 3.0, 0.08
     n = anticomm._RIDGE_BANDS + 2 * anticomm._RIDGE_BLOCK
     assert anticomm._RIDGE_BLOCK * 12 % kernels.CHUNK == 0
@@ -210,13 +210,13 @@ def test_ridge_blocks_match_one_band_moments_call(empty_ridge_store):
     assert np.array_equal(got, band_moments(_ridge_integrand(d), h, n))
 
 
-def test_ridge_moments_read_only(empty_ridge_store):
+def test_ridge_moments_read_only(cold_ridge_blocks):
     phi2 = ridge_moments(2.0, 0.1, 20)
     with pytest.raises(ValueError):
         phi2[3] = 0.0
 
 
-def test_repeated_form_makes_no_kernel_call(empty_ridge_store, monkeypatch):
+def test_repeated_form_makes_no_kernel_call(cold_ridge_blocks, monkeypatch):
     psi = TrialFunction("log_gaussian", 1.0)
     first = relativistic_form(psi, 2.0)
     _forbid_kernel_calls(monkeypatch)
@@ -225,23 +225,25 @@ def test_repeated_form_makes_no_kernel_call(empty_ridge_store, monkeypatch):
     assert relativistic_form(psi.scaled(2.0), 2.0).value > 0
 
 
-def test_ridge_store_bounded_and_clean_on_error(empty_ridge_store):
-    assert anticomm._ridge_store.cache_info().maxsize == 64
+def test_ridge_blocks_bounded_and_clean_on_error(cold_ridge_blocks):
+    assert anticomm._ridge_block.cache_info().maxsize == 64
     with pytest.raises(DomainError):
         ridge_moments(2.0, 0.1, 8, 0.0)
-    assert anticomm._ridge_store.cache_info().currsize == 0
+    assert anticomm._ridge_block.cache_info().currsize == 0
 
 
-def test_ridge_kernel_miss_raises_accuracy_error(empty_ridge_store, monkeypatch):
-    # two panels cannot resolve the ridge: the miss is reported, not stored
+def test_ridge_kernel_miss_raises_accuracy_error(cold_ridge_blocks, monkeypatch):
+    # two panels cannot resolve the ridge: the miss is reported, not cached
     monkeypatch.setattr(kernels, "MAX_PANELS", 2)
     with pytest.raises(AccuracyError) as info:
         ridge_moments(2.0, 0.1, 30)
-    assert info.value.best.shape == (30,)
-    assert np.all(np.isfinite(info.value.best))
+    best = info.value.best
+    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+    assert np.all(np.isfinite(best))
+    assert anticomm._ridge_block.cache_info().currsize == 0
     monkeypatch.undo()
     assert ridge_moments(2.0, 0.1, 30).size == 30
-    assert not np.array_equal(ridge_moments(2.0, 0.1, 30), info.value.best)
+    assert not np.array_equal(ridge_moments(2.0, 0.1, 30), best[:30])
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from opineq import kernels
+from opineq import anticomm, kernels
 from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
 from opineq.errors import DomainError, GridRejectionError, RefinementNeededError
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
@@ -347,7 +347,7 @@ def test_lambda_min_anticommutator():
 
 
 def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
-    # the second call finds every ridge band in anticomm's store
+    # the second call finds every ridge band in anticomm's block cache
     first = lambda_min_anticomm(3)
 
     def fail(*args, **kwargs):
@@ -355,6 +355,15 @@ def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
 
     monkeypatch.setattr(kernels, "polar_batch", fail)
     assert lambda_min_anticomm(3) == first
+
+
+def test_grid_cache_clear_clears_ridge_blocks():
+    # a cleared grid cache means a cold assembly, ridge moments included
+    _momentum_log_grid(0, 64, 20.0)
+    assert anticomm._ridge_block.cache_info().currsize > 0
+    _momentum_log_grid.cache_clear()
+    assert _momentum_log_grid.cache_info().currsize == 0
+    assert anticomm._ridge_block.cache_info().currsize == 0
 
 
 def test_lambda_min_anticomm_large_dimension():
