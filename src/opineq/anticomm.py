@@ -24,6 +24,7 @@ from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
 
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
+_EPS = np.finfo(float).eps
 
 
 def _check_dimension(d):
@@ -204,8 +205,14 @@ class TrialFunction:
 
 @dataclass(frozen=True)
 class FormValue:
-    """Form value t[psi], its absolute scale (the same sums over |terms|,
-    the reference for roundoff-level negativity) and ||psi||^2."""
+    """Form value t[psi], its absolute scale and ||psi||^2.
+
+    `scale` is the same sums over |terms|, the reference for
+    roundoff-level negativity, taken over the pair offsets that
+    `_form_engine` keeps.  Every dropped term is >= 0, so it is at most
+    the abs-sum over all offsets, and a gate `t >= -c scale` can only get
+    stricter.  `value` is within eps * scale of the sum over all offsets.
+    """
 
     value: float
     scale: float
@@ -223,19 +230,67 @@ def _lattice(psi, d, h=H_STEP):
     return (np.arange(-half, half + 1) * h), h
 
 
-def _offset_sums(s, h, G, H, wexp):
-    """F_k = h sum_i e^{wexp (s_i+s_{i+k})/2} (G_i-G_{i+k})(H_i-H_{i+k}), plus
-    the |.| version; k = 0..n-1 (F_0 = 0)."""
-    n = s.size
-    half_w = np.exp(0.5 * wexp * s)
-    Fk = np.zeros(n)
-    Fk_abs = np.zeros(n)
+def _offset_sums(h, a, G, H, tail, w_lo):
+    """F_k = h sum_i a_i a_{i+k} (G_i-G_{i+k})(H_i-H_{i+k}), plus the |.|
+    version, for k = 0..K (F_0 = 0).  K is the first offset with
+    tail[K] <= eps * sum_{j<=K} w_lo[j] |F|_j: tail[K] bounds the weighted
+    abs-sum over all offsets beyond K, and w_lo[j] bounds the weight of
+    offset j from below, so the rest is below one ulp of the abs partial
+    sum through K."""
+    n = a.size
+    Fk = [0.0]
+    Fk_abs = [0.0]
+    partial = 0.0
     for k in range(1, n):
-        w = half_w[:n - k] * half_w[k:]
+        w = a[:n - k] * a[k:]
         num = (G[:n - k] - G[k:]) * (H[:n - k] - H[k:])
-        Fk[k] = h * float(np.dot(w, num))
-        Fk_abs[k] = h * float(np.dot(w, np.abs(num)))
-    return Fk, Fk_abs
+        Fk.append(h * float(np.dot(w, num)))
+        Fk_abs.append(h * float(np.dot(w, np.abs(num))))
+        partial += w_lo[k] * Fk_abs[k]
+        if not tail[k] > _EPS * partial:  # a NaN partial sum stops it too
+            break
+    return np.array(Fk), np.array(Fk_abs)
+
+
+def _offset_tail(d, h, x, y):
+    """(tail, w_lo) for _offset_sums, indexed by the offset k = 0..n-1.
+
+    tail[k] bounds the weighted abs terms of all offsets beyond k, and
+    w_lo[k] <= w_k = phi2[k] / (kh)^2 (w_lo[0] = 0).  Both are closed form.
+    Jensen over the sphere (the mean of w.e is 0) and u - w.e >= u - 1 give
+    |S^(d-1)| u^-p <= K_d(u) <= |S^(d-1)| (u - 1)^-p with p = (d+1)/2;
+    across band k = [x_lo, x_hi] K_d(cosh x) falls and x^2 grows, so
+    h x_lo^2 K_d(cosh x_hi) <= phi2[k] <= h x_hi^2 K_d(cosh x_lo).  With
+    x = aG, y = aH and a_{i+k} = a_i e^{ck}, c = (d-1)h/2, the triangle
+    inequality on |dG dH| and Cauchy-Schwarz on the cross terms bound
+    offset k's abs term by
+        b_k = h w_k [2 cosh(ck) sum_i |x_i y_i| + 2 ||x|| ||y||]
+    for any d > 1 and any trial, H = G included.  The products are formed
+    in logs (cosh x = e^x (1 + e^-2x) / 2, cosh x - 1 = e^x (1 - e^-x)^2
+    / 2), so cosh(ck) w_k is finite for any k.
+    """
+    n = x.size
+    k = np.arange(1, n)
+    x_lo, x_hi = (k - 0.5) * h, (k + 0.5) * h
+    p = (d + 1.0) / 2.0
+    log_hs = math.log(h * sphere_surface(d - 1)) + p * math.log(2.0)
+    log_lo = (log_hs + 2.0 * np.log(x_lo / (k * h))
+              - p * (x_hi + np.log1p(np.exp(-2.0 * x_hi))))
+    log_hi = (log_hs + 2.0 * np.log(x_hi / (k * h))
+              - p * (x_lo + 2.0 * np.log1p(-np.exp(-x_lo))))
+    ck = 0.5 * (d - 1.0) * h * k
+    sum_xy = float(np.sum(np.abs(x * y)))
+    norms = 2.0 * math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
+    b = h * (np.exp(log_hi + ck + np.log1p(np.exp(-2.0 * ck))) * sum_xy
+             + np.exp(log_hi) * norms)
+    tail = np.append(np.cumsum(b[::-1])[::-1], 0.0)
+    return tail, np.append(0.0, np.exp(log_lo))
+
+
+def _require_finite(d, what, *values):
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise DomainError("non-finite %s at d = %g: the trial's weighted "
+                          "lattice leaves double range" % (what, d))
 
 
 def _diag_second_derivative(s, h, G, H, wexp):
@@ -333,15 +388,33 @@ def _ridge_block(d, h, ktol, j):
 
 def _form_engine(d, s, h, G, H, ktol=1e-11):
     """A * iint e^{(d-1)(s+t)/2} (G(s)-G(t))(H(s)-H(t)) K~(s-t) ds dt
-    with A = |S^(d-1)| 2^(-(d+1)/2); returns (value, abs_scale)."""
-    Fk, Fk_abs = _offset_sums(s, h, G, H, d - 1.0)
-    D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
-    phi2 = ridge_moments(d, h, s.size, ktol)
-    k = np.arange(1, s.size)
-    w = phi2[1:] / (k * h) ** 2
+    with A = |S^(d-1)| 2^(-(d+1)/2); returns (value, abs_scale).
+
+    The pair offsets are summed out to the first K where a bound on all
+    offsets beyond K (_offset_tail: the triangle inequality and
+    Cauchy-Schwarz, with the ridge moments majorized in closed form) is at
+    most eps times the abs partial sum through K, and only bands 0..K of
+    the ridge moments are computed.  abs_scale is that truncated abs-sum:
+    every dropped term is >= 0, so it is at most the full one, and value
+    is within eps * abs_scale of the sum over all offsets.  Raises
+    DomainError when the weighted lattice or the result is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.exp(0.5 * (d - 1.0) * s)
+        x, y = a * G, a * H
+        tail, w_lo = _offset_tail(d, h, x, y)
+    _require_finite(d, "lattice weights", x, y, tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Fk, Fk_abs = _offset_sums(h, a, G, H, tail, w_lo)
+        D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
+    _require_finite(d, "offset sums", Fk_abs, D_abs)
+    K = Fk.size - 1
+    phi2 = ridge_moments(d, h, K + 1, ktol)
+    w = phi2[1:] / (np.arange(1, K + 1) * h) ** 2
     A = sphere_surface(d - 1) * 2.0 ** (-(d + 1.0) / 2.0)
     val = A * (phi2[0] * D + 2.0 * float(np.dot(w, Fk[1:])))
     sca = A * (phi2[0] * D_abs + 2.0 * float(np.dot(w, Fk_abs[1:])))
+    _require_finite(d, "form value", val, sca)
     return val, sca
 
 
@@ -358,8 +431,10 @@ def relativistic_form(psi: TrialFunction, d: float,
     d = _check_dimension(d)
     s, h = _lattice(psi, d)
     G = psi.profile_log(s)
-    H = np.exp(s) * G
-    norm = sphere_surface(d - 1) * h * float(np.dot(np.exp(d * s), G * G))
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = np.exp(s) * G
+        norm = sphere_surface(d - 1) * h * float(np.dot(np.exp(d * s), G * G))
+    _require_finite(d, "norm_sq", norm)
     v, sc = _form_engine(d, s, h, G, H, ktol)
     return FormValue(value=float(v), scale=float(sc), norm_sq=float(norm))
 

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import anticomm, kernels
-from .errors import (DomainError, GridRejectionError, OpineqError,
-                     RefinementNeededError)
+from .errors import (AccuracyError, DomainError, GridRejectionError,
+                     OpineqError, RefinementNeededError)
 from .quadrature import integrate_adaptive
 
 
@@ -101,14 +101,26 @@ class SpectrumReport:
 
 def _channel_moments(m: int, h: float, n: int):
     """phi0[k] = int over band k of (A_0 - A_m)(cosh x) dx, the positive
-    channel-coupling kernel; integrable log singularity in band 0."""
+    channel-coupling kernel; integrable log singularity in band 0.  A
+    kernel element that ends above its tolerance (the integrand is
+    positive, so only the panel cap can leave one) raises AccuracyError
+    carrying the moments."""
+    ktol = 1e-10
+    unconverged = [0]
+
     def f(x):
         um1 = 2.0 * np.sinh(x / 2.0) ** 2
-        v, _, _ = kernels.polar_batch(1.5, 0.0, m, um1, np.zeros_like(um1),
-                                      1e-10, True)
+        v, e, _ = kernels.polar_batch(1.5, 0.0, m, um1, np.zeros_like(um1),
+                                      ktol, True)
+        unconverged[0] += int(np.count_nonzero(
+            e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
         return 2.0 * v
 
-    return anticomm.band_moments(f, h, n)
+    out = anticomm.band_moments(f, h, n)
+    if unconverged[0]:
+        raise AccuracyError("%d channel-%d kernel elements missed tolerance %g"
+                            % (unconverged[0], m, ktol), best=out)
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ from opineq.anticomm import (TrialFunction, alpha, band_moments, bracket,
                              momentum_expectation, nonrel_form, relativistic_form,
                              relativistic_form_direct, ridge_moments)
 from opineq.errors import AccuracyError, ConfigurationError, DomainError
-from opineq.quadrature import angular_kernel_batch
+from opineq.quadrature import angular_kernel_batch, sphere_surface
 
 # mpmath references (30-digit quadrature, two independent substitutions)
 GAMMA_15 = -2.30720541054060085
@@ -256,6 +256,79 @@ def test_relativistic_form_is_one_band_evaluation(monkeypatch):
     monkeypatch.setattr(anticomm, "ridge_moments", counting)
     relativistic_form(TrialFunction("log_gaussian", 1.0), 2.0)
     assert len(calls) == 1
+
+
+def _form_all_offsets(d, s, h, G, H):
+    """_form_engine's sums over all n - 1 pair offsets: the O(n^2) loop
+    without the cut, kept as the oracle for it."""
+    n = s.size
+    a = np.exp(0.5 * (d - 1.0) * s)
+    F, F_abs = np.zeros(n), np.zeros(n)
+    for k in range(1, n):
+        w = a[:n - k] * a[k:]
+        num = (G[:n - k] - G[k:]) * (H[:n - k] - H[k:])
+        F[k] = h * np.dot(w, num)
+        F_abs[k] = h * np.dot(w, np.abs(num))
+    D, D_abs = anticomm._diag_second_derivative(s, h, G, H, d - 1.0)
+    phi2 = ridge_moments(d, h, n)
+    w = phi2[1:] / (np.arange(1, n) * h) ** 2
+    A = sphere_surface(d - 1) * 2.0 ** (-(d + 1.0) / 2.0)
+    return (A * (phi2[0] * D + 2.0 * np.dot(w, F[1:])),
+            A * (phi2[0] * D_abs + 2.0 * np.dot(w, F_abs[1:])))
+
+
+def _two_bumps():
+    # bumps 20 apart in s: the offset sums have a second hump near k h = 20,
+    # and the cross terms between the bumps decay only like e^{-d 20 / 2}
+    s = np.linspace(-14.0, 14.0, 561)
+    v = np.exp(-(s - 10.0) ** 2 / 2.0) + np.exp(-(s + 10.0) ** 2 / 2.0)
+    return TrialFunction("sampled", samples=(tuple(s), tuple(v)))
+
+
+@pytest.mark.parametrize("d", [1.2, 2.0, 2.5, 3.0, 6.0])
+def test_offset_cut_within_its_bound(d, monkeypatch):
+    # the cut moves the value by at most eps * scale and can only lower the
+    # scale; the two sums are also added in a different order, so each side
+    # carries a few ulps of summation roundoff on top
+    eps = np.finfo(float).eps
+    requested, kept = [], []
+    offset_sums = anticomm._offset_sums
+
+    def counting_moments(*args):
+        requested.append(args[2])
+        return ridge_moments(*args)
+
+    def recording_offsets(*args):
+        F, F_abs = offset_sums(*args)
+        kept.append(F.size)
+        return F, F_abs
+
+    monkeypatch.setattr(anticomm, "ridge_moments", counting_moments)
+    monkeypatch.setattr(anticomm, "_offset_sums", recording_offsets)
+    trials = [TrialFunction("log_gaussian", sigma) for sigma in (0.25, 1.0, 4.0)]
+    trials += [TrialFunction("log_linear_cutoff", 1.0 / (d + 2.0)), _two_bumps()]
+    for psi in trials:
+        s, h = anticomm._lattice(psi, d)
+        G = psi.profile_log(s)
+        for H in (np.exp(s) * G, G):
+            value, scale = anticomm._form_engine(d, s, h, G, H)
+            full_value, full_scale = _form_all_offsets(d, s, h, G, H)
+            assert abs(value - full_value) <= 5.0 * eps * scale
+            assert scale <= full_scale * (1.0 + 4.0 * eps)
+            # bands 0..K, not all n, and the cut sits where e^{-Kh} ~ eps
+            assert requested[-1] == kept[-1] < s.size
+            assert 30.0 < (kept[-1] - 1) * h < 42.0
+
+
+def test_non_finite_form_raises_domain_error():
+    # the weighted lattice leaves double range; pytest turns every
+    # RuntimeWarning into an error, so none may be emitted on the way
+    for d, sigma in ((6.0, 8.0), (4.0, 8.0), (3.0, 12.0)):
+        psi = TrialFunction("log_gaussian", sigma)
+        with pytest.raises(DomainError):
+            relativistic_form(psi, d)
+        with pytest.raises(DomainError):
+            momentum_expectation(psi, d)
 
 
 def test_relativistic_form_positivity_d2():

@@ -170,3 +170,12 @@ def test_domain_error_becomes_failure_record(capsys):
     record = json.loads(err.splitlines()[-1])
     assert record["command"] == "positivity"
     assert "DomainError" in record["failures"][0]
+
+
+def test_non_finite_form_is_failure_record(capsys):
+    # the sigma = 12 lattice overflows at d = 3: a failure record, not inf/nan rows
+    code, out, err = run(["positivity", "--dimension", "3",
+                          "--sigma-grid", "12"], capsys)
+    assert code == 1
+    record = json.loads(err.splitlines()[-1])
+    assert "DomainError" in record["failures"][0]

@@ -7,7 +7,8 @@ import scipy.linalg as sla
 
 from opineq import anticomm, kernels
 from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
-from opineq.errors import DomainError, GridRejectionError, RefinementNeededError
+from opineq.errors import (AccuracyError, DomainError, GridRejectionError,
+                           RefinementNeededError)
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
                             DEFAULT_SCAN_SCHEDULE, ChannelOperator, GridSpec,
                             _channel_moments, _hydrogen_channel,
@@ -106,6 +107,19 @@ def test_log_grid_matches_pairwise_form(m):
     assert np.array_equal(P, P.T)
     assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.allclose(nodes, np.exp(np.arange(64) * 20.0 / 63))
+
+
+def test_channel_moment_kernel_miss_raises_accuracy_error(monkeypatch):
+    # two panels cannot resolve (A_0 - A_m) near the diagonal: the miss is
+    # reported with the moments, not dropped
+    h, n = 0.08, 40
+    monkeypatch.setattr(kernels, "MAX_PANELS", 2)
+    with pytest.raises(AccuracyError) as info:
+        _channel_moments(1, h, n)
+    best = info.value.best
+    assert best.shape == (n,) and np.all(np.isfinite(best))
+    monkeypatch.undo()
+    assert not np.array_equal(_channel_moments(1, h, n), best)
 
 
 # h = ln 2 / 9, so the dilation psi -> psi(2r) is a shift by 9 nodes

@@ -15,9 +15,15 @@ different environments (this script stops with its exit code) and gives a
 verdict per end-to-end metric.  BENCH_<pr>.json at the repository root gets
 one entry per (workload, seed): compare.py's verdicts and table, the median
 and quartiles of every end-to-end metric on each side (compare.spread), the
-number of pairs in which the new side was better on each metric, and the
-traced counts.  Entries for other (workload, seed) pairs already in the file
+number of pairs in which the new side was better on each metric, the
+traced counts, and the failed and attempted oracle checks of each side over
+all its runs.  Entries for other (workload, seed) pairs already in the file
 are kept, so the held-out seed can be added by a second call.
+
+After writing the file the script exits with status 1, naming the cause on
+stderr, if on any workload of this call the new side fails a larger share of
+its tasks than the base side or a metric's verdict is REGRESSION: the same
+gates a change is held to.
 """
 
 import argparse
@@ -78,19 +84,38 @@ def pair_runs(workload, seed, pairs, spec, trees, tmp):
              "verdicts": {row[1]: row[-1] for row in rows if row[1] != "oracle"},
              "compare": table.getvalue().splitlines(), "wins": {}}
     for side in SIDES:
+        side_runs = runs[side] + [traced[side]]
         metrics = {}
         for m in spec["end_to_end"]:
             values = [r["metrics"][m["name"]] for r in runs[side]]
             med, q1, q3 = compare.spread(values)
             metrics[m["name"]] = {"median": med, "q1": q1, "q3": q3, "values": values}
         entry[side] = {"metrics": metrics,
-                       "traced_counts": {k: traced[side]["metrics"][k] for k in counts}}
+                       "traced_counts": {k: traced[side]["metrics"][k] for k in counts},
+                       "failed": sum(r["oracle_fail_frac"]["failed"] for r in side_runs),
+                       "attempted": sum(r["oracle_fail_frac"]["attempted"]
+                                        for r in side_runs)}
     for m in spec["end_to_end"]:
         sign = 1.0 if m["better"] == "higher" else -1.0
         entry["wins"][m["name"]] = sum(
             sign * (n["metrics"][m["name"]] - b["metrics"][m["name"]]) > 0
             for b, n in zip(runs["base"], runs["new"]))
     return entry
+
+
+def shortfalls(entry):
+    """The gates `entry` misses: a larger failed share on the new side, or a
+    metric whose verdict is REGRESSION."""
+    out = []
+    share = {side: entry[side]["failed"] / entry[side]["attempted"] for side in SIDES}
+    if share["new"] > share["base"]:
+        out.append("%s seed %s: new side fails %d/%d tasks, base %d/%d"
+                   % (entry["workload"], entry["seed"], entry["new"]["failed"],
+                      entry["new"]["attempted"], entry["base"]["failed"],
+                      entry["base"]["attempted"]))
+    out += ["%s seed %s: %s is a REGRESSION" % (entry["workload"], entry["seed"], name)
+            for name, verdict in entry["verdicts"].items() if verdict == "REGRESSION"]
+    return out
 
 
 def main(argv=None):
@@ -114,6 +139,7 @@ def main(argv=None):
             doc = json.load(fh)
         if doc["base_rev"] != rev:
             ap.error("%s compares against %s, not %s" % (path, doc["base_rev"], rev))
+    problems = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": os.path.join(tmp, "base"), "new": ROOT}
         os.makedirs(trees["base"])
@@ -128,7 +154,10 @@ def main(argv=None):
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")
-    return 0
+            problems += shortfalls(entry)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
