@@ -18,13 +18,17 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import kernels
-from .errors import AccuracyError, ConfigurationError, DomainError
+from .errors import AccuracyError, DomainError
 from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
                          sphere_surface)
 
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
 _EPS = np.finfo(float).eps
+# kernel tolerance of the ridge moments
+KTOL = 1e-11
+# sigma values in the first scan of find_nonrel_violation
+NONREL_SCAN = 64
 
 
 def _check_dimension(d):
@@ -39,34 +43,20 @@ def alpha(d: float) -> float:
     return float(gamma_fn((d + 1) / 2.0) / (2.0 * math.pi ** ((d + 1) / 2.0)))
 
 
-def bracket(d: float, r) -> float:
-    """r^((d-1)/2) + r^(-(d-1)/2) - r^(1/2) - r^(-1/2), cancellation-free.
-
-    Equals f((d-1)/2) - f(1/2) with f(a) = r^a + r^(-a); its sign is the
-    sign of d - 2 for r != 1 because f is strictly increasing in a > 0.
-    """
-    d = _check_dimension(d)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("r must be positive")
-    lr = np.log(r)
-    e = (d - 2.0) / 2.0  # (d-1)/2 - 1/2
-    out = np.sqrt(r) * np.expm1(e * lr) + np.expm1(-e * lr) / np.sqrt(r)
-    return float(out) if out.ndim == 0 else out
-
-
 def _bracket_log(d, s):
-    # bracket(d, e^{-s}) = 4 sinh((a+1/2)s/2) sinh((a-1/2)s/2), a = (d-1)/2
+    """r^a + r^-a - r^(1/2) - r^(-1/2) at r = e^{-s}, a = (d-1)/2, as the
+    cancellation-free 4 sinh((a+1/2)s/2) sinh((a-1/2)s/2); for s != 0 its
+    sign is the sign of d - 2."""
     a = (d - 1.0) / 2.0
     return 4.0 * np.sinh((a + 0.5) * s / 2.0) * np.sinh((a - 0.5) * s / 2.0)
 
 
-def gamma(d: float, tol: float = 1e-10, path: str = "log") -> QuadResult:
-    """gamma_d = 2^(-(d-1)/2) int_0^1 dr/r bracket(d,r) K_d((r+1/r)/2).
+def gamma(d: float, tol: float = 1e-10) -> QuadResult:
+    """gamma_d = 2^(-(d-1)/2) int_0^1 dr/r bracket(d,r) K_d((r+1/r)/2), with
+    bracket(d,r) = r^((d-1)/2) + r^(-(d-1)/2) - r^(1/2) - r^(-1/2).
 
-    `path` selects the quadrature route: "log" substitutes r = e^{-s},
-    "direct" integrates in r on (0, 1], "sqrt" substitutes r = t^2.  All
-    three must agree; the tests hold them to 1e-6 relative.
+    Integrated in s = -ln r, where the bracket is _bracket_log(d, s) and
+    (r+1/r)/2 = cosh s, out to an smax where the integrand is negligible.
     """
     d = _check_dimension(d)
     if tol <= 0:
@@ -75,33 +65,14 @@ def gamma(d: float, tol: float = 1e-10, path: str = "log") -> QuadResult:
         return QuadResult(0.0, 0.0, 1)  # bracket vanishes identically
     ktol = min(1e-12, tol * 1e-2)
     nev_inner = [0]
+    smax = 40.0 / min(1.0, d / 2.0) + 25.0
 
-    def kernel_um1(um1):
-        v, _, n = angular_kernel_batch(d, um1, tol=ktol)
+    def f(s):
+        v, _, n = angular_kernel_batch(d, 2.0 * np.sinh(s / 2.0) ** 2, tol=ktol)
         nev_inner[0] += n
-        return v
+        return _bracket_log(d, s) * v
 
-    if path == "log":
-        smax = 40.0 / min(1.0, d / 2.0) + 25.0
-
-        def f(s):
-            return _bracket_log(d, s) * kernel_um1(2.0 * np.sinh(s / 2.0) ** 2)
-
-        res = integrate_adaptive(f, 0.0, smax, tol)
-    elif path == "direct":
-        def f(r):
-            um1 = (np.sqrt(r) - 1.0 / np.sqrt(r)) ** 2 / 2.0
-            return bracket(d, r) * kernel_um1(um1) / r
-
-        res = integrate_adaptive(f, 0.0, 1.0, tol)
-    elif path == "sqrt":
-        def f(t):
-            um1 = (t - 1.0 / t) ** 2 / 2.0
-            return 2.0 * bracket(d, t * t) * kernel_um1(um1) / t
-
-        res = integrate_adaptive(f, 0.0, 1.0, tol)
-    else:
-        raise ConfigurationError("unknown gamma path %r" % path)
+    res = integrate_adaptive(f, 0.0, smax, tol)
     pref = 2.0 ** (-(d - 1.0) / 2.0)
     return QuadResult(pref * res.value, pref * res.abs_error_estimate,
                       res.evaluations + nev_inner[0])
@@ -125,7 +96,6 @@ class TrialFunction:
     family: str = "log_gaussian"
     sigma: float = 1.0
     center: float = 0.0
-    m: int = 0
     samples: tuple = None
 
     def __post_init__(self):
@@ -163,14 +133,10 @@ class TrialFunction:
         h = 1e-5
         return (self.profile_log(s + h) - self.profile_log(s - h)) / (2 * h)
 
-    def dprofile_dr(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.dprofile_log(np.log(r)) / r
-
     def scaled(self, lam: float) -> "TrialFunction":
         """psi_lambda(r) = psi(lambda r)."""
         return TrialFunction(self.family, self.sigma, self.center - math.log(lam),
-                             self.m, self.samples)
+                             self.samples)
 
     def s_extent(self, d: float) -> float:
         """Half-width of the s-lattice needed for ~1e-12 truncated mass.
@@ -219,9 +185,10 @@ class FormValue:
     norm_sq: float
 
 
-def _lattice(psi, d, h=H_STEP):
+def _lattice(psi, d):
     # halve h (keeping ln2/h integer, so dilation by 2 stays an exact
     # lattice shift) until narrow trials are resolved
+    h = H_STEP
     sigma = getattr(psi, "sigma", 1.0) if psi.family != "sampled" else 1.0
     while h > sigma / 3.0 and h > H_STEP / 64.0:
         h *= 0.5
@@ -335,7 +302,7 @@ def band_moments(f, h, n):
 _RIDGE_BLOCK = math.lcm(kernels.CHUNK, _GL12[0].size) // _GL12[0].size
 
 
-def ridge_moments(d, h, n, ktol=1e-11):
+def ridge_moments(d, h, n):
     """phi2[k] = int over band k of K_d(cosh x) x^2 dx, as a read-only array.
 
     K_d(cosh x) is the kernel after the (2 r rho)^((d+1)/2) factor is
@@ -343,7 +310,7 @@ def ridge_moments(d, h, n, ktol=1e-11):
     x^2 carries the numerator's quadratic vanishing across it.
 
     The bands come from fixed blocks, each computed once per process and
-    cached by (d, h, ktol, block index) like the log-grid matrices: block
+    cached by (d, h, block index) like the log-grid matrices: block
     0 is the four ridge bands and the first _RIDGE_BLOCK = 512
     Gauss-Legendre bands, block j >= 1 the next 512.  The 12 nodes per
     band of a block fill exactly three kernel chunks (the kernels.CHUNK
@@ -351,27 +318,27 @@ def ridge_moments(d, h, n, ktol=1e-11):
     band_moments call over those bands forms, so every band comes out bit
     for bit as that call gives it, whatever was computed before.
     """
-    if not ktol > 0:
-        raise DomainError("tolerance must be positive")
     blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
-    phi2 = np.concatenate([_ridge_block(d, h, ktol, j) for j in range(blocks)])
+    phi2 = np.concatenate([_ridge_block(d, h, j) for j in range(blocks)])
     phi2.flags.writeable = False
     return phi2[:n]
 
 
 @lru_cache(maxsize=64)
-def _ridge_block(d, h, ktol, j):
+def _ridge_block(d, h, j):
     """Ridge-moment block j, read-only.  A kernel element that ends above
     its tolerance (the integrand is positive, so only the panel cap can
     leave one) raises AccuracyError carrying the block's estimate, and
-    the block is not cached."""
+    the block is not cached.  Past x of about 710 u - 1 overflows to inf,
+    where the kernel is an exact 0."""
     unconverged = [0]
 
     def f(x):
-        um1 = 2.0 * np.sinh(x / 2.0) ** 2
-        v, e, _ = angular_kernel_batch(d, um1, tol=ktol)
+        with np.errstate(over="ignore"):
+            um1 = 2.0 * np.sinh(x / 2.0) ** 2
+        v, e, _ = angular_kernel_batch(d, um1, tol=KTOL)
         unconverged[0] += int(np.count_nonzero(
-            e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
+            e > max(KTOL, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
         return v * x * x
 
     k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
@@ -381,12 +348,12 @@ def _ridge_block(d, h, ktol, j):
         out = _gl_bands(f, h, k1 - _RIDGE_BLOCK, k1)
     if unconverged[0]:
         raise AccuracyError("%d ridge kernel elements missed tolerance %g"
-                            % (unconverged[0], ktol), best=out)
+                            % (unconverged[0], KTOL), best=out)
     out.flags.writeable = False
     return out
 
 
-def _form_engine(d, s, h, G, H, ktol=1e-11):
+def _form_engine(d, s, h, G, H):
     """A * iint e^{(d-1)(s+t)/2} (G(s)-G(t))(H(s)-H(t)) K~(s-t) ds dt
     with A = |S^(d-1)| 2^(-(d+1)/2); returns (value, abs_scale).
 
@@ -409,7 +376,7 @@ def _form_engine(d, s, h, G, H, ktol=1e-11):
         D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
     _require_finite(d, "offset sums", Fk_abs, D_abs)
     K = Fk.size - 1
-    phi2 = ridge_moments(d, h, K + 1, ktol)
+    phi2 = ridge_moments(d, h, K + 1)
     w = phi2[1:] / (np.arange(1, K + 1) * h) ** 2
     A = sphere_surface(d - 1) * 2.0 ** (-(d + 1.0) / 2.0)
     val = A * (phi2[0] * D + 2.0 * float(np.dot(w, Fk[1:])))
@@ -418,8 +385,7 @@ def _form_engine(d, s, h, G, H, ktol=1e-11):
     return val, sca
 
 
-def relativistic_form(psi: TrialFunction, d: float,
-                      ktol: float = 1e-11) -> FormValue:
+def relativistic_form(psi: TrialFunction, d: float) -> FormValue:
     """t = Re iint (psi(x)-psi(y)) (|x|psi(x)-|y|psi(y)) / |x-y|^(d+1)
 
     for a radial trial, reduced to the (r_x, r_y) plane with the angular
@@ -435,23 +401,21 @@ def relativistic_form(psi: TrialFunction, d: float,
         H = np.exp(s) * G
         norm = sphere_surface(d - 1) * h * float(np.dot(np.exp(d * s), G * G))
     _require_finite(d, "norm_sq", norm)
-    v, sc = _form_engine(d, s, h, G, H, ktol)
+    v, sc = _form_engine(d, s, h, G, H)
     return FormValue(value=float(v), scale=float(sc), norm_sq=float(norm))
 
 
-def relativistic_form_direct(psi: TrialFunction, d: float,
-                             ktol: float = 1e-11) -> float:
+def relativistic_form_direct(psi: TrialFunction, d: float) -> float:
     """The value of relativistic_form as a float."""
-    return relativistic_form(psi, d, ktol).value
+    return relativistic_form(psi, d).value
 
 
-def momentum_expectation(psi: TrialFunction, d: float,
-                         ktol: float = 1e-11) -> float:
+def momentum_expectation(psi: TrialFunction, d: float) -> float:
     """<psi, |p| psi> through the position-space double integral."""
     d = _check_dimension(d)
     s, h = _lattice(psi, d)
     G = psi.profile_log(s)
-    v, _ = _form_engine(d, s, h, G, G, ktol)
+    v, _ = _form_engine(d, s, h, G, G)
     return alpha(d) * v
 
 
@@ -483,8 +447,7 @@ class NonrelViolation:
     sigma_scanned: tuple = field(default=(), repr=False)
 
 
-def find_nonrel_violation(sigma_lo: float, sigma_hi: float,
-                          n_scan: int = 64) -> NonrelViolation:
+def find_nonrel_violation(sigma_lo: float, sigma_hi: float) -> NonrelViolation:
     """Scan/minimize Q over log-Gaussians on [sigma_lo, sigma_hi].
 
     Returns found=False when the range holds no violation (that is not a
@@ -492,12 +455,12 @@ def find_nonrel_violation(sigma_lo: float, sigma_hi: float,
     """
     if not (0 < sigma_lo < sigma_hi):
         raise DomainError("need 0 < sigma_lo < sigma_hi")
-    sigmas = np.linspace(sigma_lo, sigma_hi, n_scan)
+    sigmas = np.linspace(sigma_lo, sigma_hi, NONREL_SCAN)
     qs = np.array([nonrel_form(TrialFunction("log_gaussian", sig))
                    for sig in sigmas])
     j = int(np.argmin(qs))
     lo = sigmas[max(0, j - 1)]
-    hi = sigmas[min(n_scan - 1, j + 1)]
+    hi = sigmas[min(NONREL_SCAN - 1, j + 1)]
     # golden-section refinement of the scan minimum
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

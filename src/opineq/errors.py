@@ -25,7 +25,7 @@ class AccuracyError(OpineqError):
 
 
 class ConfigurationError(OpineqError, ValueError):
-    """Invalid run configuration (unknown gamma path, unknown key, ...)."""
+    """Invalid run configuration (unknown field component, unknown key, ...)."""
 
 
 class GridRejectionError(OpineqError):

@@ -2,11 +2,11 @@
 
 The one primitive is the polar reduction integral
 
-    I(um1, eta) = int_0^pi  sin^w(t) * c(m t) / ((um1 + 2 sin^2(t/2))^p + eta) dt
+    I(um1) = int_0^pi  sin^w(t) * c(m t) / (um1 + 2 sin^2(t/2))^p dt
 
-with c = cos or (1 - cos), evaluated for a whole batch of (um1, eta)
-pairs at once.  um1 stands for u - 1 >= 0 so that the near-singular
-regime u -> 1 keeps full relative precision.
+with c = cos or (1 - cos), evaluated for a whole batch of um1 values at
+once.  um1 stands for u - 1 >= 0 so that the near-singular regime
+u -> 1 keeps full relative precision.
 
 Strategy: split at pi/2 and map each half to v in [0, 1] through
 t = (pi/2) v^q (resp. pi - (pi/2) v^q).  The exponent q flattens the
@@ -55,7 +55,7 @@ MAX_PANELS = 800
 CHUNK = 2048
 
 
-def _eval_panels(a, b, region, q, p, w, m, omc, um1, eta):
+def _eval_panels(a, b, region, q, p, w, m, omc, um1):
     """GK15 on panels [a_j, b_j]; returns (vals, errs) of shape (npanel, ne)."""
     a = a[:, None]
     b = b[:, None]
@@ -71,8 +71,7 @@ def _eval_panels(a, b, region, q, p, w, m, omc, um1, eta):
     # 1 - cos is taken as 2 sin^2 so it keeps its precision near t = 0.
     # integrand factors, broadcast to (np, 15, ne)
     s2 = 2.0 * (np.cos if region == 1 else np.sin)(0.5 * x) ** 2
-    den = (um1[None, None, :] + s2[:, :, None]) ** p + eta[None, None, :]
-    f = jac[:, :, None] / den
+    f = jac[:, :, None] / (um1[None, None, :] + s2[:, :, None]) ** p
     if w != 0.0:
         f = f * (np.sin(x) ** w)[:, :, None]
     if m != 0:
@@ -87,7 +86,7 @@ def _eval_panels(a, b, region, q, p, w, m, omc, um1, eta):
     return vals, errs
 
 
-def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False):
+def polar_batch(p, w, m, um1, *, tol=1e-11, one_minus_cos=False):
     """Batched polar integral; returns (values, abs_errors, n_evaluations).
 
     An element is converged once its error estimate is within `tol` of
@@ -98,11 +97,11 @@ def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False):
     bounds the size of every temporary array.  A chunk stops refining at
     MAX_PANELS panels.  A tolerance that is not positive raises
     DomainError: only the roundoff floor would end its refinement.
+    `tol` and `one_minus_cos` are keyword-only.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
-    eta = np.broadcast_to(np.asarray(eta, dtype=float), um1.shape).copy()
     ne = um1.size
     out_v = np.empty(ne)
     out_e = np.empty(ne)
@@ -110,15 +109,14 @@ def polar_batch(p, w, m, um1, eta, tol=1e-11, one_minus_cos=False):
     q = max(2.0, 2.0 / (w + 1.0))
     for lo in range(0, ne, CHUNK):
         hi = min(lo + CHUNK, ne)
-        v, e, n = _polar_chunk(p, w, m, um1[lo:hi], eta[lo:hi], tol,
-                               one_minus_cos, q)
+        v, e, n = _polar_chunk(p, w, m, um1[lo:hi], tol, one_minus_cos, q)
         out_v[lo:hi] = v
         out_e[lo:hi] = e
         nev += n
     return out_v, out_e, nev
 
 
-def _polar_chunk(p, w, m, um1, eta, tol, omc, q):
+def _polar_chunk(p, w, m, um1, tol, omc, q):
     ne = um1.size
     block = max(1, CHUNK // ne)
 
@@ -130,7 +128,7 @@ def _polar_chunk(p, w, m, um1, eta, tol, omc, q):
             for lo in range(0, idx.size, block):
                 sel = idx[lo:lo + block]
                 vals[sel], errs[sel] = _eval_panels(
-                    a[sel], b[sel], region, q, p, w, m, omc, um1, eta)
+                    a[sel], b[sel], region, q, p, w, m, omc, um1)
         return vals, errs
 
     a = np.array([0.0, 0.0])

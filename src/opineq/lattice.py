@@ -177,9 +177,6 @@ class KineticMatrix:
     grid: SquareGrid
     norm: float
 
-    def apply(self, v):
-        return self.matrix @ np.asarray(v).ravel()
-
 
 MAX_DENSE_GRID = 48
 

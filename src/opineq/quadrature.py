@@ -33,27 +33,6 @@ class QuadResult:
             raise DomainError("invalid quadrature metadata")
 
 
-@dataclass(frozen=True)
-class AngularKernelQuery:
-    """Inputs of the S^(d-1) kernel integral.
-
-    u is the reduced variable (r + 1/r)/2 >= 1 of the (u - w.e)^((d+1)/2)
-    denominator.  The kernel depends on the unit vector e only through
-    w.e, so it never appears explicitly.
-    """
-
-    d: float
-    u: float
-
-    def __post_init__(self):
-        # d > 1 for the continued sin^(d-2) weight; d = 1 exactly is the
-        # two-point sphere S^0 and is evaluated in closed form.
-        if self.d < 1:
-            raise DomainError("dimension must be >= 1")
-        if self.u < 1:
-            raise DomainError("u = (r + 1/r)/2 is >= 1 by construction")
-
-
 def sphere_surface(k: float) -> float:
     """Surface measure |S^k| = 2 pi^((k+1)/2) / Gamma((k+1)/2), continued in k."""
     return 2.0 * math.pi ** ((k + 1) / 2.0) / gamma_fn((k + 1) / 2.0)
@@ -83,30 +62,25 @@ def _gk15(fx, a, b):
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
-    """Adaptive Gauss-Kronrod integral of f over (a, b); b may be +inf.
+    """Adaptive Gauss-Kronrod integral of f over the finite interval (a, b).
 
     f is vectorized: it maps a 1D ndarray of nodes to an ndarray of the
     integrand's values there (a scalar result is broadcast).  The first
     panel costs one call on its 15 nodes; each subdivision then costs one
     call on the 30 nodes of both halves.  Panels are split worst-first.
 
-    A semi-infinite upper limit is mapped to (0, 1) through
-    x = a + t/(1-t).  Raises AccuracyError (carrying the best estimate)
-    if the relative tolerance is not reached within the subdivision
-    budget, and DomainError if f produces non-finite values.
+    Raises AccuracyError (carrying the best estimate) if the relative
+    tolerance is not reached within the subdivision budget, and
+    DomainError for an infinite limit or if f produces non-finite values.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("integration limits must be finite")
     if not a < b:
         raise DomainError("empty or reversed integration interval")
-    g = f
-    if math.isinf(b):
-        def g(t, _f=f, _a=a):
-            w = 1.0 - t
-            return _f(_a + t / w) / (w * w)
-        a, b = 0.0, 1.0
 
-    val, err = _gk15(_evaluate(g, _nodes(a, b), a, b), a, b)
+    val, err = _gk15(_evaluate(f, _nodes(a, b), a, b), a, b)
     heap = [(-err, a, b, val, err)]
     total, toterr, abssum = val, err, abs(val)
     nev = 15
@@ -122,7 +96,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
             )
         _, lo, hi, v0, e0 = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        fx = _evaluate(g, np.concatenate([_nodes(lo, mid), _nodes(mid, hi)]), lo, hi)
+        fx = _evaluate(f, np.concatenate([_nodes(lo, mid), _nodes(mid, hi)]), lo, hi)
         v1, e1 = _gk15(fx[:15], lo, mid)
         v2, e2 = _gk15(fx[15:], mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
@@ -143,7 +117,7 @@ def angular_kernel_batch(d: float, um1, tol: float = 1e-11):
     kernel overflows).
     """
     if not d > 1:
-        raise DomainError("batched kernel needs d > 1 (d = 1 is the two-point sum)")
+        raise DomainError("angular kernel needs d > 1")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
     if np.any(um1 < 0):
         raise DomainError("u must be >= 1")
@@ -152,21 +126,9 @@ def angular_kernel_batch(d: float, um1, tol: float = 1e-11):
     p = (d + 1) / 2.0
     # an overflowing kernel is reported below as a DomainError, not a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1,
-                                              np.zeros_like(um1), tol)
+        vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1, tol=tol)
     bad = ~(np.isfinite(vals) & np.isfinite(errs))
     if bad.any():
         raise DomainError("angular kernel is not finite at u - 1 = %g" % um1[bad][0])
     c = sphere_surface(d - 2)
     return c * vals, c * errs, nev
-
-
-def angular_kernel(q: AngularKernelQuery, tol: float = 1e-11) -> QuadResult:
-    """Surface integral K_d(u); d = 1 served by the exact two-point S^0 sum."""
-    if q.d == 1.0:
-        if q.u == 1.0:
-            raise SingularInputError("u = 1 is singular")
-        v = 1.0 / (q.u - 1.0) + 1.0 / (q.u + 1.0)
-        return QuadResult(v, 0.0, 2)
-    vals, errs, nev = angular_kernel_batch(q.d, [q.u - 1.0], tol)
-    return QuadResult(float(vals[0]), float(errs[0]), int(nev))

@@ -48,9 +48,6 @@ class GridSpec:
     def scaled(self, factor: float) -> "GridSpec":
         return GridSpec(self.r_min * factor, self.r_max * factor, self.n)
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.r_min, self.r_max, self.n * factor)
-
 
 @dataclass(frozen=True)
 class ChannelOperator:
@@ -104,14 +101,16 @@ def _channel_moments(m: int, h: float, n: int):
     channel-coupling kernel; integrable log singularity in band 0.  A
     kernel element that ends above its tolerance (the integrand is
     positive, so only the panel cap can leave one) raises AccuracyError
-    carrying the moments."""
+    carrying the moments.  Past x of about 710 u - 1 overflows to inf,
+    where the kernel is an exact 0."""
     ktol = 1e-10
     unconverged = [0]
 
     def f(x):
-        um1 = 2.0 * np.sinh(x / 2.0) ** 2
-        v, e, _ = kernels.polar_batch(1.5, 0.0, m, um1, np.zeros_like(um1),
-                                      ktol, True)
+        with np.errstate(over="ignore"):
+            um1 = 2.0 * np.sinh(x / 2.0) ** 2
+            v, e, _ = kernels.polar_batch(1.5, 0.0, m, um1, tol=ktol,
+                                          one_minus_cos=True)
         unconverged[0] += int(np.count_nonzero(
             e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
         return 2.0 * v
@@ -309,17 +308,17 @@ def critical_coupling_bisect(grid_schedule=None, lo: float = 0.05,
 # ---------------------------------------------------------------------------
 # critical coupling, method 2: Mellin multiplier of the sandwiched kernel
 
-def coulomb_channel_kernel(m: int, t, tol: float = 1e-11):
+def coulomb_channel_kernel(m: int, t):
     """k_m(t) = (2 pi)^-1 int_0^{2pi} cos(m theta) (1 + t^2 - 2 t cos theta)^{-1/2} dtheta."""
     t = np.atleast_1d(np.asarray(t, float))
     if np.any(t <= 0):
         raise DomainError("t must be positive")
     um1 = (1.0 - t) ** 2 / (2.0 * t)
-    v, _, _ = kernels.polar_batch(0.5, 0.0, abs(m), um1, np.zeros_like(t), tol)
+    v, _, _ = kernels.polar_batch(0.5, 0.0, abs(m), um1)
     return v / (np.pi * np.sqrt(2.0 * t))
 
 
-def mellin_multiplier(m: int, s: float = 0.0, tol: float = 1e-9) -> float:
+def mellin_multiplier(m: int, s: float = 0.0) -> float:
     """M_m(s): Mellin symbol of the channel-projected |x|^-1/2 |p|^-1 |x|^-1/2.
 
     The sandwiched kernel is homogeneous of degree -2, hence Mellin-
@@ -331,7 +330,7 @@ def mellin_multiplier(m: int, s: float = 0.0, tol: float = 1e-9) -> float:
         km = coulomb_channel_kernel(m, y * y)
         return 4.0 * km * np.cos(2.0 * s * np.log(y))
 
-    return integrate_adaptive(f, 0.0, 1.0, tol).value
+    return integrate_adaptive(f, 0.0, 1.0, 1e-9).value
 
 
 def critical_coupling_mellin(m_max: int = 2) -> CriticalCouplingResult:

@@ -122,6 +122,15 @@ def test_channel_moment_kernel_miss_raises_accuracy_error(monkeypatch):
     assert not np.array_equal(_channel_moments(1, h, n), best)
 
 
+def test_channel_moments_past_double_range_are_finite():
+    # from x of about 474 (band 949 at h = 0.5) (u - 1)^(3/2) overflows,
+    # and from about 710 u - 1 itself: the kernel is an exact 0 there, and
+    # the suite turns an overflow warning into an error
+    phi0 = _channel_moments(1, 0.5, 1500)
+    assert np.all(np.isfinite(phi0)) and np.all(phi0 >= 0.0)
+    assert np.all(phi0[949:] == 0.0) and np.all(phi0[:940] > 0.0)
+
+
 # h = ln 2 / 9, so the dilation psi -> psi(2r) is a shift by 9 nodes
 SHIFT_GRID = GridSpec(2.0 ** -20, 2.0 ** 20, 361)
 
