@@ -399,9 +399,13 @@ def relativistic_form(psi: TrialFunction, d: float) -> FormValue:
     G = psi.profile_log(s)
     with np.errstate(over="ignore", invalid="ignore"):
         H = np.exp(s) * G
-        norm = sphere_surface(d - 1) * h * float(np.dot(np.exp(d * s), G * G))
-    _require_finite(d, "norm_sq", norm)
     v, sc = _form_engine(d, s, h, G, H)
+    # e^{ds} G^2 as e^s x^2 with the engine's finite x = e^{(d-1)s/2} G:
+    # e^{ds} alone overflows at the lattice edge where the product is tiny
+    x = np.exp(0.5 * (d - 1.0) * s) * G
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = sphere_surface(d - 1) * h * float(np.dot(np.exp(s), x * x))
+    _require_finite(d, "norm_sq", norm)
     return FormValue(value=float(v), scale=float(sc), norm_sq=float(norm))
 
 

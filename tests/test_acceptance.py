@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from opineq.anticomm import (TrialFunction, alpha, gamma, lower_bound,
-                             nonrel_form, relativistic_form)
+from opineq.anticomm import (TrialFunction, alpha, gamma, nonrel_form,
+                             relativistic_form)
 from opineq.bounds import (Configuration, critical_constant_printed,
                            excess_charge_nonrel_2d, excess_charge_relativistic,
                            flux_delta, pair_sum)

@@ -337,6 +337,19 @@ def test_non_finite_form_raises_domain_error():
             momentum_expectation(psi, d)
 
 
+def test_norm_sq_finite_where_exp_ds_overflows():
+    # at (d, sigma) = (6, 4) e^{ds} overflows at the lattice edge, where
+    # the weighted profile is tiny; the closed form is the reference
+    psi = TrialFunction("log_gaussian", 4.0)
+    assert 6.0 * psi.s_extent(6.0) > 710.0
+    fv = relativistic_form(psi, 6.0)
+    assert fv.norm_sq == pytest.approx(psi.norm_sq(6.0), rel=1e-13)
+    # where the lattice itself leaves double range, the engine says so
+    for d, sigma in ((6.0, 8.0), (4.0, 8.0), (3.0, 12.0)):
+        with pytest.raises(DomainError, match="lattice weights|offset sums"):
+            relativistic_form(TrialFunction("log_gaussian", sigma), d)
+
+
 def test_relativistic_form_positivity_d2():
     for sigma in (0.25, 0.5, 1.0, 2.0, 4.0):
         fv = relativistic_form(TrialFunction("log_gaussian", sigma), 2.0)

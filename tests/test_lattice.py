@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq.bounds import flux_delta
 from opineq.errors import ConfigurationError, DomainError
@@ -242,6 +244,19 @@ def test_kinetic_matrix_eigensolve_count(monkeypatch):
     assert sizes == [(64, 64)] * 4
 
 
+def test_zero_field_eigensolves_are_real(monkeypatch):
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append((np.shape(a), np.asarray(a).dtype))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 16)), 0.5, "none")
+    assert dtypes == [((64, 64), np.dtype(np.float64))] * 4
+
+
 def test_kinetic_matrix_rejects_non_hermitian_block(monkeypatch):
     def broken(A, grid, boundary):
         H = _kinetic_square(A, grid, boundary)
@@ -294,6 +309,43 @@ def test_kato_random_run_matches_per_sample_loop(nonneg_phi):
                     * np.linalg.norm(phi) * T_mag.norm)
     assert run.tol_violation == pytest.approx(min(tols), rel=1e-13)
     assert abs(run.max_violation - max(gaps)) <= 1e-4 * run.tol_violation
+
+
+def _scatter(T):
+    N = T.grid.n ** 2
+    M = np.zeros((N, N), dtype=T.blocks[0].dtype)
+    for c, B in zip(_parity_classes(T.grid.n), T.blocks):
+        M[np.ix_(c, c)] = B
+    return M
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.integers(2, 8), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.sampled_from([0.0, 1.0]), st.sampled_from(["none", "background", "total"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_blockwise_kato_test_matches_dense_property(half_n, B, R, mass, component, seed):
+    n = 2 * half_n
+    fld = make_fields(B, R, SquareGrid(6.0, n))
+    T_free = kinetic_matrix(fld, mass, "none")
+    T_mag = kinetic_matrix(fld, mass, component)
+    assert all(b.dtype == np.float64 for b in T_free.blocks)
+    want = np.float64 if component == "none" else np.complex128
+    assert all(b.dtype == want for b in T_mag.blocks)
+    for T in (T_free, T_mag):
+        assert np.array_equal(T.matrix, _scatter(T))
+    rng = np.random.default_rng(seed)
+    N = n * n
+    eta = np.abs(rng.standard_normal((6, N)))
+    phi = rng.standard_normal((6, N)) + 1j * rng.standard_normal((6, N))
+    lhs, rhs = kato_test(eta, phi, T_free, T_mag)
+    h2 = fld.grid.h ** 2
+    sgn = phi / np.abs(phi)
+    lhs_ref = h2 * np.sum(eta * (np.abs(phi) @ T_free.matrix.T).real, axis=1)
+    rhs_ref = h2 * np.sum(eta * (sgn.conj() * (phi @ T_mag.matrix.T)).real, axis=1)
+    scale = (h2 * np.linalg.norm(eta, axis=1) * np.linalg.norm(phi, axis=1)
+             * max(T_free.norm, T_mag.norm))
+    assert np.all(np.abs(lhs - lhs_ref) <= 1e-13 * scale)
+    assert np.all(np.abs(rhs - rhs_ref) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
