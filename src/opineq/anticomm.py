@@ -11,7 +11,7 @@ and the unregularized kernel is integrable band by band.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,8 +27,6 @@ H_STEP = math.log(2.0) / 9.0
 _EPS = np.finfo(float).eps
 # kernel tolerance of the ridge moments
 KTOL = 1e-11
-# sigma values in the first scan of find_nonrel_violation
-NONREL_SCAN = 64
 
 
 def _check_dimension(d):
@@ -439,53 +437,3 @@ def nonrel_form(psi: TrialFunction, tol: float = 1e-11) -> float:
 
     res = integrate_adaptive(f, -S, S, tol)
     return 2.0 * math.pi * res.value
-
-
-@dataclass(frozen=True)
-class NonrelViolation:
-    """Result of the negative-value scan of the non-relativistic form."""
-
-    found: bool
-    sigma: float
-    value: float
-    sigma_scanned: tuple = field(default=(), repr=False)
-
-
-def find_nonrel_violation(sigma_lo: float, sigma_hi: float) -> NonrelViolation:
-    """Scan/minimize Q over log-Gaussians on [sigma_lo, sigma_hi].
-
-    Returns found=False when the range holds no violation (that is not a
-    failure: Q > 0 below sigma = sqrt(2)).
-    """
-    if not (0 < sigma_lo < sigma_hi):
-        raise DomainError("need 0 < sigma_lo < sigma_hi")
-    sigmas = np.linspace(sigma_lo, sigma_hi, NONREL_SCAN)
-    qs = np.array([nonrel_form(TrialFunction("log_gaussian", sig))
-                   for sig in sigmas])
-    j = int(np.argmin(qs))
-    lo = sigmas[max(0, j - 1)]
-    hi = sigmas[min(NONREL_SCAN - 1, j + 1)]
-    # golden-section refinement of the scan minimum
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    dd = a + invphi * (b - a)
-    fc = nonrel_form(TrialFunction("log_gaussian", c))
-    fd = nonrel_form(TrialFunction("log_gaussian", dd))
-    for _ in range(40):
-        if fc < fd:
-            b, dd, fd = dd, c, fc
-            c = b - invphi * (b - a)
-            fc = nonrel_form(TrialFunction("log_gaussian", c))
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + invphi * (b - a)
-            fd = nonrel_form(TrialFunction("log_gaussian", dd))
-    sig = c if fc < fd else dd
-    q = min(fc, fd)
-    if q < min(qs[j], 0.0):
-        best_sig, best_q = float(sig), float(q)
-    else:
-        best_sig, best_q = float(sigmas[j]), float(qs[j])
-    return NonrelViolation(found=best_q < 0.0, sigma=best_sig, value=best_q,
-                           sigma_scanned=tuple(sigmas))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import flux_delta
 from .errors import ConfigurationError, DomainError
 
 
@@ -111,16 +110,6 @@ def make_fields(B: float, R: float, grid: SquareGrid) -> LatticeField:
     return LatticeField(grid=grid, B=B, R=R, A_background=bg, A_cavity=cav)
 
 
-def field_bound_check(fld: LatticeField) -> float:
-    """max over nodes of |A0(x)| |x| / (B R^2 / 2); <= 1, attained for |x| >= R."""
-    if fld.B <= 0:
-        raise DomainError("field bound check needs B > 0")
-    X, Y = fld.grid.coordinates()
-    r = np.hypot(X, Y)
-    mag = np.hypot(fld.A_cavity[0], fld.A_cavity[1])
-    return float(np.max(mag * r / flux_delta(fld.B, fld.R)))
-
-
 def discrete_curl(A, h):
     """Centered-difference curl dA2/dx - dA1/dy on interior nodes."""
     ax, ay = A
@@ -193,22 +182,19 @@ MAX_DENSE_GRID = 48
 
 
 def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
-                   boundary: str = "open", extra_potential=None) -> KineticMatrix:
+                   boundary: str = "open") -> KineticMatrix:
     """Assemble (p+A)^2 of the centered-difference (p+A) with trapezoid
     link phases, take sqrt((p+A)^2 + m^2) spectrally on each of the four
     parity blocks, and subtract m.
-
-    extra_potential, if given, is a (2, n, n) sample added to the chosen
-    component (used e.g. for gauge shifts A -> A + grad chi).
     """
     if mass < 0:
         raise DomainError("mass must be >= 0")
     if fld.grid.n > MAX_DENSE_GRID:
         raise DomainError(
             "grid beyond the %dx%d dense budget" % (MAX_DENSE_GRID, MAX_DENSE_GRID))
+    if boundary not in ("open", "periodic"):
+        raise ConfigurationError("unknown boundary %r" % boundary)
     A = fld.component(component)
-    if extra_potential is not None:
-        A = A + np.asarray(extra_potential, dtype=float)
     if boundary == "periodic" and np.any(A != 0.0):
         # linearly growing vector potentials are incompatible with wrap
         raise ConfigurationError("periodic boundary requires zero vector potential")

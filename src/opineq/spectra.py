@@ -391,6 +391,8 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
     """
     if Z <= 0:
         raise DomainError("Z must be positive")
+    if m_max < 0 or n_levels < 1:
+        raise DomainError("need m_max >= 0 and n_levels >= 1")
     scaled = GridSpec(grid.r_min / Z, grid.r_max / Z, grid.n) if Z != 1 else grid
     chans = {}
     for m in range(0, m_max + 1):

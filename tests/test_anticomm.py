@@ -7,8 +7,8 @@ import pytest
 
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
-                             find_nonrel_violation, gamma, lower_bound,
-                             momentum_expectation, nonrel_form, relativistic_form,
+                             gamma, lower_bound, momentum_expectation,
+                             nonrel_form, relativistic_form,
                              relativistic_form_direct, ridge_moments)
 from opineq.errors import AccuracyError, DomainError
 from opineq.quadrature import angular_kernel_batch, sphere_surface
@@ -390,23 +390,6 @@ def test_nonrel_closed_form():
         # relative to the natural magnitude (want = 0 exactly at sqrt(2))
         mag = 1.0 / (2.0 * sigma ** 2) + 0.25
         assert abs(got - want) <= 1e-6 * mag
-
-
-def test_nonrel_violation_scan():
-    res = find_nonrel_violation(0.5, 4.0)
-    assert res.found and res.sigma > math.sqrt(2.0) and res.value < 0
-    want = (1.0 / (2.0 * res.sigma ** 2) - 0.25) * nonrel_gaussian_scale(res.sigma)
-    assert res.value == pytest.approx(want, rel=1e-6)
-
-    res2 = find_nonrel_violation(0.5, 1.2)
-    assert not res2.found and res2.value > 0
-
-    res3 = find_nonrel_violation(1.9, 2.1)
-    assert res3.found and res3.value < 0
-    want3 = (1.0 / (2.0 * res3.sigma ** 2) - 0.25) * nonrel_gaussian_scale(res3.sigma)
-    assert res3.value == pytest.approx(want3, rel=1e-6)
-    with pytest.raises(DomainError):
-        find_nonrel_violation(2.0, 1.0)
 
 
 def test_sampled_trial_function():

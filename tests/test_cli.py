@@ -143,6 +143,16 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, line", [("critical", "method=bisekt"),
+                                           ("kato", "field=dott")])
+def test_config_value_outside_choices_rejected(command, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit, match="not one of"):
+        main([command, "--config", str(cfg)])
+    assert capsys.readouterr().out == ""
+
+
 def test_kato_nonneg_phi_zero_field_exact(capsys):
     code, out, _ = run(["kato", "--field", "zero", "--nonneg-phi",
                         "--samples", "15", "--grid-size", "10",
@@ -163,13 +173,17 @@ def test_kato_without_samples_is_failure_record(samples, capsys):
 
 
 def test_domain_error_becomes_failure_record(capsys):
-    # inadmissible trial decay for the requested dimension
-    code, out, err = run(["positivity", "--family", "log_linear_cutoff",
-                          "--sigma-grid", "1.0"], capsys)
-    assert code == 1
-    record = json.loads(err.splitlines()[-1])
-    assert record["command"] == "positivity"
-    assert "DomainError" in record["failures"][0]
+    for argv in (
+            # inadmissible trial decay for the requested dimension
+            ["positivity", "--family", "log_linear_cutoff", "--sigma-grid", "1.0"],
+            # a negative channel count, then zero levels
+            ["hydrogen", "--m-max", "-1"],
+            ["hydrogen", "--levels", "0"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        record = json.loads(err.splitlines()[-1])
+        assert record["command"] == argv[0]
+        assert "DomainError" in record["failures"][0]
 
 
 def test_non_finite_form_is_failure_record(capsys):

@@ -207,8 +207,9 @@ def test_hydrogen_too_coarse_raises_with_trace():
     with pytest.raises(RefinementNeededError) as exc:
         hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 40))
     assert len(exc.value.trace) >= 1
-    with pytest.raises(DomainError):
-        hydrogen2d(-1.0, 0)
+    for Z, m_max, levels in ((-1.0, 0, 3), (1.0, -1, 3), (1.0, 0, 0)):
+        with pytest.raises(DomainError):
+            hydrogen2d(Z, m_max, n_levels=levels)
 
 
 def test_chandrasekhar_zero_coupling_psd():
