@@ -132,7 +132,9 @@ class TrialFunction:
         return (self.profile_log(s + h) - self.profile_log(s - h)) / (2 * h)
 
     def scaled(self, lam: float) -> "TrialFunction":
-        """psi_lambda(r) = psi(lambda r)."""
+        """psi_lambda(r) = psi(lambda r), for finite lambda > 0."""
+        if not 0.0 < lam < math.inf:
+            raise DomainError("scale lambda must be finite and > 0, got %r" % lam)
         return TrialFunction(self.family, self.sigma, self.center - math.log(lam),
                              self.samples)
 

@@ -305,7 +305,11 @@ def _apply_config(subparser, args, argv):
         if isinstance(action.const, bool):
             setattr(args, key, val.lower() in ("1", "true", "yes"))
         else:
-            value = action.type(val) if action.type else val
+            try:
+                value = action.type(val) if action.type else val
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise SystemExit("config value %s=%r cannot be read: %s"
+                                 % (key, val, exc))
             if action.choices is not None and value not in action.choices:
                 raise SystemExit("config value %s=%r is not one of: %s"
                                  % (key, val, ", ".join(map(str, action.choices))))

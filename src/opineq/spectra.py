@@ -235,7 +235,7 @@ def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# critical coupling, method 1: refinement-divergence bisection
+# critical coupling, method 1: bisection on the sign of the channel-0 scan
 
 @dataclass(frozen=True)
 class CriticalCouplingResult:
@@ -245,58 +245,40 @@ class CriticalCouplingResult:
     trace: tuple = field(repr=False, default=())
 
 
-DEFAULT_SCAN_SCHEDULE = (
-    GridSpec(math.exp(-44.0), 1.0, 551),
-    GridSpec(math.exp(-60.0), 1.0, 751),
-    GridSpec(math.exp(-76.0), 1.0, 951),
-)
+# h = 0.08; _lowest_eigenvalue deflates it to its leading 452 rows
+SCAN_GRID = GridSpec(math.exp(-44.0), 1.0, 551)
+SCAN_NOISE_FLOOR = 1e-14  # bound only below -SCAN_NOISE_FLOOR / r_min
+BISECT_BRACKET = (0.05, 0.6)
+BISECT_HALF_WIDTH = 3e-4
 
 
-def classify_coupling(nu: float, grid_schedule=DEFAULT_SCAN_SCHEDULE,
-                      noise_floor: float = 1e-14):
-    """'divergent' when the lowest eigenvalue grows by more than 2x across
-    each refinement (degree -1 homogeneity makes true divergence geometric
-    in 1/r_min); 'stable' otherwise.
+def classify_coupling(nu: float):
+    """('divergent' or 'stable', e): whether the lowest channel-0
+    eigenvalue e on SCAN_GRID is negative beyond roundoff.
 
-    The default grids are not refinements of one another: all three have
-    h = 0.08 and the same left end on the rescaled grid [1, e^L], and only
-    the span grows.  Their rows decay like e^{-s}, so every one of them
-    deflates to the same 452-row block (s up to ~36) in
-    _lowest_eigenvalue, and the unscaled eigenvalue e0 = e r_min is the
-    same on all three (the full solves agree on it to 3 digits too, where
-    it is above roundoff).  Each ratio is then e^16 > 2 by construction,
-    and the test reduces to e0 < -noise_floor.
+    By degree -1 homogeneity e r_min is the eigenvalue on the rescaled
+    grid, a few 1e-16 on the stable side; when the deflated block's
+    eigenvalue is positive, e is only an upper bound, which is all a
+    sign test needs.
     """
-    evs = [chandrasekhar_lowest(nu, 0, g) for g in grid_schedule]
-    # negative beyond discretization noise, measured on the grid's own scale
-    meaningful = [e < -noise_floor / g.r_min
-                  for e, g in zip(evs, grid_schedule)]
-    ratios = []
-    for e1, e2 in zip(evs, evs[1:]):
-        ratios.append(e2 / e1 if (e1 < 0 and e2 < 0) else 0.0)
-    divergent = all(meaningful) and all(r > 2.0 for r in ratios)
-    return ("divergent" if divergent else "stable"), tuple(evs)
+    e = chandrasekhar_lowest(nu, 0, SCAN_GRID)
+    divergent = e < -SCAN_NOISE_FLOOR / SCAN_GRID.r_min
+    return ("divergent" if divergent else "stable"), e
 
 
-def critical_coupling_bisect(grid_schedule=None, lo: float = 0.05,
-                             hi: float = 0.6, nu_tol: float = 3e-4) -> CriticalCouplingResult:
-    """Bisect the coupling where the channel-0 scan turns refinement-divergent."""
-    schedule = tuple(grid_schedule) if grid_schedule else DEFAULT_SCAN_SCHEDULE
-    if len(schedule) < 3:
-        raise DomainError("grid schedule needs >= 3 refinements")
-    trace = []
-    c_lo, ev = classify_coupling(lo, schedule)
-    trace.append((lo, c_lo, ev))
-    c_hi, ev = classify_coupling(hi, schedule)
-    trace.append((hi, c_hi, ev))
-    if c_lo != "stable" or c_hi != "divergent":
+def critical_coupling_bisect() -> CriticalCouplingResult:
+    """Bisect BISECT_BRACKET down to BISECT_HALF_WIDTH for the coupling
+    at which the channel-0 scan starts to bind."""
+    lo, hi = BISECT_BRACKET
+    trace = [(nu,) + classify_coupling(nu) for nu in (lo, hi)]
+    if trace[0][1] != "stable" or trace[1][1] != "divergent":
         raise OpineqError(
             "no stable-to-divergent transition inside [%g, %g]; trace: %r"
             % (lo, hi, trace))
-    while hi - lo > 2.0 * nu_tol:
+    while hi - lo > 2.0 * BISECT_HALF_WIDTH:
         mid = 0.5 * (lo + hi)
-        c, ev = classify_coupling(mid, schedule)
-        trace.append((mid, c, ev))
+        c, e = classify_coupling(mid)
+        trace.append((mid, c, e))
         if c == "stable":
             lo = mid
         else:

@@ -3,10 +3,10 @@ with the measured numbers once its assertions hold.
 
 Criterion 7's "agree within 1%" is enforced as 0.01 on the coupling axis
 (nu lives in the unit interval); the relative gap is printed alongside.
-The refinement-divergence detector is noise-floor-limited in double
-precision (near-critical binding depths are exp(-pi/s*), far below the
-eigensolver floor at 1%-relative separations), so 1%-relative agreement
-is not reachable by this method family; see the bisect trace.
+The bisection's sign test on the channel-0 scan is noise-floor-limited
+in double precision (near-critical binding depths are exp(-pi/s*), far
+below the eigensolver floor at 1%-relative separations), so 1%-relative
+agreement is not reachable by this method family; see the bisect trace.
 """
 
 import math

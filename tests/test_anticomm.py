@@ -139,6 +139,9 @@ def test_trial_function_families():
     with pytest.raises(DomainError):
         # decays too slowly against the |x|^(d+1) weights
         TrialFunction("log_linear_cutoff", 2.0).s_extent(2.0)
+    for lam in (0.0, -1.0, math.inf):
+        with pytest.raises(DomainError):
+            psi.scaled(lam)
 
 
 def test_trial_norm_closed_form():

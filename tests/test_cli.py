@@ -143,12 +143,18 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, line", [("critical", "method=bisekt"),
-                                           ("kato", "field=dott")])
-def test_config_value_outside_choices_rejected(command, line, tmp_path, capsys):
+@pytest.mark.parametrize("command, line, why", [
+    ("critical", "method=bisekt", "is not one of"),
+    ("kato", "field=dott", "is not one of"),
+    ("hydrogen", "m_max=abc", "cannot be read"),
+    ("hydrogen", "grid=1,2", "cannot be read")],
+    ids=["critical-method=bisekt", "kato-field=dott", "hydrogen-m_max=abc",
+         "hydrogen-grid=1,2"])
+def test_config_value_outside_choices_rejected(command, line, why, tmp_path,
+                                               capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit, match="not one of"):
+    with pytest.raises(SystemExit, match="config value .* " + why):
         main([command, "--config", str(cfg)])
     assert capsys.readouterr().out == ""
 
@@ -176,6 +182,8 @@ def test_domain_error_becomes_failure_record(capsys):
     for argv in (
             # inadmissible trial decay for the requested dimension
             ["positivity", "--family", "log_linear_cutoff", "--sigma-grid", "1.0"],
+            # a scale that is not positive
+            ["positivity", "--sigma-grid", "1.0", "--lambda-scale", "0"],
             # a negative channel count, then zero levels
             ["hydrogen", "--m-max", "-1"],
             ["hydrogen", "--levels", "0"]):

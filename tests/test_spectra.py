@@ -10,7 +10,7 @@ from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
 from opineq.errors import (AccuracyError, DomainError, GridRejectionError,
                            RefinementNeededError)
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
-                            DEFAULT_SCAN_SCHEDULE, ChannelOperator, GridSpec,
+                            SCAN_GRID, ChannelOperator, GridSpec,
                             _channel_moments, _hydrogen_channel,
                             _lowest_eigenvalue, _momentum_log_grid,
                             chandrasekhar_lowest, classify_coupling,
@@ -263,14 +263,14 @@ def test_deflated_lowest_eigenvalue_within_bound(nu):
     # interlacing: lambda_1(H) <= lambda_1(H11); plus eps ||H||_2 for each
     # of the two backward-stable solves
     eps = np.finfo(float).eps
-    for g in DEFAULT_SCAN_SCHEDULE:
-        P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
-        H = P - nu * np.diag(1.0 / nodes)
-        full = sla.eigvalsh(H, subset_by_index=[0, 0])[0]
-        lam = _lowest_eigenvalue(H)
-        solves = 2.0 * eps * np.linalg.norm(H, 2)
-        assert full <= lam + solves
-        assert full >= min(lam, 0.0) - math.sqrt(2.0) * eps * np.linalg.norm(H) - solves
+    g = SCAN_GRID
+    P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
+    H = P - nu * np.diag(1.0 / nodes)
+    full = sla.eigvalsh(H, subset_by_index=[0, 0])[0]
+    lam = _lowest_eigenvalue(H)
+    solves = 2.0 * eps * np.linalg.norm(H, 2)
+    assert full <= lam + solves
+    assert full >= min(lam, 0.0) - math.sqrt(2.0) * eps * np.linalg.norm(H) - solves
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -282,12 +282,11 @@ def test_lowest_eigenvalue_rejects_non_finite(bad):
 
 
 def test_deflation_sizes(solved_orders):
-    # the scan grids share h = 0.08 and keep the rows with s below ~36;
-    # the pool grids and the anticommutator blocks are solved whole
-    for g in DEFAULT_SCAN_SCHEDULE:
-        chandrasekhar_lowest(0.3, 0, g)
-    assert solved_orders == [452, 452, 452]
-    assert all(g.n > 452 for g in DEFAULT_SCAN_SCHEDULE)
+    # the scan grid (h = 0.08) keeps the rows with s below ~36; the pool
+    # grids and the anticommutator blocks are solved whole
+    chandrasekhar_lowest(0.3, 0, SCAN_GRID)
+    assert solved_orders == [452]
+    assert SCAN_GRID.n > 452
     solved_orders.clear()
     pool = ((20.0, 300), (23.0, 400), (26.0, 500))
     for span, n in pool:
@@ -333,6 +332,12 @@ def test_critical_coupling_cross_validation():
     assert 0.15 < mel.nu_c < 0.30
     assert 0.15 < bis.nu_c < 0.30
     assert abs(bis.nu_c - mel.nu_c) <= 0.01
+    # bisection midpoints are dyadic, so nu_c is exact given the
+    # sequence of classifications
+    assert bis.nu_c == 0.23610839843749998
+    assert [c for _, c, _ in bis.trace] == [
+        "stable", "divergent", "divergent", "stable", "divergent", "stable",
+        "divergent", "stable", "stable", "divergent", "stable", "divergent"]
     # classification examples relative to the measured transition
     assert classify_coupling(bis.nu_c / 2.0)[0] == "stable"
     assert classify_coupling(2.0 * bis.nu_c)[0] == "divergent"
