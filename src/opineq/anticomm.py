@@ -25,8 +25,9 @@ from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
 _EPS = np.finfo(float).eps
-# kernel tolerance of the ridge moments
+# kernel tolerances of the ridge and the channel band moments
 KTOL = 1e-11
+CHANNEL_KTOL = 1e-10
 
 
 def _check_dimension(d):
@@ -57,7 +58,7 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
     (r+1/r)/2 = cosh s, out to an smax where the integrand is negligible.
     """
     d = _check_dimension(d)
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     if d == 2.0:
         return QuadResult(0.0, 0.0, 1)  # bracket vanishes identically
@@ -99,8 +100,8 @@ class TrialFunction:
     def __post_init__(self):
         if self.family not in ("log_gaussian", "log_linear_cutoff", "sampled"):
             raise DomainError("unknown trial family %r" % self.family)
-        if self.family != "sampled" and self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if self.family != "sampled" and not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be finite and positive")
         if self.family == "sampled":
             if self.samples is None:
                 raise DomainError("sampled trial needs (s_nodes, values)")
@@ -302,6 +303,14 @@ def band_moments(f, h, n):
 _RIDGE_BLOCK = math.lcm(kernels.CHUNK, _GL12[0].size) // _GL12[0].size
 
 
+def _moments(kernel, arg, h, n):
+    """Bands 0..n-1 of a kernel's moments, joined from its cached blocks."""
+    blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
+    out = np.concatenate([_moment_block(kernel, arg, h, j) for j in range(blocks)])
+    out.flags.writeable = False
+    return out[:n]
+
+
 def ridge_moments(d, h, n):
     """phi2[k] = int over band k of K_d(cosh x) x^2 dx, as a read-only array.
 
@@ -310,36 +319,49 @@ def ridge_moments(d, h, n):
     x^2 carries the numerator's quadratic vanishing across it.
 
     The bands come from fixed blocks, each computed once per process and
-    cached by (d, h, block index) like the log-grid matrices: block
-    0 is the four ridge bands and the first _RIDGE_BLOCK = 512
+    cached by (kernel, d, h, block index) like the log-grid matrices:
+    block 0 is the four ridge bands and the first _RIDGE_BLOCK = 512
     Gauss-Legendre bands, block j >= 1 the next 512.  The 12 nodes per
     band of a block fill exactly three kernel chunks (the kernels.CHUNK
     elements that share one panel refinement), the same chunks one
     band_moments call over those bands forms, so every band comes out bit
     for bit as that call gives it, whatever was computed before.
     """
-    blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
-    phi2 = np.concatenate([_ridge_block(d, h, j) for j in range(blocks)])
-    phi2.flags.writeable = False
-    return phi2[:n]
+    return _moments("ridge", d, h, n)
+
+
+def channel_moments(m, h, n):
+    """phi0[k] = int over band k of (A_0 - A_m)(cosh x) dx, as a read-only
+    array: the positive 2D channel-coupling kernel, with an integrable log
+    singularity in band 0.  Served from the same block cache as
+    ridge_moments."""
+    return _moments("channel", m, h, n)
 
 
 @lru_cache(maxsize=64)
-def _ridge_block(d, h, j):
-    """Ridge-moment block j, read-only.  A kernel element that ends above
-    its tolerance (the integrand is positive, so only the panel cap can
-    leave one) raises AccuracyError carrying the block's estimate, and
-    the block is not cached.  Past x of about 710 u - 1 overflows to inf,
-    where the kernel is an exact 0."""
+def _moment_block(kernel, arg, h, j):
+    """Block j of the band moments of kernel "ridge" (arg d) or "channel"
+    (arg m), read-only.  A kernel element that ends above its tolerance
+    (the integrand is positive, so only the panel cap can leave one)
+    raises AccuracyError carrying the block's estimate, and the block is
+    not cached.  Past x of about 710 u - 1 overflows to inf, where the
+    kernel is an exact 0."""
+    ktol = {"ridge": KTOL, "channel": CHANNEL_KTOL}[kernel]
     unconverged = [0]
 
     def f(x):
         with np.errstate(over="ignore"):
             um1 = 2.0 * np.sinh(x / 2.0) ** 2
-        v, e, _ = angular_kernel_batch(d, um1, tol=KTOL)
+            if kernel == "ridge":
+                v, e, _ = angular_kernel_batch(arg, um1, tol=ktol)
+                y = v * x * x
+            else:
+                v, e, _ = kernels.polar_batch(1.5, 0.0, arg, um1, tol=ktol,
+                                              one_minus_cos=True)
+                y = 2.0 * v
         unconverged[0] += int(np.count_nonzero(
-            e > max(KTOL, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
-        return v * x * x
+            e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
+        return y
 
     k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
     if j == 0:
@@ -347,8 +369,8 @@ def _ridge_block(d, h, j):
     else:
         out = _gl_bands(f, h, k1 - _RIDGE_BLOCK, k1)
     if unconverged[0]:
-        raise AccuracyError("%d ridge kernel elements missed tolerance %g"
-                            % (unconverged[0], KTOL), best=out)
+        raise AccuracyError("%d %s-%g kernel elements missed tolerance %g"
+                            % (unconverged[0], kernel, arg, ktol), best=out)
     out.flags.writeable = False
     return out
 

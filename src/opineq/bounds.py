@@ -114,19 +114,18 @@ class BoundReport:
     per-value provenance labels.
 
     The saturation-threshold premise E_N < E_{N-1} behind the excess-
-    charge bound is carried as an input flag, never computed here.
+    charge bound is assumed, never computed here, and
+    threshold_premise_assumed records that.
     """
 
     delta: float
     Z: float
-    B: float = None
-    R: float = None
     threshold_premise_assumed: bool = True
     values: tuple = field(default=())
 
     @staticmethod
-    def build(Z: float, delta: float = None, B: float = None, R: float = None,
-              assume_threshold: bool = True) -> "BoundReport":
+    def build(Z: float, delta: float = None, B: float = None,
+              R: float = None) -> "BoundReport":
         if delta is None:
             if B is None or R is None:
                 raise DomainError("need either delta or both B and R")
@@ -148,9 +147,7 @@ class BoundReport:
         rows.append(("critical_constant_fourth_power",
                      critical_constant_printed("fourth-power"),
                      "fourth-power variant of the printed constant"))
-        rep = BoundReport(delta=delta, Z=Z, B=B, R=R,
-                          threshold_premise_assumed=assume_threshold,
-                          values=tuple(rows))
+        rep = BoundReport(delta=delta, Z=Z, values=tuple(rows))
         for _, v, _ in rep.values:
             if not math.isfinite(v):
                 raise DomainError("non-finite bound value")

@@ -10,6 +10,7 @@ as a JSON record on stderr.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,8 +43,8 @@ def _parse_grid(text):
 
 def _positive_float(text):
     v = float(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not 0 <= v < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return v
 
 

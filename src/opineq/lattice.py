@@ -187,8 +187,8 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
     link phases, take sqrt((p+A)^2 + m^2) spectrally on each of the four
     parity blocks, and subtract m.
     """
-    if mass < 0:
-        raise DomainError("mass must be >= 0")
+    if not 0 <= mass < np.inf:
+        raise DomainError("mass must be finite and >= 0")
     if fld.grid.n > MAX_DENSE_GRID:
         raise DomainError(
             "grid beyond the %dx%d dense budget" % (MAX_DENSE_GRID, MAX_DENSE_GRID))

@@ -73,7 +73,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
     tolerance is not reached within the subdivision budget, and
     DomainError for an infinite limit or if f produces non-finite values.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import anticomm, kernels
-from .errors import (AccuracyError, DomainError, GridRejectionError,
-                     OpineqError, RefinementNeededError)
+from .errors import (DomainError, GridRejectionError, OpineqError,
+                     RefinementNeededError)
 from .quadrature import integrate_adaptive
 
 
@@ -34,13 +34,19 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise DomainError("need 0 < r_min < r_max")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise DomainError("need 0 < r_min < r_max < inf")
         if self.n < 16:
             raise DomainError("need at least 16 nodes")
+        if not (math.isfinite(self.log_step())
+                and np.all(np.diff(self.nodes()) > 0)):
+            raise DomainError("need a finite r_max / r_min and n distinct nodes")
 
     def nodes(self):
-        return np.geomspace(self.r_min, self.r_max, self.n)
+        # geomspace may overflow on its way to an r_max near the top of
+        # double range; it then sets the end nodes to the bounds themselves
+        with np.errstate(over="ignore"):
+            return np.geomspace(self.r_min, self.r_max, self.n)
 
     def log_step(self):
         return math.log(self.r_max / self.r_min) / (self.n - 1)
@@ -96,32 +102,6 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 # Lieb-Yau band assembly of |p| on the log grid (2D channel m)
 
-def _channel_moments(m: int, h: float, n: int):
-    """phi0[k] = int over band k of (A_0 - A_m)(cosh x) dx, the positive
-    channel-coupling kernel; integrable log singularity in band 0.  A
-    kernel element that ends above its tolerance (the integrand is
-    positive, so only the panel cap can leave one) raises AccuracyError
-    carrying the moments.  Past x of about 710 u - 1 overflows to inf,
-    where the kernel is an exact 0."""
-    ktol = 1e-10
-    unconverged = [0]
-
-    def f(x):
-        with np.errstate(over="ignore"):
-            um1 = 2.0 * np.sinh(x / 2.0) ** 2
-            v, e, _ = kernels.polar_batch(1.5, 0.0, m, um1, tol=ktol,
-                                          one_minus_cos=True)
-        unconverged[0] += int(np.count_nonzero(
-            e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
-        return 2.0 * v
-
-    out = anticomm.band_moments(f, h, n)
-    if unconverged[0]:
-        raise AccuracyError("%d channel-%d kernel elements missed tolerance %g"
-                            % (unconverged[0], m, ktol), best=out)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _momentum_log_grid(m: int, n: int, L: float, d: float = 2.0):
     """|p| (channel m, dimension d) on the scaled log grid [1, e^L] with n nodes.
@@ -147,7 +127,7 @@ def _momentum_log_grid(m: int, n: int, L: float, d: float = 2.0):
     w[1:] = 2.0 * c0 * phi2[1:] / (np.arange(1, n) * h) ** 2
     col = -w
     if m != 0:
-        col += 2.0 * c0 * _channel_moments(abs(m), h, n)
+        col += 2.0 * c0 * anticomm.channel_moments(abs(m), h, n)
     e = np.exp(-0.5 * s)
     P = sla.toeplitz(col)
     P *= np.outer(e, e)
@@ -174,14 +154,14 @@ def _momentum_log_grid(m: int, n: int, L: float, d: float = 2.0):
 _clear_grids = _momentum_log_grid.cache_clear
 
 
-def _clear_grids_and_ridge_blocks():
-    """The grids are assembled from anticomm's ridge-moment blocks, so
+def _clear_grids_and_moment_blocks():
+    """The grids are assembled from anticomm's band-moment blocks, so
     clearing the grid cache clears those too: the next assembly is cold."""
     _clear_grids()
-    anticomm._ridge_block.cache_clear()
+    anticomm._moment_block.cache_clear()
 
 
-_momentum_log_grid.cache_clear = _clear_grids_and_ridge_blocks
+_momentum_log_grid.cache_clear = _clear_grids_and_moment_blocks
 
 
 def momentum_channel_log(m: int, grid: GridSpec) -> ChannelOperator:
@@ -371,8 +351,8 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
     Raises RefinementNeededError when a half-resolution solve moves any
     requested level by more than 0.5%.
     """
-    if Z <= 0:
-        raise DomainError("Z must be positive")
+    if not 0 < Z < math.inf:
+        raise DomainError("Z must be finite and positive")
     if m_max < 0 or n_levels < 1:
         raise DomainError("need m_max >= 0 and n_levels >= 1")
     scaled = GridSpec(grid.r_min / Z, grid.r_max / Z, grid.n) if Z != 1 else grid
@@ -436,6 +416,5 @@ def lambda_min_anticomm(d: float):
     by ANTICOMM_PAD on each side, so that the pairs reaching outside the
     interval count.  The estimate decreases towards d - 2 as L grows.
     """
-    d = anticomm._check_dimension(d)
     trace = tuple((L, _anticomm_lowest(d, L)) for L in ANTICOMM_SPANS)
     return trace[-1][1], trace

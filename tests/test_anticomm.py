@@ -7,9 +7,10 @@ import pytest
 
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
-                             gamma, lower_bound, momentum_expectation,
-                             nonrel_form, relativistic_form,
-                             relativistic_form_direct, ridge_moments)
+                             channel_moments, gamma, lower_bound,
+                             momentum_expectation, nonrel_form,
+                             relativistic_form, relativistic_form_direct,
+                             ridge_moments)
 from opineq.errors import AccuracyError, DomainError
 from opineq.quadrature import angular_kernel_batch, sphere_surface
 
@@ -49,10 +50,10 @@ def mellin_t(d, sigma):
 
 
 @pytest.fixture
-def cold_ridge_blocks():
-    anticomm._ridge_block.cache_clear()
+def cold_moment_blocks():
+    anticomm._moment_block.cache_clear()
     yield
-    anticomm._ridge_block.cache_clear()
+    anticomm._moment_block.cache_clear()
 
 
 def _forbid_kernel_calls(monkeypatch):
@@ -116,6 +117,15 @@ def test_gamma_sign_law():
         assert gamma(d, 1e-6).value > 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_gamma_rejects_bad_tolerance(tol, monkeypatch):
+    # checked before any kernel call: a NaN tolerance would otherwise run
+    # the outer quadrature to its subdivision budget
+    _forbid_kernel_calls(monkeypatch)
+    with pytest.raises(DomainError):
+        gamma(3.0, tol)
+
+
 def test_lower_bound():
     assert lower_bound(2.0) == 0.0
     lb = lower_bound(2.01, 1e-9)
@@ -130,8 +140,10 @@ def test_trial_function_families():
     assert np.all(psi.profile_log(s) > 0)
     cut = TrialFunction("log_linear_cutoff", 0.1)
     assert np.all(cut.profile_log(s) > 0)
-    with pytest.raises(DomainError):
-        TrialFunction("log_gaussian", -1.0)
+    for family in ("log_gaussian", "log_linear_cutoff"):
+        for sigma in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                TrialFunction(family, sigma)
     with pytest.raises(DomainError):
         TrialFunction("unknown")
     with pytest.raises(DomainError):
@@ -189,32 +201,42 @@ def _ridge_integrand(d):
     return f
 
 
-def test_ridge_block_prefixes_agree(cold_ridge_blocks):
+def _channel_integrand(m):
+    def f(x):
+        v, _, _ = kernels.polar_batch(1.5, 0.0, m, 2.0 * np.sinh(x / 2.0) ** 2,
+                                      tol=1e-10, one_minus_cos=True)
+        return 2.0 * v
+    return f
+
+
+def test_ridge_block_prefixes_agree(cold_moment_blocks):
     # a slice of a large fill and a fresh small fill, in both orders
     d, h = 2.5, 0.1
     big = ridge_moments(d, h, 700).copy()
-    anticomm._ridge_block.cache_clear()
+    anticomm._moment_block.cache_clear()
     small = ridge_moments(d, h, 40).copy()
     assert np.array_equal(big[:40], small)
     assert np.array_equal(ridge_moments(d, h, 700), big)
 
 
-def test_ridge_blocks_match_one_band_moments_call(cold_ridge_blocks):
-    d, h = 3.0, 0.08
+def test_ridge_blocks_match_one_band_moments_call(cold_moment_blocks):
+    h = 0.08
     n = anticomm._RIDGE_BANDS + 2 * anticomm._RIDGE_BLOCK
     assert anticomm._RIDGE_BLOCK * 12 % kernels.CHUNK == 0
-    for m in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
-        got = ridge_moments(d, h, m)
-    assert np.array_equal(got, band_moments(_ridge_integrand(d), h, n))
+    for moments, arg, f in ((ridge_moments, 3.0, _ridge_integrand(3.0)),
+                            (channel_moments, 1, _channel_integrand(1))):
+        for k in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
+            got = moments(arg, h, k)
+        assert np.array_equal(got, band_moments(f, h, n))
 
 
-def test_ridge_moments_read_only(cold_ridge_blocks):
-    phi2 = ridge_moments(2.0, 0.1, 20)
-    with pytest.raises(ValueError):
-        phi2[3] = 0.0
+def test_ridge_moments_read_only(cold_moment_blocks):
+    for phi in (ridge_moments(2.0, 0.1, 20), channel_moments(1, 0.1, 20)):
+        with pytest.raises(ValueError):
+            phi[3] = 0.0
 
 
-def test_repeated_form_makes_no_kernel_call(cold_ridge_blocks, monkeypatch):
+def test_repeated_form_makes_no_kernel_call(cold_moment_blocks, monkeypatch):
     psi = TrialFunction("log_gaussian", 1.0)
     first = relativistic_form(psi, 2.0)
     _forbid_kernel_calls(monkeypatch)
@@ -223,36 +245,42 @@ def test_repeated_form_makes_no_kernel_call(cold_ridge_blocks, monkeypatch):
     assert relativistic_form(psi.scaled(2.0), 2.0).value > 0
 
 
-def test_ridge_blocks_bounded_and_clean_on_error(cold_ridge_blocks):
-    assert anticomm._ridge_block.cache_info().maxsize == 64
+def test_ridge_blocks_bounded_and_clean_on_error(cold_moment_blocks):
+    assert anticomm._moment_block.cache_info().maxsize == 64
     with pytest.raises(DomainError):
         ridge_moments(1.0, 0.1, 8)
-    assert anticomm._ridge_block.cache_info().currsize == 0
+    with pytest.raises(DomainError):
+        channel_moments(1, math.nan, 8)
+    assert anticomm._moment_block.cache_info().currsize == 0
 
 
-def test_ridge_bands_past_double_range_are_zero(cold_ridge_blocks):
+def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
     # from x of about 474 (band 949 at h = 0.5) (u - 1)^(3/2) overflows,
-    # and from about 710 u - 1 itself: the kernel is an exact 0 there, and
-    # the suite turns an overflow warning into an error
-    big = ridge_moments(2.0, 0.5, 1500).copy()
-    assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
-    assert np.all(big[949:] == 0.0) and np.all(big[:940] > 0.0)
-    anticomm._ridge_block.cache_clear()
-    assert np.array_equal(ridge_moments(2.0, 0.5, 900), big[:900])
+    # and from about 710 u - 1 itself: either kernel is an exact 0 there,
+    # and the suite turns an overflow warning into an error
+    for moments, arg in ((ridge_moments, 2.0), (channel_moments, 1)):
+        big = moments(arg, 0.5, 1500).copy()
+        assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
+        assert np.all(big[949:] == 0.0) and np.all(big[:940] > 0.0)
+        anticomm._moment_block.cache_clear()
+        assert np.array_equal(moments(arg, 0.5, 900), big[:900])
 
 
-def test_ridge_kernel_miss_raises_accuracy_error(cold_ridge_blocks, monkeypatch):
-    # two panels cannot resolve the ridge: the miss is reported, not cached
-    monkeypatch.setattr(kernels, "MAX_PANELS", 2)
-    with pytest.raises(AccuracyError) as info:
-        ridge_moments(2.0, 0.1, 30)
-    best = info.value.best
-    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
-    assert np.all(np.isfinite(best))
-    assert anticomm._ridge_block.cache_info().currsize == 0
-    monkeypatch.undo()
-    assert ridge_moments(2.0, 0.1, 30).size == 30
-    assert not np.array_equal(ridge_moments(2.0, 0.1, 30), best[:30])
+def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch):
+    # two panels cannot resolve either kernel near x = 0: the miss is
+    # reported, not cached
+    for moments, arg in ((ridge_moments, 2.0), (channel_moments, 1)):
+        anticomm._moment_block.cache_clear()
+        monkeypatch.setattr(kernels, "MAX_PANELS", 2)
+        with pytest.raises(AccuracyError) as info:
+            moments(arg, 0.1, 30)
+        best = info.value.best
+        assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+        assert np.all(np.isfinite(best))
+        assert anticomm._moment_block.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert moments(arg, 0.1, 30).size == 30
+        assert not np.array_equal(moments(arg, 0.1, 30), best[:30])
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

@@ -62,9 +62,15 @@ def test_csv_has_metadata_and_mirror(tmp_path, capsys):
 
 
 def test_negative_charge_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--charge", "-1", "--delta", "0"])
-    assert exc.value.code == 2
+    # negative, nan and inf values of --charge and --mass, and a grid with
+    # a non-finite bound, are usage errors before any command runs
+    argvs = [["bounds", "--charge", v, "--delta", "0"] for v in ("-1", "nan", "inf")]
+    argvs += [["kato", "--mass", v] for v in ("nan", "inf")]
+    argvs += [["hydrogen", "--grid", g] for g in ("1e-3,inf,900", "nan,120,900")]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -184,6 +190,9 @@ def test_domain_error_becomes_failure_record(capsys):
             ["positivity", "--family", "log_linear_cutoff", "--sigma-grid", "1.0"],
             # a scale that is not positive
             ["positivity", "--sigma-grid", "1.0", "--lambda-scale", "0"],
+            # widths that are not finite
+            ["positivity", "--sigma-grid", "nan"],
+            ["positivity", "--sigma-grid", "inf"],
             # a negative channel count, then zero levels
             ["hydrogen", "--m-max", "-1"],
             ["hydrogen", "--levels", "0"]):

@@ -50,7 +50,7 @@ def _assert_batch_matches_elements(p, w, m, omc, um1):
 
 
 # the kernel arguments of each library caller: angular_kernel_batch at
-# p = (d+1)/2, w = d-2; spectra._channel_moments at p = 3/2 with the
+# p = (d+1)/2, w = d-2; anticomm.channel_moments at p = 3/2 with the
 # 1 - cos weight; spectra.coulomb_channel_kernel at p = 1/2
 CALLER_ARGS = st.one_of(
     st.floats(1.2, 6.0).map(lambda d: ((d + 1.0) / 2.0, d - 2.0, 0, False)),

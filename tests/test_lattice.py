@@ -138,8 +138,9 @@ def test_kinetic_matrix_psd_and_budget():
             T = kinetic_matrix(fld, mass, comp)
             ev = np.linalg.eigvalsh(T.matrix)
             assert ev[0] >= -1e-12 * max(1.0, ev[-1])
-    with pytest.raises(DomainError):
-        kinetic_matrix(fld, -1.0)
+    for mass in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            kinetic_matrix(fld, mass)
     with pytest.raises(DomainError):
         kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(10.0, 50)), 0.0)
     with pytest.raises(ConfigurationError):

@@ -97,10 +97,12 @@ def test_nan_integrand_is_domain_error():
 
 
 def test_bad_interval_and_tolerance():
-    with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0, tol=-1.0)
+    for a, b in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda x: x, a, b)
+    for tol in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, tol=tol)
 
 
 def test_quadresult_invariants():

@@ -1,18 +1,22 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import anticomm, kernels
-from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
+from opineq.anticomm import (TrialFunction, channel_moments,
+                             momentum_expectation, ridge_moments)
 from opineq.errors import (AccuracyError, DomainError, GridRejectionError,
                            RefinementNeededError)
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
                             SCAN_GRID, ChannelOperator, GridSpec,
-                            _channel_moments, _hydrogen_channel,
-                            _lowest_eigenvalue, _momentum_log_grid,
+                            _hydrogen_channel, _lowest_eigenvalue,
+                            _momentum_log_grid,
                             chandrasekhar_lowest, classify_coupling,
                             coulomb_channel_kernel, critical_coupling_bisect,
                             critical_coupling_mellin, hydrogen2d,
@@ -29,10 +33,43 @@ def test_gridspec_validation():
         GridSpec(1.0, 0.5, 64)
     with pytest.raises(DomainError):
         GridSpec(0.1, 1.0, 8)
+    # bounds one ulp apart, and a ratio past double range
+    for r_min, r_max in ((1.0, np.nextafter(1.0, 2.0)), (1e-200, 1e200)):
+        with pytest.raises(DomainError):
+            GridSpec(r_min, r_max, 64)
+    top = GridSpec(1.0, sys.float_info.max, 64).nodes()
+    assert np.all(np.diff(top) > 0) and top[-1] == sys.float_info.max
     g = GridSpec(0.1, 10.0, 64)
     nodes = g.nodes()
     assert nodes[0] == pytest.approx(0.1) and nodes[-1] == pytest.approx(10.0)
     assert np.all(np.diff(nodes) > 0)
+
+
+# any float, inf and nan included, and often a moderate positive one
+BOUNDS = st.floats() | st.floats(1e-12, 1e12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(BOUNDS, BOUNDS)
+def test_gridspec_validation_property(r_min, r_max):
+    # a non-finite, non-positive or non-increasing bound pair raises; an
+    # accepted one gives finite, strictly increasing nodes from r_min to
+    # r_max
+    if not 0.0 < r_min < r_max < math.inf:
+        with pytest.raises(DomainError):
+            GridSpec(r_min, r_max, 64)
+        return
+    try:
+        g = GridSpec(r_min, r_max, 64)
+    except DomainError:
+        # only bounds too close, too far apart or too near the ends of
+        # double range for 64 finite, distinct log-spaced nodes
+        assert not 1e-150 < r_min * (1.0 + 1e-9) < r_max < 1e150
+        return
+    nodes = g.nodes()
+    assert np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)
+    assert nodes[0] == r_min and nodes[-1] == r_max
+    assert math.isfinite(g.log_step()) and g.log_step() > 0
 
 
 def test_momentum_channel_symmetric_psd():
@@ -90,7 +127,7 @@ def _pairwise_log_grid(m, n, L):
         P[i + 1, i - 1] -= q * a[i + 1] * a[i - 1]
         P[i - 1, i + 1] -= q * a[i + 1] * a[i - 1]
     if m != 0:
-        d0 = 2.0 * c0 * _channel_moments(m, h, n)
+        d0 = 2.0 * c0 * channel_moments(m, h, n)
         for k in range(1, n):
             g = d0[k] * ehalf[:n - k] * ehalf[k:] * a[:n - k] * a[k:]
             idx = np.arange(n - k)
@@ -111,22 +148,24 @@ def test_log_grid_matches_pairwise_form(m):
 
 def test_channel_moment_kernel_miss_raises_accuracy_error(monkeypatch):
     # two panels cannot resolve (A_0 - A_m) near the diagonal: the miss is
-    # reported with the moments, not dropped
+    # reported with the moments of the whole block, not dropped
     h, n = 0.08, 40
+    anticomm._moment_block.cache_clear()
     monkeypatch.setattr(kernels, "MAX_PANELS", 2)
     with pytest.raises(AccuracyError) as info:
-        _channel_moments(1, h, n)
+        channel_moments(1, h, n)
     best = info.value.best
-    assert best.shape == (n,) and np.all(np.isfinite(best))
+    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+    assert np.all(np.isfinite(best))
     monkeypatch.undo()
-    assert not np.array_equal(_channel_moments(1, h, n), best)
+    assert not np.array_equal(channel_moments(1, h, n), best[:n])
 
 
 def test_channel_moments_past_double_range_are_finite():
     # from x of about 474 (band 949 at h = 0.5) (u - 1)^(3/2) overflows,
     # and from about 710 u - 1 itself: the kernel is an exact 0 there, and
     # the suite turns an overflow warning into an error
-    phi0 = _channel_moments(1, 0.5, 1500)
+    phi0 = channel_moments(1, 0.5, 1500)
     assert np.all(np.isfinite(phi0)) and np.all(phi0 >= 0.0)
     assert np.all(phi0[949:] == 0.0) and np.all(phi0[:940] > 0.0)
 
@@ -207,7 +246,8 @@ def test_hydrogen_too_coarse_raises_with_trace():
     with pytest.raises(RefinementNeededError) as exc:
         hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 40))
     assert len(exc.value.trace) >= 1
-    for Z, m_max, levels in ((-1.0, 0, 3), (1.0, -1, 3), (1.0, 0, 0)):
+    for Z, m_max, levels in ((-1.0, 0, 3), (math.nan, 0, 3), (math.inf, 0, 3),
+                             (1.0, -1, 3), (1.0, 0, 0)):
         with pytest.raises(DomainError):
             hydrogen2d(Z, m_max, n_levels=levels)
 
@@ -387,12 +427,14 @@ def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
 
 
 def test_grid_cache_clear_clears_ridge_blocks():
-    # a cleared grid cache means a cold assembly, ridge moments included
-    _momentum_log_grid(0, 64, 20.0)
-    assert anticomm._ridge_block.cache_info().currsize > 0
+    # a cleared grid cache means a cold assembly, ridge and channel
+    # moments included
+    _momentum_log_grid.cache_clear()
+    _momentum_log_grid(1, 64, 20.0)
+    assert anticomm._moment_block.cache_info().currsize == 2
     _momentum_log_grid.cache_clear()
     assert _momentum_log_grid.cache_info().currsize == 0
-    assert anticomm._ridge_block.cache_info().currsize == 0
+    assert anticomm._moment_block.cache_info().currsize == 0
 
 
 def test_lambda_min_anticomm_large_dimension():
