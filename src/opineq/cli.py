@@ -34,11 +34,15 @@ def _parse_floats(text):
 
 
 def _parse_grid(text):
+    from .errors import DomainError
     from .spectra import GridSpec
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError('grid must be "rmin,rmax,n"')
-    return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    try:
+        return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _positive_float(text):

@@ -9,10 +9,19 @@ once.  um1 stands for u - 1 >= 0 so that the near-singular regime
 u -> 1 keeps full relative precision.
 
 Strategy: split at pi/2 and map each half to v in [0, 1] through
-t = (pi/2) v^q (resp. pi - (pi/2) v^q).  The exponent q flattens the
-sin^w endpoint factor; the u ~ 1 peak is resolved by shared adaptive
-Gauss-Kronrod panels refined where any batch element still needs it.
+t = (pi/2) v^q (resp. pi - (pi/2) v^q).  q is the smallest exponent
+>= max(2, 2/(w+1)) with q(w+1) an integer, so Jacobian times sin^w goes
+as the integer power v^(q(w+1)-1) at both ends, which GK15 integrates
+without refinement.  The u ~ 1 peak at t ~ sqrt(2 (u - 1)) lies in the
+half at t = 0, and each chunk starts that half from a mesh graded
+geometrically towards it: the dyadic panels [0, 2^-K], [2^-K, 2^-K+1],
+..., [1/2, 1], with K the halvings from v = 1 down to the peak of the
+chunk's smallest u - 1 (K = 0, the single panel [0, 1], once u - 1 is
+about 1 or more).  Shared adaptive Gauss-Kronrod panels, refined where
+any batch element still needs it, then only polish that start.
 """
+
+import math
 
 import numpy as np
 
@@ -53,6 +62,8 @@ _HALF_PI = 0.5 * np.pi
 ROUNDOFF_FLOOR = 1e-14
 MAX_PANELS = 800
 CHUNK = 2048
+# cap on the dyadic levels of region 0's graded start (u - 1 ~ 0)
+GRADED_LEVELS = 30
 
 
 def _eval_panels(a, b, region, q, p, w, m, omc, um1):
@@ -96,17 +107,20 @@ def polar_batch(p, w, m, um1, *, tol=1e-11, one_minus_cos=False):
     are evaluated in blocks of at most CHUNK panel-elements, which
     bounds the size of every temporary array.  A chunk stops refining at
     MAX_PANELS panels.  A tolerance that is not positive raises
-    DomainError: only the roundoff floor would end its refinement.
+    DomainError: only the roundoff floor would end its refinement.  So
+    does a nan or negative u - 1; u - 1 = inf is the far tail, an exact 0.
     `tol` and `one_minus_cos` are keyword-only.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
+    if not np.all(um1 >= 0):
+        raise DomainError("u - 1 must be >= 0, not nan")
     ne = um1.size
     out_v = np.empty(ne)
     out_e = np.empty(ne)
     nev = 0
-    q = max(2.0, 2.0 / (w + 1.0))
+    q = _endpoint_exponent(w)
     for lo in range(0, ne, CHUNK):
         hi = min(lo + CHUNK, ne)
         v, e, n = _polar_chunk(p, w, m, um1[lo:hi], tol, one_minus_cos, q)
@@ -114,6 +128,31 @@ def polar_batch(p, w, m, um1, *, tol=1e-11, one_minus_cos=False):
         out_e[lo:hi] = e
         nev += n
     return out_v, out_e, nev
+
+
+def _endpoint_exponent(w):
+    """The smallest q >= max(2, 2/(w+1)) with q(w+1) an integer.
+
+    Jacobian times sin^w then goes as v^(q(w+1)-1), an integer power of
+    v that GK15 integrates without refinement.  The 1e-12 absorbs the
+    rounding of q(w+1) when 2/(w+1) is the larger bound.
+    """
+    wp1 = w + 1.0
+    return math.ceil(max(2.0, 2.0 / wp1) * wp1 - 1e-12) / wp1
+
+
+def _graded_levels(um1_min, q):
+    """Halvings from v = 1 down to region 0's peak, at most GRADED_LEVELS.
+
+    The peak t ~ sqrt(2 (u - 1)) sits at v_c = (t / (pi/2))^(1/q); a
+    chunk whose u - 1 are all ~1 or more has its peak at v_c >= 1.
+    """
+    v_c = (math.sqrt(2.0 * um1_min) / _HALF_PI) ** (1.0 / q)
+    if v_c >= 1.0:
+        return 0
+    if v_c <= 2.0 ** -GRADED_LEVELS:
+        return GRADED_LEVELS
+    return math.ceil(-math.log2(v_c))
 
 
 def _polar_chunk(p, w, m, um1, tol, omc, q):
@@ -131,9 +170,11 @@ def _polar_chunk(p, w, m, um1, tol, omc, q):
                     a[sel], b[sel], region, q, p, w, m, omc, um1)
         return vals, errs
 
-    a = np.array([0.0, 0.0])
-    b = np.array([1.0, 1.0])
-    reg = np.array([0, 1])
+    # region 0: 0, 2^-K, ..., 1/2, 1; region 1: the single panel [0, 1]
+    edges = np.append(0.0, 2.0 ** np.arange(-_graded_levels(um1.min(), q), 1))
+    a = np.append(edges[:-1], 0.0)
+    b = np.append(edges[1:], 1.0)
+    reg = np.append(np.zeros(edges.size - 1, dtype=int), 1)
     vals, errs = evaluate(a, b, reg)
     nev = 15 * a.size * ne
 

@@ -273,8 +273,8 @@ def critical_coupling_bisect() -> CriticalCouplingResult:
 def coulomb_channel_kernel(m: int, t):
     """k_m(t) = (2 pi)^-1 int_0^{2pi} cos(m theta) (1 + t^2 - 2 t cos theta)^{-1/2} dtheta."""
     t = np.atleast_1d(np.asarray(t, float))
-    if np.any(t <= 0):
-        raise DomainError("t must be positive")
+    if not np.all((t > 0) & (t < np.inf)):
+        raise DomainError("t must be finite and positive")
     um1 = (1.0 - t) ** 2 / (2.0 * t)
     v, _, _ = kernels.polar_batch(0.5, 0.0, abs(m), um1)
     return v / (np.pi * np.sqrt(2.0 * t))

@@ -74,6 +74,13 @@ def test_negative_charge_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_grid_usage_error_gives_the_reason(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hydrogen", "--grid", "1e-3,inf,900"])
+    assert exc.value.code == 2
+    assert "0 < r_min < r_max < inf" in capsys.readouterr().err
+
+
 def test_bounds_needs_delta_or_field(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--charge", "1"])

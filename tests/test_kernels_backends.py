@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opineq.kernels as kernels
+from opineq.anticomm import CHANNEL_KTOL, gamma
 from opineq.errors import DomainError
 from opineq.quadrature import angular_kernel_batch
 
@@ -80,20 +81,63 @@ def test_angular_kernel_decreases_in_u(d, um1):
     (0.0, -0.5, 0, False, 1.0),     # sin^(-1/2) t, singular at both ends
     (1.5, 0.0, 1, True, 1e-10),     # 1 - cos t ~ t^2/2 under the u ~ 1 peak
     (1.5, 0.0, 2, True, 1e-8),
+] + [
+    # angular kernels at d = 1.2, 2.01, 2.3: sin^w with w not a half-integer
+    pytest.param((d + 1.0) / 2.0, d - 2.0, 0, False, um1, id="d%g-%g" % (d, um1))
+    for d in (1.2, 2.01, 2.3) for um1 in (1e-12, 1e-8, 1e-3, 1.0, 1e3)
 ])
 def test_relative_precision_at_the_ends(p, w, m, omc, um1):
     v, e, _ = kernels.polar_batch(p, w, m, [um1], tol=1e-11, one_minus_cos=omc)
     with mpmath.workdps(30):
         u = mpmath.mpf(um1)
+        a = 1 / (mpmath.mpf(w) + 1)
 
-        def f(t):
+        # each half of [0, pi] in x, the distance from its endpoint, so
+        # sin x keeps its relative precision there; x = s^a turns the
+        # endpoint factor x^w dx into a s^0 ds, which tanh-sinh resolves
+        def f(s, region):
+            x = s ** a
+            t = mpmath.pi - x if region else x
             c = 2 * mpmath.sin(m * t / 2) ** 2 if omc else mpmath.cos(m * t)
-            return mpmath.sin(t) ** w * c / (u + 2 * mpmath.sin(t / 2) ** 2) ** p
+            s2 = 2 * (mpmath.cos(x / 2) if region else mpmath.sin(x / 2)) ** 2
+            return a * s ** (a - 1) * mpmath.sin(x) ** w * c / (u + s2) ** p
 
-        breaks = [0] + [mpmath.mpf(10) ** k for k in range(-6, 1)] + [mpmath.pi]
-        exact = float(mpmath.quad(f, breaks))
+        breaks = ([0] + [mpmath.mpf(10) ** (k / a) for k in range(-8, 0)]
+                  + [(mpmath.pi / 2) ** (1 / a)])
+        exact = float(sum(mpmath.quad(lambda s: f(s, region), breaks)
+                          for region in (0, 1)))
     assert e[0] <= 1e-11 * abs(v[0])
     assert abs(v[0] - exact) <= 1e-13 * abs(exact)
+
+
+class _FirstBatch(Exception):
+    pass
+
+
+def test_graded_start_bounds_the_evaluations(monkeypatch):
+    # each chunk starts at the peak of its smallest u - 1, so the adaptive
+    # loop only polishes; refining towards the peak one dyadic level per
+    # pass cost 13,950 and 9,900 evaluations on these two batches
+    polar_batch = kernels.polar_batch
+
+    def first_batch(*args, **kwargs):
+        raise _FirstBatch(polar_batch(*args, **kwargs)[2])
+
+    monkeypatch.setattr(kernels, "polar_batch", first_batch)
+    with pytest.raises(_FirstBatch) as first:
+        gamma(2.01)
+    assert first.value.args[0] <= 7500
+    # the 15 Kronrod nodes of channel band 0 on [0, 1e-3]: u - 1 >= 9.1e-12
+    x = 1e-3 * 0.5 * (1.0 + kernels.XK)
+    _, _, n = polar_batch(1.5, 0.0, 1, 2.0 * np.sinh(x / 2.0) ** 2,
+                          tol=CHANNEL_KTOL, one_minus_cos=True)
+    assert n <= 9000
+
+
+@pytest.mark.parametrize("um1", [[np.nan], [-1e-300], [0.5, np.nan, 2.0]])
+def test_nan_or_negative_um1_rejected(um1):
+    with pytest.raises(DomainError):
+        kernels.polar_batch(1.5, 0.0, 0, um1)
 
 
 def test_cancelling_element_stops_at_roundoff_floor():

@@ -366,6 +366,13 @@ def test_coulomb_channel_kernel_symmetry():
         assert np.allclose(b, t * a, rtol=1e-9)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5])
+def test_coulomb_channel_kernel_needs_finite_positive_t(t):
+    # nan would pass through the kernel as nan, and inf gives inf / inf
+    with pytest.raises(DomainError):
+        coulomb_channel_kernel(1, [0.5, t])
+
+
 def test_critical_coupling_cross_validation():
     mel = critical_coupling_mellin(2)
     bis = critical_coupling_bisect()
