@@ -13,10 +13,14 @@ gives machine-exact gauge covariance for quadratic gauge functions.
 The centered difference hops a distance h, so (p+A)^2 links node (i, j)
 only to (i+-2, j) and (i, j+-2).  It splits into four decoupled parity
 sublattices (i mod 2, j mod 2), each a 5-point magnetic Laplacian at
-spacing 2h, and T_m is block-diagonal over them: one eigensolve of size
-N/4 per block replaces one of size N.  T_m is kept as those four blocks
-and applied block by block; with zero field every link phase is 1, so the
-blocks are real and so is their arithmetic.
+spacing 2h, and T_m is block-diagonal over them.  A quarter turn of the
+grid about its centre permutes the four classes in one orbit, and every
+field make_fields builds is symmetric under it, so the four blocks are one
+block re-indexed: a single eigensolve of size N/4 replaces one of size N.
+A block that is not the turned previous one (a gauge-shifted field, say)
+gets its own solve.  T_m is kept as the four blocks and applied block by
+block; with zero field every link phase is 1, so the blocks are real and
+so is their arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -180,12 +184,30 @@ class KineticMatrix:
 
 MAX_DENSE_GRID = 48
 
+# _parity_classes indices in the order a quarter turn of the grid visits them
+_ORBIT = (0, 1, 3, 2)
+
 
 def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
                    boundary: str = "open") -> KineticMatrix:
     """Assemble (p+A)^2 of the centered-difference (p+A) with trapezoid
     link phases, take sqrt((p+A)^2 + m^2) spectrally on each of the four
     parity blocks, and subtract m.
+
+    The quarter turn of the grid that maps class (p, q) to (q, 1 - p)
+    walks the classes in _ORBIT order and maps each class's n/2 x n/2
+    sub-array onto the next one's by a clockwise quarter turn, a
+    permutation P.  When a block B' agrees with the turned previous block
+    P^T B P to 4 eps max|B|, its T block is the turned previous T block,
+    since f(P^T B P) = P^T f(B) P.  The difference E has the 5-point
+    pattern, at most five entries per row and column, so ||E||_2 <=
+    5 max|E| <= 20 eps ||B||_2, and three steps add at most 60 eps ||B||_2.
+    That is inside the backward error eigh's own bound allows, p(N/4) eps
+    ||B||_2 with p growing with the block size, so the copy loses nothing
+    a solve would resolve (the argument of spectra._lowest_eigenvalue).
+    Any other block is solved; each solved block is checked for
+    hermiticity and semidefiniteness and has its roundoff-floor
+    eigenvalues zeroed, and the norm is the largest of their top values.
     """
     if not 0 <= mass < np.inf:
         raise DomainError("mass must be finite and >= 0")
@@ -200,30 +222,39 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
         raise ConfigurationError("periodic boundary requires zero vector potential")
     H = _kinetic_square(A, fld.grid, boundary)
     real = not np.any(A)  # every link phase is exactly 1
-    eig = []
-    for c in _parity_classes(fld.grid.n):
+    classes = _parity_classes(fld.grid.n)
+    half = fld.grid.n // 2
+    turn = np.rot90(np.arange(half * half).reshape(half, half), -1).ravel()
+    turned = np.ix_(turn, turn)
+    blocks = [None] * 4
+    norm = 0.0
+    prev = None
+    for k in _ORBIT:
         # the blocks are what eigh reads; entries across classes are 0
+        c = classes[k]
         B = H[np.ix_(c, c)]
         if real:
             B = B.real
-        herm = np.max(np.abs(B - B.conj().T))
-        if herm > 1e-12 * max(1.0, np.max(np.abs(B))):
-            raise DomainError("kinetic square lost hermiticity (%.2e)" % herm)
-        eig.append(np.linalg.eigh(B))
-    top = max(w[-1] for w, _ in eig)
-    low = min(w[0] for w, _ in eig)
-    if low < -1e-10 * max(1.0, top):
-        raise DomainError("(p+A)^2 not PSD: min eig %.3e" % low)
-    blocks = []
-    norm = 0.0
-    for w, V in eig:
-        # zero out eigenvalues at the roundoff floor: sqrt would amplify
-        # O(eps ||H||) noise on an exact kernel mode to O(sqrt(eps))
-        w = np.where(w < 1e-13 * max(top, 1.0), 0.0, w)
-        f = np.sqrt(w + mass * mass) - mass
-        norm = max(norm, f[-1])
-        Tc = (V * f[None, :]) @ V.conj().T
-        blocks.append(0.5 * (Tc + Tc.conj().T))
+        if prev is not None and (np.max(np.abs(B - prev[turned]))
+                                 <= 4 * np.finfo(float).eps * np.max(np.abs(prev))):
+            Tc = Tc[turned]
+        else:
+            herm = np.max(np.abs(B - B.conj().T))
+            if herm > 1e-12 * max(1.0, np.max(np.abs(B))):
+                raise DomainError("kinetic square lost hermiticity (%.2e)" % herm)
+            w, V = np.linalg.eigh(B)
+            top = max(w[-1], 1.0)
+            if w[0] < -1e-10 * top:
+                raise DomainError("(p+A)^2 not PSD: min eig %.3e" % w[0])
+            # zero out eigenvalues at the roundoff floor: sqrt would amplify
+            # O(eps ||B||) noise on an exact kernel mode to O(sqrt(eps))
+            w = np.where(w < 1e-13 * top, 0.0, w)
+            f = np.sqrt(w + mass * mass) - mass
+            norm = max(norm, f[-1])
+            Tc = (V * f[None, :]) @ V.conj().T
+            Tc = 0.5 * (Tc + Tc.conj().T)
+        blocks[k] = Tc
+        prev = B
     return KineticMatrix(blocks=tuple(blocks), mass=mass, component=component,
                          boundary=boundary, grid=fld.grid, norm=float(norm))
 

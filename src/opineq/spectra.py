@@ -275,9 +275,16 @@ def coulomb_channel_kernel(m: int, t):
     t = np.atleast_1d(np.asarray(t, float))
     if not np.all((t > 0) & (t < np.inf)):
         raise DomainError("t must be finite and positive")
-    um1 = (1.0 - t) ** 2 / (2.0 * t)
+    um1, root = np.empty_like(t), np.empty_like(t)  # u - 1 and sqrt(2t)
+    lo, hi = t <= 1.0, t > 1.0
+    um1[lo] = (1.0 - t[lo]) ** 2 / (2.0 * t[lo])
+    root[lo] = np.sqrt(2.0 * t[lo])
+    # the same values past t = 1 with no intermediate above t: (1 - t)^2
+    # overflows from t ~ 1.3e154, and 2 sqrt(t/2) is sqrt(2t) bit for bit
+    um1[hi] = 0.5 * t[hi] * (1.0 - 1.0 / t[hi]) ** 2
+    root[hi] = 2.0 * np.sqrt(0.5 * t[hi])
     v, _, _ = kernels.polar_batch(0.5, 0.0, abs(m), um1)
-    return v / (np.pi * np.sqrt(2.0 * t))
+    return v / (np.pi * root)
 
 
 def mellin_multiplier(m: int, s: float = 0.0) -> float:

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -358,12 +359,23 @@ def test_mellin_multiplier_properties():
 
 
 def test_coulomb_channel_kernel_symmetry():
-    # k_m(1/t) = t k_m(t)
-    t = np.array([0.2, 0.5, 0.8])
+    # k_m(1/t) = t k_m(t); t = 1e3 sets the t > 1 form against the t < 1 one
+    t = np.array([0.2, 0.5, 0.8, 1e3])
     for m in (0, 1, 3):
         a = coulomb_channel_kernel(m, t)
         b = coulomb_channel_kernel(m, 1.0 / t)
         assert np.allclose(b, t * a, rtol=1e-9)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_coulomb_channel_kernel_at_huge_t(m):
+    # u - 1 ~ t / 2 would overflow as (1 - t)^2 / 2t from t ~ 1.3e154 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = coulomb_channel_kernel(m, [1e154, 1e200, 1e308])
+    assert np.all(np.isfinite(k)) and np.all(k >= 0.0)
+    if m == 0:
+        np.testing.assert_allclose(k, [1e-154, 1e-200, 1e-308], rtol=1e-13)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5])
