@@ -52,7 +52,8 @@ def _assert_batch_matches_elements(p, w, m, omc, um1):
 
 # the kernel arguments of each library caller: angular_kernel_batch at
 # p = (d+1)/2, w = d-2; anticomm.channel_moments at p = 3/2 with the
-# 1 - cos weight; spectra.coulomb_channel_kernel at p = 1/2
+# 1 - cos weight; and p = 1/2 with the cos weight as generic kernel
+# coverage, a value that grows like log 1/(u - 1) as u -> 1
 CALLER_ARGS = st.one_of(
     st.floats(1.2, 6.0).map(lambda d: ((d + 1.0) / 2.0, d - 2.0, 0, False)),
     st.tuples(st.just(1.5), st.just(0.0), st.integers(1, 3), st.just(True)),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
+from opineq.bounds import critical_constant_printed
 from opineq.errors import (AccuracyError, DomainError, GridRejectionError,
                            RefinementNeededError)
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
@@ -383,6 +384,72 @@ def test_coulomb_channel_kernel_needs_finite_positive_t(t):
     # nan would pass through the kernel as nan, and inf gives inf / inf
     with pytest.raises(DomainError):
         coulomb_channel_kernel(1, [0.5, t])
+
+
+# t over [1e-12, 1e12], both sides of the series / elliptic switch at 0.9
+# and 1/0.9, and points within 1e-15 of the log singularity at t = 1
+# (t = 1 itself is in the grid, where both sides are +inf)
+KERNEL_TS = np.unique(np.concatenate([
+    np.logspace(-12.0, 12.0, 97), np.linspace(0.5, 2.0, 61),
+    [0.9, np.nextafter(0.9, 0.0), 1.0 / 0.9, np.nextafter(1.0 / 0.9, 2.0)],
+    [1.0 + sign * d for d in (1e-15, 3e-15, 1e-12, 1e-8, 1e-4) for sign in (-1, 1)],
+]))
+
+
+def _channel_kernel_series(m, t):
+    """((1/2)_m / m!) r^m 2F1(1/2, m + 1/2; m + 1; r^2), r = min(t, 1/t), over t past 1."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        r = min(t, 1 / t)
+        v = (mpmath.rf(0.5, m) / mpmath.factorial(m) * r ** m
+             * mpmath.hyp2f1(0.5, m + 0.5, m + 1, r * r))
+        return float(v / t if t > 1 else v)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_coulomb_channel_kernel_matches_gauss_series(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = coulomb_channel_kernel(m, KERNEL_TS)
+    ref = np.array([_channel_kernel_series(m, t) for t in KERNEL_TS])
+    live = ref > 0.0  # t^m underflows for m >= 3 at the far ends
+    np.testing.assert_allclose(k[live], ref[live], rtol=1e-14, atol=0.0)
+    assert np.all(k[~live] == 0.0)
+
+
+def test_coulomb_channel_kernel_is_infinite_at_one():
+    # the log singularity, in every channel, without a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(7):
+            k = coulomb_channel_kernel(m, [0.5, 1.0, 2.0])
+            assert k[1] == np.inf and np.all(np.isfinite(k[[0, 2]]))
+
+
+@pytest.mark.parametrize("m", [0.5, -1.5, np.nan, np.inf])
+def test_coulomb_channel_kernel_needs_integer_channel(m):
+    with pytest.raises(DomainError):
+        coulomb_channel_kernel(m, [0.3])
+
+
+def _mellin_gamma_ratio(m, s):
+    """M_m(s) = |G((m + 1/2 + is)/2)|^2 / (2 |G((m + 3/2 + is)/2)|^2)."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(m, s)
+        return float(abs(mpmath.gamma((z + 0.5) / 2)) ** 2
+                     / (2 * abs(mpmath.gamma((z + 1.5) / 2)) ** 2))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_mellin_multiplier_matches_gamma_ratio(m):
+    for s in (0.0, 0.3, 0.6, 1.5):
+        assert mellin_multiplier(m, s) == pytest.approx(_mellin_gamma_ratio(m, s), rel=1e-8)
+
+
+def test_projected_constant_from_channel_multipliers():
+    # 2 / (M_0(0) + M_1(0)) is the fourth-power variant of the printed constant
+    pair = 2.0 / (mellin_multiplier(0, 0.0) + mellin_multiplier(1, 0.0))
+    assert pair == pytest.approx(critical_constant_printed("fourth-power"), rel=1e-9)
 
 
 def test_critical_coupling_cross_validation():
