@@ -356,8 +356,7 @@ def _moment_block(kernel, arg, h, j):
                 v, e, _ = angular_kernel_batch(arg, um1, tol=ktol)
                 y = v * x * x
             else:
-                v, e, _ = kernels.polar_batch(1.5, 0.0, arg, um1, tol=ktol,
-                                              one_minus_cos=True)
+                v, e, _ = kernels.polar_batch(1.5, 0.0, arg, um1, tol=ktol)
                 y = 2.0 * v
         unconverged[0] += int(np.count_nonzero(
             e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))

@@ -15,14 +15,6 @@ import os
 import sys
 
 
-def _cap_threads():
-    cap = os.environ.get("OPINEQ_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def _fmt(x):
     if isinstance(x, float):
         return repr(x)
@@ -392,7 +384,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _cap_threads()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -400,6 +391,12 @@ def main(argv=None):
     if args.command == "bounds" and args.delta is None and (
             args.b_field is None or args.radius is None):
         parser.error("bounds needs --delta or both --b-field and --radius")
+    if args.command == "kato":
+        # refused before make_fields samples its n x n arrays
+        from .lattice import MAX_DENSE_GRID
+        if not 2 <= args.grid_size <= MAX_DENSE_GRID:
+            parser.error("kato needs 2 <= --grid-size <= %d (the dense cap)"
+                         % MAX_DENSE_GRID)
     from .errors import OpineqError
     try:
         failures = args.func(args)

@@ -28,10 +28,6 @@ class ConfigurationError(OpineqError, ValueError):
     """Invalid run configuration (unknown field component, unknown key, ...)."""
 
 
-class GridRejectionError(OpineqError):
-    """An assembled channel matrix is not symmetric on this grid."""
-
-
 class RefinementNeededError(OpineqError):
     """Grid too coarse for the requested accuracy; carries the refinement trace."""
 

@@ -2,11 +2,11 @@
 
 The one primitive is the polar reduction integral
 
-    I(um1) = int_0^pi  sin^w(t) * c(m t) / (um1 + 2 sin^2(t/2))^p dt
+    I(um1) = int_0^pi  sin^w(t) * c(t) / (um1 + 2 sin^2(t/2))^p dt
 
-with c = cos or (1 - cos), evaluated for a whole batch of um1 values at
-once.  um1 stands for u - 1 >= 0 so that the near-singular regime
-u -> 1 keeps full relative precision.
+with c = 1 for m = 0 and c = 1 - cos(m t) for m >= 1, evaluated for a
+whole batch of um1 values at once.  um1 stands for u - 1 >= 0 so that
+the near-singular regime u -> 1 keeps full relative precision.
 
 Strategy: split at pi/2 and map each half to v in [0, 1] through
 t = (pi/2) v^q (resp. pi - (pi/2) v^q).  q is the smallest exponent
@@ -56,9 +56,9 @@ GIDX = np.arange(1, 15, 2)
 
 _HALF_PI = 0.5 * np.pi
 
-# Error estimates of resolved panels sit at a few ulps of the absolute mass,
-# so an integral that cancels stops refining at this fraction of it; the
-# outer quadrature applies the same floor.
+# Error estimates of resolved panels sit at a few ulps of the value (the
+# integrand is never negative), so no element refines below this fraction
+# of it, whatever tol asks; the outer quadrature applies the same floor.
 ROUNDOFF_FLOOR = 1e-14
 MAX_PANELS = 800
 CHUNK = 2048
@@ -66,7 +66,7 @@ CHUNK = 2048
 GRADED_LEVELS = 30
 
 
-def _eval_panels(a, b, region, q, p, w, m, omc, um1):
+def _eval_panels(a, b, region, q, p, w, m, um1):
     """GK15 on panels [a_j, b_j]; returns (vals, errs) of shape (npanel, ne)."""
     a = a[:, None]
     b = b[:, None]
@@ -86,10 +86,7 @@ def _eval_panels(a, b, region, q, p, w, m, omc, um1):
     if w != 0.0:
         f = f * (np.sin(x) ** w)[:, :, None]
     if m != 0:
-        c = 2.0 * np.sin(0.5 * m * theta) ** 2 if omc else np.cos(m * theta)
-        f = f * c[:, :, None]
-    elif omc:
-        f = np.zeros_like(f)
+        f = f * (2.0 * np.sin(0.5 * m * theta) ** 2)[:, :, None]
     ik = np.einsum("k,pke->pe", WK, f)
     ig = np.einsum("k,pke->pe", WG, f[:, GIDX, :])
     vals = ik * half[:, 0:1]
@@ -97,19 +94,20 @@ def _eval_panels(a, b, region, q, p, w, m, omc, um1):
     return vals, errs
 
 
-def polar_batch(p, w, m, um1, *, tol=1e-11, one_minus_cos=False):
+def polar_batch(p, w, m, um1, *, tol=1e-11):
     """Batched polar integral; returns (values, abs_errors, n_evaluations).
 
-    An element is converged once its error estimate is within `tol` of
-    its value, or within ROUNDOFF_FLOOR of its absolute mass when the
-    integral cancels; the returned errors are the estimates either way.
+    The weight is 1 for m = 0 and 1 - cos(m t) for m >= 1.  An element
+    is converged once its error estimate is within max(tol,
+    ROUNDOFF_FLOOR) of its value; the returned errors are the estimates
+    either way.
     Elements are processed CHUNK at a time, and within a chunk panels
     are evaluated in blocks of at most CHUNK panel-elements, which
     bounds the size of every temporary array.  A chunk stops refining at
     MAX_PANELS panels.  A tolerance that is not positive raises
     DomainError: only the roundoff floor would end its refinement.  So
     does a nan or negative u - 1; u - 1 = inf is the far tail, an exact 0.
-    `tol` and `one_minus_cos` are keyword-only.
+    `tol` is keyword-only.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -123,7 +121,7 @@ def polar_batch(p, w, m, um1, *, tol=1e-11, one_minus_cos=False):
     q = _endpoint_exponent(w)
     for lo in range(0, ne, CHUNK):
         hi = min(lo + CHUNK, ne)
-        v, e, n = _polar_chunk(p, w, m, um1[lo:hi], tol, one_minus_cos, q)
+        v, e, n = _polar_chunk(p, w, m, um1[lo:hi], tol, q)
         out_v[lo:hi] = v
         out_e[lo:hi] = e
         nev += n
@@ -155,7 +153,7 @@ def _graded_levels(um1_min, q):
     return math.ceil(-math.log2(v_c))
 
 
-def _polar_chunk(p, w, m, um1, tol, omc, q):
+def _polar_chunk(p, w, m, um1, tol, q):
     ne = um1.size
     block = max(1, CHUNK // ne)
 
@@ -167,7 +165,7 @@ def _polar_chunk(p, w, m, um1, tol, omc, q):
             for lo in range(0, idx.size, block):
                 sel = idx[lo:lo + block]
                 vals[sel], errs[sel] = _eval_panels(
-                    a[sel], b[sel], region, q, p, w, m, omc, um1)
+                    a[sel], b[sel], region, q, p, w, m, um1)
         return vals, errs
 
     # region 0: 0, 2^-K, ..., 1/2, 1; region 1: the single panel [0, 1]
@@ -180,8 +178,7 @@ def _polar_chunk(p, w, m, um1, tol, omc, q):
 
     while a.size < MAX_PANELS:
         err = errs.sum(axis=0)
-        target = np.maximum(tol * np.abs(vals.sum(axis=0)),
-                            ROUNDOFF_FLOOR * np.abs(vals).sum(axis=0))
+        target = max(tol, ROUNDOFF_FLOOR) * np.abs(vals.sum(axis=0))
         live = err > target
         if not live.any():
             break

@@ -21,8 +21,7 @@ import scipy.linalg as sla
 from scipy.special import ellipe, ellipkm1, hyp2f1
 
 from . import anticomm
-from .errors import (DomainError, GridRejectionError, OpineqError,
-                     RefinementNeededError)
+from .errors import DomainError, OpineqError, RefinementNeededError
 from .quadrature import integrate_adaptive
 
 
@@ -54,32 +53,6 @@ class GridSpec:
 
     def scaled(self, factor: float) -> "GridSpec":
         return GridSpec(self.r_min * factor, self.r_max * factor, self.n)
-
-
-@dataclass(frozen=True)
-class ChannelOperator:
-    """Dense symmetric realization of a radial operator in one channel.
-
-    The matrix acts on weighted samples v_k = f(r_k) sqrt(w_k), where the
-    weights make the Euclidean inner product equal the per-channel
-    radial L^2 inner product (the 2 pi angular factor divided out).
-    """
-
-    m: int
-    grid: GridSpec
-    r: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        M = self.matrix
-        asym = np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300)
-        if asym > 1e-12:
-            raise GridRejectionError("assembled matrix asymmetric (%.2e)" % asym)
-
-    def rayleigh(self, samples):
-        v = np.asarray(samples, float) * np.sqrt(self.w)
-        return float(v @ self.matrix @ v) / float(v @ v)
 
 
 @dataclass(frozen=True)
@@ -163,16 +136,6 @@ def _clear_grids_and_moment_blocks():
 
 
 _momentum_log_grid.cache_clear = _clear_grids_and_moment_blocks
-
-
-def momentum_channel_log(m: int, grid: GridSpec) -> ChannelOperator:
-    """Log-grid Lieb-Yau realization of |p| in 2D channel m."""
-    L = math.log(grid.r_max / grid.r_min)
-    P, nodes = _momentum_log_grid(abs(m), grid.n, L)
-    r = nodes * grid.r_min
-    w = grid.log_step() * r * r  # v_k = f(r_k) r_k sqrt(h)
-    return ChannelOperator(m=m, grid=grid, r=r, w=w,
-                           matrix=P / grid.r_min)
 
 
 def _lowest_eigenvalue(H):

@@ -204,7 +204,7 @@ def _ridge_integrand(d):
 def _channel_integrand(m):
     def f(x):
         v, _, _ = kernels.polar_batch(1.5, 0.0, m, 2.0 * np.sinh(x / 2.0) ** 2,
-                                      tol=1e-10, one_minus_cos=True)
+                                      tol=1e-10)
         return 2.0 * v
     return f
 

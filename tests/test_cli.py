@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from opineq import lattice
 from opineq.cli import main
 
 
@@ -170,6 +171,24 @@ def test_config_value_outside_choices_rejected(command, line, why, tmp_path,
     with pytest.raises(SystemExit, match="config value .* " + why):
         main([command, "--config", str(cfg)])
     assert capsys.readouterr().out == ""
+
+
+def test_kato_grid_size_beyond_dense_cap_is_usage_error(monkeypatch, tmp_path,
+                                                        capsys):
+    # refused when parsed, from a flag or a config line, before make_fields
+    # samples any n x n array
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("make_fields called")
+
+    monkeypatch.setattr(lattice, "make_fields", no_sampling)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("grid-size=50\n")
+    for argv in (["kato", "--grid-size", "50"], ["kato", "--grid-size", "1"],
+                 ["kato", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--grid-size <= %d" % lattice.MAX_DENSE_GRID in capsys.readouterr().err
 
 
 def test_kato_nonneg_phi_zero_field_exact(capsys):

@@ -12,7 +12,7 @@ from opineq.errors import DomainError
 from opineq.quadrature import angular_kernel_batch
 
 
-def test_selected_backend_deterministic():
+def test_polar_batch_deterministic():
     um1 = np.geomspace(1e-6, 10.0, 25)
     v1, _, n1 = kernels.polar_batch(1.5, 0.0, 0, um1, tol=1e-11)
     v2, _, n2 = kernels.polar_batch(1.5, 0.0, 0, um1, tol=1e-11)
@@ -24,40 +24,37 @@ def test_backend_name_reported():
     assert kernels.backend_name == "python"
 
 
-@pytest.mark.parametrize("p,w,m,omc", [
-    (1.5, 0.0, 0, False),      # d=2 angular kernel
-    (2.0, 1.0, 0, False),      # d=3
-    (1.25, -0.5, 0, False),    # d=1.5, singular sin weight
-    (0.5, 0.0, 0, False),      # Coulomb channel kernel
-    (0.5, 0.0, 2, False),      # cos(2 theta) weight
-    (1.5, 0.0, 1, True),       # 1 - cos weight
+@pytest.mark.parametrize("p,w,m", [
+    (1.5, 0.0, 0),      # d=2 angular kernel
+    (2.0, 1.0, 0),      # d=3
+    (1.25, -0.5, 0),    # d=1.5, singular sin weight
+    (0.5, 0.0, 0),      # log singularity at u = 1
+    (0.5, 0.0, 2),      # 1 - cos(2t) weight
+    (1.5, 0.0, 1),      # 1 - cos(t) weight
 ])
-def test_batched_call_matches_per_element(p, w, m, omc):
+def test_batched_call_matches_per_element(p, w, m):
     # one call refines panels shared by all elements, as the outer
     # quadrature's 15- and 30-node calls do
-    _assert_batch_matches_elements(p, w, m, omc, np.geomspace(1e-10, 1e3, 30))
+    _assert_batch_matches_elements(p, w, m, np.geomspace(1e-10, 1e3, 30))
 
 
-def _assert_batch_matches_elements(p, w, m, omc, um1):
-    v, e, n = kernels.polar_batch(p, w, m, um1, tol=1e-11, one_minus_cos=omc)
+def _assert_batch_matches_elements(p, w, m, um1):
+    v, e, n = kernels.polar_batch(p, w, m, um1, tol=1e-11)
     assert n >= 15 * um1.size and np.all(e >= 0)
     ref, ref_e = np.array([
-        [r[0] for r in kernels.polar_batch(p, w, m, [u], tol=1e-11,
-                                           one_minus_cos=omc)[:2]]
+        [r[0] for r in kernels.polar_batch(p, w, m, [u], tol=1e-11)[:2]]
         for u in um1]).T
-    # an element whose integral cancels below roundoff reports its error
-    # above tol; agreement is then only owed within that report
     assert np.all(np.abs(v - ref) <= 1e-10 * np.abs(ref) + e + ref_e)
 
 
 # the kernel arguments of each library caller: angular_kernel_batch at
 # p = (d+1)/2, w = d-2; anticomm.channel_moments at p = 3/2 with the
-# 1 - cos weight; and p = 1/2 with the cos weight as generic kernel
-# coverage, a value that grows like log 1/(u - 1) as u -> 1
+# 1 - cos(m t) weight; and p = 1/2 with either weight as generic kernel
+# coverage, a value that grows like log 1/(u - 1) as u -> 1 when m = 0
 CALLER_ARGS = st.one_of(
-    st.floats(1.2, 6.0).map(lambda d: ((d + 1.0) / 2.0, d - 2.0, 0, False)),
-    st.tuples(st.just(1.5), st.just(0.0), st.integers(1, 3), st.just(True)),
-    st.tuples(st.just(0.5), st.just(0.0), st.integers(0, 3), st.just(False)),
+    st.floats(1.2, 6.0).map(lambda d: ((d + 1.0) / 2.0, d - 2.0, 0)),
+    st.tuples(st.just(1.5), st.just(0.0), st.integers(1, 3)),
+    st.tuples(st.just(0.5), st.just(0.0), st.integers(0, 3)),
 )
 # u - 1 from 1e-10 to 1e3, at least 2.3% apart once sorted
 UM1_BATCHES = st.lists(st.integers(-1000, 300), min_size=1, max_size=12,
@@ -78,17 +75,17 @@ def test_angular_kernel_decreases_in_u(d, um1):
     assert np.all(np.diff(vals) < 0)
 
 
-@pytest.mark.parametrize("p,w,m,omc,um1", [
-    (0.0, -0.5, 0, False, 1.0),     # sin^(-1/2) t, singular at both ends
-    (1.5, 0.0, 1, True, 1e-10),     # 1 - cos t ~ t^2/2 under the u ~ 1 peak
-    (1.5, 0.0, 2, True, 1e-8),
+@pytest.mark.parametrize("p,w,m,um1", [
+    (0.0, -0.5, 0, 1.0),     # sin^(-1/2) t, singular at both ends
+    (1.5, 0.0, 1, 1e-10),    # 1 - cos t ~ t^2/2 under the u ~ 1 peak
+    (1.5, 0.0, 2, 1e-8),
 ] + [
     # angular kernels at d = 1.2, 2.01, 2.3: sin^w with w not a half-integer
-    pytest.param((d + 1.0) / 2.0, d - 2.0, 0, False, um1, id="d%g-%g" % (d, um1))
+    pytest.param((d + 1.0) / 2.0, d - 2.0, 0, um1, id="d%g-%g" % (d, um1))
     for d in (1.2, 2.01, 2.3) for um1 in (1e-12, 1e-8, 1e-3, 1.0, 1e3)
 ])
-def test_relative_precision_at_the_ends(p, w, m, omc, um1):
-    v, e, _ = kernels.polar_batch(p, w, m, [um1], tol=1e-11, one_minus_cos=omc)
+def test_relative_precision_at_the_ends(p, w, m, um1):
+    v, e, _ = kernels.polar_batch(p, w, m, [um1], tol=1e-11)
     with mpmath.workdps(30):
         u = mpmath.mpf(um1)
         a = 1 / (mpmath.mpf(w) + 1)
@@ -99,7 +96,7 @@ def test_relative_precision_at_the_ends(p, w, m, omc, um1):
         def f(s, region):
             x = s ** a
             t = mpmath.pi - x if region else x
-            c = 2 * mpmath.sin(m * t / 2) ** 2 if omc else mpmath.cos(m * t)
+            c = 2 * mpmath.sin(m * t / 2) ** 2 if m else 1
             s2 = 2 * (mpmath.cos(x / 2) if region else mpmath.sin(x / 2)) ** 2
             return a * s ** (a - 1) * mpmath.sin(x) ** w * c / (u + s2) ** p
 
@@ -131,7 +128,7 @@ def test_graded_start_bounds_the_evaluations(monkeypatch):
     # the 15 Kronrod nodes of channel band 0 on [0, 1e-3]: u - 1 >= 9.1e-12
     x = 1e-3 * 0.5 * (1.0 + kernels.XK)
     _, _, n = polar_batch(1.5, 0.0, 1, 2.0 * np.sinh(x / 2.0) ** 2,
-                          tol=CHANNEL_KTOL, one_minus_cos=True)
+                          tol=CHANNEL_KTOL)
     assert n <= 9000
 
 
@@ -141,14 +138,16 @@ def test_nan_or_negative_um1_rejected(um1):
         kernels.polar_batch(1.5, 0.0, 0, um1)
 
 
-def test_cancelling_element_stops_at_roundoff_floor():
-    # the cos(2t) integral at u - 1 = 100 cancels to ~1e-6 of its absolute
-    # mass; refinement stops at the roundoff floor instead of the panel cap
-    v, e, n = kernels.polar_batch(0.5, 0.0, 2, [100.0], tol=1e-11)
+def test_sub_floor_tolerance_stops_at_roundoff_floor():
+    # a tolerance below the roundoff floor is met at the floor: refinement
+    # stops there (90 evaluations, against 30 at tol = 1e-11) instead of
+    # running into the panel cap
+    v, e, n = kernels.polar_batch(1.5, 0.0, 0, [100.0], tol=1e-16)
     assert n < 1000
+    assert e[0] <= kernels.ROUNDOFF_FLOOR * v[0]
     with mpmath.workdps(30):
         exact = float(mpmath.quad(
-            lambda t: mpmath.cos(2 * t) / mpmath.sqrt(100 + 2 * mpmath.sin(t / 2) ** 2),
+            lambda t: (100 + 2 * mpmath.sin(t / 2) ** 2) ** -1.5,
             [0, mpmath.pi / 2, mpmath.pi]))
     assert abs(v[0] - exact) <= e[0]
 
@@ -166,5 +165,4 @@ def test_tolerance_is_keyword_only():
     with pytest.raises(TypeError):
         kernels.polar_batch(1.5, 0.0, 0, [0.5], 1e-11)
     with pytest.raises(TypeError):
-        kernels.polar_batch(1.5, 0.0, 0, [0.5], tol=1e-11, one_minus_cos=False,
-                            eta=[0.0])
+        kernels.polar_batch(1.5, 0.0, 0, [0.5], tol=1e-11, eta=[0.0])

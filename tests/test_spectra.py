@@ -13,17 +13,15 @@ from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
 from opineq.bounds import critical_constant_printed
-from opineq.errors import (AccuracyError, DomainError, GridRejectionError,
-                           RefinementNeededError)
+from opineq.errors import AccuracyError, DomainError, RefinementNeededError
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
-                            SCAN_GRID, ChannelOperator, GridSpec,
+                            SCAN_GRID, GridSpec,
                             _hydrogen_channel, _lowest_eigenvalue,
                             _momentum_log_grid,
                             chandrasekhar_lowest, classify_coupling,
                             coulomb_channel_kernel, critical_coupling_bisect,
                             critical_coupling_mellin, hydrogen2d,
-                            lambda_min_anticomm, mellin_multiplier,
-                            momentum_channel_log)
+                            lambda_min_anticomm, mellin_multiplier)
 
 HERBST_2D = 0.228473290522232  # 2 Gamma(3/4)^2 / Gamma(1/4)^2, sanity anchor only
 
@@ -95,13 +93,23 @@ def test_momentum_channel_rayleigh_vs_lieb_yau():
         assert q_log == pytest.approx(q_ly, rel=2e-4)
 
 
+def _channel_0(grid):
+    """|p| in 2D channel 0 on a physical grid: the rescaled matrix over
+    r_min, with its nodes r and the weights w of v = f(r) sqrt(w)."""
+    L = math.log(grid.r_max / grid.r_min)
+    P, nodes = _momentum_log_grid(0, grid.n, L)
+    r = nodes * grid.r_min
+    return P / grid.r_min, r, grid.log_step() * r * r
+
+
 def test_momentum_channel_log_agrees():
     psi = TrialFunction("log_gaussian", 1.0)
-    op = momentum_channel_log(0, GridSpec(1e-4, 1e4, 800))
-    q_log = op.rayleigh(psi.profile_log(np.log(op.r)))
+    P, r, w = _channel_0(GridSpec(1e-4, 1e4, 800))
+    v = psi.profile_log(np.log(r)) * np.sqrt(w)
+    q_log = float(v @ P @ v) / float(v @ v)
     q_ly = momentum_expectation(psi, 2.0) / psi.norm_sq(2.0)
     assert q_log == pytest.approx(q_ly, rel=1e-3)
-    ev = np.linalg.eigvalsh(op.matrix)
+    ev = np.linalg.eigvalsh(P)
     assert ev[0] >= -1e-10 * ev[-1]  # PSD by pairwise-square construction
 
 
@@ -180,16 +188,14 @@ def test_momentum_channel_homogeneity():
     # |p| has degree -1: the quotient doubles under psi -> psi(2r), up to
     # the own-grid form's missing exterior pairs (measured 8.7e-7)
     psi = TrialFunction("log_gaussian", 0.7)
-    op = momentum_channel_log(0, SHIFT_GRID)
-    q1, q2 = (op.rayleigh(p.profile_log(np.log(op.r)))
-              for p in (psi, psi.scaled(2.0)))
+    P, r, w = _channel_0(SHIFT_GRID)
+    q1, q2 = ((v @ P @ v) / (v @ v)
+              for v in (p.profile_log(np.log(r)) * np.sqrt(w)
+                        for p in (psi, psi.scaled(2.0))))
     assert q2 == pytest.approx(2.0 * q1, rel=1e-5)
 
 
 def test_momentum_channel_rejections():
-    with pytest.raises(GridRejectionError):
-        ChannelOperator(m=0, grid=SHIFT_GRID, r=np.ones(2), w=np.ones(2),
-                        matrix=np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(DomainError):
         _momentum_log_grid(1, 64, 20.0, 3.0)
 
@@ -538,10 +544,10 @@ def test_anticommutator_scale_invariance():
     # <psi,(XP+PX)psi>/||psi||^2 is dimensionless, so psi -> psi(2r) leaves
     # it unchanged up to the own-grid form's missing exterior (measured 1.8e-6)
     psi = TrialFunction("log_gaussian", 0.8)
-    op = momentum_channel_log(0, SHIFT_GRID)
-    H = (op.r[:, None] + op.r[None, :]) * op.matrix
+    P, r, w = _channel_0(SHIFT_GRID)
+    H = (r[:, None] + r[None, :]) * P
     qs = []
     for p in (psi, psi.scaled(2.0)):
-        v = p.profile_log(np.log(op.r)) * np.sqrt(op.w)
+        v = p.profile_log(np.log(r)) * np.sqrt(w)
         qs.append(float(v @ H @ v) / float(v @ v))
     assert qs[1] == pytest.approx(qs[0], rel=1e-5)
