@@ -321,11 +321,13 @@ def ridge_moments(d, h, n):
     The bands come from fixed blocks, each computed once per process and
     cached by (kernel, d, h, block index) like the log-grid matrices:
     block 0 is the four ridge bands and the first _RIDGE_BLOCK = 512
-    Gauss-Legendre bands, block j >= 1 the next 512.  The 12 nodes per
-    band of a block fill exactly three kernel chunks (the kernels.CHUNK
-    elements that share one panel refinement), the same chunks one
-    band_moments call over those bands forms, so every band comes out bit
-    for bit as that call gives it, whatever was computed before.
+    Gauss-Legendre bands, block j >= 1 the next 512.  K_d is a closed
+    form evaluated element by element, so every band comes out bit for bit
+    as one band_moments call over those bands gives it, whatever was
+    computed before.  For the channel kernel of channel_moments, an
+    adaptive quadrature, the same holds because the 12 nodes per band of
+    a block fill exactly three kernel chunks (the kernels.CHUNK elements
+    that share one panel refinement), the same chunks that call forms.
     """
     return _moments("ridge", d, h, n)
 
@@ -342,10 +344,11 @@ def channel_moments(m, h, n):
 def _moment_block(kernel, arg, h, j):
     """Block j of the band moments of kernel "ridge" (arg d) or "channel"
     (arg m), read-only.  A kernel element that ends above its tolerance
-    (the integrand is positive, so only the panel cap can leave one)
-    raises AccuracyError carrying the block's estimate, and the block is
-    not cached.  Past x of about 710 u - 1 overflows to inf, where the
-    kernel is an exact 0."""
+    (the channel integrand is positive, so only the panel cap can leave
+    one; the ridge kernel's closed-form bound stays below it) raises
+    AccuracyError carrying the block's estimate, and the block is not
+    cached.  Past x of about 710 u - 1 overflows to inf, where the kernel
+    is an exact 0."""
     ktol = {"ridge": KTOL, "channel": CHANNEL_KTOL}[kernel]
     unconverged = [0]
 

@@ -397,6 +397,9 @@ def main(argv=None):
         if not 2 <= args.grid_size <= MAX_DENSE_GRID:
             parser.error("kato needs 2 <= --grid-size <= %d (the dense cap)"
                          % MAX_DENSE_GRID)
+        if args.grid_size % 2:
+            # an odd n puts a cell centre, and so a node, on the origin
+            parser.error("kato needs an even --grid-size, not %d" % args.grid_size)
     from .errors import OpineqError
     try:
         failures = args.func(args)

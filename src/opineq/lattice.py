@@ -32,8 +32,9 @@ from .errors import ConfigurationError, DomainError
 
 @dataclass(frozen=True)
 class SquareGrid:
-    """n x n nodes at cell centers of a square of side `extent`; the
-    half-cell offset keeps the origin off the grid."""
+    """n x n nodes at cell centers of a square of side `extent`.  For
+    even n the half-cell offset keeps the origin off the grid; for odd n
+    the middle node sits on it, which LatticeField refuses."""
 
     extent: float
     n: int

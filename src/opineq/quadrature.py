@@ -119,16 +119,19 @@ def angular_kernel_batch(d: float, um1, tol: float = 1e-11):
     if not d > 1:
         raise DomainError("angular kernel needs d > 1")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
-    if np.any(um1 < 0):
+    lo = um1.min() if um1.size else 1.0
+    if lo < 0:
         raise DomainError("u must be >= 1")
-    if np.any(um1 == 0.0):
+    if lo == 0.0:
         raise SingularInputError("u = 1 is a non-integrable singularity")
     p = (d + 1) / 2.0
     # an overflowing kernel is reported below as a DomainError, not a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1, tol=tol)
-    bad = ~(np.isfinite(vals) & np.isfinite(errs))
-    if bad.any():
+        c = sphere_surface(d - 2)
+        vals, errs = c * vals, c * errs
+    # the error bound is not finite wherever the value is not
+    if not np.isfinite(errs).all():
+        bad = ~(np.isfinite(vals) & np.isfinite(errs))
         raise DomainError("angular kernel is not finite at u - 1 = %g" % um1[bad][0])
-    c = sphere_surface(d - 2)
-    return c * vals, c * errs, nev
+    return vals, errs, nev

@@ -255,32 +255,43 @@ def test_ridge_blocks_bounded_and_clean_on_error(cold_moment_blocks):
 
 
 def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
-    # from x of about 474 (band 949 at h = 0.5) (u - 1)^(3/2) overflows,
-    # and from about 710 u - 1 itself: either kernel is an exact 0 there,
-    # and the suite turns an overflow warning into an error
-    for moments, arg in ((ridge_moments, 2.0), (channel_moments, 1)):
-        big = moments(arg, 0.5, 1500).copy()
-        assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
-        assert np.all(big[949:] == 0.0) and np.all(big[:940] > 0.0)
-        anticomm._moment_block.cache_clear()
-        assert np.array_equal(moments(arg, 0.5, 900), big[:900])
+    # the ridge kernel is a closed form: its bands fall like x^2 e^(-3x/2)
+    # at d = 2 until they underflow past x of about 498 (band 995 at
+    # h = 0.5), and from x of about 710, where u - 1 overflows to inf, it
+    # is an exact 0.  The channel kernel's (u - 1)^(3/2) overflows from x
+    # of about 474 (band 949), where it is an exact 0 too.  The suite
+    # turns an overflow warning into an error
+    big = ridge_moments(2.0, 0.5, 1500).copy()
+    assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
+    assert np.all(big[:990] > 0.0) and np.all(big[1000:] == 0.0)
+    k = np.arange(900, 960)
+    decay = np.exp(-0.75) * ((k + 1.0) / k) ** 2
+    assert np.allclose(big[k + 1] / big[k], decay, rtol=1e-3)
+    anticomm._moment_block.cache_clear()
+    assert np.array_equal(ridge_moments(2.0, 0.5, 900), big[:900])
+    big = channel_moments(1, 0.5, 1500).copy()
+    assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
+    assert np.all(big[949:] == 0.0) and np.all(big[:940] > 0.0)
+    anticomm._moment_block.cache_clear()
+    assert np.array_equal(channel_moments(1, 0.5, 900), big[:900])
 
 
 def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch):
-    # two panels cannot resolve either kernel near x = 0: the miss is
-    # reported, not cached
-    for moments, arg in ((ridge_moments, 2.0), (channel_moments, 1)):
-        anticomm._moment_block.cache_clear()
-        monkeypatch.setattr(kernels, "MAX_PANELS", 2)
-        with pytest.raises(AccuracyError) as info:
-            moments(arg, 0.1, 30)
-        best = info.value.best
-        assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
-        assert np.all(np.isfinite(best))
-        assert anticomm._moment_block.cache_info().currsize == 0
-        monkeypatch.undo()
-        assert moments(arg, 0.1, 30).size == 30
-        assert not np.array_equal(moments(arg, 0.1, 30), best[:30])
+    # two panels cannot resolve the channel kernel near x = 0: the miss is
+    # reported, not cached.  The ridge kernel is a closed form now, which
+    # the panel cap does not reach
+    monkeypatch.setattr(kernels, "MAX_PANELS", 2)
+    with pytest.raises(AccuracyError) as info:
+        channel_moments(1, 0.1, 30)
+    best = info.value.best
+    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+    assert np.all(np.isfinite(best))
+    assert anticomm._moment_block.cache_info().currsize == 0
+    assert ridge_moments(2.0, 0.1, 30).size == 30
+    monkeypatch.undo()
+    anticomm._moment_block.cache_clear()
+    assert channel_moments(1, 0.1, 30).size == 30
+    assert not np.array_equal(channel_moments(1, 0.1, 30), best[:30])
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

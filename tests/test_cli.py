@@ -191,6 +191,22 @@ def test_kato_grid_size_beyond_dense_cap_is_usage_error(monkeypatch, tmp_path,
         assert "--grid-size <= %d" % lattice.MAX_DENSE_GRID in capsys.readouterr().err
 
 
+def test_kato_odd_grid_size_is_usage_error(monkeypatch, tmp_path, capsys):
+    # an odd n puts the origin on a node: refused when parsed, from a flag
+    # or a config line, before make_fields samples the fields
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("make_fields called")
+
+    monkeypatch.setattr(lattice, "make_fields", no_sampling)
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("grid-size=11\n")
+    for argv in (["kato", "--grid-size", "11"], ["kato", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "even --grid-size, not 11" in capsys.readouterr().err
+
+
 def test_kato_nonneg_phi_zero_field_exact(capsys):
     code, out, _ = run(["kato", "--field", "zero", "--nonneg-phi",
                         "--samples", "15", "--grid-size", "10",

@@ -1,5 +1,7 @@
 import heapq
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,9 +167,17 @@ def test_kernel_singular_input():
 
 @pytest.mark.parametrize("d", [1.5, 2.0])
 def test_kernel_overflow_is_domain_error(d):
-    # (u - 1)^((d+1)/2) underflows to 0, so the kernel would be infinite
+    # (u - 1) K_d(u) tends to |S^(d-1)| 2^((d-5)/2) Gamma(d/2) /
+    # (Gamma((d+1)/2) Gamma(3/2)), 2 sqrt 2 at d = 2: K_d(1 + 1e-300) is
+    # finite, and K_d(1 + 5e-324) is past the double range
+    limit = (sphere_surface(d - 1) * 2.0 ** ((d - 5.0) / 2.0) * math.gamma(d / 2.0)
+             / (math.gamma((d + 1.0) / 2.0) * math.gamma(1.5)))
+    vals, _, _ = angular_kernel_batch(d, [1e-300])
+    assert 1e-300 * vals[0] == pytest.approx(limit, rel=1e-14)
+    if d == 2.0:
+        assert vals[0] == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-14)
     with pytest.raises(DomainError):
-        angular_kernel_batch(d, [1e-300])
+        angular_kernel_batch(d, [5e-324])
 
 
 def test_sphere_surface_values():
@@ -180,3 +190,22 @@ def test_kernel_deterministic():
     a = angular_kernel_batch(2.3, [0.37])
     b = angular_kernel_batch(2.3, [0.37])
     assert np.array_equal(a[0], b[0]) and a[2] == b[2]
+
+
+def _load_gk15_generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gk15_table.py"
+    spec = importlib.util.spec_from_file_location("gk15_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gk15_tables_are_full_precision():
+    # regenerated from the Legendre and Stieltjes roots at 30 digits: every
+    # stored node and weight within an ulp, and each weight set summing to
+    # 2 within an ulp (15-digit tables left the Kronrod sum 6e-15 short)
+    for stored, exact in zip((XK, WK, WG), _load_gk15_generator().gk15()):
+        exact = np.array([float(v) for v in exact])
+        assert np.all(np.abs(stored - exact) <= np.spacing(np.abs(exact)))
+    for w in (WK, WG):
+        assert abs(math.fsum(w) - 2.0) <= np.spacing(2.0)
