@@ -25,9 +25,9 @@ from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
 _EPS = np.finfo(float).eps
-# kernel tolerances of the ridge and the channel band moments
+# the largest relative error bound a kernel element of the band moments
+# may carry
 KTOL = 1e-11
-CHANNEL_KTOL = 1e-10
 
 
 def _check_dimension(d):
@@ -62,12 +62,11 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
         raise DomainError("tolerance must be positive")
     if d == 2.0:
         return QuadResult(0.0, 0.0, 1)  # bracket vanishes identically
-    ktol = min(1e-12, tol * 1e-2)
     nev_inner = [0]
     smax = 40.0 / min(1.0, d / 2.0) + 25.0
 
     def f(s):
-        v, _, n = angular_kernel_batch(d, 2.0 * np.sinh(s / 2.0) ** 2, tol=ktol)
+        v, _, n = angular_kernel_batch(d, 2.0 * np.sinh(s / 2.0) ** 2)
         nev_inner[0] += n
         return _bracket_log(d, s) * v
 
@@ -299,8 +298,10 @@ def band_moments(f, h, n):
     return out
 
 
-# the fewest Gauss-Legendre bands that fill whole kernel chunks (512)
-_RIDGE_BLOCK = math.lcm(kernels.CHUNK, _GL12[0].size) // _GL12[0].size
+# Gauss-Legendre bands per cached block.  Both kernels are elementwise,
+# so the block size only decides which bands are cached together; 512
+# keeps the blocks the moment cache has always had
+_RIDGE_BLOCK = 512
 
 
 def _moments(kernel, arg, h, n):
@@ -321,13 +322,10 @@ def ridge_moments(d, h, n):
     The bands come from fixed blocks, each computed once per process and
     cached by (kernel, d, h, block index) like the log-grid matrices:
     block 0 is the four ridge bands and the first _RIDGE_BLOCK = 512
-    Gauss-Legendre bands, block j >= 1 the next 512.  K_d is a closed
-    form evaluated element by element, so every band comes out bit for bit
-    as one band_moments call over those bands gives it, whatever was
-    computed before.  For the channel kernel of channel_moments, an
-    adaptive quadrature, the same holds because the 12 nodes per band of
-    a block fill exactly three kernel chunks (the kernels.CHUNK elements
-    that share one panel refinement), the same chunks that call forms.
+    Gauss-Legendre bands, block j >= 1 the next 512.  Both kernels are
+    closed forms evaluated element by element, so every band comes out
+    bit for bit as one band_moments call over those bands gives it,
+    whatever was computed before.
     """
     return _moments("ridge", d, h, n)
 
@@ -343,26 +341,23 @@ def channel_moments(m, h, n):
 @lru_cache(maxsize=64)
 def _moment_block(kernel, arg, h, j):
     """Block j of the band moments of kernel "ridge" (arg d) or "channel"
-    (arg m), read-only.  A kernel element that ends above its tolerance
-    (the channel integrand is positive, so only the panel cap can leave
-    one; the ridge kernel's closed-form bound stays below it) raises
-    AccuracyError carrying the block's estimate, and the block is not
-    cached.  Past x of about 710 u - 1 overflows to inf, where the kernel
-    is an exact 0."""
-    ktol = {"ridge": KTOL, "channel": CHANNEL_KTOL}[kernel]
+    (arg m), read-only.  A kernel element whose error bound exceeds KTOL
+    of its value raises AccuracyError carrying the block's estimate, and
+    the block is not cached; the closed forms' bounds stay far below it.
+    Past x of about 710 u - 1 overflows to inf, where the kernel is an
+    exact 0."""
     unconverged = [0]
 
     def f(x):
         with np.errstate(over="ignore"):
             um1 = 2.0 * np.sinh(x / 2.0) ** 2
             if kernel == "ridge":
-                v, e, _ = angular_kernel_batch(arg, um1, tol=ktol)
+                v, e, _ = angular_kernel_batch(arg, um1)
                 y = v * x * x
             else:
-                v, e, _ = kernels.polar_batch(1.5, 0.0, arg, um1, tol=ktol)
+                v, e, _ = kernels.polar_batch(1.5, 0.0, arg, um1)
                 y = 2.0 * v
-        unconverged[0] += int(np.count_nonzero(
-            e > max(ktol, kernels.ROUNDOFF_FLOOR) * np.abs(v)))
+        unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
         return y
 
     k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
@@ -372,7 +367,7 @@ def _moment_block(kernel, arg, h, j):
         out = _gl_bands(f, h, k1 - _RIDGE_BLOCK, k1)
     if unconverged[0]:
         raise AccuracyError("%d %s-%g kernel elements missed tolerance %g"
-                            % (unconverged[0], kernel, arg, ktol), best=out)
+                            % (unconverged[0], kernel, arg, KTOL), best=out)
     out.flags.writeable = False
     return out
 

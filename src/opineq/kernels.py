@@ -1,4 +1,4 @@
-"""The polar kernel, vectorized in numpy, and the GK15 table.
+"""The polar kernel in closed form, vectorized in numpy.
 
 The one primitive is the polar reduction integral
 
@@ -23,18 +23,10 @@ that factor out, and with 2a / (1 - a^2) = 1 / sinh x
 whose series has c - a - b = n and is finite at a = 1.  The angular
 kernel K_d has p = (d+1)/2, w = d - 2, so n = 2 exactly.
 
-m >= 1 is an adaptive quadrature.  It splits at pi/2 and maps each half
-to v in [0, 1] through
-t = (pi/2) v^q (resp. pi - (pi/2) v^q).  q is the smallest exponent
->= max(2, 2/(w+1)) with q(w+1) an integer, so Jacobian times sin^w goes
-as the integer power v^(q(w+1)-1) at both ends, which GK15 integrates
-without refinement.  The u ~ 1 peak at t ~ sqrt(2 (u - 1)) lies in the
-half at t = 0, and each chunk starts that half from a mesh graded
-geometrically towards it: the dyadic panels [0, 2^-K], [2^-K, 2^-K+1],
-..., [1/2, 1], with K the halvings from v = 1 down to the peak of the
-chunk's smallest u - 1 (K = 0, the single panel [0, 1], once u - 1 is
-about 1 or more).  Shared adaptive Gauss-Kronrod panels, refined where
-any batch element still needs it, then only polish that start.
+m >= 1 is the 2D channel kernel (A_0 - A_m)(u), p = 3/2 and w = 0 only,
+also a closed form (_polar_channel): the difference of two Gegenbauer
+coefficients of the same expansion away from u = 1, and the complete
+elliptic integrals with a recurrence in m near it.
 """
 
 import functools
@@ -43,49 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import hyp2f1
+from scipy.special import ellipe, ellipkm1, hyp2f1
 
 from .errors import DomainError
 
 backend_name = "python"
-
-# Gauss7/Kronrod15 nodes and weights on [-1, 1], shared with the outer
-# adaptive quadrature, to full double precision (tools/gk15_table.py
-# computes them with mpmath); GIDX picks the Gauss nodes out of the
-# Kronrod ones.
-XK = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
-    -0.20778495500789848, 0.0,
-    0.20778495500789848, 0.4058451513773972, 0.5860872354676911,
-    0.7415311855993945, 0.8648644233597691, 0.9491079123427585,
-    0.9914553711208126,
-])
-WK = np.array([
-    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
-    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
-    0.20443294007529889, 0.20948214108472782,
-    0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
-    0.14065325971552592, 0.10479001032225019, 0.06309209262997856,
-    0.022935322010529224,
-])
-WG = np.array([
-    0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
-    0.4179591836734694, 0.3818300505051189, 0.27970539148927664,
-    0.1294849661688697,
-])
-GIDX = np.arange(1, 15, 2)
-
-_HALF_PI = 0.5 * np.pi
-
-# Error estimates of resolved panels sit at a few ulps of the value (the
-# integrand is never negative), so no element refines below this fraction
-# of it, whatever tol asks; the outer quadrature applies the same floor.
-ROUNDOFF_FLOOR = 1e-14
-MAX_PANELS = 800
-CHUNK = 2048
-# cap on the dyadic levels of region 0's graded start (u - 1 ~ 0)
-GRADED_LEVELS = 30
 
 _U = 2.0 ** -53  # unit roundoff
 # allowances, in units of _U, for scipy's hyp2f1 with the rounding of its
@@ -94,56 +48,29 @@ _U = 2.0 ** -53  # unit roundoff
 # (tests/test_kernels_backends.py holds the resulting bound)
 HYP2F1_ULPS = 40.0
 BETA_ULPS = 10.0
-
-
-def _eval_panels(a, b, region, q, p, w, m, um1):
-    """GK15 on panels [a_j, b_j]; returns (vals, errs) of shape (npanel, ne)."""
-    a = a[:, None]
-    b = b[:, None]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    v = mid + half * XK[None, :]                      # (np, 15)
-    x = _HALF_PI * v ** q
-    jac = _HALF_PI * q * v ** (q - 1.0)
-    theta = np.pi - x if region == 1 else x
-    # x is the distance of t from the endpoint 0 (region 0) or pi (region 1).
-    # sin t and 2 sin^2(t/2) are taken from x, because pi - x drops x's
-    # relative precision and the sin^w factor is singular there for w < 0;
-    # 1 - cos is taken as 2 sin^2 so it keeps its precision near t = 0.
-    # integrand factors, broadcast to (np, 15, ne)
-    s2 = 2.0 * (np.cos if region == 1 else np.sin)(0.5 * x) ** 2
-    f = jac[:, :, None] / (um1[None, None, :] + s2[:, :, None]) ** p
-    if w != 0.0:
-        f = f * (np.sin(x) ** w)[:, :, None]
-    if m != 0:
-        f = f * (2.0 * np.sin(0.5 * m * theta) ** 2)[:, :, None]
-    ik = np.einsum("k,pke->pe", WK, f)
-    ig = np.einsum("k,pke->pe", WG, f[:, GIDX, :])
-    vals = ik * half[:, 0:1]
-    errs = np.abs(ik - ig) * half[:, 0:1]
-    return vals, errs
+# the channels m >= 1 that _polar_channel's allowance was measured on,
+# and that allowance, in units of _U: against mpmath, m = 1..6 and
+# u - 1 from 1e-14 to 1e8, at most 41 units
+CHANNEL_M = range(1, 7)
+CHANNEL_ULPS = 80.0
 
 
 def polar_batch(p, w, m, um1, *, tol=1e-11):
     """Batched polar integral; returns (values, abs_errors, n_evaluations).
 
-    The weight is 1 for m = 0 and 1 - cos(m t) for m >= 1.
+    The weight is 1 for m = 0 and 1 - cos(m t) for m >= 1.  Both are the
+    closed forms of the module docstring, one evaluation per element, and
+    each error is a bound: _polar_closed's rounding bound for m = 0, and
+    CHANNEL_ULPS of the value for m >= 1.  m = 0 takes any p and any
+    w > -1; for K_d, d in (1, 20], its bound stays below 1e-14 of the
+    value up to u - 1 = 1e130, and farther out it may grow with
+    ln(u - 1).  m >= 1 takes m in CHANNEL_M at p = 3/2, w = 0 only; any
+    other m or (p, w) raises DomainError.  So does a nan or negative
+    u - 1; u - 1 = inf is the far tail, an exact 0.
 
-    m = 0 is the closed form of the module docstring, one evaluation per
-    element, whatever tol asks; w must exceed -1.  Its error is a bound
-    (_polar_closed).  For K_d, d in (1, 20], the bound stays below
-    ROUNDOFF_FLOOR of the value up to u - 1 = 1e130; farther out it may
-    grow with ln(u - 1).
-    For m >= 1 an element is converged once its error estimate is within
-    max(tol, ROUNDOFF_FLOOR) of its value; the returned errors are the
-    estimates either way.
-    Elements are processed CHUNK at a time, and within a chunk panels
-    are evaluated in blocks of at most CHUNK panel-elements, which
-    bounds the size of every temporary array.  A chunk stops refining at
-    MAX_PANELS panels.  A tolerance that is not positive raises
-    DomainError: only the roundoff floor would end its refinement.  So
-    does a nan or negative u - 1; u - 1 = inf is the far tail, an exact 0.
-    `tol` is keyword-only.
+    `tol` changes no value.  It is keyword-only and must be positive,
+    because perfbench's tracer reads its default through
+    inspect.signature and counts the elements whose error exceeds it.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -154,17 +81,57 @@ def polar_batch(p, w, m, um1, *, tol=1e-11):
         raise DomainError("u - 1 must be >= 0, not nan")
     if m == 0:
         return (*_polar_closed(p, w, um1, lo), ne)
-    out_v = np.empty(ne)
-    out_e = np.empty(ne)
-    nev = 0
-    q = _endpoint_exponent(w)
-    for lo in range(0, ne, CHUNK):
-        hi = min(lo + CHUNK, ne)
-        v, e, n = _polar_chunk(p, w, m, um1[lo:hi], tol, q)
-        out_v[lo:hi] = v
-        out_e[lo:hi] = e
-        nev += n
-    return out_v, out_e, nev
+    if m not in CHANNEL_M or (p, w) != (1.5, 0.0):
+        raise DomainError("the weight 1 - cos(m t) needs m in 1..%d at "
+                          "p = 3/2, w = 0" % CHANNEL_M[-1])
+    v = _polar_channel(int(m), um1, lo)
+    return v, CHANNEL_ULPS * _U * np.abs(v), ne
+
+
+def _polar_channel(m, um1, lo):
+    """(A_0 - A_m)(u) = int_0^pi (1 - cos m t) (u - cos t)^(-3/2) dt.
+
+    With a = e^-x = 1 / (u + sinh x), the Gegenbauer expansion of the
+    module docstring at p = 3/2 gives every J_j = int cos(j t)
+    (u - cos t)^(-3/2) dt as one Gauss series, so for a < m / (m + 1)
+
+        I = pi (2a)^(3/2) [F(3/2, 3/2; 1; a^2)
+                           - ((3/2)_m / m!) a^m F(3/2, m + 3/2; m + 1; a^2)].
+
+    Closer to u = 1 the differences e_j = J_(j-1) - J_j carry the value
+    (each J_j has the same (u - 1)^-1 pole, the e_j only a log): with
+    K and E complete elliptic integrals of parameter a^2 and 2 / (u + 1),
+    e_1 = 2 sqrt(2a) K - (u - 1) J_0, (u - 1) J_0 = 2 E / sqrt(u + 1),
+    (j - 1/2) e_(j+1) = (j + 1/2) e_j - 2j (u - 1) J_j and I = sum e_j.
+    The recurrence loses accuracy as m grows, the more so the farther
+    from u = 1, and the series near u = 1, so the switch moves towards
+    u = 1 as m grows: at m = 6 a switch at a = 1/2 cost 391 units of _U,
+    this one at most 41.  u = 1 is +inf.
+    """
+    with np.errstate(invalid="ignore"):
+        q = np.sqrt(um1) * np.sqrt(um1 + 2.0)           # sinh x
+        ex = (1.0 + um1) + q                            # e^x
+        a = 1.0 / ex
+        v = np.empty_like(um1)
+        far = a < m / (m + 1.0)
+        z = a[far]
+        coeff = math.prod((j + 1.5) / (j + 1.0) for j in range(m))
+        v[far] = np.pi * (2.0 * z) * np.sqrt(2.0 * z) * (
+            hyp2f1(1.5, 1.5, 1.0, z * z)
+            - coeff * z ** m * hyp2f1(1.5, m + 1.5, m + 1.0, z * z))
+        near = ~far
+        w = um1[near]
+        c = (w + q[near]) / ex[near]                    # 1 - a, no cancellation
+        pole = 2.0 * ellipe(2.0 / (w + 2.0)) / np.sqrt(w + 2.0)  # (u - 1) J_0
+        e = 2.0 * np.sqrt(2.0 * a[near]) * ellipkm1(c * (2.0 - c)) - pole
+        s = e
+        for j in range(1, m):
+            e = ((j + 0.5) * e - 2.0 * j * (pole - w * s)) / (j - 0.5)
+            s = s + e
+        v[near] = s
+        if lo == 0.0:
+            v[um1 == 0.0] = np.inf      # 0 * inf in the recurrence there
+    return v
 
 
 class _ClosedForm(NamedTuple):
@@ -308,78 +275,3 @@ def _euler_prefactor(k, um1, q, t, z, hi):
     return (pref, np.where(split, e, e + n), np.where(split, -n, 0.0),
             np.where(split, 0.0, n * z / one_mz),
             np.where(split, 5.0, 5.0 + abs(n)), miss)
-
-
-def _endpoint_exponent(w):
-    """The smallest q >= max(2, 2/(w+1)) with q(w+1) an integer.
-
-    Jacobian times sin^w then goes as v^(q(w+1)-1), an integer power of
-    v that GK15 integrates without refinement.  The 1e-12 absorbs the
-    rounding of q(w+1) when 2/(w+1) is the larger bound.
-    """
-    wp1 = w + 1.0
-    return math.ceil(max(2.0, 2.0 / wp1) * wp1 - 1e-12) / wp1
-
-
-def _graded_levels(um1_min, q):
-    """Halvings from v = 1 down to region 0's peak, at most GRADED_LEVELS.
-
-    The peak t ~ sqrt(2 (u - 1)) sits at v_c = (t / (pi/2))^(1/q); a
-    chunk whose u - 1 are all ~1 or more has its peak at v_c >= 1.
-    """
-    v_c = (math.sqrt(2.0 * um1_min) / _HALF_PI) ** (1.0 / q)
-    if v_c >= 1.0:
-        return 0
-    if v_c <= 2.0 ** -GRADED_LEVELS:
-        return GRADED_LEVELS
-    return math.ceil(-math.log2(v_c))
-
-
-def _polar_chunk(p, w, m, um1, tol, q):
-    ne = um1.size
-    block = max(1, CHUNK // ne)
-
-    def evaluate(a, b, reg):
-        vals = np.empty((a.size, ne))
-        errs = np.empty((a.size, ne))
-        for region in (0, 1):
-            idx = np.flatnonzero(reg == region)
-            for lo in range(0, idx.size, block):
-                sel = idx[lo:lo + block]
-                vals[sel], errs[sel] = _eval_panels(
-                    a[sel], b[sel], region, q, p, w, m, um1)
-        return vals, errs
-
-    # region 0: 0, 2^-K, ..., 1/2, 1; region 1: the single panel [0, 1]
-    edges = np.append(0.0, 2.0 ** np.arange(-_graded_levels(um1.min(), q), 1))
-    a = np.append(edges[:-1], 0.0)
-    b = np.append(edges[1:], 1.0)
-    reg = np.append(np.zeros(edges.size - 1, dtype=int), 1)
-    vals, errs = evaluate(a, b, reg)
-    nev = 15 * a.size * ne
-
-    while a.size < MAX_PANELS:
-        err = errs.sum(axis=0)
-        target = max(tol, ROUNDOFF_FLOOR) * np.abs(vals.sum(axis=0))
-        live = err > target
-        if not live.any():
-            break
-        # refine every panel holding more than its share of a live element's budget
-        share = target[None, live] / (4.0 * a.size)
-        split = (errs[:, live] > share).any(axis=1)
-        if not split.any():
-            split[np.argmax(errs[:, live].max(axis=1))] = True
-        mid = 0.5 * (a[split] + b[split])
-        na = np.concatenate([a[split], mid])
-        nb = np.concatenate([mid, b[split]])
-        nreg = np.concatenate([reg[split], reg[split]])
-        newv, newe = evaluate(na, nb, nreg)
-        nev += 15 * na.size * ne
-        keep = ~split
-        a = np.concatenate([a[keep], na])
-        b = np.concatenate([b[keep], nb])
-        reg = np.concatenate([reg[keep], nreg])
-        vals = np.concatenate([vals[keep], newv], axis=0)
-        errs = np.concatenate([errs[keep], newe], axis=0)
-
-    return vals.sum(axis=0), errs.sum(axis=0), nev

@@ -13,9 +13,39 @@ from scipy.special import gamma as gamma_fn
 
 from . import kernels
 from .errors import AccuracyError, DomainError, SingularInputError
-from .kernels import GIDX, ROUNDOFF_FLOOR, WG, WK, XK
 
 SUBDIVISION_BUDGET = 10_000
+
+# Gauss7/Kronrod15 nodes and weights on [-1, 1], to full double precision
+# (tools/gk15_table.py computes them with mpmath); GIDX picks the Gauss
+# nodes out of the Kronrod ones.
+XK = np.array([
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+    -0.20778495500789848, 0.0,
+    0.20778495500789848, 0.4058451513773972, 0.5860872354676911,
+    0.7415311855993945, 0.8648644233597691, 0.9491079123427585,
+    0.9914553711208126,
+])
+WK = np.array([
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782,
+    0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
+    0.14065325971552592, 0.10479001032225019, 0.06309209262997856,
+    0.022935322010529224,
+])
+WG = np.array([
+    0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+    0.4179591836734694, 0.3818300505051189, 0.27970539148927664,
+    0.1294849661688697,
+])
+GIDX = np.arange(1, 15, 2)
+
+# Error estimates of resolved panels sit at a few ulps of the value, so
+# no integral refines below this fraction of its abs-sum, whatever tol
+# asks
+ROUNDOFF_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -86,7 +116,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
     nev = 15
     splits = 0
     while True:
-        # a cancelling integral stops at the kernel's roundoff floor
+        # a cancelling integral stops at the roundoff floor
         if toterr <= max(tol * abs(total), ROUNDOFF_FLOOR * abssum, 1e-300):
             return QuadResult(total, toterr, nev)
         if splits >= SUBDIVISION_BUDGET:
@@ -108,7 +138,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
         splits += 1
 
 
-def angular_kernel_batch(d: float, um1, tol: float = 1e-11):
+def angular_kernel_batch(d: float, um1):
     """K_d(u) for an array of u-1; returns (values, errors, evals).
 
     K_d(u) = int over S^(d-1) of dw / (u - w.e)^((d+1)/2), reduced to the
@@ -127,7 +157,7 @@ def angular_kernel_batch(d: float, um1, tol: float = 1e-11):
     p = (d + 1) / 2.0
     # an overflowing kernel is reported below as a DomainError, not a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1, tol=tol)
+        vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1)
         c = sphere_surface(d - 2)
         vals, errs = c * vals, c * errs
     # the error bound is not finite wherever the value is not

@@ -203,8 +203,7 @@ def _ridge_integrand(d):
 
 def _channel_integrand(m):
     def f(x):
-        v, _, _ = kernels.polar_batch(1.5, 0.0, m, 2.0 * np.sinh(x / 2.0) ** 2,
-                                      tol=1e-10)
+        v, _, _ = kernels.polar_batch(1.5, 0.0, m, 2.0 * np.sinh(x / 2.0) ** 2)
         return 2.0 * v
     return f
 
@@ -222,7 +221,6 @@ def test_ridge_block_prefixes_agree(cold_moment_blocks):
 def test_ridge_blocks_match_one_band_moments_call(cold_moment_blocks):
     h = 0.08
     n = anticomm._RIDGE_BANDS + 2 * anticomm._RIDGE_BLOCK
-    assert anticomm._RIDGE_BLOCK * 12 % kernels.CHUNK == 0
     for moments, arg, f in ((ridge_moments, 3.0, _ridge_integrand(3.0)),
                             (channel_moments, 1, _channel_integrand(1))):
         for k in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
@@ -255,43 +253,41 @@ def test_ridge_blocks_bounded_and_clean_on_error(cold_moment_blocks):
 
 
 def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
-    # the ridge kernel is a closed form: its bands fall like x^2 e^(-3x/2)
-    # at d = 2 until they underflow past x of about 498 (band 995 at
-    # h = 0.5), and from x of about 710, where u - 1 overflows to inf, it
-    # is an exact 0.  The channel kernel's (u - 1)^(3/2) overflows from x
-    # of about 474 (band 949), where it is an exact 0 too.  The suite
-    # turns an overflow warning into an error
-    big = ridge_moments(2.0, 0.5, 1500).copy()
-    assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
-    assert np.all(big[:990] > 0.0) and np.all(big[1000:] == 0.0)
+    # both kernels are closed forms that fall like e^(-3x/2) at d = 2: the
+    # ridge bands like x^2 e^(-3x/2), the channel bands like e^(-3x/2),
+    # until they underflow past x of about 497 (bands 994-995 at
+    # h = 0.5); from x of about 710, where u - 1 overflows to inf, the
+    # kernels are an exact 0.  The suite turns an overflow warning into an
+    # error
     k = np.arange(900, 960)
-    decay = np.exp(-0.75) * ((k + 1.0) / k) ** 2
-    assert np.allclose(big[k + 1] / big[k], decay, rtol=1e-3)
-    anticomm._moment_block.cache_clear()
-    assert np.array_equal(ridge_moments(2.0, 0.5, 900), big[:900])
-    big = channel_moments(1, 0.5, 1500).copy()
-    assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
-    assert np.all(big[949:] == 0.0) and np.all(big[:940] > 0.0)
-    anticomm._moment_block.cache_clear()
-    assert np.array_equal(channel_moments(1, 0.5, 900), big[:900])
+    for moments, arg, decay, rtol in (
+            (ridge_moments, 2.0, np.exp(-0.75) * ((k + 1.0) / k) ** 2, 1e-3),
+            (channel_moments, 1, np.exp(-0.75), 1e-9)):
+        anticomm._moment_block.cache_clear()
+        big = moments(arg, 0.5, 1500).copy()
+        assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
+        assert np.all(big[:990] > 0.0) and np.all(big[1000:] == 0.0)
+        assert np.allclose(big[k + 1] / big[k], decay, rtol=rtol)
+        anticomm._moment_block.cache_clear()
+        assert np.array_equal(moments(arg, 0.5, 900), big[:900])
 
 
 def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch):
-    # two panels cannot resolve the channel kernel near x = 0: the miss is
-    # reported, not cached.  The ridge kernel is a closed form now, which
-    # the panel cap does not reach
-    monkeypatch.setattr(kernels, "MAX_PANELS", 2)
-    with pytest.raises(AccuracyError) as info:
-        channel_moments(1, 0.1, 30)
-    best = info.value.best
-    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
-    assert np.all(np.isfinite(best))
-    assert anticomm._moment_block.cache_info().currsize == 0
-    assert ridge_moments(2.0, 0.1, 30).size == 30
-    monkeypatch.undo()
-    anticomm._moment_block.cache_clear()
-    assert channel_moments(1, 0.1, 30).size == 30
-    assert not np.array_equal(channel_moments(1, 0.1, 30), best[:30])
+    # one check serves both kernels: an element whose error bound exceeds
+    # KTOL of its value is reported with the moments of the whole block,
+    # and the block is not cached.  An inflated allowance stands in for
+    # the miss, so the reported moments are the true ones
+    for moments, arg, allowance in ((channel_moments, 1, "CHANNEL_ULPS"),
+                                    (ridge_moments, 2.0, "HYP2F1_ULPS")):
+        monkeypatch.setattr(kernels, allowance, 1e6)
+        with pytest.raises(AccuracyError) as info:
+            moments(arg, 0.1, 30)
+        best = info.value.best
+        assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+        assert anticomm._moment_block.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert np.array_equal(moments(arg, 0.1, 30), best[:30])
+        anticomm._moment_block.cache_clear()
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

@@ -1,5 +1,5 @@
-"""The numpy polar kernel: the m = 0 closed form against mpmath,
-determinism, and batches that share panels."""
+"""The numpy polar kernel: both closed forms against mpmath,
+determinism, and batches that match their elements bit for bit."""
 
 from unittest import mock
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opineq.kernels as kernels
-from opineq.anticomm import CHANNEL_KTOL
 from opineq.errors import DomainError
 from opineq.quadrature import angular_kernel_batch
 
@@ -34,35 +33,33 @@ def test_backend_name_reported():
     (2.0, 1.0, 0),      # d=3
     (1.25, -0.5, 0),    # d=1.5, singular sin weight
     (0.5, 0.0, 0),      # log singularity at u = 1
-    (0.5, 0.0, 2),      # 1 - cos(2t) weight
+    (1.5, 0.0, 2),      # 1 - cos(2t) weight
     (1.5, 0.0, 1),      # 1 - cos(t) weight
 ])
 def test_batched_call_matches_per_element(p, w, m):
-    # one call refines panels shared by all elements, as the outer
-    # quadrature's 15- and 30-node calls do
     _assert_batch_matches_elements(p, w, m, np.geomspace(1e-10, 1e3, 30))
 
 
 def _assert_batch_matches_elements(p, w, m, um1):
-    v, e, n = kernels.polar_batch(p, w, m, um1, tol=1e-11)
-    # m = 0 is one closed-form evaluation per element; m >= 1 at least one
-    # GK15 panel per element
-    assert n == um1.size if m == 0 else n >= 15 * um1.size
+    # both closed forms are elementwise: one evaluation per element, and
+    # the same bits whatever else is in the batch
+    v, e, n = kernels.polar_batch(p, w, m, um1)
+    assert n == um1.size
     assert np.all(e >= 0)
     ref, ref_e = np.array([
-        [r[0] for r in kernels.polar_batch(p, w, m, [u], tol=1e-11)[:2]]
+        [r[0] for r in kernels.polar_batch(p, w, m, [u])[:2]]
         for u in um1]).T
-    assert np.all(np.abs(v - ref) <= 1e-10 * np.abs(ref) + e + ref_e)
+    assert np.array_equal(v, ref) and np.array_equal(e, ref_e)
 
 
 # the kernel arguments of each library caller: angular_kernel_batch at
 # p = (d+1)/2, w = d-2; anticomm.channel_moments at p = 3/2 with the
-# 1 - cos(m t) weight; and p = 1/2 with either weight as generic kernel
-# coverage, a value that grows like log 1/(u - 1) as u -> 1 when m = 0
+# 1 - cos(m t) weight; and p = 1/2, w = 0 as generic coverage of the
+# unweighted kernel, a value that grows like log 1/(u - 1) as u -> 1
 CALLER_ARGS = st.one_of(
     st.floats(1.2, 6.0).map(lambda d: ((d + 1.0) / 2.0, d - 2.0, 0)),
-    st.tuples(st.just(1.5), st.just(0.0), st.integers(1, 3)),
-    st.tuples(st.just(0.5), st.just(0.0), st.integers(0, 3)),
+    st.tuples(st.just(1.5), st.just(0.0), st.integers(1, 6)),
+    st.tuples(st.just(0.5), st.just(0.0), st.just(0)),
 )
 # u - 1 from 1e-10 to 1e3, at least 2.3% apart once sorted
 UM1_BATCHES = st.lists(st.integers(-1000, 300), min_size=1, max_size=12,
@@ -116,46 +113,14 @@ def test_relative_precision_at_the_ends(p, w, m, um1):
     assert abs(v[0] - exact) <= 1e-13 * abs(exact)
 
 
-def test_graded_start_bounds_the_evaluations():
-    # each chunk starts at the peak of its smallest u - 1, so the adaptive
-    # loop only polishes; refining towards the peak one dyadic level per
-    # pass cost 15,300 and 9,900 evaluations on these two batches
-    # the 15 Kronrod nodes of [0, 1e-4] in x, as in a ridge band 0:
-    # u - 1 >= 9.1e-14
-    x = 1e-4 * 0.5 * (1.0 + kernels.XK)
-    _, _, n = kernels.polar_batch(1.5, 0.0, 2, 2.0 * np.sinh(x / 2.0) ** 2,
-                                  tol=1e-12)
-    assert n <= 13500
-    # the 15 Kronrod nodes of channel band 0 on [0, 1e-3]: u - 1 >= 9.1e-12
-    x = 1e-3 * 0.5 * (1.0 + kernels.XK)
-    _, _, n = kernels.polar_batch(1.5, 0.0, 1, 2.0 * np.sinh(x / 2.0) ** 2,
-                                  tol=CHANNEL_KTOL)
-    assert n <= 9000
-
-
 @pytest.mark.parametrize("um1", [[np.nan], [-1e-300], [0.5, np.nan, 2.0]])
 def test_nan_or_negative_um1_rejected(um1):
     with pytest.raises(DomainError):
         kernels.polar_batch(1.5, 0.0, 0, um1)
 
 
-def test_sub_floor_tolerance_stops_at_roundoff_floor():
-    # a tolerance below the roundoff floor is met at the floor: refinement
-    # stops there (210 evaluations, against 90 at tol = 1e-11) instead of
-    # running into the panel cap
-    v, e, n = kernels.polar_batch(1.5, 0.0, 1, [100.0], tol=1e-16)
-    assert n < 1000
-    assert e[0] <= kernels.ROUNDOFF_FLOOR * v[0]
-    with mpmath.workdps(30):
-        exact = float(mpmath.quad(
-            lambda t: (1 - mpmath.cos(t)) * (100 + 2 * mpmath.sin(t / 2) ** 2) ** -1.5,
-            [0, mpmath.pi / 2, mpmath.pi]))
-    assert abs(v[0] - exact) <= e[0]
-
-
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_non_positive_tolerance_rejected(tol):
-    # only the roundoff floor would end the refinement
     with pytest.raises(DomainError):
         kernels.polar_batch(1.5, 0, 0, [0.5], tol=tol)
 
@@ -233,3 +198,52 @@ def test_kd_closed_form_passes_integer_c_minus_a_minus_b(d, log_um1):
     _assert_within_bound(_kd_exponents(d), um1, v[0], e[0],
                          60 if um1 >= 1e6 else 40)
 
+
+def _channel_reference(m, um1):
+    """(A_0 - A_m)(u) through mpmath's toroidal functions: d/du of
+    Q_(j-1/2)(u) = 2^(-1/2) int cos(j t) (u - cos t)^(-1/2) dt is
+    Q^1_(j-1/2)(u) / sinh x (type 3, u = cosh x), so
+    int cos(j t) (u - cos t)^(-3/2) dt is -2 sqrt(2) Q^1_(j-1/2)(u) / sinh x.  Neither the Gauss series nor the
+    elliptic recurrence of the closed form enters.  The two terms share
+    a (u - 1)^-1 pole, which takes 14 of the 50 digits at u - 1 = 1e-14."""
+    with mpmath.workdps(50):
+        w = mpmath.mpf(um1)
+        q = [mpmath.re(mpmath.legenq(j - mpmath.mpf(1) / 2, 1, 1 + w, type=3))
+             for j in (0, m)]
+        return 2 * mpmath.sqrt(2) * (q[1] - q[0]) / mpmath.sqrt(w * (w + 2))
+
+
+@pytest.mark.parametrize("m", list(kernels.CHANNEL_M))
+def test_channel_closed_form_within_its_bound(m):
+    # every value lies within its returned bound, and the bound within
+    # 1e-14, from u - 1 = 1e-14 to 1e8 and on both sides of the switch
+    # between the Gauss series and the elliptic recurrence, at
+    # e^-x = m / (m + 1), u - 1 = 1 / (2m (m + 1)).  Around e^-x = 1/2,
+    # u - 1 = 1/4, a switch there would leave the recurrence 391 units of
+    # 2^-53 off at m = 6
+    sides = np.array([0.9, 0.96, 1 - 1e-15, 1.0, 1 + 1e-15, 1.1])
+    um1 = np.concatenate([10.0 ** np.arange(-14, 9), 0.25 * sides,
+                          sides / (2.0 * m * (m + 1.0))])
+    v, e, n = kernels.polar_batch(1.5, 0.0, m, um1)
+    assert n == um1.size
+    for x, vi, ei in zip(um1, v, e):
+        ref = _channel_reference(m, x)
+        assert abs(mpmath.mpf(vi) - ref) <= ei, (x, float(abs(vi / ref - 1)))
+    assert np.all(e <= 1e-14 * v)
+
+
+def test_channel_closed_form_ends():
+    # u = 1 is the log singularity, u - 1 = inf the far tail; the suite
+    # turns any warning on the way into an error
+    for m in kernels.CHANNEL_M:
+        v, e, _ = kernels.polar_batch(1.5, 0.0, m, [0.0, np.inf])
+        assert v[0] == np.inf and v[1] == 0.0 and e[1] == 0.0
+
+
+@pytest.mark.parametrize("p,w,m", [
+    (0.5, 0.0, 2), (1.5, 0.5, 1), (2.0, 0.0, 1),    # not the channel kernel
+    (1.5, 0.0, 7), (1.5, 0.0, -1), (1.5, 0.0, 1.5),  # outside the gated m
+])
+def test_channel_weight_outside_its_gate_rejected(p, w, m):
+    with pytest.raises(DomainError):
+        kernels.polar_batch(p, w, m, [0.5])

@@ -13,7 +13,7 @@ from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
 from opineq.bounds import critical_constant_printed
-from opineq.errors import AccuracyError, DomainError, RefinementNeededError
+from opineq.errors import DomainError, RefinementNeededError
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
                             SCAN_GRID, GridSpec,
                             _hydrogen_channel, _lowest_eigenvalue,
@@ -156,28 +156,16 @@ def test_log_grid_matches_pairwise_form(m):
     assert np.allclose(nodes, np.exp(np.arange(64) * 20.0 / 63))
 
 
-def test_channel_moment_kernel_miss_raises_accuracy_error(monkeypatch):
-    # two panels cannot resolve (A_0 - A_m) near the diagonal: the miss is
-    # reported with the moments of the whole block, not dropped
-    h, n = 0.08, 40
-    anticomm._moment_block.cache_clear()
-    monkeypatch.setattr(kernels, "MAX_PANELS", 2)
-    with pytest.raises(AccuracyError) as info:
-        channel_moments(1, h, n)
-    best = info.value.best
-    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
-    assert np.all(np.isfinite(best))
-    monkeypatch.undo()
-    assert not np.array_equal(channel_moments(1, h, n), best[:n])
-
-
 def test_channel_moments_past_double_range_are_finite():
-    # from x of about 474 (band 949 at h = 0.5) (u - 1)^(3/2) overflows,
-    # and from about 710 u - 1 itself: the kernel is an exact 0 there, and
-    # the suite turns an overflow warning into an error
+    # the kernel falls like e^(-3x/2) and underflows past x of about 497
+    # (band 994 at h = 0.5); from x of about 710 u - 1 overflows to inf,
+    # where the kernel is an exact 0, and the suite turns an overflow
+    # warning into an error
     phi0 = channel_moments(1, 0.5, 1500)
     assert np.all(np.isfinite(phi0)) and np.all(phi0 >= 0.0)
-    assert np.all(phi0[949:] == 0.0) and np.all(phi0[:940] > 0.0)
+    assert np.all(phi0[:990] > 0.0) and np.all(phi0[1000:] == 0.0)
+    k = np.arange(900, 960)
+    assert np.allclose(phi0[k + 1] / phi0[k], math.exp(-0.75), rtol=1e-9)
 
 
 # h = ln 2 / 9, so the dilation psi -> psi(2r) is a shift by 9 nodes

@@ -11,7 +11,7 @@ by symmetry).
     python tools/gk15_table.py
 
 prints the three tables as Python literals, rounded to double, in the
-order of opineq.kernels: XK and WK from -1 to 1, WG on the Gauss nodes.
+order of opineq.quadrature: XK and WK from -1 to 1, WG on the Gauss nodes.
 """
 
 from fractions import Fraction
