@@ -273,21 +273,18 @@ def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
 
 
 def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch):
-    # one check serves both kernels: an element whose error bound exceeds
-    # KTOL of its value is reported with the moments of the whole block,
-    # and the block is not cached.  An inflated allowance stands in for
-    # the miss, so the reported moments are the true ones
-    for moments, arg, allowance in ((channel_moments, 1, "CHANNEL_ULPS"),
-                                    (ridge_moments, 2.0, "HYP2F1_ULPS")):
-        monkeypatch.setattr(kernels, allowance, 1e6)
-        with pytest.raises(AccuracyError) as info:
-            moments(arg, 0.1, 30)
-        best = info.value.best
-        assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
-        assert anticomm._moment_block.cache_info().currsize == 0
-        monkeypatch.undo()
-        assert np.array_equal(moments(arg, 0.1, 30), best[:30])
-        anticomm._moment_block.cache_clear()
+    # an element of the ridge kernel whose error bound exceeds KTOL of its
+    # value is reported with the moments of the whole block, and the block
+    # is not cached.  An inflated allowance stands in for the miss, so the
+    # reported moments are the true ones
+    monkeypatch.setattr(kernels, "HYP2F1_ULPS", 1e6)
+    with pytest.raises(AccuracyError) as info:
+        ridge_moments(2.0, 0.1, 30)
+    best = info.value.best
+    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+    assert anticomm._moment_block.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert np.array_equal(ridge_moments(2.0, 0.1, 30), best[:30])
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

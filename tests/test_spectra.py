@@ -13,7 +13,7 @@ from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
 from opineq.bounds import critical_constant_printed
-from opineq.errors import DomainError, RefinementNeededError
+from opineq.errors import AccuracyError, DomainError, RefinementNeededError
 from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
                             SCAN_GRID, GridSpec,
                             _hydrogen_channel, _lowest_eigenvalue,
@@ -154,6 +154,25 @@ def test_log_grid_matches_pairwise_form(m):
     assert np.array_equal(P, P.T)
     assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.allclose(nodes, np.exp(np.arange(64) * 20.0 / 63))
+
+
+def test_channel_moment_kernel_miss_raises_accuracy_error(monkeypatch):
+    # an element of (A_0 - A_m) whose error bound exceeds KTOL of its value
+    # is reported with the moments of the whole block, not dropped.  An
+    # inflated allowance stands in for the miss, so the reported moments
+    # are the true ones
+    h, n = 0.08, 40
+    anticomm._moment_block.cache_clear()
+    monkeypatch.setattr(kernels, "CHANNEL_ULPS", 1e6)
+    with pytest.raises(AccuracyError) as info:
+        channel_moments(1, h, n)
+    best = info.value.best
+    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
+    assert np.all(np.isfinite(best))
+    assert anticomm._moment_block.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert np.array_equal(channel_moments(1, h, n), best[:n])
+    anticomm._moment_block.cache_clear()
 
 
 def test_channel_moments_past_double_range_are_finite():
