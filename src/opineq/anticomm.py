@@ -25,14 +25,14 @@ from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
 _EPS = np.finfo(float).eps
-# the largest relative error bound a kernel element of the band moments
-# may carry
+# the largest relative error bound a kernel element of gamma_d or of the
+# band moments may carry
 KTOL = 1e-11
 
 
 def _check_dimension(d):
-    if not (isinstance(d, (int, float)) and d > 1):
-        raise DomainError("dimension must be a real number > 1")
+    if not (isinstance(d, (int, float)) and 1 < d < math.inf):
+        raise DomainError("dimension must be a finite real number > 1")
     return float(d)
 
 
@@ -56,6 +56,8 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
 
     Integrated in s = -ln r, where the bracket is _bracket_log(d, s) and
     (r+1/r)/2 = cosh s, out to an smax where the integrand is negligible.
+    A kernel element whose error bound exceeds KTOL of its value raises
+    AccuracyError carrying the result.
     """
     d = _check_dimension(d)
     if not tol > 0:
@@ -63,17 +65,23 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
     if d == 2.0:
         return QuadResult(0.0, 0.0, 1)  # bracket vanishes identically
     nev_inner = [0]
+    unconverged = [0]
     smax = 40.0 / min(1.0, d / 2.0) + 25.0
 
     def f(s):
-        v, _, n = angular_kernel_batch(d, 2.0 * np.sinh(s / 2.0) ** 2)
+        v, e, n = angular_kernel_batch(d, 2.0 * np.sinh(s / 2.0) ** 2)
         nev_inner[0] += n
+        unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
         return _bracket_log(d, s) * v
 
     res = integrate_adaptive(f, 0.0, smax, tol)
     pref = 2.0 ** (-(d - 1.0) / 2.0)
-    return QuadResult(pref * res.value, pref * res.abs_error_estimate,
-                      res.evaluations + nev_inner[0])
+    out = QuadResult(pref * res.value, pref * res.abs_error_estimate,
+                     res.evaluations + nev_inner[0])
+    if unconverged[0]:
+        raise AccuracyError("%d K_%g kernel elements missed tolerance %g"
+                            % (unconverged[0], d, KTOL), best=out)
+    return out
 
 
 def lower_bound(d: float, tol: float = 1e-10) -> float:
@@ -355,7 +363,7 @@ def _moment_block(kernel, arg, h, j):
                 v, e, _ = angular_kernel_batch(arg, um1)
                 y = v * x * x
             else:
-                v, e, _ = kernels.polar_batch(1.5, 0.0, arg, um1)
+                v, e, _ = kernels.polar_batch(2.0, arg, um1)
                 y = 2.0 * v
         unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
         return y

@@ -64,8 +64,16 @@ class QuadResult:
 
 
 def sphere_surface(k: float) -> float:
-    """Surface measure |S^k| = 2 pi^((k+1)/2) / Gamma((k+1)/2), continued in k."""
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / gamma_fn((k + 1) / 2.0)
+    """Surface measure |S^k| = 2 pi^((k+1)/2) / Gamma((k+1)/2), continued in
+    k; DomainError where that formula gives no positive finite double, as
+    from k = 343 on, where Gamma((k+1)/2) overflows."""
+    try:
+        s = 2.0 * math.pi ** ((k + 1) / 2.0) / gamma_fn((k + 1) / 2.0)
+    except OverflowError:
+        s = math.inf
+    if not 0 < s < math.inf:
+        raise DomainError("|S^%g| is not a positive finite double" % k)
+    return s
 
 
 def _nodes(a, b):
@@ -76,6 +84,8 @@ def _evaluate(f, x, a, b):
     """f on the node array x, checked for shape and finiteness on [a, b]."""
     try:
         fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    except DomainError:
+        raise       # f's own, which names its cause
     except ValueError:
         raise DomainError("integrand must map an array of %d nodes to as many values"
                           % x.size) from None
@@ -143,21 +153,17 @@ def angular_kernel_batch(d: float, um1):
 
     K_d(u) = int over S^(d-1) of dw / (u - w.e)^((d+1)/2), reduced to the
     polar integral with weight |S^(d-2)| sin^(d-2).  Raises DomainError
-    if a value or its error is not finite (u - 1 so small that the
-    kernel overflows).
+    where polar_batch does (d outside (1, inf), u < 1), and if a value
+    or its error is not finite (u - 1 so small that the kernel
+    overflows); SingularInputError at u = 1.
     """
-    if not d > 1:
-        raise DomainError("angular kernel needs d > 1")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
     lo = um1.min() if um1.size else 1.0
-    if lo < 0:
-        raise DomainError("u must be >= 1")
     if lo == 0.0:
         raise SingularInputError("u = 1 is a non-integrable singularity")
-    p = (d + 1) / 2.0
     # an overflowing kernel is reported below as a DomainError, not a warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals, errs, nev = kernels.polar_batch(p, d - 2.0, 0, um1)
+        vals, errs, nev = kernels.polar_batch(d, 0, um1)
         c = sphere_surface(d - 2)
         vals, errs = c * vals, c * errs
     # the error bound is not finite wherever the value is not

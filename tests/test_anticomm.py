@@ -203,7 +203,7 @@ def _ridge_integrand(d):
 
 def _channel_integrand(m):
     def f(x):
-        v, _, _ = kernels.polar_batch(1.5, 0.0, m, 2.0 * np.sinh(x / 2.0) ** 2)
+        v, _, _ = kernels.polar_batch(2.0, m, 2.0 * np.sinh(x / 2.0) ** 2)
         return 2.0 * v
     return f
 
@@ -285,6 +285,16 @@ def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch
     assert anticomm._moment_block.cache_info().currsize == 0
     monkeypatch.undo()
     assert np.array_equal(ridge_moments(2.0, 0.1, 30), best[:30])
+
+
+def test_gamma_kernel_miss_raises_accuracy_error(monkeypatch):
+    # an element of gamma_d's kernel whose error bound exceeds KTOL of its
+    # value is reported with the result; gamma_2 calls no kernel
+    monkeypatch.setattr(kernels, "HYP2F1_ULPS", 1e6)
+    with pytest.raises(AccuracyError) as info:
+        gamma(3.0)
+    assert info.value.best.value == pytest.approx(math.pi ** 2, rel=1e-8)
+    assert gamma(2.0).value == 0.0
 
 
 def test_relativistic_form_is_one_band_evaluation(monkeypatch):

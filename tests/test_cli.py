@@ -237,7 +237,13 @@ def test_domain_error_becomes_failure_record(capsys):
             ["positivity", "--sigma-grid", "inf"],
             # a negative channel count, then zero levels
             ["hydrogen", "--m-max", "-1"],
-            ["hydrogen", "--levels", "0"]):
+            ["hydrogen", "--levels", "0"],
+            # a dimension that is not finite, or whose |S^(d-1)| leaves
+            # the double range
+            ["positivity", "--dimension", "inf", "--sigma-grid", "1"],
+            ["positivity", "--dimension", "400", "--sigma-grid", "1"],
+            ["gamma", "--dimension-list", "2000"],
+            ["gamma", "--dimension-list", "inf"]):
         code, out, err = run(argv, capsys)
         assert code == 1
         record = json.loads(err.splitlines()[-1])

@@ -184,6 +184,10 @@ def test_sphere_surface_values():
     assert sphere_surface(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_surface(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert sphere_surface(0) == pytest.approx(2.0, rel=1e-15)
+    # Gamma((k+1)/2) overflows, then pi^((k+1)/2) too
+    for k in (399.0, 1998.0):
+        with pytest.raises(DomainError):
+            sphere_surface(k)
 
 
 def test_kernel_deterministic():

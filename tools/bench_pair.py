@@ -42,6 +42,14 @@ import compare  # noqa: E402
 SIDES = ("base", "new")
 
 
+def export(rev, dest):
+    """Write the tree of commit `rev` into the existing directory `dest`
+    with `git archive`."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
 def run_bench(tree, out, workload, seed, trace):
     """One perfbench run in `tree`, recorded in `out`; returns its record."""
     before = set(os.listdir(out))
@@ -143,9 +151,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": os.path.join(tmp, "base"), "new": ROOT}
         os.makedirs(trees["base"])
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", trees["base"]], input=archive, check=True)
+        export(rev, trees["base"])
         for workload in args.workload:
             entry = pair_runs(workload, args.seed, args.pairs, spec, trees, tmp)
             doc["entries"] = [e for e in doc["entries"]
