@@ -19,15 +19,12 @@ from scipy.special import gamma as gamma_fn
 
 from . import kernels
 from .errors import AccuracyError, DomainError
-from .quadrature import (QuadResult, angular_kernel_batch, integrate_adaptive,
-                         sphere_surface)
+from .kernels import KTOL, sphere_surface
+from .quadrature import QuadResult, integrate_adaptive
 
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
 _EPS = np.finfo(float).eps
-# the largest relative error bound a kernel element of gamma_d or of the
-# band moments may carry
-KTOL = 1e-11
 
 
 def _check_dimension(d):
@@ -37,9 +34,14 @@ def _check_dimension(d):
 
 
 def alpha(d: float) -> float:
-    """Lieb-Yau prefactor Gamma((d+1)/2) / (2 pi^((d+1)/2))."""
+    """Lieb-Yau prefactor Gamma((d+1)/2) / (2 pi^((d+1)/2)); DomainError
+    where that is no finite double, as from d = 343 on, where
+    Gamma((d+1)/2) overflows."""
     d = _check_dimension(d)
-    return float(gamma_fn((d + 1) / 2.0) / (2.0 * math.pi ** ((d + 1) / 2.0)))
+    g = gamma_fn((d + 1) / 2.0)
+    if not g < math.inf:
+        raise DomainError("alpha_%g is not a finite double" % d)
+    return float(g / (2.0 * math.pi ** ((d + 1) / 2.0)))
 
 
 def _bracket_log(d, s):
@@ -55,9 +57,13 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
     bracket(d,r) = r^((d-1)/2) + r^(-(d-1)/2) - r^(1/2) - r^(-1/2).
 
     Integrated in s = -ln r, where the bracket is _bracket_log(d, s) and
-    (r+1/r)/2 = cosh s, out to an smax where the integrand is negligible.
-    A kernel element whose error bound exceeds KTOL of its value raises
-    AccuracyError carrying the result.
+    (r+1/r)/2 = cosh s, out to an smax where the integrand is negligible,
+    at most 1400/(d-1) (from d = 23 on): the bracket, about e^((d-1)s/2),
+    overflows past 1419/(d-1).  Where a bound on the tail beyond smax
+    exceeds tol of |gamma_d| = |d - 2| / (2 alpha_d) = |d - 2| |S^d| / 2
+    (from d = 67 at tol = 1e-10), DomainError is raised before any kernel
+    call.  A kernel element whose error bound exceeds KTOL of its value
+    raises AccuracyError carrying the result.
     """
     d = _check_dimension(d)
     if not tol > 0:
@@ -66,10 +72,19 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
         return QuadResult(0.0, 0.0, 1)  # bracket vanishes identically
     nev_inner = [0]
     unconverged = [0]
-    smax = 40.0 / min(1.0, d / 2.0) + 25.0
+    smax = min(40.0 / min(1.0, d / 2.0) + 25.0, 1400.0 / (d - 1.0))
+    # beyond smax |bracket| <= e^(ks) min(1, |d - 2| s / 2) and
+    # K_d(u) <= |S^(d-1)| (u - 1)^-p, u - 1 >= 2 sinh(smax/2)^2 e^(s - smax)
+    k, p = max(d - 1.0, 1.0) / 2.0, (d + 1.0) / 2.0
+    c = sphere_surface(d - 1) * 2.0 ** ((1.0 - d) / 2.0) / (p - k)
+    log_tail = (math.log(c * min(1.0, abs(d - 2.0) / 2.0 * (smax + 1.0 / (p - k))))
+                + k * smax - p * math.log(2.0 * math.sinh(smax / 2.0) ** 2))
+    if log_tail > math.log(tol * abs(d - 2.0) * sphere_surface(d) / 2.0):
+        raise DomainError("gamma_%g: the tail beyond s = %g may exceed tol %g"
+                          % (d, smax, tol))
 
     def f(s):
-        v, e, n = angular_kernel_batch(d, 2.0 * np.sinh(s / 2.0) ** 2)
+        v, e, n = kernels.polar_batch(d, 0, 2.0 * np.sinh(s / 2.0) ** 2)
         nev_inner[0] += n
         unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
         return _bracket_log(d, s) * v
@@ -339,7 +354,7 @@ def ridge_moments(d, h, n):
 
 
 def channel_moments(m, h, n):
-    """phi0[k] = int over band k of (A_0 - A_m)(cosh x) dx, as a read-only
+    """phi0[k] = int over band k of 2 (A_0 - A_m)(cosh x) dx, as a read-only
     array: the positive 2D channel-coupling kernel, with an integrable log
     singularity in band 0.  Served from the same block cache as
     ridge_moments."""
@@ -359,14 +374,10 @@ def _moment_block(kernel, arg, h, j):
     def f(x):
         with np.errstate(over="ignore"):
             um1 = 2.0 * np.sinh(x / 2.0) ** 2
-            if kernel == "ridge":
-                v, e, _ = angular_kernel_batch(arg, um1)
-                y = v * x * x
-            else:
-                v, e, _ = kernels.polar_batch(2.0, arg, um1)
-                y = 2.0 * v
+            v, e, _ = kernels.polar_batch(*((arg, 0) if kernel == "ridge"
+                                            else (2.0, arg)), um1)
         unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
-        return y
+        return v * x * x if kernel == "ridge" else v
 
     k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
     if j == 0:

@@ -1,17 +1,18 @@
-"""The polar kernel in closed form, vectorized in numpy.
+"""The angular kernels in closed form, vectorized in numpy.
 
-The one primitive is the polar reduction integral of dimension d
+The one entry point, polar_batch, returns for a batch of um1 = u - 1
+(which keeps full relative precision as u -> 1) the angular kernel
 
-    I(um1) = int_0^pi  sin^(d-2)(t) * c(t) / (u - cos t)^((d+1)/2) dt
+    K(u) = int over S^(d-1) of c(w) dw / (u - w.e)^((d+1)/2),
 
-with c = 1 for m = 0 and c = 1 - cos(m t) for m >= 1, evaluated for a
-whole batch of um1 values at once.  um1 stands for u - 1 >= 0 so that
-the near-singular regime u -> 1 keeps full relative precision.
+c = 1 for m = 0 and 1 - cos(m t) for m >= 1, t the angle between w and
+e: the sphere factor |S^(d-2)| times the polar integral
 
-m = 0 is the angular kernel K_d of Lieb and Yau over |S^(d-2)|, in
-closed form.  With u = cosh x, u - cos t is
-(e^x / 2) (1 - 2 a cos t + a^2), a = e^-x, and the Gegenbauer expansion
-of its power gives
+    I(um1) = int_0^pi  sin^(d-2)(t) * c(t) / (u - cos t)^((d+1)/2) dt.
+
+m = 0 is the angular kernel K_d of Lieb and Yau, in closed form.  With
+u = cosh x, u - cos t is (e^x / 2) (1 - 2 a cos t + a^2), a = e^-x, and
+the Gegenbauer expansion of its power gives
 
     I = B((d-1)/2, 1/2) (2a)^((d+1)/2) 2F1((d+1)/2, 3/2; d/2; a^2).
 
@@ -23,10 +24,10 @@ Euler's transformation (DLMF 15.8.1) takes that factor out, and with
 
 whose series has c - a - b = 2 and is finite at a = 1.
 
-m >= 1 is the 2D channel kernel (A_0 - A_m)(u), at d = 2 only, also a
-closed form (_polar_channel): the difference of two Gegenbauer
-coefficients of the same expansion away from u = 1, and the complete
-elliptic integrals with a recurrence in m near it.
+m >= 1 is the 2D channel kernel 2 (A_0 - A_m)(u), at d = 2 only, with
+|S^0| = 2, also a closed form (_polar_channel): the difference of two
+Gegenbauer coefficients of the same expansion away from u = 1, and the
+complete elliptic integrals with a recurrence in m near it.
 """
 
 import functools
@@ -35,18 +36,23 @@ import math
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import ellipe, ellipkm1, hyp2f1
+from scipy.special import gamma as gamma_fn
 
-from .errors import DomainError
+from .errors import DomainError, SingularInputError
 
 backend_name = "python"
 
 _U = 2.0 ** -53  # unit roundoff
+# the largest relative error bound a kernel element of gamma_d or of the
+# band moments may carry, and polar_batch's default tol
+KTOL = 1e-11
 # allowances, in units of _U, for scipy's hyp2f1 with the rounding of its
-# parameters, and for scipy's beta: measured against mpmath on the K_d
-# family, d in (1.01, 20), at most 29 and 7 units
-# (tests/test_kernels_backends.py holds the resulting bound)
+# parameters, for scipy's beta and for sphere_surface(d - 2): measured
+# against mpmath on the K_d family, d in (1.01, 20), at most 29, 7 and 8.4
+# units (tests/test_kernels_backends.py holds the resulting bounds)
 HYP2F1_ULPS = 40.0
 BETA_ULPS = 10.0
+SPHERE_ULPS = 12.0
 # the channels m >= 1 that _polar_channel's allowance was measured on,
 # and that allowance, in units of _U: against mpmath, m = 1..6 and
 # u - 1 from 1e-14 to 1e8, at most 41 units
@@ -54,17 +60,29 @@ CHANNEL_M = range(1, 7)
 CHANNEL_ULPS = 80.0
 
 
-def polar_batch(d, m, um1, *, tol=1e-11):
-    """K_d's polar integral (m = 0) or the channel kernel (A_0 - A_m)(u)
-    (m in CHANNEL_M, d = 2 only) for a batch of u - 1, by the closed forms
-    of the module docstring; returns (values, error bounds, n_evaluations),
-    one evaluation per element.
+def sphere_surface(k: float) -> float:
+    """Surface measure |S^k| = 2 pi^((k+1)/2) / Gamma((k+1)/2), continued in
+    k; DomainError where that formula gives no positive finite double, as
+    from k = 343 on, where Gamma((k+1)/2) overflows."""
+    g = gamma_fn((k + 1) / 2.0)
+    if not 0 < g < math.inf:
+        raise DomainError("|S^%g| is not a positive finite double" % k)
+    return 2.0 * math.pi ** ((k + 1) / 2.0) / g
 
-    The m = 0 bound is _polar_closed's, below 1e-14 of the value for d in
-    (1, 20] up to u - 1 = 1e130 and growing with ln(u - 1) beyond; for
-    m >= 1 it is CHANNEL_ULPS of the value.  Any other (d, m), and a nan
-    or negative u - 1, raise DomainError; u - 1 = inf is the far tail, an
-    exact 0.
+
+def polar_batch(d, m, um1, *, tol=KTOL):
+    """The angular kernel of the module docstring, K_d (m = 0) or
+    2 (A_0 - A_m)(u) (m in CHANNEL_M, d = 2 only), for a batch of u - 1;
+    returns (values, error bounds, n_evaluations), one evaluation per
+    element.  u - 1 = inf is the far tail, an exact 0.
+
+    m = 0: |S^(d-2)| times _polar_closed's value and bound, plus
+    SPHERE_ULPS + 1 units of the value for the rounding of |S^(d-2)| and
+    of the product: below 1.2e-14 of the value for d in (1, 20] up to
+    u - 1 = 1e130, growing with ln(u - 1) beyond.  u - 1 = 0 raises
+    SingularInputError, a value past the double range DomainError.
+    m >= 1: the bound is CHANNEL_ULPS of the value, and u = 1 is +inf.
+    Any other (d, m), and a nan or negative u - 1, raise DomainError.
 
     `tol` changes no value.  It is keyword-only and must be positive,
     because perfbench's tracer reads its default through
@@ -76,15 +94,25 @@ def polar_batch(d, m, um1, *, tol=1e-11):
         raise DomainError("the polar kernel needs 1 < d < inf")
     um1 = np.atleast_1d(np.asarray(um1, dtype=float))
     ne = um1.size
-    lo = um1.min() if ne else 0.0
+    lo = um1.min() if ne else 1.0
     if not lo >= 0:
         raise DomainError("u - 1 must be >= 0, not nan")
     if m == 0:
-        return (*_polar_closed(d, um1, lo), ne)
+        if lo == 0.0:
+            raise SingularInputError("u = 1 is a non-integrable singularity")
+        c = sphere_surface(d - 2)
+        v, e = _polar_closed(d, um1)
+        with np.errstate(over="ignore"):    # reported below, as DomainError
+            v = c * v
+            e = c * e + ((SPHERE_ULPS + 1.0) * _U) * np.abs(v)
+        if not np.isfinite(e).all():        # wherever v is not, e is not
+            raise DomainError("angular kernel is not finite at u - 1 = %g"
+                              % um1[~np.isfinite(e)][0])
+        return v, e, ne
     if m not in CHANNEL_M or d != 2.0:
         raise DomainError("the weight 1 - cos(m t) needs m in 1..%d at d = 2"
                           % CHANNEL_M[-1])
-    v = _polar_channel(int(m), um1, lo)
+    v = 2.0 * _polar_channel(int(m), um1, lo)
     return v, CHANNEL_ULPS * _U * np.abs(v), ne
 
 
@@ -156,8 +184,9 @@ def _closed_form(d):
             float(beta_fn(0.5 * (d - 1.0), 0.5)), e, far_from)
 
 
-def _polar_closed(d, um1, lo):
-    """(values, error bounds) of the m = 0 integral in closed form.
+def _polar_closed(d, um1):
+    """(values, error bounds) of the m = 0 polar integral in closed form,
+    for u - 1 > 0.
 
     The bound is the rounding of every step carried to first order into
     the value, plus HYP2F1_ULPS and BETA_ULPS.  e^x = (1 + um1) + sinh x
@@ -183,8 +212,6 @@ def _polar_closed(d, um1, lo):
         z = 1.0 / (ex * ex)                             # a^2
         f = hyp2f1(-0.5, b, c, z)
         cz = z * (slope * hyp2f1(0.5, b1, c + 1.0, z)) / f  # d ln f / d ln z
-        if lo == 0.0:
-            cz[um1 == 0.0] = 0.0    # z = 1 is exact there, f' may be inf
         # (2a)^e sinh(x)^-2, its exponents of 2a and sinh x, its
         # log-derivative in a^2, and the ulps of its powers and product
         pref, t_exp, q_exp, z_exp, ops = t ** e * q ** -2.0, e, -2.0, 0.0, 5.0

@@ -1,4 +1,4 @@
-"""Adaptive 1D quadrature and the angular surface integrals over S^(d-1).
+"""Adaptive Gauss-Kronrod quadrature of array integrands on finite intervals.
 
 Everything here is deterministic: subdivision is worst-first with a
 deterministic tie-break, so repeated runs give bit-identical results.
@@ -9,10 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
-from . import kernels
-from .errors import AccuracyError, DomainError, SingularInputError
+from .errors import AccuracyError, DomainError
 
 SUBDIVISION_BUDGET = 10_000
 
@@ -61,19 +59,6 @@ class QuadResult:
             raise DomainError("quadrature value is not finite")
         if self.abs_error_estimate < 0 or self.evaluations < 1:
             raise DomainError("invalid quadrature metadata")
-
-
-def sphere_surface(k: float) -> float:
-    """Surface measure |S^k| = 2 pi^((k+1)/2) / Gamma((k+1)/2), continued in
-    k; DomainError where that formula gives no positive finite double, as
-    from k = 343 on, where Gamma((k+1)/2) overflows."""
-    try:
-        s = 2.0 * math.pi ** ((k + 1) / 2.0) / gamma_fn((k + 1) / 2.0)
-    except OverflowError:
-        s = math.inf
-    if not 0 < s < math.inf:
-        raise DomainError("|S^%g| is not a positive finite double" % k)
-    return s
 
 
 def _nodes(a, b):
@@ -147,27 +132,3 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
         nev += 30
         splits += 1
 
-
-def angular_kernel_batch(d: float, um1):
-    """K_d(u) for an array of u-1; returns (values, errors, evals).
-
-    K_d(u) = int over S^(d-1) of dw / (u - w.e)^((d+1)/2), reduced to the
-    polar integral with weight |S^(d-2)| sin^(d-2).  Raises DomainError
-    where polar_batch does (d outside (1, inf), u < 1), and if a value
-    or its error is not finite (u - 1 so small that the kernel
-    overflows); SingularInputError at u = 1.
-    """
-    um1 = np.atleast_1d(np.asarray(um1, dtype=float))
-    lo = um1.min() if um1.size else 1.0
-    if lo == 0.0:
-        raise SingularInputError("u = 1 is a non-integrable singularity")
-    # an overflowing kernel is reported below as a DomainError, not a warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals, errs, nev = kernels.polar_batch(d, 0, um1)
-        c = sphere_surface(d - 2)
-        vals, errs = c * vals, c * errs
-    # the error bound is not finite wherever the value is not
-    if not np.isfinite(errs).all():
-        bad = ~(np.isfinite(vals) & np.isfinite(errs))
-        raise DomainError("angular kernel is not finite at u - 1 = %g" % um1[bad][0])
-    return vals, errs, nev

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
@@ -12,7 +13,7 @@ from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
                              relativistic_form, relativistic_form_direct,
                              ridge_moments)
 from opineq.errors import AccuracyError, DomainError
-from opineq.quadrature import angular_kernel_batch, sphere_surface
+from opineq.kernels import sphere_surface
 
 # mpmath references (30-digit quadrature, two independent substitutions)
 GAMMA_15 = -2.30720541054060085
@@ -72,6 +73,12 @@ def test_alpha_values():
     assert alpha(2.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
     with pytest.raises(DomainError):
         alpha(1.0)
+    # Gamma((d+1)/2) overflows from d = 343, and pi^((d+1)/2) raises
+    # OverflowError from about d = 1240; finite values keep their formula
+    assert alpha(342.0) == float(scipy.special.gamma(171.5) / (2.0 * math.pi ** 171.5))
+    for d in (343.0, 400.0, 2000.0):
+        with pytest.raises(DomainError):
+            alpha(d)
 
 
 def bracket(d, r):
@@ -103,11 +110,29 @@ def test_gamma_frozen_references():
     assert gamma(2.01, 1e-10).value == pytest.approx(GAMMA_201, rel=1e-7)
 
 
-@pytest.mark.parametrize("d", [1.2, 1.5, 1.9, 2.1, 2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("d", [1.2, 1.5, 1.9, 2.1, 2.5, 3.0, 4.0, 6.0,
+                               23.0, 30.0, 40.0])
 def test_gamma_closed_form(d):
     # 2 alpha_d gamma_d = d - 2, the minimum of the Mellin symbol of
-    # |x||p| + |p||x|: the lower bound is sharp (measured within 1.5e-14)
+    # |x||p| + |p||x|: the lower bound is sharp (measured within 1.5e-14).
+    # From d = 23 the bracket e^((d-1)s/2) would overflow before s = 65,
+    # and smax is capped at 1400/(d-1)
     assert 2.0 * alpha(d) * gamma(d, 1e-10).value == pytest.approx(d - 2.0, rel=1e-12)
+
+
+def test_gamma_tail_beyond_tol_is_domain_error(monkeypatch):
+    # at d = 60 the tail beyond smax = 1400/59 is 1.1e-11 of gamma_d, so
+    # tol = 1e-10 is met (the result 1.05e-11 off) and tol = 1e-12 is
+    # refused; at d = 80 the tail is 3.7e-9.  Refused before any kernel
+    # call, so before any RuntimeWarning.  Next to d = 2 the bound carries
+    # the bracket's factor d - 2, as gamma_d does
+    assert 2.0 * alpha(60.0) * gamma(60.0).value == pytest.approx(58.0, rel=1e-10)
+    d = 2.0 + 2.0 ** -51
+    assert 2.0 * alpha(d) * gamma(d, 1e-13).value == pytest.approx(d - 2.0, rel=1e-10)
+    _forbid_kernel_calls(monkeypatch)
+    for d, tol in ((60.0, 1e-12), (80.0, 1e-10)):
+        with pytest.raises(DomainError):
+            gamma(d, tol)
 
 
 def test_gamma_sign_law():
@@ -159,7 +184,7 @@ def test_trial_function_families():
 def test_trial_norm_closed_form():
     psi = TrialFunction("log_gaussian", 1.3)
     d = 2.0
-    from opineq.quadrature import integrate_adaptive, sphere_surface
+    from opineq.quadrature import integrate_adaptive
     num = integrate_adaptive(
         lambda s: np.exp(d * s) * psi.profile_log(s) ** 2, -40, 40, 1e-12)
     assert psi.norm_sq(d) == pytest.approx(sphere_surface(d - 1) * num.value,
@@ -196,7 +221,7 @@ def test_relativistic_form_matches_mellin_oracle():
 
 def _ridge_integrand(d):
     def f(x):
-        v, _, _ = angular_kernel_batch(d, 2.0 * np.sinh(x / 2.0) ** 2)
+        v, _, _ = kernels.polar_batch(d, 0, 2.0 * np.sinh(x / 2.0) ** 2)
         return v * x * x
     return f
 
@@ -204,7 +229,7 @@ def _ridge_integrand(d):
 def _channel_integrand(m):
     def f(x):
         v, _, _ = kernels.polar_batch(2.0, m, 2.0 * np.sinh(x / 2.0) ** 2)
-        return 2.0 * v
+        return v
     return f
 
 

@@ -1,6 +1,8 @@
-"""The numpy polar kernel: both closed forms against mpmath,
-determinism, and batches that match their elements bit for bit."""
+"""The numpy angular kernels: both closed forms against mpmath, with
+their sphere factors, the K_d identities and limits, determinism, and
+batches that match their elements bit for bit."""
 
+import math
 from unittest import mock
 
 import mpmath
@@ -10,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opineq.kernels as kernels
-from opineq.errors import DomainError
-from opineq.quadrature import angular_kernel_batch
+from opineq.errors import DomainError, SingularInputError
+from opineq.kernels import sphere_surface
 
 SCIPY_HYP2F1 = kernels.hyp2f1
+K2_AT_2 = 2.9125841903282682   # int_0^{2pi} (2 - cos t)^{-3/2} dt, mpmath 30 digits
 
 
 def test_polar_batch_deterministic():
@@ -51,8 +54,8 @@ def _assert_batch_matches_elements(d, m, um1):
     assert np.array_equal(v, ref) and np.array_equal(e, ref_e)
 
 
-# the kernel arguments of each library caller: angular_kernel_batch's
-# K_d, and anticomm.channel_moments' 1 - cos(m t) weight at d = 2
+# the kernel arguments of each library caller: K_d for anticomm.gamma and
+# the ridge moments, and the channel kernel at d = 2 for the channel moments
 CALLER_ARGS = st.one_of(
     st.floats(1.2, 6.0).map(lambda d: (d, 0)),
     st.tuples(st.just(2.0), st.integers(1, 6)),
@@ -72,7 +75,7 @@ def test_batched_call_matches_per_element_property(args, um1):
 @PROPERTY
 @given(st.floats(1.2, 6.0), UM1_BATCHES)
 def test_angular_kernel_decreases_in_u(d, um1):
-    vals, _, _ = angular_kernel_batch(d, um1)
+    vals, _, _ = kernels.polar_batch(d, 0, um1)
     assert np.all(np.diff(vals) < 0)
 
 
@@ -85,6 +88,7 @@ def test_angular_kernel_decreases_in_u(d, um1):
     for d in (1.2, 2.01, 2.3) for um1 in (1e-12, 1e-8, 1e-3, 1.0, 1e3)
 ])
 def test_relative_precision_at_the_ends(d, m, um1):
+    # the polar integral by mpmath quadrature, times the sphere factor
     v, e, _ = kernels.polar_batch(d, m, [um1], tol=1e-11)
     with mpmath.workdps(30):
         u = mpmath.mpf(um1)
@@ -103,8 +107,8 @@ def test_relative_precision_at_the_ends(d, m, um1):
 
         breaks = ([0] + [mpmath.mpf(10) ** (k / a) for k in range(-8, 0)]
                   + [(mpmath.pi / 2) ** (1 / a)])
-        exact = float(sum(mpmath.quad(lambda s: f(s, region), breaks)
-                          for region in (0, 1)))
+        exact = float(_sphere_mp(d - 2) * sum(
+            mpmath.quad(lambda s: f(s, region), breaks) for region in (0, 1)))
     assert e[0] <= 1e-11 * abs(v[0])
     assert abs(v[0] - exact) <= 1e-13 * abs(exact)
 
@@ -130,6 +134,12 @@ def test_tolerance_is_keyword_only():
         kernels.polar_batch(2.0, 0, [0.5], tol=1e-11, eta=[0.0])
 
 
+def _sphere_mp(k):
+    """|S^k| at mpf precision."""
+    k = mpmath.mpf(k)
+    return 2 * mpmath.pi ** ((k + 1) / 2) / mpmath.gamma((k + 1) / 2)
+
+
 def _closed_form_reference(d, um1):
     """The m = 0 integral at mpf d: the Gegenbauer series in u^-2,
     B((d-1)/2, 1/2) u^-p 2F1(p/2, (p+1)/2; d/2; u^-2), p = (d+1)/2, which
@@ -141,26 +151,36 @@ def _closed_form_reference(d, um1):
             * mpmath.hyp2f1(p / 2, (p + 1) / 2, d / 2, 1 / u ** 2))
 
 
-def _assert_within_bound(d, um1, v, e, dps):
+def _assert_within_bound(d, um1, v, e, dps, sphere=False, rel=1e-14):
     with mpmath.workdps(dps):
         ref = _closed_form_reference(mpmath.mpf(d), um1)
+        if sphere:
+            ref *= _sphere_mp(mpmath.mpf(d) - 2)
         assert abs(mpmath.mpf(v) - ref) <= e, (um1, float(abs(v / ref - 1)))
-    assert e <= 1e-14 * v
+    assert e <= rel * v
 
 
 @pytest.mark.parametrize("d", [1.1, 1.2, 1.5, 2.0, 2.01, 2.3, 2.5, 3.0,
-                               7.050034627526924, 8.0, 12.0])
+                               7.050034627526924, 8.0, 12.0, 20.0])
 def test_kd_closed_form_within_its_bound(d):
     # K_d's polar integral is one scipy hyp2f1 per element; every value
     # lies within its returned bound, and the bound within 1e-14.  40
     # digits, and 60 where u is large and d >= 8, resolve the reference.
     # At d = 1.1, u - 1 = 1e-12 an adaptive quadrature once stopped
-    # 3.7e-15 off with no flag: the bias of 15-digit GK15 tables
+    # 3.7e-15 off with no flag: the bias of 15-digit GK15 tables.
+    # polar_batch's K_d, |S^(d-2)| times it, lies within its own bound
+    # against the reference times an exact |S^(d-2)|, and that bound
+    # within 1.2e-14: the rounding of |S^(d-2)| and of the product add 13
+    # units of 2^-53
     um1 = 10.0 ** np.arange(-14, 9)
-    v, e, n = kernels.polar_batch(d, 0, um1)
+    v, e = kernels._polar_closed(d, um1)
+    kv, ke, n = kernels.polar_batch(d, 0, um1)
     assert n == um1.size
-    for x, vi, ei in zip(um1, v, e):
-        _assert_within_bound(d, x, vi, ei, 60 if d >= 8 and x >= 1e6 else 40)
+    assert np.all(ke >= sphere_surface(d - 2) * e + (13 * 2.0 ** -53) * np.abs(kv))
+    for x, vi, ei, kvi, kei in zip(um1, v, e, kv, ke):
+        dps = 60 if d >= 8 and x >= 1e6 else 40
+        _assert_within_bound(d, x, vi, ei, dps)
+        _assert_within_bound(d, x, kvi, kei, dps, sphere=True, rel=1.2e-14)
 
 
 @PROPERTY
@@ -177,23 +197,24 @@ def test_kd_closed_form_passes_integer_c_minus_a_minus_b(d, log_um1):
 
     um1 = 10.0 ** log_um1
     with mock.patch.object(kernels, "hyp2f1", recording):
-        v, e, _ = kernels.polar_batch(d, 0, [um1])
+        v, e = kernels._polar_closed(d, np.array([um1]))
     assert passed == [2.0, 1.0]
     _assert_within_bound(d, um1, v[0], e[0], 60 if um1 >= 1e6 else 40)
 
 
 def _channel_reference(m, um1):
-    """(A_0 - A_m)(u) through mpmath's toroidal functions: d/du of
-    Q_(j-1/2)(u) = 2^(-1/2) int cos(j t) (u - cos t)^(-1/2) dt is
-    Q^1_(j-1/2)(u) / sinh x (type 3, u = cosh x), so
-    int cos(j t) (u - cos t)^(-3/2) dt is -2 sqrt(2) Q^1_(j-1/2)(u) / sinh x.  Neither the Gauss series nor the
-    elliptic recurrence of the closed form enters.  The two terms share
+    """2 (A_0 - A_m)(u), |S^0| = 2 included, through mpmath's toroidal
+    functions: d/du of Q_(j-1/2)(u) = 2^(-1/2) int cos(j t)
+    (u - cos t)^(-1/2) dt is Q^1_(j-1/2)(u) / sinh x (type 3, u = cosh x),
+    so int cos(j t) (u - cos t)^(-3/2) dt is -2 sqrt(2) Q^1_(j-1/2)(u) /
+    sinh x.  Neither the Gauss series nor the elliptic recurrence of the
+    closed form enters.  The two terms share
     a (u - 1)^-1 pole, which takes 14 of the 50 digits at u - 1 = 1e-14."""
     with mpmath.workdps(50):
         w = mpmath.mpf(um1)
         q = [mpmath.re(mpmath.legenq(j - mpmath.mpf(1) / 2, 1, 1 + w, type=3))
              for j in (0, m)]
-        return 2 * mpmath.sqrt(2) * (q[1] - q[0]) / mpmath.sqrt(w * (w + 2))
+        return 4 * mpmath.sqrt(2) * (q[1] - q[0]) / mpmath.sqrt(w * (w + 2))
 
 
 @pytest.mark.parametrize("m", list(kernels.CHANNEL_M))
@@ -231,3 +252,83 @@ def test_channel_closed_form_ends():
 def test_arguments_outside_their_domain_rejected(d, m):
     with pytest.raises(DomainError):
         kernels.polar_batch(d, m, [0.5])
+
+
+def test_angular_query_invariants():
+    # d > 1 for the continued sin^(d-2) weight; u = (r + 1/r)/2 >= 1
+    for d in (0.5, 1.0):
+        with pytest.raises(DomainError):
+            kernels.polar_batch(d, 0, [1.0])
+    with pytest.raises(DomainError):
+        kernels.polar_batch(2.0, 0, [1.0, -0.5])
+
+
+def test_kernel_d3_closed_form():
+    # K_3(u) (u^2 - 1) = 4 pi
+    u = np.array([1.1, 2.0, 10.0])
+    vals, _, _ = kernels.polar_batch(3.0, 0, u - 1.0)
+    assert np.all(np.abs(vals * (u * u - 1.0) - 4.0 * math.pi) < 1e-9)
+
+
+def test_kernel_d3_value_at_two():
+    vals, _, _ = kernels.polar_batch(3.0, 0, [1.0])
+    assert abs(vals[0] - 4.0 * math.pi / 3.0) < 1e-10
+
+
+def test_kernel_d2_regression_constant():
+    vals, _, _ = kernels.polar_batch(2.0, 0, [1.0])
+    assert abs(vals[0] - K2_AT_2) < 1e-10
+
+
+def test_kernel_monotone_in_u():
+    for d in (1.5, 2.0, 3.0):
+        vals, _, _ = kernels.polar_batch(d, 0, [0.1, 0.5, 2.0, 10.0])
+        assert np.all(np.diff(vals) < 0)
+
+
+def test_kernel_u_to_one_limit():
+    # (u-1) K_d(u) approaches a finite positive limit
+    for d in (1.5, 2.0, 3.0):
+        um1 = np.array([1e-2, 1e-4, 1e-6])
+        vals, _, _ = kernels.polar_batch(d, 0, um1)
+        lim = um1 * vals
+        assert np.all(lim > 0)
+        ratios = lim[1:] / lim[:-1]
+        assert np.all(np.abs(ratios - 1.0) < 0.05)
+
+
+def test_kernel_singular_input():
+    for d in (1.5, 2.0):
+        with pytest.raises(SingularInputError):
+            kernels.polar_batch(d, 0, [0.5, 0.0])
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0])
+def test_kernel_overflow_is_domain_error(d):
+    # (u - 1) K_d(u) tends to |S^(d-1)| 2^((d-5)/2) Gamma(d/2) /
+    # (Gamma((d+1)/2) Gamma(3/2)), 2 sqrt 2 at d = 2: K_d(1 + 1e-300) is
+    # finite, and K_d(1 + 5e-324) is past the double range
+    limit = (sphere_surface(d - 1) * 2.0 ** ((d - 5.0) / 2.0) * math.gamma(d / 2.0)
+             / (math.gamma((d + 1.0) / 2.0) * math.gamma(1.5)))
+    vals, _, _ = kernels.polar_batch(d, 0, [1e-300])
+    assert 1e-300 * vals[0] == pytest.approx(limit, rel=1e-14)
+    if d == 2.0:
+        assert vals[0] == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-14)
+    with pytest.raises(DomainError):
+        kernels.polar_batch(d, 0, [5e-324])
+
+
+def test_sphere_surface_values():
+    assert sphere_surface(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert sphere_surface(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
+    assert sphere_surface(0) == pytest.approx(2.0, rel=1e-15)
+    # Gamma((k+1)/2) overflows, then pi^((k+1)/2) too
+    for k in (399.0, 1998.0):
+        with pytest.raises(DomainError):
+            sphere_surface(k)
+
+
+def test_kernel_deterministic():
+    a = kernels.polar_batch(2.3, 0, [0.37])
+    b = kernels.polar_batch(2.3, 0, [0.37])
+    assert np.array_equal(a[0], b[0]) and a[2] == b[2]

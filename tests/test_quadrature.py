@@ -6,12 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opineq.errors import AccuracyError, DomainError, SingularInputError
-from opineq.quadrature import (GIDX, WG, WK, XK, QuadResult,
-                               angular_kernel_batch, integrate_adaptive,
-                               sphere_surface)
-
-K2_AT_2 = 2.9125841903282682   # int_0^{2pi} (2 - cos t)^{-3/2} dt, mpmath 30 digits
+from opineq.errors import AccuracyError, DomainError
+from opineq.quadrature import GIDX, WG, WK, XK, QuadResult, integrate_adaptive
 
 
 def test_constant_integrand():
@@ -114,86 +110,6 @@ def test_quadresult_invariants():
         QuadResult(1.0, -1.0, 1)
     with pytest.raises(DomainError):
         QuadResult(1.0, 0.0, 0)
-
-
-def test_angular_query_invariants():
-    # d > 1 for the continued sin^(d-2) weight; u = (r + 1/r)/2 >= 1
-    for d in (0.5, 1.0):
-        with pytest.raises(DomainError):
-            angular_kernel_batch(d, [1.0])
-    with pytest.raises(DomainError):
-        angular_kernel_batch(2.0, [1.0, -0.5])
-
-
-def test_kernel_d3_closed_form():
-    # K_3(u) (u^2 - 1) = 4 pi
-    u = np.array([1.1, 2.0, 10.0])
-    vals, _, _ = angular_kernel_batch(3.0, u - 1.0)
-    assert np.all(np.abs(vals * (u * u - 1.0) - 4.0 * math.pi) < 1e-9)
-
-
-def test_kernel_d3_value_at_two():
-    vals, _, _ = angular_kernel_batch(3.0, [1.0])
-    assert abs(vals[0] - 4.0 * math.pi / 3.0) < 1e-10
-
-
-def test_kernel_d2_regression_constant():
-    vals, _, _ = angular_kernel_batch(2.0, [1.0])
-    assert abs(vals[0] - K2_AT_2) < 1e-10
-
-
-def test_kernel_monotone_in_u():
-    for d in (1.5, 2.0, 3.0):
-        vals, _, _ = angular_kernel_batch(d, [0.1, 0.5, 2.0, 10.0])
-        assert np.all(np.diff(vals) < 0)
-
-
-def test_kernel_u_to_one_limit():
-    # (u-1) K_d(u) approaches a finite positive limit
-    for d in (1.5, 2.0, 3.0):
-        um1 = np.array([1e-2, 1e-4, 1e-6])
-        vals, _, _ = angular_kernel_batch(d, um1)
-        lim = um1 * vals
-        assert np.all(lim > 0)
-        ratios = lim[1:] / lim[:-1]
-        assert np.all(np.abs(ratios - 1.0) < 0.05)
-
-
-def test_kernel_singular_input():
-    for d in (1.5, 2.0):
-        with pytest.raises(SingularInputError):
-            angular_kernel_batch(d, [0.5, 0.0])
-
-
-@pytest.mark.parametrize("d", [1.5, 2.0])
-def test_kernel_overflow_is_domain_error(d):
-    # (u - 1) K_d(u) tends to |S^(d-1)| 2^((d-5)/2) Gamma(d/2) /
-    # (Gamma((d+1)/2) Gamma(3/2)), 2 sqrt 2 at d = 2: K_d(1 + 1e-300) is
-    # finite, and K_d(1 + 5e-324) is past the double range
-    limit = (sphere_surface(d - 1) * 2.0 ** ((d - 5.0) / 2.0) * math.gamma(d / 2.0)
-             / (math.gamma((d + 1.0) / 2.0) * math.gamma(1.5)))
-    vals, _, _ = angular_kernel_batch(d, [1e-300])
-    assert 1e-300 * vals[0] == pytest.approx(limit, rel=1e-14)
-    if d == 2.0:
-        assert vals[0] == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-14)
-    with pytest.raises(DomainError):
-        angular_kernel_batch(d, [5e-324])
-
-
-def test_sphere_surface_values():
-    assert sphere_surface(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert sphere_surface(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert sphere_surface(0) == pytest.approx(2.0, rel=1e-15)
-    # Gamma((k+1)/2) overflows, then pi^((k+1)/2) too
-    for k in (399.0, 1998.0):
-        with pytest.raises(DomainError):
-            sphere_surface(k)
-
-
-def test_kernel_deterministic():
-    a = angular_kernel_batch(2.3, [0.37])
-    b = angular_kernel_batch(2.3, [0.37])
-    assert np.array_equal(a[0], b[0]) and a[2] == b[2]
 
 
 def _load_gk15_generator():

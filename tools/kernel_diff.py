@@ -1,0 +1,147 @@
+"""Bitwise comparison of the angular kernels and of what is built from them
+against BASE_REV.
+
+    python3 tools/kernel_diff.py BASE_REV
+
+BASE_REV is exported with `git archive` (bench_pair.export) into a
+temporary directory; the other side is this working tree.  On each tree
+this script runs itself as `kernel_diff.py --probe FILE` with that tree's
+`src` on PYTHONPATH, and the probe pickles into FILE, by name:
+
+- the angular kernel (`kernels.polar_batch`, sphere factor included)
+  values and bounds, for m = 0 at seven dimensions and for m = 1..6 at
+  d = 2, on u - 1 from 1e-14 to 1e200 and inf (0 too for m >= 1);
+- `anticomm.gamma`'s value, error estimate and evaluation count at eight
+  dimensions from 1.2 to 12;
+- the ridge moments at d = 2, 2.5, 3 and the channel moments at m = 1, 2,
+  1,500 bands at each of three step sizes;
+- the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3.
+
+A quantity that raises is recorded as its exception.  Prints one line per
+quantity, SAME or DIFFERS; a differing array of the same shape also says
+whether the new side is >= the base side everywhere.  Exits with status 1
+if any quantity differs.  No default CLI command reaches the m >= 1
+kernel, so tools/cli_diff.py alone does not cover it.
+"""
+
+import argparse
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+from bench_pair import ROOT, export
+
+KERNEL_D = (1.2, 1.5, 2.0, 2.5, 3.0, 7.050034627526924, 12.0)
+UM1 = np.concatenate([np.geomspace(1e-14, 1e8, 221), [1e130, 1e200, np.inf]])
+GAMMA_D = (1.2, 1.5, 1.9, 2.01, 2.5, 3.0, 6.0, 12.0)
+STEPS = (0.05, 0.08, 0.1)
+BANDS = 1500
+
+
+def angular_kernel(d, m, um1):
+    """(values, bounds) of the angular kernel with its sphere factor.  A
+    tree whose polar_batch still returns the bare polar integral has
+    quadrature.angular_kernel_batch, which applied |S^(d-2)| for m = 0;
+    for m >= 1 |S^0| = 2 was applied by the channel moments."""
+    from opineq import kernels, quadrature
+    if hasattr(quadrature, "angular_kernel_batch"):
+        if m == 0:
+            return quadrature.angular_kernel_batch(d, um1)[:2]
+        v, e, _ = kernels.polar_batch(d, m, um1)
+        return 2.0 * v, 2.0 * e
+    return kernels.polar_batch(d, m, um1)[:2]
+
+
+def probe():
+    """{name: array, or the repr of the exception it raised}."""
+    from opineq import anticomm, spectra
+
+    def gamma(d):
+        g = anticomm.gamma(d)
+        return np.array([g.value, g.abs_error_estimate, g.evaluations])
+
+    jobs = {}
+    for d in KERNEL_D:
+        jobs["kernel m=0 d=%g" % d] = lambda d=d: angular_kernel(d, 0, UM1)
+    for m in range(1, 7):
+        jobs["kernel m=%d d=2" % m] = (
+            lambda m=m: angular_kernel(2.0, m, np.append(0.0, UM1)))
+    for d in GAMMA_D:
+        jobs["gamma d=%g" % d] = lambda d=d: gamma(d)
+    for h in STEPS:
+        for d in (2.0, 2.5, 3.0):
+            jobs["ridge_moments d=%g h=%g" % (d, h)] = (
+                lambda d=d, h=h: anticomm.ridge_moments(d, h, BANDS))
+        for m in (1, 2):
+            jobs["channel_moments m=%d h=%g" % (m, h)] = (
+                lambda m=m, h=h: anticomm.channel_moments(m, h, BANDS))
+    for d in (2.0, 2.5, 3.0):
+        jobs["lambda_min_anticomm d=%g" % d] = (
+            lambda d=d: np.array(spectra.lambda_min_anticomm(d)[1]))
+    out = {}
+    for name, job in jobs.items():
+        try:
+            res = job()
+        except Exception as exc:    # recorded, to be compared across trees
+            out[name] = repr(exc)
+        else:
+            if isinstance(res, tuple):      # a kernel's values and bounds
+                out[name + " values"], out[name + " bounds"] = res
+            else:
+                out[name] = res
+    return out
+
+
+def run_probe(tree, path):
+    """The probe's results on `tree`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--probe", path],
+                   cwd=tree, env=env, check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def verdict(base, new):
+    """("SAME" or "DIFFERS", detail): for arrays of one shape that differ,
+    whether the new side is >= the base side everywhere."""
+    if isinstance(base, str) or isinstance(new, str):
+        return ("SAME", "") if base == new else ("DIFFERS", "")
+    if base.shape != new.shape:
+        return "DIFFERS", " (shape %s -> %s)" % (base.shape, new.shape)
+    if base.tobytes() == new.tobytes():
+        return "SAME", ""
+    return "DIFFERS", " (new %s base everywhere)" % (
+        ">=" if np.all(new >= base) else "not >=")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("base_rev", nargs="?")
+    ap.add_argument("--probe", metavar="FILE", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.probe:
+        with open(args.probe, "wb") as fh:
+            pickle.dump(probe(), fh)
+        return 0
+    if args.base_rev is None:
+        ap.error("BASE_REV is required")
+    differs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "base")
+        os.makedirs(base)
+        export(args.base_rev, base)
+        sides = [run_probe(tree, os.path.join(tmp, name + ".pkl"))
+                 for tree, name in ((base, "base"), (ROOT, "new"))]
+    for name in sorted(set(sides[0]) | set(sides[1])):
+        word, detail = verdict(*(side.get(name, "missing") for side in sides))
+        differs += word != "SAME"
+        print("%-8s %s%s" % (word, name, detail))
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
