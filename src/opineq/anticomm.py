@@ -91,7 +91,8 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
 
     res = integrate_adaptive(f, 0.0, smax, tol)
     pref = 2.0 ** (-(d - 1.0) / 2.0)
-    out = QuadResult(pref * res.value, pref * res.abs_error_estimate,
+    out = QuadResult(pref * res.value,
+                     pref * res.abs_error_estimate + math.exp(log_tail),
                      res.evaluations + nev_inner[0])
     if unconverged[0]:
         raise AccuracyError("%d K_%g kernel elements missed tolerance %g"
@@ -165,8 +166,10 @@ class TrialFunction:
         """Half-width of the s-lattice needed for ~1e-12 truncated mass.
 
         The +34 padding covers the e^{-x} pair-separation tail of the
-        double-integral forms (far side against the trial's bulk), not
-        just the single-variable weighted mass.
+        double-integral forms: the pairs between the trial's bulk and the
+        far side of the lattice, which _form_engine sums out to its offset
+        cut near x = 37.  Pairs of two nodes in the padding fall outside its
+        core window and are dropped within a bound.
         """
         if self.family == "log_gaussian":
             return abs(self.center) + d * self.sigma ** 2 / 2.0 + 10.0 * self.sigma + 34.0
@@ -197,10 +200,11 @@ class FormValue:
     """Form value t[psi], its absolute scale and ||psi||^2.
 
     `scale` is the same sums over |terms|, the reference for
-    roundoff-level negativity, taken over the pair offsets that
-    `_form_engine` keeps.  Every dropped term is >= 0, so it is at most
-    the abs-sum over all offsets, and a gate `t >= -c scale` can only get
-    stricter.  `value` is within eps * scale of the sum over all offsets.
+    roundoff-level negativity, taken over the pairs that `_form_engine`
+    keeps: offsets out to its cut, pairs with a node in its core window.
+    Every dropped term is >= 0, so it is at most the abs-sum over all
+    pairs, and a gate `t >= -c scale` can only get stricter.  `value` is
+    within eps * scale of the sum over all pairs.
     """
 
     value: float
@@ -220,30 +224,99 @@ def _lattice(psi, d):
     return (np.arange(-half, half + 1) * h), h
 
 
-def _offset_sums(h, a, G, H, tail, w_lo):
+# elements (offsets x columns) per block of _offset_sums: below it numpy's
+# per-call overhead dominates (4,096 took 1.6x as long on the forms
+# workload's sums), and the three block temporaries stay at 384 KiB
+_BLOCK_ELEMENTS = 16384
+# the pairs outside the core window may weigh at most this share of eps
+# times offset 1's weighted abs term, a lower bound on the abs partial sum:
+# far enough below the cut's one ulp that adding it leaves K where it was
+_WINDOW_SHARE = 2.0 ** -10
+
+
+def _offset_blocks(n, lo, hi):
+    """Row ranges (k0, k1) covering the offsets 1..n-1 in order, for the
+    core window [lo, hi): block rows k0..k1-1 span the columns
+    max(0, lo - k1 + 1)..hi-1, and (k1 - k0) times that width is at most
+    _BLOCK_ELEMENTS, or the block is one row."""
+    k0 = 1
+    while k0 < n:
+        b = hi - lo + k0 - 1  # width of a block is at most b + rows
+        rows = max(1, (math.isqrt(b * b + 4 * _BLOCK_ELEMENTS) - b) // 2,
+                   _BLOCK_ELEMENTS // hi)
+        k1 = min(n, k0 + rows)
+        yield k0, k1
+        k0 = k1
+
+
+def _offset_sums(h, a, G, H, tail, w_lo, window):
     """F_k = h sum_i a_i a_{i+k} (G_i-G_{i+k})(H_i-H_{i+k}), plus the |.|
-    version, for k = 0..K (F_0 = 0).  K is the first offset with
-    tail[K] <= eps * sum_{j<=K} w_lo[j] |F|_j: tail[K] bounds the weighted
-    abs-sum over all offsets beyond K, and w_lo[j] bounds the weight of
-    offset j from below, so the rest is below one ulp of the abs partial
-    sum through K."""
+    version, for k = 0..K (F_0 = 0), over the pairs with a node in the core
+    window [lo, hi) = window[:2]; window[2] bounds the weighted abs-sum of
+    the other pairs over all offsets.  K is the first offset with
+    tail[K] + window[2] <= eps * sum_{j<=K} w_lo[j] |F|_j: tail[K] bounds the
+    weighted abs-sum over all offsets beyond K, and w_lo[j] bounds the
+    weight of offset j from below, so all that is left out is below one ulp
+    of the abs partial sum through K.
+
+    The offsets come in the blocks of _offset_blocks, each a few 2-D numpy
+    operations over rows k and columns i.  The partners i + k are rows of a
+    sliding window over a, G and H zero-padded at the end, where a pair with
+    a padded node is 0; the columns left of lo - k are real pairs too, of
+    two nodes outside the window.
+    """
+    lo, hi, dropped = window
     n = a.size
-    Fk = [0.0]
-    Fk_abs = [0.0]
+    pad = np.zeros(n)  # row c0 + k <= n, and hi <= n columns from there
+    part = [np.lib.stride_tricks.sliding_window_view(np.concatenate([v, pad]), hi)
+            for v in (a, G, H)]
+    ah = h * a
+    F, F_abs = np.zeros(n), np.zeros(n)
+    buf = np.empty((3, max(_BLOCK_ELEMENTS, hi)))
     partial = 0.0
-    for k in range(1, n):
-        w = a[:n - k] * a[k:]
-        num = (G[:n - k] - G[k:]) * (H[:n - k] - H[k:])
-        Fk.append(h * float(np.dot(w, num)))
-        Fk_abs.append(h * float(np.dot(w, np.abs(num))))
-        partial += w_lo[k] * Fk_abs[k]
-        if not tail[k] > _EPS * partial:  # a NaN partial sum stops it too
-            break
-    return np.array(Fk), np.array(Fk_abs)
+    for k0, k1 in _offset_blocks(n, lo, hi):
+        c0 = max(0, lo - k1 + 1)
+        m = hi - c0
+        w, dG, dH = (b[:(k1 - k0) * m].reshape(k1 - k0, m) for b in buf)
+        pa, pG, pH = (v[c0 + k0:c0 + k1, :m] for v in part)
+        np.multiply(ah[c0:hi], pa, out=w)
+        np.subtract(G[c0:hi], pG, out=dG)
+        np.subtract(H[c0:hi], pH, out=dH)
+        np.multiply(dG, dH, out=dG)
+        np.einsum("ji,ji->j", w, dG, out=F[k0:k1])
+        np.abs(dG, out=dG)
+        np.einsum("ji,ji->j", w, dG, out=F_abs[k0:k1])
+        cum = w_lo[k0:k1] * F_abs[k0:k1]
+        cum[0] += partial
+        np.cumsum(cum, out=cum)
+        # a NaN partial sum stops it too
+        stop = np.flatnonzero(~(tail[k0:k1] + dropped > _EPS * cum))
+        if stop.size:
+            K = k0 + int(stop[0])
+            return F[:K + 1], F_abs[:K + 1]
+        partial = cum[-1]
+    return F, F_abs
+
+
+def _core_window(q, budget):
+    """(lo, hi, dropped): the nodes [lo, hi) left after dropping from either
+    end of the lattice as many nodes as a node weight sum of budget / 2
+    allows, and dropped, the weight of the dropped nodes (<= budget).  With
+    the weights q of _offset_tail, dropped bounds the weighted abs terms of
+    all pairs of two dropped nodes."""
+    left = np.cumsum(q)
+    right = np.cumsum(q[::-1])
+    lo = int(np.searchsorted(left, 0.5 * budget, side="right"))
+    n_right = int(np.searchsorted(right, 0.5 * budget, side="right"))
+    hi = max(lo, q.size - n_right)
+    dropped = ((float(left[lo - 1]) if lo else 0.0)
+               + (float(right[n_right - 1]) if n_right else 0.0))
+    return lo, hi, dropped
 
 
 def _offset_tail(d, h, x, y):
-    """(tail, w_lo) for _offset_sums, indexed by the offset k = 0..n-1.
+    """(tail, w_lo, q) for _offset_sums and _core_window; tail and w_lo are
+    indexed by the offset k = 0..n-1, q by the lattice node.
 
     tail[k] bounds the weighted abs terms of all offsets beyond k, and
     w_lo[k] <= w_k = phi2[k] / (kh)^2 (w_lo[0] = 0).  Both are closed form.
@@ -258,6 +331,12 @@ def _offset_tail(d, h, x, y):
     for any d > 1 and any trial, H = G included.  The products are formed
     in logs (cosh x = e^x (1 + e^-2x) / 2, cosh x - 1 = e^x (1 - e^-x)^2
     / 2), so cosh(ck) w_k is finite for any k.
+
+    The same bound over only the pairs of two nodes of a set S, all
+    offsets together, is C1 sum_S |x_i y_i| + 2 C2 ||x_S|| ||y_S|| with
+    C1 = sum_k h w_k 2 cosh(ck) and C2 = sum_k h w_k; by AM-GM it is at
+    most the sum over S of the node weights
+        q_i = C1 |x_i y_i| + C2 (x_i^2 + y_i^2).
     """
     n = x.size
     k = np.arange(1, n)
@@ -271,10 +350,11 @@ def _offset_tail(d, h, x, y):
     ck = 0.5 * (d - 1.0) * h * k
     sum_xy = float(np.sum(np.abs(x * y)))
     norms = 2.0 * math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    b = h * (np.exp(log_hi + ck + np.log1p(np.exp(-2.0 * ck))) * sum_xy
-             + np.exp(log_hi) * norms)
+    w_cosh, w_hi = np.exp(log_hi + ck + np.log1p(np.exp(-2.0 * ck))), np.exp(log_hi)
+    b = h * (w_cosh * sum_xy + w_hi * norms)
     tail = np.append(np.cumsum(b[::-1])[::-1], 0.0)
-    return tail, np.append(0.0, np.exp(log_lo))
+    q = h * (float(np.sum(w_cosh)) * np.abs(x * y) + float(np.sum(w_hi)) * (x * x + y * y))
+    return tail, np.append(0.0, np.exp(log_lo)), q
 
 
 def _require_finite(d, what, *values):
@@ -397,20 +477,31 @@ def _form_engine(d, s, h, G, H):
 
     The pair offsets are summed out to the first K where a bound on all
     offsets beyond K (_offset_tail: the triangle inequality and
-    Cauchy-Schwarz, with the ridge moments majorized in closed form) is at
-    most eps times the abs partial sum through K, and only bands 0..K of
-    the ridge moments are computed.  abs_scale is that truncated abs-sum:
-    every dropped term is >= 0, so it is at most the full one, and value
-    is within eps * abs_scale of the sum over all offsets.  Raises
-    DomainError when the weighted lattice or the result is not finite.
+    Cauchy-Schwarz, with the ridge moments majorized in closed form), plus
+    a bound on the pairs left out by the core window, is at most eps times
+    the abs partial sum through K; only bands 0..K of the ridge moments are
+    computed.  The core window (_core_window) is the lattice less the
+    nodes at either end whose weights sum to at most _WINDOW_SHARE * eps
+    times offset 1's weighted abs term; only pairs with a node in it are
+    summed.  abs_scale is the abs-sum over the kept pairs: every dropped
+    term is >= 0, so it is at most the full one, and value is within
+    eps * abs_scale of the sum over all pairs.  Raises DomainError when the
+    weighted lattice or the result is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.exp(0.5 * (d - 1.0) * s)
         x, y = a * G, a * H
-        tail, w_lo = _offset_tail(d, h, x, y)
+        tail, w_lo, q = _offset_tail(d, h, x, y)
     _require_finite(d, "lattice weights", x, y, tail)
     with np.errstate(over="ignore", invalid="ignore"):
-        Fk, Fk_abs = _offset_sums(h, a, G, H, tail, w_lo)
+        # offset 1 over all pairs, a lower bound on the abs partial sum
+        first = w_lo[1] * h * float(np.dot(a[:-1] * a[1:], np.abs(
+            (G[:-1] - G[1:]) * (H[:-1] - H[1:]))))
+        budget = _WINDOW_SHARE * _EPS * first
+        # past the double range `first` is inf or NaN: no window then, and
+        # the sums below raise
+        window = _core_window(q, budget if budget < math.inf else 0.0)
+        Fk, Fk_abs = _offset_sums(h, a, G, H, tail, w_lo, window)
         D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
     _require_finite(d, "offset sums", Fk_abs, D_abs)
     K = Fk.size - 1

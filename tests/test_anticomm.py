@@ -1,10 +1,13 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
@@ -118,6 +121,15 @@ def test_gamma_closed_form(d):
     # From d = 23 the bracket e^((d-1)s/2) would overflow before s = 65,
     # and smax is capped at 1400/(d-1)
     assert 2.0 * alpha(d) * gamma(d, 1e-10).value == pytest.approx(d - 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [23.0, 30.0, 40.0, 50.0, 60.0, 66.0])
+def test_gamma_error_estimate_covers_the_identity(d):
+    # the estimate carries the bound on the tail beyond smax: at d = 66 the
+    # value is 1.7e-28 off (d - 2) / (2 alpha_d), and the quadrature's
+    # estimate alone is 1.06e-28
+    g = gamma(d, 1e-10)
+    assert abs(g.value - (d - 2.0) / (2.0 * alpha(d))) <= g.abs_error_estimate
 
 
 def test_gamma_tail_beyond_tol_is_domain_error(monkeypatch):
@@ -361,39 +373,122 @@ def _two_bumps():
     return TrialFunction("sampled", samples=(tuple(s), tuple(v)))
 
 
+def _record_cuts(monkeypatch):
+    """Lists that collect, per _form_engine call, the core window (lo, hi),
+    the lattice size and the offset cut K."""
+    windows, cuts = [], []
+    core_window, offset_sums = anticomm._core_window, anticomm._offset_sums
+
+    def recording_window(q, budget):
+        window = core_window(q, budget)
+        windows.append((window[0], window[1], q.size))
+        return window
+
+    def recording_offsets(*args):
+        F, F_abs = offset_sums(*args)
+        cuts.append(F.size - 1)
+        return F, F_abs
+
+    monkeypatch.setattr(anticomm, "_core_window", recording_window)
+    monkeypatch.setattr(anticomm, "_offset_sums", recording_offsets)
+    return windows, cuts
+
+
+def _assert_within_cut_bound(d, psi):
+    # the cut and the core window move the value by at most eps * scale
+    # and can only lower the scale; the two sums are also added in a
+    # different order, so each side carries a few ulps of summation
+    # roundoff on top
+    eps = np.finfo(float).eps
+    s, h = anticomm._lattice(psi, d)
+    G = psi.profile_log(s)
+    for H in (np.exp(s) * G, G):
+        value, scale = anticomm._form_engine(d, s, h, G, H)
+        full_value, full_scale = _form_all_offsets(d, s, h, G, H)
+        assert abs(value - full_value) <= 5.0 * eps * scale
+        assert scale <= full_scale * (1.0 + 4.0 * eps)
+    return h
+
+
 @pytest.mark.parametrize("d", [1.2, 2.0, 2.5, 3.0, 6.0])
 def test_offset_cut_within_its_bound(d, monkeypatch):
-    # the cut moves the value by at most eps * scale and can only lower the
-    # scale; the two sums are also added in a different order, so each side
-    # carries a few ulps of summation roundoff on top
-    eps = np.finfo(float).eps
-    requested, kept = [], []
-    offset_sums = anticomm._offset_sums
+    requested = []
 
     def counting_moments(*args):
         requested.append(args[2])
         return ridge_moments(*args)
 
-    def recording_offsets(*args):
-        F, F_abs = offset_sums(*args)
-        kept.append(F.size)
-        return F, F_abs
-
     monkeypatch.setattr(anticomm, "ridge_moments", counting_moments)
-    monkeypatch.setattr(anticomm, "_offset_sums", recording_offsets)
+    windows, cuts = _record_cuts(monkeypatch)
     trials = [TrialFunction("log_gaussian", sigma) for sigma in (0.25, 1.0, 4.0)]
+    trials += [TrialFunction("log_gaussian", sigma, center)
+               for sigma in (0.25, 4.0) for center in (-6.0, 6.0)]
     trials += [TrialFunction("log_linear_cutoff", 1.0 / (d + 2.0)), _two_bumps()]
     for psi in trials:
-        s, h = anticomm._lattice(psi, d)
-        G = psi.profile_log(s)
-        for H in (np.exp(s) * G, G):
-            value, scale = anticomm._form_engine(d, s, h, G, H)
-            full_value, full_scale = _form_all_offsets(d, s, h, G, H)
-            assert abs(value - full_value) <= 5.0 * eps * scale
-            assert scale <= full_scale * (1.0 + 4.0 * eps)
+        h = _assert_within_cut_bound(d, psi)
+        for (lo, hi, n), K in zip(windows[-2:], cuts[-2:]):
+            assert 0 <= lo <= hi <= n
+            if psi.family == "log_gaussian" and psi.sigma == 0.25:
+                # a narrow trial keeps a strict sub-range, about 5% of the lattice
+                assert 0 < lo and hi < n and hi - lo < n // 10
             # bands 0..K, not all n, and the cut sits where e^{-Kh} ~ eps
-            assert requested[-1] == kept[-1] < s.size
-            assert 30.0 < (kept[-1] - 1) * h < 42.0
+            assert K + 1 < n
+            assert 30.0 < K * h < 42.0
+        assert requested[-2:] == [K + 1 for K in cuts[-2:]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.floats(1.2, 6.0), st.floats(0.25, 4.0), st.floats(-6.0, 6.0))
+def test_offset_cut_within_its_bound_property(d, sigma, center):
+    _assert_within_cut_bound(d, TrialFunction("log_gaussian", sigma, center))
+
+
+def test_block_budget_changes_nothing(monkeypatch):
+    # the element budget only groups offsets into blocks: one offset per
+    # block, and budgets that put K on the last or the first row of a
+    # block, give the same K and the same sums up to summation order
+    eps = np.finfo(float).eps
+    windows, cuts = _record_cuts(monkeypatch)
+    default = anticomm._BLOCK_ELEMENTS
+
+    def blocks(budget, lo, hi, n):
+        monkeypatch.setattr(anticomm, "_BLOCK_ELEMENTS", budget)
+        return list(anticomm._offset_blocks(n, lo, hi))
+
+    for psi in (TrialFunction("log_gaussian", 1.0),
+                TrialFunction("log_gaussian", 4.0, 6.0)):
+        s, h = anticomm._lattice(psi, 2.0)
+        G = psi.profile_log(s)
+        H = np.exp(s) * G
+        value, scale = anticomm._form_engine(2.0, s, h, G, H)
+        (lo, hi, n), K = windows[-1], cuts[-1]
+        assert all(k1 - k0 == 1 for k0, k1 in blocks(1, lo, hi, n))
+        last = next(b for b in range(default // 2, 2 * default)
+                    if any(k1 - 1 == K for _, k1 in blocks(b, lo, hi, n)))
+        first = next(b for b in range(default // 2, 2 * default)
+                     if any(k0 == K for k0, _ in blocks(b, lo, hi, n)))
+        for budget in (1, last, first):
+            monkeypatch.setattr(anticomm, "_BLOCK_ELEMENTS", budget)
+            v, sc = anticomm._form_engine(2.0, s, h, G, H)
+            assert cuts[-1] == K
+            assert abs(v - value) <= 2.0 * eps * scale
+            assert abs(sc - scale) <= 2.0 * eps * scale
+        monkeypatch.setattr(anticomm, "_BLOCK_ELEMENTS", default)
+
+
+def test_warm_form_memory_bound():
+    # three block temporaries of _BLOCK_ELEMENTS doubles (384 KiB) and the
+    # padded lattice arrays: a peak of 0.88 MB measured (0.31 MB for a
+    # loop over single offsets); 2 MB keeps perfbench's peak RSS bound
+    psi = TrialFunction("log_gaussian", 4.0)
+    relativistic_form(psi, 3.0)
+    tracemalloc.start()
+    try:
+        relativistic_form(psi, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_non_finite_form_raises_domain_error():

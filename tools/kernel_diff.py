@@ -15,12 +15,15 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   dimensions from 1.2 to 12;
 - the ridge moments at d = 2, 2.5, 3 and the channel moments at m = 1, 2,
   1,500 bands at each of three step sizes;
-- the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3.
+- the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3;
+- `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
+  log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T.
 
 A quantity that raises is recorded as its exception.  Prints one line per
 quantity, SAME or DIFFERS; a differing array of the same shape also says
-whether the new side is >= the base side everywhere.  Exits with status 1
-if any quantity differs.  No default CLI command reaches the m >= 1
+whether the new side is >= the base side everywhere, and gives the largest
+relative difference between them.  Exits with status 1 if any quantity
+differs.  No default CLI command reaches the m >= 1
 kernel, so tools/cli_diff.py alone does not cover it.
 """
 
@@ -34,6 +37,7 @@ import tempfile
 import numpy as np
 
 from bench_pair import ROOT, export
+from oracles import MELLIN_T  # perfbench, on the path through bench_pair
 
 KERNEL_D = (1.2, 1.5, 2.0, 2.5, 3.0, 7.050034627526924, 12.0)
 UM1 = np.concatenate([np.geomspace(1e-14, 1e8, 221), [1e130, 1e200, np.inf]])
@@ -64,6 +68,10 @@ def probe():
         g = anticomm.gamma(d)
         return np.array([g.value, g.abs_error_estimate, g.evaluations])
 
+    def form(d, sigma):
+        fv = anticomm.relativistic_form(anticomm.TrialFunction("log_gaussian", sigma), d)
+        return np.array([fv.value, fv.scale, fv.norm_sq])
+
     jobs = {}
     for d in KERNEL_D:
         jobs["kernel m=0 d=%g" % d] = lambda d=d: angular_kernel(d, 0, UM1)
@@ -82,6 +90,9 @@ def probe():
     for d in (2.0, 2.5, 3.0):
         jobs["lambda_min_anticomm d=%g" % d] = (
             lambda d=d: np.array(spectra.lambda_min_anticomm(d)[1]))
+    for d, sigma in MELLIN_T:
+        jobs["relativistic_form d=%g sigma=%g" % (d, sigma)] = (
+            lambda d=d, sigma=sigma: form(d, sigma))
     out = {}
     for name, job in jobs.items():
         try:
@@ -107,15 +118,20 @@ def run_probe(tree, path):
 
 def verdict(base, new):
     """("SAME" or "DIFFERS", detail): for arrays of one shape that differ,
-    whether the new side is >= the base side everywhere."""
+    whether the new side is >= the base side everywhere, and the largest
+    |new - base| / max(|new|, |base|) over the elements that differ."""
     if isinstance(base, str) or isinstance(new, str):
         return ("SAME", "") if base == new else ("DIFFERS", "")
     if base.shape != new.shape:
         return "DIFFERS", " (shape %s -> %s)" % (base.shape, new.shape)
     if base.tobytes() == new.tobytes():
         return "SAME", ""
-    return "DIFFERS", " (new %s base everywhere)" % (
-        ">=" if np.all(new >= base) else "not >=")
+    differ = ~((new == base) | (np.isnan(new) & np.isnan(base)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(new - base) / np.maximum(np.abs(new), np.abs(base))
+    rel = np.where(differ, np.nan_to_num(rel, nan=np.inf, posinf=np.inf), 0.0)
+    return "DIFFERS", " (new %s base everywhere; largest relative difference %.3g)" % (
+        ">=" if np.all(new >= base) else "not >=", np.max(rel))
 
 
 def main(argv=None):
