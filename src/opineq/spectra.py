@@ -1,13 +1,14 @@
 """Radial angular-momentum-channel eigenproblems.
 
 One discrete realization of |p| lives here: the position-space Lieb-Yau
-band assembly on the log grid, in any dimension d > 1.  The Chandrasekhar
-scan uses its 2D channel matrices on their own grid, where the trial
-support must span many decades; lambda_min_anticomm uses the interior
-block of a padded grid, the operator restricted to a log-interval.
+band assembly on the log grid.  The Chandrasekhar scan uses its 2D
+channel matrices on their own grid, where the trial support must span
+many decades; lambda_min_anticomm builds the same bands, in any dimension
+d > 1, into the Toeplitz matrix of the anticommutator restricted to a
+log-interval.
 
-The log-grid matrix is a graph Laplacian in u = e^{-ds/2} v with weights
-W_ij = e^{(d-1)(s_i+s_j)/2} w_|i-j| built from the same band moments
+The log-grid matrix is a graph Laplacian in u = e^{-s} v with weights
+W_ij = e^{(s_i+s_j)/2} w_|i-j| built from the same band moments
 as the anticommutator forms (anticomm.band_moments), so it is positive
 semi-definite by construction for m = 0 and is assembled in closed form.
 """
@@ -76,50 +77,51 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 # Lieb-Yau band assembly of |p| on the log grid (2D channel m)
 
-@lru_cache(maxsize=64)
-def _momentum_log_grid(m: int, n: int, L: float, d: float = 2.0):
-    """|p| (channel m, dimension d) on the scaled log grid [1, e^L] with n nodes.
-
-    The matrix acts on v = G e^{ds/2} sqrt(h), the weighted samples of a
-    radial G.  With u = e^{-ds/2} v the position-space double integral is
-    the graph Laplacian sum_{i<j} W_ij (u_i - u_j)^2 with weights
-    W_ij = e^{(d-1)(s_i+s_j)/2} w_|i-j|, w_k = 2 c0 phi2[k] / (kh)^2 from
-    the ridge moments, plus a central-difference band for the diagonal
-    offset; PSD by construction for m = 0.  In v the off-diagonal part is
-    the Toeplitz matrix -w scaled by e^{-(s_i+s_j)/2} in every dimension.
-    Channel m != 0 (d = 2 only) adds the
-    (A_0 - A_m) moments to every offset.  Returns (matrix, nodes).
-    Physical grids [r_min, r_max] rescale by 1/r_min.
-    """
-    if m != 0 and d != 2.0:
-        raise DomainError("channel m != 0 is implemented for d = 2 only")
-    h = L / (n - 1)
-    s = np.arange(n) * h
+def _pair_weights(d, h, n):
+    """c0 = alpha(d) 2^{-(d+1)/2}, ridge moments phi2, w_k = 2 c0 phi2[k] / (kh)^2."""
     c0 = anticomm.alpha(d) * 2.0 ** (-(d + 1.0) / 2.0)
     phi2 = anticomm.ridge_moments(d, h, n)
     w = np.zeros(n)
     w[1:] = 2.0 * c0 * phi2[1:] / (np.arange(1, n) * h) ** 2
+    return c0, phi2, w
+
+
+@lru_cache(maxsize=64)
+def _momentum_log_grid(m: int, n: int, L: float):
+    """|p| (2D channel m) on the scaled log grid [1, e^L] with n nodes.
+
+    The matrix acts on v = G e^{s} sqrt(h), the weighted samples of a
+    radial G.  With u = e^{-s} v the position-space double integral is the
+    graph Laplacian sum_{i<j} W_ij (u_i - u_j)^2, W_ij = e^{(s_i+s_j)/2}
+    w_|i-j| (_pair_weights), plus a central-difference band for the
+    diagonal offset; PSD by construction for m = 0.  Channel m != 0 adds
+    the (A_0 - A_m) moments to every offset.  Returns (matrix, nodes).
+    Physical grids [r_min, r_max] rescale by 1/r_min.
+    """
+    h = L / (n - 1)
+    s = np.arange(n) * h
+    c0, phi2, w = _pair_weights(2.0, h, n)
     col = -w
     if m != 0:
         col += 2.0 * c0 * anticomm.channel_moments(abs(m), h, n)
     e = np.exp(-0.5 * s)
     P = sla.toeplitz(col)
     P *= np.outer(e, e)
-    # Laplacian degrees e^{-ds_i} sum_j W_ij, summed over the offset
-    # k = j - i so that no factor grows like e^{ds}; the weights underflow
+    # Laplacian degrees e^{-2s_i} sum_j W_ij, summed over the offset
+    # k = j - i so that no factor grows like e^{2s}; the weights underflow
     # to 0 far out, where the exponential alone would overflow
     k = np.arange(1 - n, n)
     wk = w[np.abs(k)]
     live = wk > 0.0
-    wk[live] *= np.exp(-0.5 * (d - 1.0) * h * k[live])
+    wk[live] *= np.exp(-0.5 * h * k[live])
     P[np.diag_indices(n)] += e * e * np.convolve(np.ones(n), wk, "valid")
     # diagonal band: quadratic-vanishing limit through central differences,
-    # c e^{(d-1)s_i} (a_{i+1} v_{i+1} - a_{i-1} v_{i-1})^2 with a = e^{-ds/2};
-    # the products of a reduce to e^{-ds_i} e^{-+dh}, so no factor grows
+    # c e^{s_i} (a_{i+1} v_{i+1} - a_{i-1} v_{i-1})^2 with a = e^{-s};
+    # the products of a reduce to e^{-2s_i} e^{-+2h}, so no factor grows
     i = np.arange(1, n - 1)
     b = c0 * phi2[0] / (2.0 * h * h) * e[i] * e[i]
-    P[i + 1, i + 1] += b * math.exp(-d * h)
-    P[i - 1, i - 1] += b * math.exp(d * h)
+    P[i + 1, i + 1] += b * math.exp(-2.0 * h)
+    P[i - 1, i - 1] += b * math.exp(2.0 * h)
     P[i + 1, i - 1] -= b
     P[i - 1, i + 1] -= b
     return P, np.exp(s)
@@ -311,15 +313,11 @@ def mellin_multiplier(m: int, s: float = 0.0) -> float:
 
 
 def critical_coupling_mellin(m_max: int = 2) -> CriticalCouplingResult:
-    """nu_c = 1 / max_m sup_s M_m(s); the sup sits at m = 0, s = 0 (checked)."""
-    if m_max < 0:
-        raise DomainError("m_max must be >= 0")
+    """nu_c = 1 / max_m sup_s M_m(s) with the trace M_0(0)..M_{m_max}(0); by DLMF 5.8.3
+    M_m(s) is largest at s = 0 and decreases in m there, so the sup is M_0(0)."""
+    if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
+        raise DomainError("m_max must be an integer >= 0")
     mult = [mellin_multiplier(m, 0.0) for m in range(m_max + 1)]
-    if any(b >= a for a, b in zip(mult, mult[1:])):
-        raise OpineqError("channel multipliers not decreasing: %r" % mult)
-    for s in (0.25, 0.5):
-        if mellin_multiplier(0, s) >= mult[0]:
-            raise OpineqError("M_0 not maximized at s = 0")
     return CriticalCouplingResult(nu_c=1.0 / mult[0], uncertainty=1e-8,
                                   method="mellin", trace=tuple(mult))
 
@@ -368,8 +366,9 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
     """
     if not 0 < Z < math.inf:
         raise DomainError("Z must be finite and positive")
-    if m_max < 0 or n_levels < 1:
-        raise DomainError("need m_max >= 0 and n_levels >= 1")
+    if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
+            and m_max >= 0 and n_levels >= 1):
+        raise DomainError("need integers m_max >= 0 and n_levels >= 1")
     scaled = GridSpec(grid.r_min / Z, grid.r_max / Z, grid.n) if Z != 1 else grid
     chans = {}
     for m in range(0, m_max + 1):
@@ -404,32 +403,32 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
 
 ANTICOMM_SPANS = (20.0, 44.0, 76.0)
 ANTICOMM_STEP = 0.08
-# the pair weights fall off as e^{-|s_i - s_j|}: pads of 30 and 60 agree to 1e-15
-ANTICOMM_PAD = 40.0
+# the degree terms fall off as e^{-kh}: a reach of 30 would leave the sum 1.7e-14 short
+ANTICOMM_REACH = 40.0
 
 
-def _anticomm_lowest(d, L):
-    n_pad = round(ANTICOMM_PAD / ANTICOMM_STEP)
-    n = round(L / ANTICOMM_STEP) + 1
-    # uncached: the padded matrices are large and used once; their ridge
-    # moments come from anticomm's block cache, so the spans share them
-    P, r = _momentum_log_grid.__wrapped__(0, n + 2 * n_pad,
-                                          L + 2.0 * ANTICOMM_PAD, d)
-    inner = slice(n_pad, n_pad + n)
-    r = r[inner]
-    H = (r[:, None] + r[None, :]) * P[inner, inner]
-    return _lowest_eigenvalue(H)
+def _anticomm_matrix(d, L):
+    """(r_i + r_j) P_ij, P the channel-0 |p| in dimension d restricted to a log-interval
+    of width L: the symmetric Toeplitz matrix on L/h + 1 nodes acting on v = G e^{ds/2}.
+    Offset k >= 1 is -2 cosh(kh/2) w_k, offset 2 adds the band's -b cosh(h) with
+    b = c0 phi2[0] / h^2, and the diagonal is the full Laplacian degree, so that pairs
+    reaching outside the interval count: 2 sum 2 cosh((d-1)kh/2) w_k + 2 b cosh((d-1)h),
+    summed where w_k > 0, since w_k underflows to 0 where cosh overflows."""
+    h = ANTICOMM_STEP
+    n, K = round(L / h) + 1, round(ANTICOMM_REACH / h)
+    c0, phi2, w = _pair_weights(d, h, max(n, K + 1))
+    b = c0 * phi2[0] / (h * h)
+    col = -2.0 * np.cosh(0.5 * h * np.arange(n)) * w[:n]
+    col[2] -= b * math.cosh(h)
+    k = np.flatnonzero(w[:K + 1] > 0.0)
+    col[0] = (4.0 * np.dot(np.cosh(0.5 * (d - 1.0) * h * k), w[k])
+              + 2.0 * b * math.cosh((d - 1.0) * h))
+    return sla.toeplitz(col)
 
 
 def lambda_min_anticomm(d: float):
     """inf spec of |x||p| + |p||x| in channel 0 (a pure number by scale
-    invariance, exactly d - 2), with the trace of (L, lambda) pairs.
-
-    For each span L the matrix is (r_i + r_j) P_ij, the exact matrix
-    anticommutator X P + P X, where P is |p| restricted to functions on
-    a log-interval of width L: the interior block of the log grid padded
-    by ANTICOMM_PAD on each side, so that the pairs reaching outside the
-    interval count.  The estimate decreases towards d - 2 as L grows.
-    """
-    trace = tuple((L, _anticomm_lowest(d, L)) for L in ANTICOMM_SPANS)
+    invariance, exactly d - 2), with the trace of (L, lambda) pairs: the
+    lowest eigenvalue of _anticomm_matrix(d, L), decreasing towards d - 2."""
+    trace = tuple((L, _lowest_eigenvalue(_anticomm_matrix(d, L))) for L in ANTICOMM_SPANS)
     return trace[-1][1], trace

@@ -14,8 +14,8 @@ from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
 from opineq.bounds import critical_constant_printed
 from opineq.errors import AccuracyError, DomainError, RefinementNeededError
-from opineq.spectra import (ANTICOMM_SPANS, DEFAULT_HYDROGEN_GRID,
-                            SCAN_GRID, GridSpec,
+from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
+                            SCAN_GRID, GridSpec, _anticomm_matrix,
                             _hydrogen_channel, _lowest_eigenvalue,
                             _momentum_log_grid,
                             chandrasekhar_lowest, classify_coupling,
@@ -73,24 +73,26 @@ def test_gridspec_validation_property(r_min, r_max):
 
 
 def test_momentum_channel_symmetric_psd():
-    for m, d in ((0, 1.5), (0, 3.0), (1, 2.0), (2, 2.0)):
-        P, _ = _momentum_log_grid(m, 400, 20.0, d)
+    for m in (0, 1, 2):
+        P, _ = _momentum_log_grid(m, 400, 20.0)
         assert np.array_equal(P, P.T)
         ev = np.linalg.eigvalsh(P)
         assert ev[0] >= -1e-10 * ev[-1]
 
 
-def test_momentum_channel_rayleigh_vs_lieb_yau():
-    # the log-grid matrix in dimension d against the double-integral form
-    # it discretizes; measured within 5e-5 on s in [-20, 20]
-    psi = TrialFunction("log_gaussian", 1.0)
-    for d in (1.5, 3.0):
-        P, nodes = _momentum_log_grid(0, 1000, 40.0, d)
-        s = np.log(nodes) - 20.0
-        v = psi.profile_log(s) * np.exp(0.5 * d * s)
-        q_log = float(v @ P @ v) / float(v @ v) * math.exp(20.0)
-        q_ly = momentum_expectation(psi, d) / psi.norm_sq(d)
-        assert q_log == pytest.approx(q_ly, rel=2e-4)
+def test_anticomm_matrix_rayleigh_vs_lieb_yau():
+    # the restricted anticommutator in dimension d against the double-integral
+    # form 2 alpha_d t it discretizes, on s in [-22, 22]; measured within 2.9e-5
+    L = 44.0
+    for d in (1.5, 2.0, 2.5, 3.0):
+        H = _anticomm_matrix(d, L)
+        s = np.arange(H.shape[0]) * ANTICOMM_STEP - L / 2.0
+        for sigma in (0.5, 1.0, 2.0):
+            psi = TrialFunction("log_gaussian", sigma)
+            v = psi.profile_log(s) * np.exp(0.5 * d * s)
+            fv = anticomm.relativistic_form(psi, d)
+            assert float(v @ H @ v) / float(v @ v) == pytest.approx(
+                2.0 * anticomm.alpha(d) * fv.value / fv.norm_sq, rel=1e-4)
 
 
 def _channel_0(grid):
@@ -156,6 +158,19 @@ def test_log_grid_matches_pairwise_form(m):
     assert np.allclose(nodes, np.exp(np.arange(64) * 20.0 / 63))
 
 
+def test_anticomm_matrix_matches_padded_pairwise_form():
+    # the interior block of the pairwise form on a grid padded by 500 nodes
+    # (40 log-units) on each side; measured within 4.5e-15 of max|H|
+    n, pad = round(20.0 / ANTICOMM_STEP) + 1, 500
+    N = n + 2 * pad
+    P = _pairwise_log_grid(0, N, (N - 1) * ANTICOMM_STEP)[pad:pad + n, pad:pad + n]
+    r = np.exp(np.arange(pad, pad + n) * ANTICOMM_STEP)
+    ref = (r[:, None] + r[None, :]) * P
+    H = _anticomm_matrix(2.0, 20.0)
+    assert H.shape == (n, n) and np.array_equal(H, H.T)
+    assert np.max(np.abs(H - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
 def test_channel_moment_kernel_miss_raises_accuracy_error(monkeypatch):
     # an element of (A_0 - A_m) whose error bound exceeds KTOL of its value
     # is reported with the moments of the whole block, not dropped.  An
@@ -200,11 +215,6 @@ def test_momentum_channel_homogeneity():
               for v in (p.profile_log(np.log(r)) * np.sqrt(w)
                         for p in (psi, psi.scaled(2.0))))
     assert q2 == pytest.approx(2.0 * q1, rel=1e-5)
-
-
-def test_momentum_channel_rejections():
-    with pytest.raises(DomainError):
-        _momentum_log_grid(1, 64, 20.0, 3.0)
 
 
 def test_hydrogen_levels_and_degeneracies():
@@ -453,10 +463,17 @@ def _mellin_gamma_ratio(m, s):
                      / (2 * abs(mpmath.gamma((z + 1.5) / 2)) ** 2))
 
 
-@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("m", range(7))
 def test_mellin_multiplier_matches_gamma_ratio(m):
-    for s in (0.0, 0.3, 0.6, 1.5):
-        assert mellin_multiplier(m, s) == pytest.approx(_mellin_gamma_ratio(m, s), rel=1e-8)
+    # measured within 1.4e-9; on the computed values M_m is largest at s = 0
+    # and M_m(0) decreases in m, the two facts critical_coupling_mellin rests on
+    grid = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
+    vals = [mellin_multiplier(m, s) for s in grid]
+    for s, v in zip(grid, vals):
+        assert v == pytest.approx(_mellin_gamma_ratio(m, s), rel=1e-8)
+    assert all(vals[0] > v for v in vals[1:])
+    if m < 6:
+        assert vals[0] > mellin_multiplier(m + 1, 0.0)
 
 
 def test_projected_constant_from_channel_multipliers():
@@ -480,6 +497,16 @@ def test_critical_coupling_cross_validation():
     # classification examples relative to the measured transition
     assert classify_coupling(bis.nu_c / 2.0)[0] == "stable"
     assert classify_coupling(2.0 * bis.nu_c)[0] == "divergent"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: critical_coupling_mellin(1.5),
+    lambda: hydrogen2d(1.0, 1.5),
+    lambda: hydrogen2d(1.0, 1, n_levels=2.5),
+], ids=["mellin-m_max", "hydrogen-m_max", "hydrogen-n_levels"])
+def test_non_integer_counts_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def _kappa(d):

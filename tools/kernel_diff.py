@@ -15,7 +15,9 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   dimensions from 1.2 to 12;
 - the ridge moments at d = 2, 2.5, 3 and the channel moments at m = 1, 2,
   1,500 bands at each of three step sizes;
-- the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3;
+- the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3,
+  12 and 40; at d = 40 the far pair weights underflow to 0 where their
+  cosh factor in the Laplacian degree would overflow;
 - `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
   log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T.
 
@@ -87,7 +89,7 @@ def probe():
         for m in (1, 2):
             jobs["channel_moments m=%d h=%g" % (m, h)] = (
                 lambda m=m, h=h: anticomm.channel_moments(m, h, BANDS))
-    for d in (2.0, 2.5, 3.0):
+    for d in (2.0, 2.5, 3.0, 12.0, 40.0):
         jobs["lambda_min_anticomm d=%g" % d] = (
             lambda d=d: np.array(spectra.lambda_min_anticomm(d)[1]))
     for d, sigma in MELLIN_T:
