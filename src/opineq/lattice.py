@@ -23,6 +23,7 @@ block; with zero field every link phase is 1, so the blocks are real and
 so is their arithmetic.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +196,40 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
     link phases, take sqrt((p+A)^2 + m^2) spectrally on each of the four
     parity blocks, and subtract m.
 
+    With component "none" the vector potential is zero whatever fld
+    holds, so T_m depends only on (fld.grid, mass, boundary): it is built
+    once per such key and kept in a cache of 8 entries, with read-only
+    blocks.  An entry is at most 4 (N/4)^2 doubles, 10.6 MB at n = 48.
+    spectra._momentum_log_grid.cache_clear() clears it.
+    """
+    if not 0 <= mass < np.inf:
+        raise DomainError("mass must be finite and >= 0")
+    if fld.grid.n > MAX_DENSE_GRID:
+        raise DomainError(
+            "grid beyond the %dx%d dense budget" % (MAX_DENSE_GRID, MAX_DENSE_GRID))
+    if boundary not in ("open", "periodic"):
+        raise ConfigurationError("unknown boundary %r" % boundary)
+    A = fld.component(component)
+    if boundary == "periodic" and np.any(A != 0.0):
+        # linearly growing vector potentials are incompatible with wrap
+        raise ConfigurationError("periodic boundary requires zero vector potential")
+    if component == "none":
+        return _zero_field(fld.grid, float(mass), boundary)
+    return _solve(A, fld.grid, mass, component, boundary)
+
+
+@functools.lru_cache(maxsize=8)
+def _zero_field(grid, mass, boundary):
+    """The cached T_m of A = 0; see kinetic_matrix."""
+    T = _solve(np.zeros((2, grid.n, grid.n)), grid, mass, "none", boundary)
+    for B in T.blocks:
+        B.flags.writeable = False
+    return T
+
+
+def _solve(A, grid, mass, component, boundary):
+    """T_m of the vector potential A, one eigensolve per quarter-turn orbit.
+
     The quarter turn of the grid that maps class (p, q) to (q, 1 - p)
     walks the classes in _ORBIT order and maps each class's n/2 x n/2
     sub-array onto the next one's by a clockwise quarter turn, a
@@ -210,21 +245,10 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
     hermiticity and semidefiniteness and has its roundoff-floor
     eigenvalues zeroed, and the norm is the largest of their top values.
     """
-    if not 0 <= mass < np.inf:
-        raise DomainError("mass must be finite and >= 0")
-    if fld.grid.n > MAX_DENSE_GRID:
-        raise DomainError(
-            "grid beyond the %dx%d dense budget" % (MAX_DENSE_GRID, MAX_DENSE_GRID))
-    if boundary not in ("open", "periodic"):
-        raise ConfigurationError("unknown boundary %r" % boundary)
-    A = fld.component(component)
-    if boundary == "periodic" and np.any(A != 0.0):
-        # linearly growing vector potentials are incompatible with wrap
-        raise ConfigurationError("periodic boundary requires zero vector potential")
-    H = _kinetic_square(A, fld.grid, boundary)
+    H = _kinetic_square(A, grid, boundary)
     real = not np.any(A)  # every link phase is exactly 1
-    classes = _parity_classes(fld.grid.n)
-    half = fld.grid.n // 2
+    classes = _parity_classes(grid.n)
+    half = grid.n // 2
     turn = np.rot90(np.arange(half * half).reshape(half, half), -1).ravel()
     turned = np.ix_(turn, turn)
     blocks = [None] * 4
@@ -257,7 +281,7 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
         blocks[k] = Tc
         prev = B
     return KineticMatrix(blocks=tuple(blocks), mass=mass, component=component,
-                         boundary=boundary, grid=fld.grid, norm=float(norm))
+                         boundary=boundary, grid=grid, norm=float(norm))
 
 
 def _apply(T, rows):
@@ -294,8 +318,8 @@ def kato_test(eta, phi, T_free: KineticMatrix, T_mag: KineticMatrix):
     nz = absphi > 0
     # parts divided separately: complex division leaves phi/|phi| off 1
     # by an ulp for real phi, and the zero-field equality case needs it exact
-    sgn.real[nz] = phi.real[nz] / absphi[nz]
-    sgn.imag[nz] = phi.imag[nz] / absphi[nz]
+    np.divide(phi.real, absphi, out=sgn.real, where=nz)
+    np.divide(phi.imag, absphi, out=sgn.imag, where=nz)
     lhs = h2 * np.einsum("sa,sa->s", eta, _apply(T_free, absphi).real)
     Y = _apply(T_mag, phi)
     # Re(conj(sgn) Y) as one contiguous array: with A = 0 and phi >= 0 it

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import ellipe, ellipkm1, hyp2f1
 
-from . import anticomm
+from . import anticomm, lattice
 from .errors import DomainError, OpineqError, RefinementNeededError
 from .quadrature import integrate_adaptive
 
@@ -130,14 +130,17 @@ def _momentum_log_grid(m: int, n: int, L: float):
 _clear_grids = _momentum_log_grid.cache_clear
 
 
-def _clear_grids_and_moment_blocks():
+def _cold_start():
     """The grids are assembled from anticomm's band-moment blocks, so
-    clearing the grid cache clears those too: the next assembly is cold."""
+    clearing the grid cache clears those too: the next assembly is cold.
+    This is the library's one cold-start hook, so it also clears the Kato
+    lattice's zero-field operators (lattice.kinetic_matrix)."""
     _clear_grids()
     anticomm._moment_block.cache_clear()
+    lattice._zero_field.cache_clear()
 
 
-_momentum_log_grid.cache_clear = _clear_grids_and_moment_blocks
+_momentum_log_grid.cache_clear = _cold_start
 
 
 def _lowest_eigenvalue(H):

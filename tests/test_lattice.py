@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opineq import lattice, spectra
 from opineq.bounds import flux_delta
 from opineq.errors import ConfigurationError, DomainError
 from opineq.lattice import (LatticeField, SquareGrid, discrete_curl,
@@ -243,7 +244,14 @@ def test_heat_kernel_domination(n, component):
         assert np.all(KA <= K0 + 1e-12 * np.max(K0))
 
 
+def _cold():
+    """Clear the library's caches, the zero-field operators among them, so
+    that the next kinetic_matrix solves whatever the tests before it built."""
+    spectra._momentum_log_grid.cache_clear()
+
+
 def _eigh_sizes(monkeypatch):
+    _cold()
     sizes = []
     eigh = np.linalg.eigh
 
@@ -270,6 +278,7 @@ def test_gauge_shifted_field_is_solved_per_block(monkeypatch):
 
 
 def test_zero_field_eigensolves_are_real(monkeypatch):
+    _cold()
     dtypes = []
     eigh = np.linalg.eigh
 
@@ -381,3 +390,87 @@ def test_kato_random_run_needs_a_sample(samples):
     fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
     with pytest.raises(DomainError):
         kato_random_run(fld, 0.0, "none", samples=samples)
+
+
+def test_zero_field_operator_is_shared_per_grid_mass_and_boundary():
+    _cold()
+    grid = SquareGrid(8.0, 16)
+    T = kinetic_matrix(make_fields(1.0, 1.0, grid), 0.5, "none")
+    # the field's B and R do not enter A = 0
+    assert kinetic_matrix(make_fields(1.7, 0.6, grid), 0.5, "none") is T
+    others = [kinetic_matrix(make_fields(1.0, 1.0, grid), 1.0, "none"),
+              kinetic_matrix(make_fields(1.0, 1.0, grid), 0.5, "none", "periodic"),
+              kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 12)), 0.5, "none"),
+              kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(9.0, 16)), 0.5, "none")]
+    assert all(U is not T for U in others)
+    assert len({id(U) for U in others}) == len(others)
+    # a field operator is built per call
+    fld = make_fields(1.0, 1.0, grid)
+    assert kinetic_matrix(fld, 0.5, "total") is not kinetic_matrix(fld, 0.5, "total")
+
+
+def test_cached_blocks_are_read_only():
+    T = kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 12)), 0.5, "none")
+    for B in T.blocks:
+        with pytest.raises(ValueError):
+            B[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            B *= 2.0
+
+
+@pytest.mark.parametrize("nonneg_phi", [False, True])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("component", ["none", "background", "total"])
+def test_warm_kato_run_equals_cold_run(component, mass, nonneg_phi):
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
+    _cold()
+    assert lattice._zero_field.cache_info().currsize == 0
+    cold = kato_random_run(fld, mass, component, samples=40, seed=17,
+                           nonneg_phi=nonneg_phi)
+    hits = lattice._zero_field.cache_info().hits
+    warm = kato_random_run(fld, mass, component, samples=40, seed=17,
+                           nonneg_phi=nonneg_phi)
+    assert lattice._zero_field.cache_info().hits == hits + 1
+    for f in dataclasses.fields(cold):
+        assert getattr(warm, f.name) == getattr(cold, f.name), f.name
+
+
+def test_kato_test_sign_is_zero_where_phi_is():
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
+    T_free = kinetic_matrix(fld, 0.5, "none")
+    T_total = kinetic_matrix(fld, 0.5, "total")
+    N, h2 = 144, fld.grid.h ** 2
+    rng = np.random.default_rng(29)
+    eta = np.abs(rng.standard_normal((3, N)))
+    phi = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+    phi[1] = rng.standard_normal(N)              # real, both signs
+    phi[2] = np.abs(rng.standard_normal(N))      # real, phi >= 0
+    phi[:, [0, 5, 77, 143]] = 0.0
+    phi[1, 6] = -0.0                             # a signed zero is a zero
+    absphi = np.abs(phi)
+    sgn = np.zeros_like(phi)
+    nz = absphi > 0
+    sgn[nz] = phi[nz] / absphi[nz]
+    sgn[~nz] = 0.0
+    assert np.array_equal(nz.sum(axis=1), [N - 4, N - 5, N - 4])
+    # at a zero of phi, lhs keeps eta_a (T|phi|)_a and rhs drops it, so the
+    # real phi >= 0 row is an equality case only where eta vanishes there
+    eta[2, ~nz[2]] = 0.0
+    for T_mag in (T_free, T_total):
+        Y = phi @ T_mag.matrix.T
+        lhs, rhs = kato_test(eta, phi, T_free, T_mag)
+        lhs_ref = h2 * np.sum(eta * (absphi @ T_free.matrix.T).real, axis=1)
+        rhs_ref = h2 * np.sum(eta * (sgn.conj() * Y).real, axis=1)
+        scale = (h2 * np.linalg.norm(eta, axis=1) * np.linalg.norm(phi, axis=1)
+                 * max(T_free.norm, T_mag.norm))
+        assert np.all(np.abs(lhs - lhs_ref) <= 1e-13 * scale)
+        assert np.all(np.abs(rhs - rhs_ref) <= 1e-13 * scale)
+        # eta on the zeros of phi alone: sgn = 0 there, so rhs is exactly
+        # 0 although T phi is not
+        assert np.all(np.abs(Y[~nz]) > 0)
+        on_zeros = (~nz).astype(float)
+        assert np.all(kato_test(on_zeros, phi, T_free, T_mag)[1] == 0.0)
+    # A = 0 and real phi >= 0 with zeros: sgn is exactly 1 or 0, and the
+    # equality case holds exactly
+    lhs, rhs = kato_test(eta, phi, T_free, T_free)
+    assert lhs[2] - rhs[2] == 0.0

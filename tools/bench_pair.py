@@ -16,8 +16,10 @@ verdict per end-to-end metric.  BENCH_<pr>.json at the repository root gets
 one entry per (workload, seed): compare.py's verdicts and table, the median
 and quartiles of every end-to-end metric on each side (compare.spread), the
 number of pairs in which the new side was better on each metric, the
-traced counts, and the failed and attempted oracle checks of each side over
-all its runs.  Entries for other (workload, seed) pairs already in the file
+median scaled task time per task kind (split by the grid size n where a
+task has one) over the tasks of each side's untraced runs, the traced
+counts, and the failed and attempted oracle checks of each side over all
+its runs.  Entries for other (workload, seed) pairs already in the file
 are kept, so the held-out seed can be added by a second call.
 
 After writing the file the script exits with status 1, naming the cause on
@@ -31,6 +33,7 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -61,6 +64,20 @@ def run_bench(tree, out, workload, seed, trace):
     (name,) = set(os.listdir(out)) - before
     with open(os.path.join(out, name)) as fh:
         return json.load(fh)
+
+
+def kind_medians(records):
+    """{kind, with " n=<n>" where the task has a grid size: {"median": the
+    median scaled task time, "tasks": how many}} over the runs' tasks."""
+    times = {}
+    for rec in records:
+        args = {t["id"]: t["args"] for t in rec["tasks"]}
+        for r in rec["results"]:
+            a = args[r["id"]]
+            key = r["kind"] + (" n=%d" % a["n"] if "n" in a else "")
+            times.setdefault(key, []).append(r["s"])
+    return {k: {"median": statistics.median(v), "tasks": len(v)}
+            for k, v in sorted(times.items())}
 
 
 def pair_runs(workload, seed, pairs, spec, trees, tmp):
@@ -99,6 +116,7 @@ def pair_runs(workload, seed, pairs, spec, trees, tmp):
             med, q1, q3 = compare.spread(values)
             metrics[m["name"]] = {"median": med, "q1": q1, "q3": q3, "values": values}
         entry[side] = {"metrics": metrics,
+                       "task_s_by_kind": kind_medians(runs[side]),
                        "traced_counts": {k: traced[side]["metrics"][k] for k in counts},
                        "failed": sum(r["oracle_fail_frac"]["failed"] for r in side_runs),
                        "attempted": sum(r["oracle_fail_frac"]["attempted"]

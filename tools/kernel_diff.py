@@ -1,5 +1,5 @@
-"""Bitwise comparison of the angular kernels and of what is built from them
-against BASE_REV.
+"""Bitwise comparison of the angular kernels, of what is built from them,
+and of the Kato lattice operators against BASE_REV.
 
     python3 tools/kernel_diff.py BASE_REV
 
@@ -19,7 +19,15 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   12 and 40; at d = 40 the far pair weights underflow to 0 where their
   cosh factor in the Laplacian degree would overflow;
 - `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
-  log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T.
+  log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T;
+- every block and the norm of `lattice.kinetic_matrix` for the none,
+  background, cavity and total fields on open boundaries and none on
+  periodic ones, at n = 16, 24, 32 and mass 0 and 1, on the square of
+  side 12 that perfbench's kato workload uses;
+- every field of `lattice.kato_random_run`'s `KatoRun` for the same
+  fields on open boundaries, with phi complex and with phi >= 0.  These
+  run after the `kinetic_matrix` probes, so a tree that keeps the
+  zero-field operator serves them from its cache.
 
 A quantity that raises is recorded as its exception.  Prints one line per
 quantity, SAME or DIFFERS; a differing array of the same shape also says
@@ -30,6 +38,8 @@ kernel, so tools/cli_diff.py alone does not cover it.
 """
 
 import argparse
+import dataclasses
+import itertools
 import os
 import pickle
 import subprocess
@@ -46,6 +56,8 @@ UM1 = np.concatenate([np.geomspace(1e-14, 1e8, 221), [1e130, 1e200, np.inf]])
 GAMMA_D = (1.2, 1.5, 1.9, 2.01, 2.5, 3.0, 6.0, 12.0)
 STEPS = (0.05, 0.08, 0.1)
 BANDS = 1500
+LATTICE = tuple(itertools.product((16, 24, 32), (0.0, 1.0)))    # (n, mass)
+FIELDS = ("none", "background", "cavity", "total")
 
 
 def angular_kernel(d, m, um1):
@@ -60,6 +72,29 @@ def angular_kernel(d, m, um1):
         v, e, _ = kernels.polar_batch(d, m, um1)
         return 2.0 * v, 2.0 * e
     return kernels.polar_batch(d, m, um1)[:2]
+
+
+def lattice_field(n):
+    from opineq import lattice
+    return lattice.make_fields(1.3, 0.9, lattice.SquareGrid(12.0, n))
+
+
+def kinetic(n, component, mass, boundary):
+    """{"block k": the k-th parity block, "norm": the norm} of T_m."""
+    from opineq import lattice
+    T = lattice.kinetic_matrix(lattice_field(n), mass, component, boundary)
+    out = {"block %d" % k: B for k, B in enumerate(T.blocks)}
+    out["norm"] = np.array(T.norm)
+    return out
+
+
+def kato_run(n, component, mass, nonneg_phi):
+    """{field name: value} of one seeded KatoRun, strings kept as strings."""
+    from opineq import lattice
+    run = lattice.kato_random_run(lattice_field(n), mass, component, samples=100,
+                                  seed=2027, nonneg_phi=nonneg_phi)
+    return {f.name: v if isinstance(v, str) else np.array(v)
+            for f in dataclasses.fields(run) for v in [getattr(run, f.name)]}
 
 
 def probe():
@@ -95,6 +130,13 @@ def probe():
     for d, sigma in MELLIN_T:
         jobs["relativistic_form d=%g sigma=%g" % (d, sigma)] = (
             lambda d=d, sigma=sigma: form(d, sigma))
+    cases = [(c, "open") for c in FIELDS] + [("none", "periodic")]
+    for (n, mass), (c, b) in itertools.product(LATTICE, cases):
+        jobs["kinetic_matrix n=%d m=%g %s %s" % (n, mass, c, b)] = (
+            lambda n=n, c=c, mass=mass, b=b: kinetic(n, c, mass, b))
+    for (n, mass), c, nn in itertools.product(LATTICE, FIELDS, (False, True)):
+        jobs["kato_random_run n=%d m=%g %s%s" % (n, mass, c, " phi>=0" if nn else "")] = (
+            lambda n=n, c=c, mass=mass, nn=nn: kato_run(n, c, mass, nn))
     out = {}
     for name, job in jobs.items():
         try:
@@ -104,6 +146,8 @@ def probe():
         else:
             if isinstance(res, tuple):      # a kernel's values and bounds
                 out[name + " values"], out[name + " bounds"] = res
+            elif isinstance(res, dict):     # a lattice operator or run
+                out.update((name + " " + k, v) for k, v in res.items())
             else:
                 out[name] = res
     return out
