@@ -24,6 +24,7 @@ from .quadrature import QuadResult, integrate_adaptive
 
 # lattice step; divides ln 2 so dilation by 2 is an exact lattice shift
 H_STEP = math.log(2.0) / 9.0
+NONREL_TOL = 1e-11  # relative tolerance of nonrel_form's quadrature
 _EPS = np.finfo(float).eps
 
 
@@ -552,7 +553,7 @@ def momentum_expectation(psi: TrialFunction, d: float) -> float:
     return alpha(d) * v
 
 
-def nonrel_form(psi: TrialFunction, tol: float = 1e-11) -> float:
+def nonrel_form(psi: TrialFunction) -> float:
     """Q[psi] = Re <|x| psi, p^2 psi> in d = 2 for a real radial trial.
 
     Integration by parts gives the radial reduction
@@ -566,5 +567,5 @@ def nonrel_form(psi: TrialFunction, tol: float = 1e-11) -> float:
         dp = psi.dprofile_log(s)
         return (dp * dp - 0.5 * p * p) * np.exp(s)
 
-    res = integrate_adaptive(f, -S, S, tol)
+    res = integrate_adaptive(f, -S, S, NONREL_TOL)
     return 2.0 * math.pi * res.value

@@ -13,6 +13,16 @@ from .errors import DomainError
 
 GAMMA_QUARTER = 3.6256099082219083
 
+# the projected operator's coupling constant, equal to 2 / (M_0(0) + M_1(0))
+# (spectra.mellin_multiplier), and as printed, with Gamma(1/4) for Gamma(1/4)^4
+CRITICAL_CONSTANT_FOURTH_POWER = 1.0 / (GAMMA_QUARTER ** 4 / (8.0 * math.pi ** 2)
+                                        + 8.0 * math.pi ** 2 / GAMMA_QUARTER ** 4)
+CRITICAL_CONSTANT_AS_PRINTED = 1.0 / (GAMMA_QUARTER ** 4 / (8.0 * math.pi ** 2)
+                                      + 8.0 * math.pi ** 2 / GAMMA_QUARTER)
+FOURTH_POWER_PROVENANCE = "projected-operator constant = 2/(M_0(0)+M_1(0)) (tested to 1e-9)"
+AS_PRINTED_PROVENANCE = ("projected-operator constant as printed: Gamma(1/4) "
+                         "in its second term where Gamma(1/4)^4 belongs")
+
 
 def excess_charge_relativistic(delta: float, Z: float) -> float:
     """Upper bound 2 (delta + Z) + 1 on the bindable electron number of the
@@ -91,23 +101,6 @@ def max_bindable(delta: float, Z: float) -> int:
     return int(math.ceil(t)) if t > 0.0 else 0
 
 
-def critical_constant_printed(variant: str = "as-printed") -> float:
-    """The coupling constant printed for the projected operator, in both the
-    as-printed form (Gamma(1/4)^4/(8 pi^2) + 8 pi^2/Gamma(1/4))^-1 and the
-    dimensionally symmetric fourth-power variant.
-
-    The two are exposed side by side; the printed form is dimensionally
-    asymmetric and is never silently preferred.
-    """
-    g = GAMMA_QUARTER
-    first = g ** 4 / (8.0 * math.pi ** 2)
-    if variant == "as-printed":
-        return 1.0 / (first + 8.0 * math.pi ** 2 / g)
-    if variant == "fourth-power":
-        return 1.0 / (first + 8.0 * math.pi ** 2 / g ** 4)
-    raise DomainError("variant must be 'as-printed' or 'fourth-power'")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All closed-form charge/flux bounds for one (delta, Z) input, with
@@ -141,12 +134,10 @@ class BoundReport:
                          "nonrelativistic 2D bound"))
             rows.append(("expectation_bound", expectation_bound(Z),
                          "ground-state <1/|x_1|> bound"))
-        rows.append(("critical_constant_as_printed",
-                     critical_constant_printed("as-printed"),
-                     "printed projected-operator constant (asymmetric form)"))
-        rows.append(("critical_constant_fourth_power",
-                     critical_constant_printed("fourth-power"),
-                     "fourth-power variant of the printed constant"))
+        rows.append(("critical_constant_as_printed", CRITICAL_CONSTANT_AS_PRINTED,
+                     AS_PRINTED_PROVENANCE))
+        rows.append(("critical_constant_fourth_power", CRITICAL_CONSTANT_FOURTH_POWER,
+                     FOURTH_POWER_PROVENANCE))
         rep = BoundReport(delta=delta, Z=Z, values=tuple(rows))
         for _, v, _ in rep.values:
             if not math.isfinite(v):

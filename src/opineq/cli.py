@@ -186,7 +186,7 @@ def cmd_hydrogen(args):
 
 
 def cmd_critical(args):
-    from .bounds import critical_constant_printed
+    from . import bounds
     from .spectra import critical_coupling_bisect, critical_coupling_mellin
     rows = []
     failures = []
@@ -196,28 +196,29 @@ def cmd_critical(args):
         results["bisect"] = res
         rows.append({"quantity": "nu_c_bisect", "value": res.nu_c,
                      "uncertainty": res.uncertainty,
-                     "provenance": "refinement-divergence bisection"})
+                     "provenance": "sign-test bisection on SCAN_GRID; uncertainty "
+                                   "is the bracket half-width only (the result "
+                                   "is 3.3% above Herbst's value)"})
     if args.method in ("mellin", "both"):
-        res = critical_coupling_mellin(args.m_max)
+        res = critical_coupling_mellin()
         results["mellin"] = res
         rows.append({"quantity": "nu_c_mellin", "value": res.nu_c,
                      "uncertainty": res.uncertainty,
-                     "provenance": "Mellin multiplier quadrature"})
+                     "provenance": "1/M_0(0) by quadrature; uncertainty is its "
+                                   "error estimate / M_0(0)^2"})
     rows.append({"quantity": "printed_constant_as_printed",
-                 "value": critical_constant_printed("as-printed"),
-                 "uncertainty": 0.0,
-                 "provenance": "projected-operator constant (no equality asserted)"})
+                 "value": bounds.CRITICAL_CONSTANT_AS_PRINTED, "uncertainty": 0.0,
+                 "provenance": bounds.AS_PRINTED_PROVENANCE})
     rows.append({"quantity": "printed_constant_fourth_power",
-                 "value": critical_constant_printed("fourth-power"),
-                 "uncertainty": 0.0,
-                 "provenance": "projected-operator constant (no equality asserted)"})
+                 "value": bounds.CRITICAL_CONSTANT_FOURTH_POWER, "uncertainty": 0.0,
+                 "provenance": bounds.FOURTH_POWER_PROVENANCE})
     if len(results) == 2:
         gap = abs(results["bisect"].nu_c - results["mellin"].nu_c)
         rows.append({"quantity": "method_gap", "value": gap, "uncertainty": 0.0,
                      "provenance": "cross-method agreement"})
         if gap > 0.01:
             failures.append("methods disagree by %r (> 0.01 coupling)" % gap)
-    meta = _meta(args, "critical", method=args.method, m_max=args.m_max)
+    meta = _meta(args, "critical", method=args.method)
     write_output(meta, ["quantity", "value", "uncertainty", "provenance"],
                  rows, args.output, args.format)
     return failures
@@ -355,7 +356,6 @@ def build_parser():
     p = sub.add_parser("critical", help="Chandrasekhar critical coupling")
     p.add_argument("--method", choices=("bisect", "mellin", "both"),
                    default="both")
-    p.add_argument("--m-max", type=int, default=2)
     common(p)
     p.set_defaults(func=cmd_critical, parser=p)
 
@@ -373,7 +373,8 @@ def build_parser():
     p.set_defaults(func=cmd_kato, parser=p)
 
     p = sub.add_parser("bounds", help="excess-charge bound report")
-    p.add_argument("--charge", type=_positive_float, required=True)
+    # required, but checked after the config is read so that it may set it
+    p.add_argument("--charge", type=_positive_float, default=None)
     p.add_argument("--delta", type=_positive_float, default=None)
     p.add_argument("--b-field", type=_positive_float, default=None)
     p.add_argument("--radius", type=_positive_float, default=None)
@@ -388,6 +389,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args = _apply_config(args.parser, args, argv)
+    if args.command == "bounds" and args.charge is None:
+        parser.error("bounds needs --charge")
     if args.command == "bounds" and args.delta is None and (
             args.b_field is None or args.radius is None):
         parser.error("bounds needs --delta or both --b-field and --radius")

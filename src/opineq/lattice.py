@@ -143,10 +143,8 @@ def _kinetic_square(A, grid, boundary):
         links += w + np.roll(w, 1, axis)  # links leaving and entering a node
         a, c = node.ravel(), np.roll(node, -2, axis).ravel()
         hop = (-u * np.roll(u, -1, axis)).ravel() / (4.0 * h * h)
-        # add.at accumulates: at n = 2 periodic both links join the same
-        # pair of nodes and the two-hop entries land on the diagonal
-        np.add.at(H, (a, c), hop)
-        np.add.at(H, (c, a), hop.conj())
+        H[a, c] += hop
+        H[c, a] += hop.conj()
     H[np.diag_indices(N)] += links.ravel() / (4.0 * h * h)
     return H
 

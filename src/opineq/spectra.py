@@ -300,8 +300,8 @@ def coulomb_channel_kernel(m: int, t):
     return k
 
 
-def mellin_multiplier(m: int, s: float = 0.0) -> float:
-    """M_m(s): Mellin symbol of the channel-projected |x|^-1/2 |p|^-1 |x|^-1/2.
+def _mellin_quadrature(m: int, s: float):
+    """M_m(s) as the QuadResult of its quadrature, error estimate included.
 
     The sandwiched kernel is homogeneous of degree -2, hence Mellin-
     diagonal per channel; M_m(s) = int_0^inf k_m(t) t^{-1/2+is} dt, folded
@@ -312,17 +312,21 @@ def mellin_multiplier(m: int, s: float = 0.0) -> float:
         km = coulomb_channel_kernel(m, y * y)
         return 4.0 * km * np.cos(2.0 * s * np.log(y))
 
-    return integrate_adaptive(f, 0.0, 1.0, 1e-9).value
+    return integrate_adaptive(f, 0.0, 1.0, 1e-9)
 
 
-def critical_coupling_mellin(m_max: int = 2) -> CriticalCouplingResult:
-    """nu_c = 1 / max_m sup_s M_m(s) with the trace M_0(0)..M_{m_max}(0); by DLMF 5.8.3
-    M_m(s) is largest at s = 0 and decreases in m there, so the sup is M_0(0)."""
-    if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
-        raise DomainError("m_max must be an integer >= 0")
-    mult = [mellin_multiplier(m, 0.0) for m in range(m_max + 1)]
-    return CriticalCouplingResult(nu_c=1.0 / mult[0], uncertainty=1e-8,
-                                  method="mellin", trace=tuple(mult))
+def mellin_multiplier(m: int, s: float = 0.0) -> float:
+    """M_m(s): Mellin symbol of the channel-projected |x|^-1/2 |p|^-1 |x|^-1/2."""
+    return _mellin_quadrature(m, s).value
+
+
+def critical_coupling_mellin() -> CriticalCouplingResult:
+    """nu_c = 1 / M_0(0), the sup of M_m(s) over m and s by DLMF 5.8.3, with
+    the quadrature's error estimate carried through 1/M: err / M_0(0)^2."""
+    q = _mellin_quadrature(0, 0.0)
+    return CriticalCouplingResult(nu_c=1.0 / q.value,
+                                  uncertainty=q.abs_error_estimate / q.value ** 2,
+                                  method="mellin", trace=(q.value,))
 
 
 # ---------------------------------------------------------------------------

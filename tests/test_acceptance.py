@@ -17,8 +17,8 @@ import pytest
 
 from opineq.anticomm import (TrialFunction, alpha, gamma, nonrel_form,
                              relativistic_form)
-from opineq.bounds import (Configuration, critical_constant_printed,
-                           excess_charge_nonrel_2d, excess_charge_relativistic,
+from opineq.bounds import (CRITICAL_CONSTANT_AS_PRINTED, CRITICAL_CONSTANT_FOURTH_POWER,
+                           Configuration, excess_charge_nonrel_2d, excess_charge_relativistic,
                            flux_delta, pair_sum)
 from opineq.lattice import SquareGrid, kato_random_run, kato_test, kinetic_matrix, make_fields
 from opineq.spectra import (critical_coupling_bisect, critical_coupling_mellin,
@@ -131,13 +131,14 @@ def test_criterion_6_kato_inequality():
 
 def test_criterion_7_critical_coupling():
     bis = critical_coupling_bisect()
-    mel = critical_coupling_mellin(2)
+    mel = critical_coupling_mellin()
     gap = abs(bis.nu_c - mel.nu_c)
     assert gap <= 0.01  # 1% of the unit coupling interval; see module docstring
-    as_printed = critical_constant_printed("as-printed")
-    fourth = critical_constant_printed("fourth-power")
-    # reported side by side; no equality asserted against the projected-
-    # operator constants, which concern a different operator
+    as_printed = CRITICAL_CONSTANT_AS_PRINTED
+    fourth = CRITICAL_CONSTANT_FOURTH_POWER
+    # reported side by side: the projected-operator constants concern a
+    # different operator (test_spectra ties the fourth-power one to
+    # 2 / (M_0(0) + M_1(0)))
     assert abs(as_printed - 0.041725827886795903) < 1e-15
     assert abs(fourth - 0.378016639464455749) < 1e-15
     assert as_printed < mel.nu_c and fourth > mel.nu_c

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opineq.bounds import (BoundReport, Configuration, critical_constant_printed,
-                           excess_charge_nonrel_2d, excess_charge_relativistic,
-                           expectation_bound, flux_delta, max_bindable, pair_sum)
+from opineq.bounds import (CRITICAL_CONSTANT_AS_PRINTED, CRITICAL_CONSTANT_FOURTH_POWER,
+                           BoundReport, Configuration, excess_charge_nonrel_2d,
+                           excess_charge_relativistic, expectation_bound, flux_delta,
+                           max_bindable, pair_sum)
 from opineq.errors import DomainError
 
 # mpmath 25-digit references computed from Gamma(1/4) = 3.6256099082219083...
@@ -116,14 +117,10 @@ def test_max_bindable_vs_threshold():
 
 
 def test_printed_critical_constants():
-    assert critical_constant_printed("as-printed") == pytest.approx(
-        PRINTED_AS_IS, rel=5e-15)
-    assert critical_constant_printed("fourth-power") == pytest.approx(
-        PRINTED_FOURTH, rel=5e-15)
+    assert CRITICAL_CONSTANT_AS_PRINTED == pytest.approx(PRINTED_AS_IS, rel=5e-15)
+    assert CRITICAL_CONSTANT_FOURTH_POWER == pytest.approx(PRINTED_FOURTH, rel=5e-15)
     g = 3.6256099082219083
     assert g ** 4 / (8 * math.pi ** 2) == pytest.approx(PRINTED_COMPONENT, rel=5e-15)
-    with pytest.raises(DomainError):
-        critical_constant_printed("other")
 
 
 def test_bound_report():

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import lattice
 from opineq.cli import main
@@ -116,14 +122,17 @@ def test_positivity_default_columns(capsys):
 
 
 def test_epsilon_option_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["positivity", "--eps-schedule", "1e-2,1e-3,1e-4"])
-    assert exc.value.code == 2
-    cfg = tmp_path / "eps.cfg"
-    # config keys are normalized like flag names ("-" -> "_")
-    cfg.write_text("eps-schedule=1e-2,1e-3,1e-4\n")
-    with pytest.raises(SystemExit, match="unknown config keys"):
-        main(["positivity", "--config", str(cfg)])
+    # removed options are refused as flags and as config keys
+    cfg = tmp_path / "gone.cfg"
+    for command, key, value in (("positivity", "eps-schedule", "1e-2,1e-3,1e-4"),
+                                ("critical", "m-max", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--" + key, value])
+        assert exc.value.code == 2
+        # config keys are normalized like flag names ("-" -> "_")
+        cfg.write_text("%s=%s\n" % (key, value))
+        with pytest.raises(SystemExit, match="unknown config keys"):
+            main([command, "--config", str(cfg)])
     capsys.readouterr()
 
 
@@ -147,6 +156,54 @@ def test_config_file_and_override(tmp_path, capsys):
     assert code == 0
     assert "notice:" in err
     assert out.splitlines()[-1].startswith("3.0,")
+
+
+def _run_captured(argv):
+    """(stdout, exit code) of one CLI run, a usage error included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), code
+
+
+# flag values, every one admissible; --output and --config are left out
+ROUND_TRIP_FLAGS = {
+    "gamma": {"dimension-list": st.sampled_from(["2.0", "2.5", "1.5,3.0"]),
+              "tol": st.sampled_from(["1e-6", "1e-8"])},
+    "critical": {"method": st.sampled_from(["bisect", "mellin", "both"])},
+    "bounds": {"charge": st.sampled_from(["0", "0.5", "2"]),
+               "delta": st.sampled_from(["0", "1.25"]),
+               "b-field": st.sampled_from(["0", "1"]),
+               "radius": st.sampled_from(["0.5", "2"])},
+}
+COMMON_FLAGS = {"format": st.sampled_from(["csv", "json"]),
+                "seed": st.integers(0, 2 ** 31 - 1).map(str)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(st.data())
+def test_config_round_trip_property(data):
+    # a drawn subset of the flags moved into a config file gives the same
+    # stdout and exit code as all of them on the command line; a missing
+    # required flag is the same usage error either way
+    command = data.draw(st.sampled_from(sorted(ROUND_TRIP_FLAGS)))
+    flags = data.draw(st.fixed_dictionaries(
+        {}, optional={**ROUND_TRIP_FLAGS[command], **COMMON_FLAGS}))
+    moved = {k for k in sorted(flags) if data.draw(st.booleans(), label=k)}
+    argv = [command]
+    for k, v in flags.items():
+        if k not in moved:
+            argv += ["--" + k, v]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.writelines("%s=%s\n" % (k, flags[k]) for k in sorted(moved))
+        from_config = _run_captured(argv + ["--config", cfg])
+    flat = [command] + [t for k, v in flags.items() for t in ("--" + k, v)]
+    assert from_config == _run_captured(flat)
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
-from opineq.bounds import critical_constant_printed
+from opineq.bounds import CRITICAL_CONSTANT_FOURTH_POWER
 from opineq.errors import AccuracyError, DomainError, RefinementNeededError
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
                             SCAN_GRID, GridSpec, _anticomm_matrix,
@@ -479,11 +479,22 @@ def test_mellin_multiplier_matches_gamma_ratio(m):
 def test_projected_constant_from_channel_multipliers():
     # 2 / (M_0(0) + M_1(0)) is the fourth-power variant of the printed constant
     pair = 2.0 / (mellin_multiplier(0, 0.0) + mellin_multiplier(1, 0.0))
-    assert pair == pytest.approx(critical_constant_printed("fourth-power"), rel=1e-9)
+    assert pair == pytest.approx(CRITICAL_CONSTANT_FOURTH_POWER, rel=1e-9)
+
+
+def test_mellin_uncertainty_covers_herbst_constant():
+    # nu_c = 1 / M_0(0) = 2 Gamma(3/4)^2 / Gamma(1/4)^2 (Herbst); measured
+    # error 2.7e-11 against an uncertainty of 1.5e-10
+    with mpmath.workdps(30):
+        exact = float(2 * mpmath.gamma(0.75) ** 2 / mpmath.gamma(0.25) ** 2)
+    mel = critical_coupling_mellin()
+    assert mel.trace == (mellin_multiplier(0, 0.0),)
+    assert mel.nu_c == 1.0 / mel.trace[0]
+    assert abs(mel.nu_c - exact) <= mel.uncertainty < 1e-8
 
 
 def test_critical_coupling_cross_validation():
-    mel = critical_coupling_mellin(2)
+    mel = critical_coupling_mellin()
     bis = critical_coupling_bisect()
     assert 0.15 < mel.nu_c < 0.30
     assert 0.15 < bis.nu_c < 0.30
@@ -500,10 +511,9 @@ def test_critical_coupling_cross_validation():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: critical_coupling_mellin(1.5),
     lambda: hydrogen2d(1.0, 1.5),
     lambda: hydrogen2d(1.0, 1, n_levels=2.5),
-], ids=["mellin-m_max", "hydrogen-m_max", "hydrogen-n_levels"])
+], ids=["hydrogen-m_max", "hydrogen-n_levels"])
 def test_non_integer_counts_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -20,6 +20,8 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   cosh factor in the Laplacian degree would overflow;
 - `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
   log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T;
+- `spectra.mellin_multiplier(m, s)` for m = 0..6 on the s grid of
+  `test_mellin_multiplier_matches_gamma_ratio`;
 - every block and the norm of `lattice.kinetic_matrix` for the none,
   background, cavity and total fields on open boundaries and none on
   periodic ones, at n = 16, 24, 32 and mass 0 and 1, on the square of
@@ -58,6 +60,7 @@ STEPS = (0.05, 0.08, 0.1)
 BANDS = 1500
 LATTICE = tuple(itertools.product((16, 24, 32), (0.0, 1.0)))    # (n, mass)
 FIELDS = ("none", "background", "cavity", "total")
+MELLIN_S = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
 
 
 def angular_kernel(d, m, um1):
@@ -130,6 +133,9 @@ def probe():
     for d, sigma in MELLIN_T:
         jobs["relativistic_form d=%g sigma=%g" % (d, sigma)] = (
             lambda d=d, sigma=sigma: form(d, sigma))
+    for m in range(7):
+        jobs["mellin_multiplier m=%d" % m] = (
+            lambda m=m: np.array([spectra.mellin_multiplier(m, s) for s in MELLIN_S]))
     cases = [(c, "open") for c in FIELDS] + [("none", "periodic")]
     for (n, mass), (c, b) in itertools.product(LATTICE, cases):
         jobs["kinetic_matrix n=%d m=%g %s %s" % (n, mass, c, b)] = (
