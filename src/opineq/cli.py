@@ -4,8 +4,8 @@ Every command emits a machine-readable table (CSV with a `#` metadata
 header plus a JSON mirror, or JSON only) embedding the command, the full
 parameter set, the seed, the artifact version and the kernel backend.
 No timestamps: identical configurations produce byte-identical files.
-Exit code 0 iff every in-command assertion passed; failures are reported
-as a JSON record on stderr.
+Exit code 0 iff every in-command assertion passed, 1 with the failures as a
+JSON record on stderr (an unwritable --output too), 2 on a usage error.
 """
 
 import argparse
@@ -279,19 +279,22 @@ def _apply_config(subparser, args, argv):
     if not args.config:
         return args
     overrides = {}
-    with open(args.config) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SystemExit("config line %r is not key=value" % line)
-            key, val = line.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(args.config) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        subparser.error("config file cannot be read: %s" % exc)
+    for line in map(str.strip, lines):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            subparser.error("config line %r is not key=value" % line)
+        key, val = line.split("=", 1)
+        overrides[key.strip().replace("-", "_")] = val.strip()
     actions = {a.dest: a for a in subparser._actions}
     unknown = set(overrides) - set(actions)
     if unknown:
-        raise SystemExit("unknown config keys: %s" % ", ".join(sorted(unknown)))
+        subparser.error("unknown config keys: %s" % ", ".join(sorted(unknown)))
     explicit = {tok.split("=")[0].lstrip("-").replace("-", "_")
                 for tok in argv if tok.startswith("--")}
     for key, val in overrides.items():
@@ -306,11 +309,10 @@ def _apply_config(subparser, args, argv):
             try:
                 value = action.type(val) if action.type else val
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise SystemExit("config value %s=%r cannot be read: %s"
-                                 % (key, val, exc))
+                subparser.error("config value %s=%r cannot be read: %s" % (key, val, exc))
             if action.choices is not None and value not in action.choices:
-                raise SystemExit("config value %s=%r is not one of: %s"
-                                 % (key, val, ", ".join(map(str, action.choices))))
+                subparser.error("config value %s=%r is not one of: %s"
+                                % (key, val, ", ".join(map(str, action.choices))))
             setattr(args, key, value)
     return args
 
@@ -406,7 +408,7 @@ def main(argv=None):
     from .errors import OpineqError
     try:
         failures = args.func(args)
-    except OpineqError as exc:
+    except (OpineqError, OSError) as exc:     # OSError: --output cannot be written
         failures = ["%s: %s" % (type(exc).__name__, exc)]
     if failures:
         record = {"command": args.command, "failures": failures}

@@ -1,7 +1,7 @@
 """The angular kernels in closed form, vectorized in numpy.
 
-The one entry point, polar_batch, returns for a batch of um1 = u - 1
-(which keeps full relative precision as u -> 1) the angular kernel
+polar_batch returns for a batch of um1 = u - 1 (which keeps full
+relative precision as u -> 1) the position-space angular kernel
 
     K(u) = int over S^(d-1) of c(w) dw / (u - w.e)^((d+1)/2),
 
@@ -25,9 +25,10 @@ Euler's transformation (DLMF 15.8.1) takes that factor out, and with
 whose series has c - a - b = 2 and is finite at a = 1.
 
 m >= 1 is the 2D channel kernel 2 (A_0 - A_m)(u), at d = 2 only, with
-|S^0| = 2, also a closed form (_polar_channel): the difference of two
-Gegenbauer coefficients of the same expansion away from u = 1, and the
-complete elliptic integrals with a recurrence in m near it.
+|S^0| = 2 (_polar_channel), and coulomb_channel_kernel the momentum-space
+channel kernel k_m(t) of the Mellin multiplier.  Both are Laplace
+coefficients of (1 - 2a cos t + a^2)^-p (_laplace) away from a = 1, and
+near it both come from one elliptic recurrence (_laplace_near_one).
 """
 
 import functools
@@ -55,7 +56,7 @@ BETA_ULPS = 10.0
 SPHERE_ULPS = 12.0
 # the channels m >= 1 that _polar_channel's allowance was measured on,
 # and that allowance, in units of _U: against mpmath, m = 1..6 and
-# u - 1 from 1e-14 to 1e8, at most 41 units
+# u - 1 from 1e-14 to 1e8, the switch included, at most 50 units
 CHANNEL_M = range(1, 7)
 CHANNEL_ULPS = 80.0
 
@@ -119,22 +120,19 @@ def polar_batch(d, m, um1, *, tol=KTOL):
 def _polar_channel(m, um1, lo):
     """(A_0 - A_m)(u) = int_0^pi (1 - cos m t) (u - cos t)^(-3/2) dt.
 
-    With a = e^-x = 1 / (u + sinh x), the Gegenbauer expansion of the
-    module docstring at d = 2 gives every J_j = int cos(j t)
-    (u - cos t)^(-3/2) dt as one Gauss series, so for a < m / (m + 1)
+    With a = e^-x = 1 / (u + sinh x), each J_j = int cos(j t)
+    (u - cos t)^(-3/2) dt is the Gauss series pi (2a)^(3/2)
+    _laplace(3/2, j, a), and I = J_0 - J_m so for a < m / (m + 1).
 
-        I = pi (2a)^(3/2) [F(3/2, 3/2; 1; a^2)
-                           - ((3/2)_m / m!) a^m F(3/2, m + 3/2; m + 1; a^2)].
-
-    Closer to u = 1 the differences e_j = J_(j-1) - J_j carry the value
-    (each J_j has the same (u - 1)^-1 pole, the e_j only a log): with
-    K and E complete elliptic integrals of parameter a^2 and 2 / (u + 1),
-    e_1 = 2 sqrt(2a) K - (u - 1) J_0, (u - 1) J_0 = 2 E / sqrt(u + 1),
-    (j - 1/2) e_(j+1) = (j + 1/2) e_j - 2j (u - 1) J_j and I = sum e_j.
-    The recurrence loses accuracy as m grows, the more so the farther
-    from u = 1, and the series near u = 1, so the switch moves towards
-    u = 1 as m grows: at m = 6 a switch at a = 1/2 cost 391 units of _U,
-    this one at most 41.  u = 1 is +inf.
+    Closer to u = 1, where each J_j has the same (u - 1)^-1 pole, the
+    differences e_j = J_(j-1) - J_j, I = sum e_j, carry only a log.  By
+    parts e_j + e_(j+1) = 4 j pi sqrt(2a) k_j(a), k_j the Coulomb channel
+    kernel, and Landen's transformation (DLMF 19.8(ii)) gives
+    e_1 = 4 sqrt(2a) ((1 + a) K - E) / (1 + a)^2, K and E of parameter
+    a^2: I is e_1 (m odd) plus the pair sums over the j < m of the other
+    parity, all positive.  k_j's recurrence loses accuracy the farther
+    from u = 1, and the series nearer it, so the switch moves towards
+    u = 1 as m grows.  u = 1 is +inf.
     """
     with np.errstate(invalid="ignore"):
         q = np.sqrt(um1) * np.sqrt(um1 + 2.0)           # sinh x
@@ -143,23 +141,85 @@ def _polar_channel(m, um1, lo):
         v = np.empty_like(um1)
         far = a < m / (m + 1.0)
         z = a[far]
-        coeff = math.prod((j + 1.5) / (j + 1.0) for j in range(m))
         v[far] = np.pi * (2.0 * z) * np.sqrt(2.0 * z) * (
-            hyp2f1(1.5, 1.5, 1.0, z * z)
-            - coeff * z ** m * hyp2f1(1.5, m + 1.5, m + 1.0, z * z))
+            _laplace(1.5, 0, z) - _laplace(1.5, m, z))
         near = ~far
-        w = um1[near]
-        c = (w + q[near]) / ex[near]                    # 1 - a, no cancellation
-        pole = 2.0 * ellipe(2.0 / (w + 2.0)) / np.sqrt(w + 2.0)  # (u - 1) J_0
-        e = 2.0 * np.sqrt(2.0 * a[near]) * ellipkm1(c * (2.0 - c)) - pole
-        s = e
-        for j in range(1, m):
-            e = ((j + 0.5) * e - 2.0 * j * (pole - w * s)) / (j - 0.5)
-            s = s + e
-        v[near] = s
+        z = a[near]
+        c = (um1[near] + q[near]) / ex[near]            # 1 - a, no cancellation
+        K, E, k = _laplace_near_one(m, z, c)
+        s = 4.0 * ((1.0 + z) * K - E) / (1.0 + z) ** 2 if m % 2 else 0.0
+        s = s + 4.0 * np.pi * sum(j * k[j] for j in range(m - 1, 0, -2))
+        v[near] = np.sqrt(2.0 * z) * s
         if lo == 0.0:
             v[um1 == 0.0] = np.inf      # 0 * inf in the recurrence there
     return v
+
+
+# below t = 0.9 (or above 1/0.9) the Gauss series, which scipy's hyp2f1
+# holds to 2e-15 there and not nearer t = 1; from there on the elliptic
+# integrals, whose recurrence in m would grow rounding as t^-2m further out
+SERIES_MAX = 0.9
+
+
+def coulomb_channel_kernel(m: int, t):
+    """k_m(t) = (2 pi)^-1 int_0^{2pi} cos(m theta) (1 + t^2 - 2 t cos theta)^{-1/2} dtheta.
+
+    _laplace(1/2, m, t) below SERIES_MAX, _laplace_near_one from there to
+    t = 1, and k_m(t) = k_m(1/t) / t past it; k_m(1) = +inf, the log
+    singularity, in every channel.  Measured within 2.5e-15 relative of
+    mpmath for m = 0..6 over t in [1e-12, 1e12].
+    """
+    if not float(m).is_integer():
+        raise DomainError("the channel m must be an integer")
+    m = abs(int(m))
+    t = np.atleast_1d(np.asarray(t, float))
+    if not np.all((t > 0) & (t < np.inf)):
+        raise DomainError("t must be finite and positive")
+    inv = t > 1.0
+    r, c = t.copy(), 1.0 - t  # r = min(t, 1/t) and c = 1 - r, with no cancellation
+    r[inv] = 1.0 / t[inv]
+    c[inv] = (t[inv] - 1.0) / t[inv]
+    k = np.full_like(t, np.inf)
+    lo = r < SERIES_MAX
+    k[lo] = _laplace(0.5, m, r[lo])
+    near = ~lo & (c > 0.0)
+    k[near] = _laplace_near_one(m, r[near], c[near])[2][m]
+    k[inv] /= t[inv]
+    return k
+
+
+def _laplace(p, j, z):
+    """((p)_j / j!) z^j 2F1(p, j + p; j + 1; z^2), the Laplace coefficient
+    of cos(j t) in (1 - 2 z cos t + z^2)^-p, halved for j >= 1: k_j(z) at
+    p = 1/2, and at p = 3/2 the cosine moments of _polar_channel."""
+    coeff = math.prod((i + p) / (i + 1.0) for i in range(j))
+    return coeff * z ** j * hyp2f1(p, j + p, j + 1.0, z * z)
+
+
+def _laplace_near_one(m, r, c):
+    """K and E of parameter r^2 (E is None for m = 0) and [k_0, ..., k_m]
+    at r, for r < 1 near 1; c = 1 - r.
+
+    k_0 = (2/pi) K and k_1 = (2/(pi r)) (K - E) (DLMF 19.5), then the
+    three-term recurrence (j + 1/2) k_{j+1} = j (r + 1/r) k_j
+    - (j - 1/2) k_{j-1}, carried as the differences d_j = k_j - k_{j-1}:
+    (j + 1/2) d_{j+1} = (j - 1/2) d_j + j (c^2 / r) k_j.  Near r = 1 every
+    k_j carries the same log singularity, so the differences are the small
+    part: rounding on them instead of on k_j keeps k_m within 2.5e-15
+    relative up to m = 6 from r = 0.9 (the plain form reaches 8e-15).
+    """
+    K = ellipkm1(c * (2.0 - c))  # 1 - r^2 without cancellation
+    k = [2.0 / np.pi * K]
+    if m == 0:
+        return K, None, k
+    E = ellipe(r * r)
+    d = 2.0 / (np.pi * r) * (c * K - E)
+    k.append(k[0] + d)
+    x2 = c * c / r  # r + 1/r - 2
+    for j in range(1, m):
+        d = ((j - 0.5) * d + j * x2 * k[j]) / (j + 0.5)
+        k.append(k[j] + d)
+    return K, E, k
 
 
 @functools.lru_cache(maxsize=64)

@@ -19,9 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import ellipe, ellipkm1, hyp2f1
 
-from . import anticomm, lattice
+from . import anticomm, kernels, lattice
 from .errors import DomainError, OpineqError, RefinementNeededError
 from .quadrature import integrate_adaptive
 
@@ -51,9 +50,6 @@ class GridSpec:
 
     def log_step(self):
         return math.log(self.r_max / self.r_min) / (self.n - 1)
-
-    def scaled(self, factor: float) -> "GridSpec":
-        return GridSpec(self.r_min * factor, self.r_max * factor, self.n)
 
 
 @dataclass(frozen=True)
@@ -239,67 +235,6 @@ def critical_coupling_bisect() -> CriticalCouplingResult:
 # ---------------------------------------------------------------------------
 # critical coupling, method 2: Mellin multiplier of the sandwiched kernel
 
-# below t = 0.9 (or above 1/0.9) the Gauss series, which scipy's hyp2f1
-# holds to 2e-15 there and not nearer t = 1; from there on the elliptic
-# integrals, whose recurrence in m would grow rounding as t^-2m further out
-SERIES_MAX = 0.9
-
-
-def _channel_kernel_near_one(m: int, r, c):
-    """k_m(r) for SERIES_MAX <= r < 1 from K and E of parameter r^2; c = 1 - r.
-
-    k_0 = (2/pi) K and k_1 = (2/(pi r)) (K - E) (DLMF 19.5), then the
-    three-term recurrence (j + 1/2) k_{j+1} = j (r + 1/r) k_j
-    - (j - 1/2) k_{j-1}, carried as the differences d_j = k_j - k_{j-1}:
-    (j + 1/2) d_{j+1} = (j - 1/2) d_j + j (c^2 / r) k_j.  Near r = 1 every
-    k_j carries the same log singularity, so the differences are the small
-    part, and rounding on them instead of on k_j keeps the recurrence
-    within 2.5e-15 relative up to m = 6 (the plain form reaches 8e-15).
-    """
-    K = ellipkm1(c * (2.0 - c))  # 1 - r^2 without cancellation
-    k = 2.0 / np.pi * K
-    if m == 0:
-        return k
-    d = 2.0 / (np.pi * r) * (c * K - ellipe(r * r))
-    k = k + d
-    x2 = c * c / r  # r + 1/r - 2
-    for j in range(1, m):
-        d = ((j - 0.5) * d + j * x2 * k) / (j + 0.5)
-        k = k + d
-    return k
-
-
-def coulomb_channel_kernel(m: int, t):
-    """k_m(t) = (2 pi)^-1 int_0^{2pi} cos(m theta) (1 + t^2 - 2 t cos theta)^{-1/2} dtheta.
-
-    In closed form, with no quadrature: the Laplace coefficient
-    ((1/2)_m / m!) t^m 2F1(1/2, m + 1/2; m + 1; t^2) below SERIES_MAX, the
-    elliptic integrals from there to t = 1 (_channel_kernel_near_one), and
-    k_m(t) = k_m(1/t) / t past it.  k_m(1) = +inf, the log singularity, in
-    every channel.  Measured within 2.5e-15 relative of mpmath for
-    m = 0..6 over t in [1e-12, 1e12]; the recurrence's error grows with m.
-    """
-    if not float(m).is_integer():
-        raise DomainError("the channel m must be an integer")
-    m = abs(int(m))
-    t = np.atleast_1d(np.asarray(t, float))
-    if not np.all((t > 0) & (t < np.inf)):
-        raise DomainError("t must be finite and positive")
-    inv = t > 1.0
-    r, c = t.copy(), 1.0 - t  # r = min(t, 1/t) and c = 1 - r, with no cancellation
-    r[inv] = 1.0 / t[inv]
-    c[inv] = (t[inv] - 1.0) / t[inv]
-    k = np.full_like(t, np.inf)
-    lo = r < SERIES_MAX
-    z = r[lo]
-    coeff = math.prod((j + 0.5) / (j + 1.0) for j in range(m))
-    k[lo] = coeff * z ** m * hyp2f1(0.5, m + 0.5, m + 1.0, z * z)
-    near = ~lo & (c > 0.0)
-    k[near] = _channel_kernel_near_one(m, r[near], c[near])
-    k[inv] /= t[inv]
-    return k
-
-
 def _mellin_quadrature(m: int, s: float):
     """M_m(s) as the QuadResult of its quadrature, error estimate included.
 
@@ -309,7 +244,7 @@ def _mellin_quadrature(m: int, s: float):
     even in s), with t = y^2 flattening the endpoint.
     """
     def f(y):
-        km = coulomb_channel_kernel(m, y * y)
+        km = kernels.coulomb_channel_kernel(m, y * y)
         return 4.0 * km * np.cos(2.0 * s * np.log(y))
 
     return integrate_adaptive(f, 0.0, 1.0, 1e-9)

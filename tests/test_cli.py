@@ -2,10 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opineq import lattice
@@ -131,9 +132,10 @@ def test_epsilon_option_is_gone(tmp_path, capsys):
         assert exc.value.code == 2
         # config keys are normalized like flag names ("-" -> "_")
         cfg.write_text("%s=%s\n" % (key, value))
-        with pytest.raises(SystemExit, match="unknown config keys"):
+        with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(cfg)])
-    capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_hydrogen_command(capsys):
@@ -169,10 +171,11 @@ def _run_captured(argv):
     return out.getvalue(), code
 
 
-# flag values, every one admissible; --output and --config are left out
+# flag values, every one admissible but tol=abc, which both routes refuse
+# as a usage error; --output and --config are left out
 ROUND_TRIP_FLAGS = {
     "gamma": {"dimension-list": st.sampled_from(["2.0", "2.5", "1.5,3.0"]),
-              "tol": st.sampled_from(["1e-6", "1e-8"])},
+              "tol": st.sampled_from(["1e-6", "1e-8", "abc"])},
     "critical": {"method": st.sampled_from(["bisect", "mellin", "both"])},
     "bounds": {"charge": st.sampled_from(["0", "0.5", "2"]),
                "delta": st.sampled_from(["0", "1.25"]),
@@ -183,16 +186,24 @@ COMMON_FLAGS = {"format": st.sampled_from(["csv", "json"]),
                 "seed": st.integers(0, 2 ** 31 - 1).map(str)}
 
 
+@st.composite
+def round_trip_cases(draw):
+    """(command, {flag: value}, the flags moved into the config file)."""
+    command = draw(st.sampled_from(sorted(ROUND_TRIP_FLAGS)))
+    flags = draw(st.fixed_dictionaries(
+        {}, optional={**ROUND_TRIP_FLAGS[command], **COMMON_FLAGS}))
+    moved = {k for k in sorted(flags) if draw(st.booleans(), label=k)}
+    return command, flags, moved
+
+
 @settings(derandomize=True, deadline=None, max_examples=24)
-@given(st.data())
-def test_config_round_trip_property(data):
+@given(round_trip_cases())
+@example(("gamma", {"tol": "abc"}, {"tol"}))
+def test_config_round_trip_property(case):
     # a drawn subset of the flags moved into a config file gives the same
     # stdout and exit code as all of them on the command line; a missing
-    # required flag is the same usage error either way
-    command = data.draw(st.sampled_from(sorted(ROUND_TRIP_FLAGS)))
-    flags = data.draw(st.fixed_dictionaries(
-        {}, optional={**ROUND_TRIP_FLAGS[command], **COMMON_FLAGS}))
-    moved = {k for k in sorted(flags) if data.draw(st.booleans(), label=k)}
+    # required flag or an unreadable value is the same usage error either way
+    command, flags, moved = case
     argv = [command]
     for k, v in flags.items():
         if k not in moved:
@@ -204,14 +215,17 @@ def test_config_round_trip_property(data):
         from_config = _run_captured(argv + ["--config", cfg])
     flat = [command] + [t for k, v in flags.items() for t in ("--" + k, v)]
     assert from_config == _run_captured(flat)
+    if flags.get("tol") == "abc":
+        assert from_config == ("", 2)
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not-a-flag=1\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["gamma", "--config", str(cfg)])
-    capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unknown config keys: not_a_flag" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, line, why", [
@@ -225,9 +239,37 @@ def test_config_value_outside_choices_rejected(command, line, why, tmp_path,
                                                capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit, match="config value .* " + why):
+    with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.search("config value .* " + why, err)
+
+
+@pytest.mark.parametrize("where", ["config-missing", "config-directory",
+                                   "config-not-text", "output-missing-directory"])
+def test_unreadable_config_and_unwritable_output(where, tmp_path, capsys):
+    # a config file that cannot be read is a usage error before any
+    # command runs; an --output that cannot be written is the failure
+    # record on stderr, exit code 1, and no traceback either way
+    argv = ["bounds", "--charge", "1", "--delta", "0"]
+    if where == "output-missing-directory":
+        code, out, err = run(argv + ["--output", str(tmp_path / "no" / "b.csv")],
+                             capsys)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["command"] == "bounds"
+        assert record["failures"][0].startswith("FileNotFoundError: ")
+        return
+    path = {"config-missing": tmp_path / "missing.cfg",
+            "config-directory": tmp_path,
+            "config-not-text": tmp_path / "binary.cfg"}[where]
+    if where == "config-not-text":
+        path.write_bytes(b"charge=\xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(path)])
+    assert exc.value.code == 2
+    assert "error: config file cannot be read: " in capsys.readouterr().err
 
 
 def test_kato_grid_size_beyond_dense_cap_is_usage_error(monkeypatch, tmp_path,

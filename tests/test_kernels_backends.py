@@ -221,10 +221,10 @@ def _channel_reference(m, um1):
 def test_channel_closed_form_within_its_bound(m):
     # every value lies within its returned bound, and the bound within
     # 1e-14, from u - 1 = 1e-14 to 1e8 and on both sides of the switch
-    # between the Gauss series and the elliptic recurrence, at
+    # between the Gauss series and the elliptic integrals, at
     # e^-x = m / (m + 1), u - 1 = 1 / (2m (m + 1)).  Around e^-x = 1/2,
-    # u - 1 = 1/4, a switch there would leave the recurrence 391 units of
-    # 2^-53 off at m = 6
+    # u - 1 = 1/4, a switch there would leave k_j's recurrence 224 units
+    # of 2^-53 off at m = 6
     sides = np.array([0.9, 0.96, 1 - 1e-15, 1.0, 1 + 1e-15, 1.1])
     um1 = np.concatenate([10.0 ** np.arange(-14, 9), 0.25 * sides,
                           sides / (2.0 * m * (m + 1.0))])
@@ -242,6 +242,23 @@ def test_channel_closed_form_ends():
     for m in kernels.CHANNEL_M:
         v, e, _ = kernels.polar_batch(2.0, m, [0.0, np.inf])
         assert v[0] == np.inf and v[1] == 0.0 and e[1] == 0.0
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_channel_kernels_tied_by_parts(m):
+    # int cos(m t) (u - cos t)^(-1/2) dt = (J_(m-1) - J_(m+1)) / 4m by
+    # parts, so with t = e^-x, u - 1 = (1 - t)^2 / 2t, the two channel
+    # kernels agree: 4 m pi sqrt(2t) k_m(t) = (polar_batch(2, m + 1)
+    # - polar_batch(2, m - 1)) / 2, where channel 0's term is 0.  Below
+    # t = 0.3 the right side loses digits to its cancellation
+    t = np.concatenate([np.linspace(0.3, 1.0, 141, endpoint=False),
+                        1.0 - 10.0 ** -np.arange(1.0, 16.0)])
+    um1 = (1.0 - t) ** 2 / (2.0 * t)
+    right = kernels.polar_batch(2.0, m + 1, um1)[0]
+    if m > 1:
+        right = right - kernels.polar_batch(2.0, m - 1, um1)[0]
+    left = 4.0 * m * np.pi * np.sqrt(2.0 * t) * kernels.coulomb_channel_kernel(m, t)
+    np.testing.assert_allclose(left, right / 2.0, rtol=5e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("d,m", [

@@ -14,12 +14,13 @@ from opineq.anticomm import (TrialFunction, channel_moments,
                              momentum_expectation, ridge_moments)
 from opineq.bounds import CRITICAL_CONSTANT_FOURTH_POWER
 from opineq.errors import AccuracyError, DomainError, RefinementNeededError
+from opineq.kernels import coulomb_channel_kernel
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
                             SCAN_GRID, GridSpec, _anticomm_matrix,
                             _hydrogen_channel, _lowest_eigenvalue,
                             _momentum_log_grid,
                             chandrasekhar_lowest, classify_coupling,
-                            coulomb_channel_kernel, critical_coupling_bisect,
+                            critical_coupling_bisect,
                             critical_coupling_mellin, hydrogen2d,
                             lambda_min_anticomm, mellin_multiplier)
 
@@ -261,7 +262,8 @@ def _dense_hydrogen_channel(Z, m, grid, count):
 @pytest.mark.parametrize("Z", [1.0, 1.7])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_hydrogen_channel_tridiagonal_matches_dense(Z, m):
-    grid = DEFAULT_HYDROGEN_GRID.scaled(1.0 / Z)
+    g = DEFAULT_HYDROGEN_GRID
+    grid = GridSpec(g.r_min / Z, g.r_max / Z, g.n)
     ev = _hydrogen_channel(Z, m, grid, 3)
     ref = _dense_hydrogen_channel(Z, m, grid, 3)
     assert np.all(np.abs(ev - ref) <= 1e-13 * np.abs(ref))

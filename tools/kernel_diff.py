@@ -20,6 +20,9 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   cosh factor in the Laplacian degree would overflow;
 - `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
   log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T;
+- the 2D Coulomb channel kernel `coulomb_channel_kernel(m, t)` for
+  m = 0..6 on the `KERNEL_TS` grid of tests/test_spectra.py, from
+  `kernels`, or from `spectra` on a tree that still keeps it there;
 - `spectra.mellin_multiplier(m, s)` for m = 0..6 on the s grid of
   `test_mellin_multiplier_matches_gamma_ratio`;
 - every block and the norm of `lattice.kinetic_matrix` for the none,
@@ -61,6 +64,12 @@ BANDS = 1500
 LATTICE = tuple(itertools.product((16, 24, 32), (0.0, 1.0)))    # (n, mass)
 FIELDS = ("none", "background", "cavity", "total")
 MELLIN_S = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
+# tests/test_spectra.py's KERNEL_TS
+KERNEL_TS = np.unique(np.concatenate([
+    np.logspace(-12.0, 12.0, 97), np.linspace(0.5, 2.0, 61),
+    [0.9, np.nextafter(0.9, 0.0), 1.0 / 0.9, np.nextafter(1.0 / 0.9, 2.0)],
+    [1.0 + sign * d for d in (1e-15, 3e-15, 1e-12, 1e-8, 1e-4) for sign in (-1, 1)],
+]))
 
 
 def angular_kernel(d, m, um1):
@@ -102,7 +111,9 @@ def kato_run(n, component, mass, nonneg_phi):
 
 def probe():
     """{name: array, or the repr of the exception it raised}."""
-    from opineq import anticomm, spectra
+    from opineq import anticomm, kernels, spectra
+    # a tree from before the move keeps the Coulomb channel kernel in spectra
+    km_owner = kernels if hasattr(kernels, "coulomb_channel_kernel") else spectra
 
     def gamma(d):
         g = anticomm.gamma(d)
@@ -133,6 +144,9 @@ def probe():
     for d, sigma in MELLIN_T:
         jobs["relativistic_form d=%g sigma=%g" % (d, sigma)] = (
             lambda d=d, sigma=sigma: form(d, sigma))
+    for m in range(7):
+        jobs["coulomb_channel_kernel m=%d" % m] = (
+            lambda m=m: km_owner.coulomb_channel_kernel(m, KERNEL_TS))
     for m in range(7):
         jobs["mellin_multiplier m=%d" % m] = (
             lambda m=m: np.array([spectra.mellin_multiplier(m, s) for s in MELLIN_S]))
