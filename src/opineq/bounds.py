@@ -24,33 +24,48 @@ AS_PRINTED_PROVENANCE = ("projected-operator constant as printed: Gamma(1/4) "
                          "in its second term where Gamma(1/4)^4 belongs")
 
 
+def _nonnegative(**values):
+    """DomainError unless every value is finite and >= 0 (NaN is not)."""
+    for name, v in values.items():
+        if not 0 <= v < math.inf:
+            raise DomainError("%s must be finite and >= 0, not %r" % (name, v))
+
+
+def _positive(Z):
+    if not 0 < Z < math.inf:
+        raise DomainError("Z must be finite and positive, not %r" % Z)
+
+
+def _finite(x, what):
+    """x, or DomainError where finite inputs overflowed."""
+    if not math.isfinite(x):
+        raise DomainError("%s overflows" % what)
+    return x
+
+
 def excess_charge_relativistic(delta: float, Z: float) -> float:
     """Upper bound 2 (delta + Z) + 1 on the bindable electron number of the
     relativistic 2D dot with missing flux delta and charge Z."""
-    if delta < 0 or Z < 0:
-        raise DomainError("delta and Z must be >= 0")
-    return 2.0 * (delta + Z) + 1.0
+    _nonnegative(delta=delta, Z=Z)
+    return _finite(2.0 * (delta + Z) + 1.0, "2 (delta + Z) + 1")
 
 
 def excess_charge_nonrel_2d(Z: float) -> float:
     """Non-relativistic 2D bound N <= 2 Z + log(sqrt(Z)) + 7/2."""
-    if Z <= 0:
-        raise DomainError("Z must be positive")
-    return 2.0 * Z + math.log(math.sqrt(Z)) + 3.5
+    _positive(Z)
+    return _finite(2.0 * Z + math.log(math.sqrt(Z)) + 3.5, "2 Z + log(sqrt(Z)) + 7/2")
 
 
 def expectation_bound(Z: float) -> float:
     """Ground-state Coulomb-expectation bound 4 log(sqrt(Z)) + 10."""
-    if Z <= 0:
-        raise DomainError("Z must be positive")
+    _positive(Z)
     return 4.0 * math.log(math.sqrt(Z)) + 10.0
 
 
 def flux_delta(B: float, R: float) -> float:
     """Missing magnetic flux parameter delta = R^2 B / 2 (e = 1)."""
-    if B < 0 or R < 0:
-        raise DomainError("B and R must be >= 0")
-    return 0.5 * B * R * R
+    _nonnegative(B=B, R=R)
+    return _finite(0.5 * B * R * R, "R^2 B / 2")
 
 
 @dataclass(frozen=True)
@@ -93,10 +108,10 @@ def pair_sum(config: Configuration) -> float:
 
 
 def max_bindable(delta: float, Z: float) -> int:
-    """Largest integer N with -(delta+Z) N + N(N-1)/2 < 0 (0 when none is)."""
-    if delta < 0 or Z < 0:
-        raise DomainError("delta and Z must be >= 0")
-    t = 2.0 * (delta + Z)
+    """Largest integer N with -(delta+Z) N + N(N-1)/2 < 0 (0 when none is),
+    delta + Z rounded to a float."""
+    _nonnegative(delta=delta, Z=Z)
+    t = _finite(2.0 * (delta + Z), "2 (delta + Z)")
     # N - 1 < t for N = ceil(t) and fails for ceil(t) + 1, integer t included
     return int(math.ceil(t)) if t > 0.0 else 0
 

@@ -15,6 +15,11 @@ import os
 import sys
 
 
+# config values of a store_true flag, in any case
+FLAG_WORDS = {"1": True, "true": True, "yes": True,
+              "0": False, "false": False, "no": False}
+
+
 def _fmt(x):
     if isinstance(x, float):
         return repr(x)
@@ -304,7 +309,10 @@ def _apply_config(subparser, args, argv):
             continue
         action = actions[key]
         if isinstance(action.const, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
+            if val.lower() not in FLAG_WORDS:
+                subparser.error("config value %s=%r is not one of: %s"
+                                % (key, val, ", ".join(FLAG_WORDS)))
+            setattr(args, key, FLAG_WORDS[val.lower()])
         else:
             try:
                 value = action.type(val) if action.type else val

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,58 @@ def test_max_bindable_vs_threshold():
         t = 2.0 * (delta + Z)
         if t != math.floor(t):
             assert nmax == math.ceil(thr) - 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(0.0, 50.0), st.floats(0.0, 50.0))
+def test_max_bindable_matches_integer_search_property(delta, Z):
+    # the largest N >= 0 with -(delta+Z) N + N(N-1)/2 < 0, or 0, searched
+    # in exact arithmetic on the float delta + Z
+    s = Fraction(delta + Z)
+    want = max(n for n in range(2 * math.ceil(s) + 3)
+               if n == 0 or -s * n + Fraction(n * (n - 1), 2) < 0)
+    assert max_bindable(delta, Z) == want
+
+
+BAD = st.one_of(st.just(math.nan), st.just(math.inf),
+                st.floats(max_value=-math.ulp(0.0)))     # -0.0 is 0
+GOOD = st.floats(0.0, 1e300)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(BAD, st.one_of(GOOD, BAD), st.sampled_from(["delta", "Z", "B", "R"]))
+def test_bounds_refuse_nonfinite_or_negative_property(bad, other, role):
+    # `role` is bad, the other input drawn good or bad.  NaN passed every
+    # `< 0` check and came back as max_bindable 0 and NaN bounds; infinity
+    # raised OverflowError from int(ceil(inf))
+    calls = {"delta": [lambda: max_bindable(bad, other),
+                       lambda: excess_charge_relativistic(bad, other),
+                       lambda: BoundReport.build(Z=other, delta=bad)],
+             "Z": [lambda: max_bindable(other, bad),
+                   lambda: excess_charge_relativistic(other, bad),
+                   lambda: BoundReport.build(Z=bad, delta=other)],
+             "B": [lambda: flux_delta(bad, other),
+                   lambda: BoundReport.build(Z=1.0, B=bad, R=other)],
+             "R": [lambda: flux_delta(other, bad),
+                   lambda: BoundReport.build(Z=1.0, B=other, R=bad)]}[role]
+    if role == "Z":
+        calls += [lambda: excess_charge_nonrel_2d(bad), lambda: expectation_bound(bad)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: max_bindable(1e308, 1e308),
+    lambda: excess_charge_relativistic(1e308, 0.0),
+    lambda: excess_charge_nonrel_2d(1.7e308),
+    lambda: flux_delta(1e200, 1e200),
+    lambda: BoundReport.build(Z=1e308, delta=1e308),
+    lambda: BoundReport.build(Z=1.0, B=1e300, R=1e10),
+], ids=["max_bindable", "relativistic", "nonrel_2d", "flux_delta", "report", "report-flux"])
+def test_overflowing_sums_are_domain_errors(call):
+    with pytest.raises(DomainError, match="overflows"):
+        call()
 
 
 def test_printed_critical_constants():

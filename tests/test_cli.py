@@ -246,6 +246,29 @@ def test_config_value_outside_choices_rejected(command, line, why, tmp_path,
     assert out == "" and re.search("config value .* " + why, err)
 
 
+@pytest.mark.parametrize("val, nonrel", [("1", True), ("TRUE", True), ("Yes", True),
+                                         ("0", False), ("false", False), ("NO", False)])
+def test_config_flag_words(val, nonrel, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nonrel=%s\nsigma-grid=1.0\n" % val)
+    out, code = _run_captured(["positivity", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["meta"]["nonrel"] is nonrel
+
+
+@pytest.mark.parametrize("val", ["ture", "", "on", "2", "y"])
+def test_config_flag_typo_rejected(val, tmp_path, capsys):
+    # read as false until the words were checked: nonrel=ture ran the
+    # relativistic form and exited 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("nonrel=%s\n" % val)
+    with pytest.raises(SystemExit) as exc:
+        main(["positivity", "--config", str(cfg)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config value nonrel=%r is not one of: " % val in err
+
+
 @pytest.mark.parametrize("where", ["config-missing", "config-directory",
                                    "config-not-text", "output-missing-directory"])
 def test_unreadable_config_and_unwritable_output(where, tmp_path, capsys):

@@ -11,8 +11,9 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
 - the angular kernel (`kernels.polar_batch`, sphere factor included)
   values and bounds, for m = 0 at seven dimensions and for m = 1..6 at
   d = 2, on u - 1 from 1e-14 to 1e200 and inf (0 too for m >= 1);
-- `anticomm.gamma`'s value, error estimate and evaluation count at eight
-  dimensions from 1.2 to 12;
+- `anticomm.gamma`'s value and error estimate, and apart from them its
+  evaluation count, at eight dimensions from 1.2 to 12; a change to the
+  work alone shows the first SAME and the second DIFFERS;
 - the ridge moments at d = 2, 2.5, 3 and the channel moments at m = 1, 2,
   1,500 bands at each of three step sizes;
 - the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3,
@@ -23,8 +24,11 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
 - the 2D Coulomb channel kernel `coulomb_channel_kernel(m, t)` for
   m = 0..6 on the `KERNEL_TS` grid of tests/test_spectra.py, from
   `kernels`, or from `spectra` on a tree that still keeps it there;
-- `spectra.mellin_multiplier(m, s)` for m = 0..6 on the s grid of
-  `test_mellin_multiplier_matches_gamma_ratio`;
+- `spectra._mellin_quadrature(m, s)`, the quadrature behind
+  `mellin_multiplier`, for m = 0..6 on the s grid of
+  `test_mellin_multiplier_matches_gamma_ratio`: values, error estimates
+  and evaluation counts, each apart;
+- `anticomm.nonrel_form` of the log-Gaussians at five sigma from 0.25 to 4;
 - every block and the norm of `lattice.kinetic_matrix` for the none,
   background, cavity and total fields on open boundaries and none on
   periodic ones, at n = 16, 24, 32 and mass 0 and 1, on the square of
@@ -64,6 +68,7 @@ BANDS = 1500
 LATTICE = tuple(itertools.product((16, 24, 32), (0.0, 1.0)))    # (n, mass)
 FIELDS = ("none", "background", "cavity", "total")
 MELLIN_S = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
+NONREL_SIGMA = (0.25, 0.5, 1.0, 2.0, 4.0)
 # tests/test_spectra.py's KERNEL_TS
 KERNEL_TS = np.unique(np.concatenate([
     np.logspace(-12.0, 12.0, 97), np.linspace(0.5, 2.0, 61),
@@ -115,9 +120,16 @@ def probe():
     # a tree from before the move keeps the Coulomb channel kernel in spectra
     km_owner = kernels if hasattr(kernels, "coulomb_channel_kernel") else spectra
 
-    def gamma(d):
-        g = anticomm.gamma(d)
-        return np.array([g.value, g.abs_error_estimate, g.evaluations])
+    def quad(res):
+        """A QuadResult's value and error estimate apart from its work."""
+        return {"value, error": np.array([res.value, res.abs_error_estimate]),
+                "evaluations": np.array(res.evaluations)}
+
+    def mellin(m):
+        res = [spectra._mellin_quadrature(m, s) for s in MELLIN_S]
+        return {"values": np.array([r.value for r in res]),
+                "error estimates": np.array([r.abs_error_estimate for r in res]),
+                "evaluations": np.array([r.evaluations for r in res])}
 
     def form(d, sigma):
         fv = anticomm.relativistic_form(anticomm.TrialFunction("log_gaussian", sigma), d)
@@ -130,7 +142,7 @@ def probe():
         jobs["kernel m=%d d=2" % m] = (
             lambda m=m: angular_kernel(2.0, m, np.append(0.0, UM1)))
     for d in GAMMA_D:
-        jobs["gamma d=%g" % d] = lambda d=d: gamma(d)
+        jobs["gamma d=%g" % d] = lambda d=d: quad(anticomm.gamma(d))
     for h in STEPS:
         for d in (2.0, 2.5, 3.0):
             jobs["ridge_moments d=%g h=%g" % (d, h)] = (
@@ -148,8 +160,11 @@ def probe():
         jobs["coulomb_channel_kernel m=%d" % m] = (
             lambda m=m: km_owner.coulomb_channel_kernel(m, KERNEL_TS))
     for m in range(7):
-        jobs["mellin_multiplier m=%d" % m] = (
-            lambda m=m: np.array([spectra.mellin_multiplier(m, s) for s in MELLIN_S]))
+        jobs["_mellin_quadrature m=%d" % m] = lambda m=m: mellin(m)
+    for sigma in NONREL_SIGMA:
+        jobs["nonrel_form sigma=%g" % sigma] = (
+            lambda sigma=sigma: np.array(anticomm.nonrel_form(
+                anticomm.TrialFunction("log_gaussian", sigma))))
     cases = [(c, "open") for c in FIELDS] + [("none", "periodic")]
     for (n, mass), (c, b) in itertools.product(LATTICE, cases):
         jobs["kinetic_matrix n=%d m=%g %s %s" % (n, mass, c, b)] = (
