@@ -164,25 +164,28 @@ class TrialFunction:
                              self.samples)
 
     def s_extent(self, d: float) -> float:
-        """Half-width of the s-lattice needed for ~1e-12 truncated mass.
+        """Half-width of the s-lattice, past which the forms take psi = 0.
 
-        The +34 padding covers the e^{-x} pair-separation tail of the
-        double-integral forms: the pairs between the trial's bulk and the
-        far side of the lattice, which _form_engine sums out to its offset
-        cut near x = 37.  Pairs of two nodes in the padding fall outside its
-        core window and are dropped within a bound.
+        The form engine counts the pairs that reach past the lattice in
+        closed form, so the extent only has to hold the trial: log_gaussian
+        |center| + d sigma^2 / 2 + 10 sigma, log_linear_cutoff
+        |center| + 53 / rate, sampled the samples' support (psi is 0 past
+        it).  Against the all-pairs sum on the lattice padded by 40
+        log-units, the form was within 2.7 eps * scale for log-Gaussians
+        (d in [1.2, 6], sigma in [0.25, 4], |center| <= 6) and within 3.2
+        for log_linear_cutoff, which at 35 / rate was 1e4 off at d = 1.2.
         """
         if self.family == "log_gaussian":
-            return abs(self.center) + d * self.sigma ** 2 / 2.0 + 10.0 * self.sigma + 34.0
+            return abs(self.center) + d * self.sigma ** 2 / 2.0 + 10.0 * self.sigma
         if self.family == "log_linear_cutoff":
             rate = 1.0 / self.sigma - d
             if rate <= 0.5:
                 raise DomainError(
                     "log_linear_cutoff with sigma=%g is too slowly decaying "
                     "for dimension %g" % (self.sigma, d))
-            return abs(self.center) + 35.0 / rate + 34.0
+            return abs(self.center) + 53.0 / rate
         sn = np.asarray(self.samples[0], float)
-        return float(np.max(np.abs(sn))) + 34.0
+        return float(np.max(np.abs(sn)))
 
     def norm_sq(self, d: float) -> float:
         """||psi||^2 on R^d (closed form for the log-Gaussian family)."""
@@ -201,11 +204,11 @@ class FormValue:
     """Form value t[psi], its absolute scale and ||psi||^2.
 
     `scale` is the same sums over |terms|, the reference for
-    roundoff-level negativity, taken over the pairs that `_form_engine`
-    keeps: offsets out to its cut, pairs with a node in its core window.
-    Every dropped term is >= 0, so it is at most the abs-sum over all
-    pairs, and a gate `t >= -c scale` can only get stricter.  `value` is
-    within eps * scale of the sum over all pairs.
+    roundoff-level negativity, taken over every pair through the offset
+    cut of `_form_engine`, those with a node past the lattice included.
+    Every term beyond the cut is >= 0, so it is at most the abs-sum over
+    all pairs, and a gate `t >= -c scale` can only get stricter.  `value`
+    is within eps * scale of the sum over all pairs.
     """
 
     value: float
@@ -229,118 +232,104 @@ def _lattice(psi, d):
 # per-call overhead dominates (4,096 took 1.6x as long on the forms
 # workload's sums), and the three block temporaries stay at 384 KiB
 _BLOCK_ELEMENTS = 16384
-# the pairs outside the core window may weigh at most this share of eps
-# times offset 1's weighted abs term, a lower bound on the abs partial sum:
-# far enough below the cut's one ulp that adding it leaves K where it was
-_WINDOW_SHARE = 2.0 ** -10
 
 
-def _offset_blocks(n, lo, hi):
-    """Row ranges (k0, k1) covering the offsets 1..n-1 in order, for the
-    core window [lo, hi): block rows k0..k1-1 span the columns
-    max(0, lo - k1 + 1)..hi-1, and (k1 - k0) times that width is at most
-    _BLOCK_ELEMENTS, or the block is one row."""
+def _offset_blocks(n):
+    """Row ranges (k0, k1) covering the offsets 1..n-1 in order: block rows
+    k0..k1-1 span the n - k0 columns of offset k0's pairs, and (k1 - k0)
+    times that width is at most _BLOCK_ELEMENTS, or the block is one row."""
     k0 = 1
     while k0 < n:
-        b = hi - lo + k0 - 1  # width of a block is at most b + rows
-        rows = max(1, (math.isqrt(b * b + 4 * _BLOCK_ELEMENTS) - b) // 2,
-                   _BLOCK_ELEMENTS // hi)
-        k1 = min(n, k0 + rows)
+        k1 = min(n, k0 + max(1, _BLOCK_ELEMENTS // (n - k0)))
         yield k0, k1
         k0 = k1
 
 
-def _offset_sums(h, a, G, H, tail, w_lo, window):
-    """F_k = h sum_i a_i a_{i+k} (G_i-G_{i+k})(H_i-H_{i+k}), plus the |.|
-    version, for k = 0..K (F_0 = 0), over the pairs with a node in the core
-    window [lo, hi) = window[:2]; window[2] bounds the weighted abs-sum of
-    the other pairs over all offsets.  K is the first offset with
-    tail[K] + window[2] <= eps * sum_{j<=K} w_lo[j] |F|_j: tail[K] bounds the
-    weighted abs-sum over all offsets beyond K, and w_lo[j] bounds the
-    weight of offset j from below, so all that is left out is below one ulp
-    of the abs partial sum through K.
+def _offset_sums(d, h, a, G, H):
+    """F_k = h sum_i a_i a_{i+k} (G_i-G_{i+k})(H_i-H_{i+k}) over every
+    integer i, G = H = 0 past the lattice, and its |.| twin, for k = 1..K
+    (at index k - 1).  K is the first offset with
+    tail_k <= eps * sum_{j<=K} w_lo_j |F|_j (_offset_tail): all that is
+    left out is below one ulp of the abs partial sum through K.
 
-    The offsets come in the blocks of _offset_blocks, each a few 2-D numpy
-    operations over rows k and columns i.  The partners i + k are rows of a
-    sliding window over a, G and H zero-padded at the end, where a pair with
-    a padded node is 0; the columns left of lo - k are real pairs too, of
-    two nodes outside the window.
+    With x = aG, y = aH and c = (d-1)h/2, a pair with one node past an end
+    is h e^{-+ck} x_i y_i, so offset k starts from two prefix sums,
+    h (e^{-ck} sum_{i<k} x_i y_i + e^{ck} sum_{i>=n-k} x_i y_i), and its
+    |.| twin from |x_i y_i|; offsets past the lattice are that alone.  The
+    pairs on the lattice come in the blocks of _offset_blocks, the
+    partners i + k read from a sliding window over a, G and H zero-padded
+    at the end.  Raises DomainError where the weighted lattice leaves
+    double range, AccuracyError if no offset computed meets the cut.
     """
-    lo, hi, dropped = window
     n = a.size
-    pad = np.zeros(n)  # row c0 + k <= n, and hi <= n columns from there
-    part = [np.lib.stride_tricks.sliding_window_view(np.concatenate([v, pad]), hi)
+    x, y = a * G, a * H
+    xy = x * y
+    sum_xy = float(np.sum(np.abs(xy)))
+    norms = 2.0 * math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
+
+    def closed(k):  # tail, w_lo and the two sums past an end at offsets k
+        m, e = np.minimum(k, n) - 1, np.exp(0.5 * (d - 1.0) * h * k)
+        return (*_offset_tail(d, h, k, sum_xy, norms),
+                *(h * (np.cumsum(v)[m] / e + e * np.cumsum(v[::-1])[m])
+                  for v in (xy, np.abs(xy))))
+
+    tail, w_lo, F, F_abs = closed(np.arange(1, n))
+    _require_finite(d, "lattice weights", x, y, tail)
+    pad = np.zeros(n)  # row k <= n - 1, and n columns from there
+    part = [np.lib.stride_tricks.sliding_window_view(np.concatenate([v, pad]), n)
             for v in (a, G, H)]
     ah = h * a
-    F, F_abs = np.zeros(n), np.zeros(n)
-    buf = np.empty((3, max(_BLOCK_ELEMENTS, hi)))
+    buf = np.empty((3, max(_BLOCK_ELEMENTS, n)))
     partial = 0.0
-    for k0, k1 in _offset_blocks(n, lo, hi):
-        c0 = max(0, lo - k1 + 1)
-        m = hi - c0
+    for k0, k1 in _offset_blocks(n):
+        m, r = n - k0, slice(k0 - 1, k1 - 1)
         w, dG, dH = (b[:(k1 - k0) * m].reshape(k1 - k0, m) for b in buf)
-        pa, pG, pH = (v[c0 + k0:c0 + k1, :m] for v in part)
-        np.multiply(ah[c0:hi], pa, out=w)
-        np.subtract(G[c0:hi], pG, out=dG)
-        np.subtract(H[c0:hi], pH, out=dH)
+        pa, pG, pH = (v[k0:k1, :m] for v in part)
+        np.multiply(ah[:m], pa, out=w)
+        np.subtract(G[:m], pG, out=dG)
+        np.subtract(H[:m], pH, out=dH)
         np.multiply(dG, dH, out=dG)
-        np.einsum("ji,ji->j", w, dG, out=F[k0:k1])
+        F[r] += np.einsum("ji,ji->j", w, dG)
         np.abs(dG, out=dG)
-        np.einsum("ji,ji->j", w, dG, out=F_abs[k0:k1])
-        cum = w_lo[k0:k1] * F_abs[k0:k1]
-        cum[0] += partial
-        np.cumsum(cum, out=cum)
+        F_abs[r] += np.einsum("ji,ji->j", w, dG)
+        cum = partial + np.cumsum(w_lo[r] * F_abs[r])
         # a NaN partial sum stops it too
-        stop = np.flatnonzero(~(tail[k0:k1] + dropped > _EPS * cum))
+        stop = np.flatnonzero(~(tail[r] > _EPS * cum))
         if stop.size:
-            K = k0 + int(stop[0])
-            return F[:K + 1], F_abs[:K + 1]
+            return F[:k0 + stop[0]], F_abs[:k0 + stop[0]]
         partial = cum[-1]
-    return F, F_abs
+    # past the lattice tail_k <= tail_{n-1} e^{-(k-n+1)h} while the partial
+    # sum only grows, so the cut comes within `reach` more offsets
+    reach = int(math.ceil(math.log(tail[-1] / (_EPS * partial)) / h)) + 1
+    tail, w_lo, F_out, F_out_abs = closed(np.arange(n, n + reach))
+    stop = np.flatnonzero(~(tail > _EPS * (partial + np.cumsum(w_lo * F_out_abs))))
+    if not stop.size:
+        raise AccuracyError("the offset sums at d = %g met no cut within %d "
+                            "offsets" % (d, n + reach - 1))
+    K = stop[0] + 1
+    return np.append(F, F_out[:K]), np.append(F_abs, F_out_abs[:K])
 
 
-def _core_window(q, budget):
-    """(lo, hi, dropped): the nodes [lo, hi) left after dropping from either
-    end of the lattice as many nodes as a node weight sum of budget / 2
-    allows, and dropped, the weight of the dropped nodes (<= budget).  With
-    the weights q of _offset_tail, dropped bounds the weighted abs terms of
-    all pairs of two dropped nodes."""
-    left = np.cumsum(q)
-    right = np.cumsum(q[::-1])
-    lo = int(np.searchsorted(left, 0.5 * budget, side="right"))
-    n_right = int(np.searchsorted(right, 0.5 * budget, side="right"))
-    hi = max(lo, q.size - n_right)
-    dropped = ((float(left[lo - 1]) if lo else 0.0)
-               + (float(right[n_right - 1]) if n_right else 0.0))
-    return lo, hi, dropped
+def _offset_tail(d, h, k, sum_xy, norms):
+    """(tail, w_lo) at the offsets k >= 1, in closed form, for
+    sum_xy = sum_i |x_i y_i| and norms = 2 ||x|| ||y||.
 
-
-def _offset_tail(d, h, x, y):
-    """(tail, w_lo, q) for _offset_sums and _core_window; tail and w_lo are
-    indexed by the offset k = 0..n-1, q by the lattice node.
-
-    tail[k] bounds the weighted abs terms of all offsets beyond k, and
-    w_lo[k] <= w_k = phi2[k] / (kh)^2 (w_lo[0] = 0).  Both are closed form.
-    Jensen over the sphere (the mean of w.e is 0) and u - w.e >= u - 1 give
+    tail_k bounds the weighted abs terms of all offsets beyond k, and
+    w_lo_k <= w_k = phi2[k] / (kh)^2.  Jensen over the sphere (the mean of
+    w.e is 0) and u - w.e >= u - 1 give
     |S^(d-1)| u^-p <= K_d(u) <= |S^(d-1)| (u - 1)^-p with p = (d+1)/2;
     across band k = [x_lo, x_hi] K_d(cosh x) falls and x^2 grows, so
     h x_lo^2 K_d(cosh x_hi) <= phi2[k] <= h x_hi^2 K_d(cosh x_lo).  With
-    x = aG, y = aH and a_{i+k} = a_i e^{ck}, c = (d-1)h/2, the triangle
-    inequality on |dG dH| and Cauchy-Schwarz on the cross terms bound
-    offset k's abs term by
+    x = aG, y = aH (zero past the lattice) and a_{i+k} = a_i e^{ck},
+    c = (d-1)h/2, the triangle inequality on |dG dH| and Cauchy-Schwarz on
+    the cross terms bound offset k's abs term by
         b_k = h w_k [2 cosh(ck) sum_i |x_i y_i| + 2 ||x|| ||y||]
-    for any d > 1 and any trial, H = G included.  The products are formed
-    in logs (cosh x = e^x (1 + e^-2x) / 2, cosh x - 1 = e^x (1 - e^-x)^2
-    / 2), so cosh(ck) w_k is finite for any k.
-
-    The same bound over only the pairs of two nodes of a set S, all
-    offsets together, is C1 sum_S |x_i y_i| + 2 C2 ||x_S|| ||y_S|| with
-    C1 = sum_k h w_k 2 cosh(ck) and C2 = sum_k h w_k; by AM-GM it is at
-    most the sum over S of the node weights
-        q_i = C1 |x_i y_i| + C2 (x_i^2 + y_i^2).
+    for any d > 1 and any trial, H = G included.  The majorant of w_k falls
+    by more than e^-ph per offset and cosh(ck) grows by at most e^c, so
+    b_{k+1} <= e^-h b_k and tail_k = b_k / (e^h - 1).  The products are
+    formed in logs (cosh x = e^x (1 + e^-2x) / 2, cosh x - 1 =
+    e^x (1 - e^-x)^2 / 2), so cosh(ck) w_k is finite for any k.
     """
-    n = x.size
-    k = np.arange(1, n)
     x_lo, x_hi = (k - 0.5) * h, (k + 0.5) * h
     p = (d + 1.0) / 2.0
     log_hs = math.log(h * sphere_surface(d - 1)) + p * math.log(2.0)
@@ -349,13 +338,9 @@ def _offset_tail(d, h, x, y):
     log_hi = (log_hs + 2.0 * np.log(x_hi / (k * h))
               - p * (x_lo + 2.0 * np.log1p(-np.exp(-x_lo))))
     ck = 0.5 * (d - 1.0) * h * k
-    sum_xy = float(np.sum(np.abs(x * y)))
-    norms = 2.0 * math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    w_cosh, w_hi = np.exp(log_hi + ck + np.log1p(np.exp(-2.0 * ck))), np.exp(log_hi)
-    b = h * (w_cosh * sum_xy + w_hi * norms)
-    tail = np.append(np.cumsum(b[::-1])[::-1], 0.0)
-    q = h * (float(np.sum(w_cosh)) * np.abs(x * y) + float(np.sum(w_hi)) * (x * x + y * y))
-    return tail, np.append(0.0, np.exp(log_lo)), q
+    b = h * (np.exp(log_hi + ck + np.log1p(np.exp(-2.0 * ck))) * sum_xy
+             + np.exp(log_hi) * norms)
+    return b / math.expm1(h), np.exp(log_lo)
 
 
 def _require_finite(d, what, *values):
@@ -365,8 +350,11 @@ def _require_finite(d, what, *values):
 
 
 def _diag_second_derivative(s, h, G, H, wexp):
-    """F''(0) = 2 int e^{wexp s} G'(s) H'(s) ds via central differences."""
-    w = np.exp(wexp * s[1:-1])
+    """F''(0) = 2 int e^{wexp s} G'(s) H'(s) ds via central differences at
+    the nodes and one node past each end, with G = H = 0 at two ghost
+    nodes past each end."""
+    w = np.exp(wexp * np.concatenate(([s[0] - h], s, [s[-1] + h])))
+    G, H = np.pad(G, 2), np.pad(H, 2)
     dG = (G[2:] - G[:-2]) / (2.0 * h)
     dH = (H[2:] - H[:-2]) / (2.0 * h)
     val = 2.0 * h * float(np.dot(w, dG * dH))
@@ -474,43 +462,30 @@ def _moment_block(kernel, arg, h, j):
 
 def _form_engine(d, s, h, G, H):
     """A * iint e^{(d-1)(s+t)/2} (G(s)-G(t))(H(s)-H(t)) K~(s-t) ds dt
-    with A = |S^(d-1)| 2^(-(d+1)/2); returns (value, abs_scale).
+    with A = |S^(d-1)| 2^(-(d+1)/2), over all s and t, G = H = 0 past the
+    lattice; returns (value, abs_scale).
 
-    The pair offsets are summed out to the first K where a bound on all
-    offsets beyond K (_offset_tail: the triangle inequality and
-    Cauchy-Schwarz, with the ridge moments majorized in closed form), plus
-    a bound on the pairs left out by the core window, is at most eps times
-    the abs partial sum through K; only bands 0..K of the ridge moments are
-    computed.  The core window (_core_window) is the lattice less the
-    nodes at either end whose weights sum to at most _WINDOW_SHARE * eps
-    times offset 1's weighted abs term; only pairs with a node in it are
-    summed.  abs_scale is the abs-sum over the kept pairs: every dropped
-    term is >= 0, so it is at most the full one, and value is within
-    eps * abs_scale of the sum over all pairs.  Raises DomainError when the
-    weighted lattice or the result is not finite.
+    The pair offsets are summed by _offset_sums, which counts the pairs
+    with a node past the lattice in closed form, out to the first K where
+    a bound on all offsets beyond K (_offset_tail: the triangle inequality
+    and Cauchy-Schwarz, with the ridge moments majorized in closed form)
+    is at most eps times the abs partial sum through K; only bands 0..K of
+    the ridge moments are computed.  abs_scale is the abs-sum over every
+    pair through the cut, and value is within eps * abs_scale of the sum
+    over all pairs.  Raises DomainError when the weighted lattice or the
+    result is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.exp(0.5 * (d - 1.0) * s)
-        x, y = a * G, a * H
-        tail, w_lo, q = _offset_tail(d, h, x, y)
-    _require_finite(d, "lattice weights", x, y, tail)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # offset 1 over all pairs, a lower bound on the abs partial sum
-        first = w_lo[1] * h * float(np.dot(a[:-1] * a[1:], np.abs(
-            (G[:-1] - G[1:]) * (H[:-1] - H[1:]))))
-        budget = _WINDOW_SHARE * _EPS * first
-        # past the double range `first` is inf or NaN: no window then, and
-        # the sums below raise
-        window = _core_window(q, budget if budget < math.inf else 0.0)
-        Fk, Fk_abs = _offset_sums(h, a, G, H, tail, w_lo, window)
+        Fk, Fk_abs = _offset_sums(d, h, a, G, H)
         D, D_abs = _diag_second_derivative(s, h, G, H, d - 1.0)
     _require_finite(d, "offset sums", Fk_abs, D_abs)
-    K = Fk.size - 1
+    K = Fk.size
     phi2 = ridge_moments(d, h, K + 1)
     w = phi2[1:] / (np.arange(1, K + 1) * h) ** 2
     A = sphere_surface(d - 1) * 2.0 ** (-(d + 1.0) / 2.0)
-    val = A * (phi2[0] * D + 2.0 * float(np.dot(w, Fk[1:])))
-    sca = A * (phi2[0] * D_abs + 2.0 * float(np.dot(w, Fk_abs[1:])))
+    val = A * (phi2[0] * D + 2.0 * float(np.dot(w, Fk)))
+    sca = A * (phi2[0] * D_abs + 2.0 * float(np.dot(w, Fk_abs)))
     _require_finite(d, "form value", val, sca)
     return val, sca
 
@@ -560,7 +535,9 @@ def nonrel_form(psi: TrialFunction) -> float:
     Q = 2 pi ( int_0^inf r^2 psi'(r)^2 dr - 1/2 int_0^inf psi(r)^2 dr ),
     and in log-radius both pieces are plain 1D integrals.
     """
-    S = psi.s_extent(2.0) + 10.0
+    # 44 log-units past the trial's extent: the interval this quadrature
+    # has always used, so that its values stay where they were
+    S = psi.s_extent(2.0) + 44.0
 
     def f(s):
         p = psi.profile_log(s)

@@ -4,6 +4,7 @@ Everything here is exact arithmetic on floats (no quadrature); units are
 hbar = e = 1 throughout.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -51,15 +52,29 @@ def excess_charge_relativistic(delta: float, Z: float) -> float:
 
 
 def excess_charge_nonrel_2d(Z: float) -> float:
-    """Non-relativistic 2D bound N <= 2 Z + log(sqrt(Z)) + 7/2."""
+    """Non-relativistic 2D bound N <= 2 Z + log(sqrt(Z)) + 7/2.
+
+    One electron binds to every Z > 0 (2D hydrogen, E = -2 Z^2), so a
+    value below 1, as for Z < 0.0065634, is no bound: DomainError there."""
     _positive(Z)
-    return _finite(2.0 * Z + math.log(math.sqrt(Z)) + 3.5, "2 Z + log(sqrt(Z)) + 7/2")
+    N = _finite(2.0 * Z + math.log(math.sqrt(Z)) + 3.5, "2 Z + log(sqrt(Z)) + 7/2")
+    if N < 1.0:
+        raise DomainError("2 Z + log(sqrt(Z)) + 7/2 = %r < 1 at Z = %r: below "
+                          "the one electron every Z > 0 binds" % (N, Z))
+    return N
 
 
 def expectation_bound(Z: float) -> float:
-    """Ground-state Coulomb-expectation bound 4 log(sqrt(Z)) + 10."""
+    """Ground-state Coulomb-expectation bound 4 log(sqrt(Z)) + 10.
+
+    <1/|x_1|> is positive, so a value <= 0, as for Z <= e^-5, is no
+    bound: DomainError there."""
     _positive(Z)
-    return 4.0 * math.log(math.sqrt(Z)) + 10.0
+    b = 4.0 * math.log(math.sqrt(Z)) + 10.0
+    if not b > 0.0:
+        raise DomainError("4 log(sqrt(Z)) + 10 = %r <= 0 at Z = %r: no bound "
+                          "on the positive <1/|x_1|>" % (b, Z))
+    return b
 
 
 def flux_delta(B: float, R: float) -> float:
@@ -144,11 +159,14 @@ class BoundReport:
             ("max_bindable", float(max_bindable(delta, Z)),
              "largest N consistent with the pair-sum contradiction"),
         ]
-        if Z > 0:
-            rows.append(("excess_charge_nonrel_2d", excess_charge_nonrel_2d(Z),
-                         "nonrelativistic 2D bound"))
-            rows.append(("expectation_bound", expectation_bound(Z),
-                         "ground-state <1/|x_1|> bound"))
+        # each only where it is defined: Z > 0, and not so small that the
+        # value contradicts the one electron every Z > 0 binds
+        for name, bound, label in (
+                ("excess_charge_nonrel_2d", excess_charge_nonrel_2d,
+                 "nonrelativistic 2D bound"),
+                ("expectation_bound", expectation_bound, "ground-state <1/|x_1|> bound")):
+            with contextlib.suppress(DomainError):
+                rows.append((name, bound(Z), label))
         rows.append(("critical_constant_as_printed", CRITICAL_CONSTANT_AS_PRINTED,
                      AS_PRINTED_PROVENANCE))
         rows.append(("critical_constant_fourth_power", CRITICAL_CONSTANT_FOURTH_POWER,

@@ -374,37 +374,43 @@ def _two_bumps():
 
 
 def _record_cuts(monkeypatch):
-    """Lists that collect, per _form_engine call, the core window (lo, hi),
-    the lattice size and the offset cut K."""
-    windows, cuts = [], []
-    core_window, offset_sums = anticomm._core_window, anticomm._offset_sums
-
-    def recording_window(q, budget):
-        window = core_window(q, budget)
-        windows.append((window[0], window[1], q.size))
-        return window
+    """A list that collects the offset cut K of each _form_engine call."""
+    cuts = []
+    offset_sums = anticomm._offset_sums
 
     def recording_offsets(*args):
         F, F_abs = offset_sums(*args)
-        cuts.append(F.size - 1)
+        cuts.append(F.size)
         return F, F_abs
 
-    monkeypatch.setattr(anticomm, "_core_window", recording_window)
     monkeypatch.setattr(anticomm, "_offset_sums", recording_offsets)
-    return windows, cuts
+    return cuts
+
+
+def _padded_form(d, psi, s, h, same):
+    """_form_all_offsets on the trial's lattice padded by 40 log-units on
+    each side, with the trial sampled on the padding too; H = G when
+    `same`, else e^s G."""
+    pad = int(math.ceil(40.0 / h))
+    s = np.concatenate([s[0] - h * np.arange(pad, 0, -1), s,
+                        s[-1] + h * np.arange(1, pad + 1)])
+    G = psi.profile_log(s)
+    return _form_all_offsets(d, s, h, G, G if same else np.exp(s) * G)
 
 
 def _assert_within_cut_bound(d, psi):
-    # the cut and the core window move the value by at most eps * scale
-    # and can only lower the scale; the two sums are also added in a
-    # different order, so each side carries a few ulps of summation
-    # roundoff on top
+    # on its own lattice the engine counts the pairs that reach past it in
+    # closed form, with G = H = 0 there; against every pair of a lattice
+    # padded by 40 log-units the cut moves the value by at most eps * scale
+    # and can only lower the scale, and the trial's mass past its extent
+    # is below roundoff.  The two sums are also added in a different
+    # order, so each side carries a few ulps of summation roundoff on top
     eps = np.finfo(float).eps
     s, h = anticomm._lattice(psi, d)
     G = psi.profile_log(s)
-    for H in (np.exp(s) * G, G):
-        value, scale = anticomm._form_engine(d, s, h, G, H)
-        full_value, full_scale = _form_all_offsets(d, s, h, G, H)
+    for same in (False, True):
+        value, scale = anticomm._form_engine(d, s, h, G, G if same else np.exp(s) * G)
+        full_value, full_scale = _padded_form(d, psi, s, h, same)
         assert abs(value - full_value) <= 5.0 * eps * scale
         assert scale <= full_scale * (1.0 + 4.0 * eps)
     return h
@@ -419,22 +425,27 @@ def test_offset_cut_within_its_bound(d, monkeypatch):
         return ridge_moments(*args)
 
     monkeypatch.setattr(anticomm, "ridge_moments", counting_moments)
-    windows, cuts = _record_cuts(monkeypatch)
+    cuts = _record_cuts(monkeypatch)
     trials = [TrialFunction("log_gaussian", sigma) for sigma in (0.25, 1.0, 4.0)]
     trials += [TrialFunction("log_gaussian", sigma, center)
                for sigma in (0.25, 4.0) for center in (-6.0, 6.0)]
     trials += [TrialFunction("log_linear_cutoff", 1.0 / (d + 2.0)), _two_bumps()]
     for psi in trials:
         h = _assert_within_cut_bound(d, psi)
-        for (lo, hi, n), K in zip(windows[-2:], cuts[-2:]):
-            assert 0 <= lo <= hi <= n
-            if psi.family == "log_gaussian" and psi.sigma == 0.25:
-                # a narrow trial keeps a strict sub-range, about 5% of the lattice
-                assert 0 < lo and hi < n and hi - lo < n // 10
-            # bands 0..K, not all n, and the cut sits where e^{-Kh} ~ eps
-            assert K + 1 < n
+        for K in cuts[-2:]:
+            # bands 0..K, and the cut sits where e^{-Kh} ~ eps, inside the
+            # lattice or past it
             assert 30.0 < K * h < 42.0
         assert requested[-2:] == [K + 1 for K in cuts[-2:]]
+
+
+def test_far_offset_cut_within_its_bound(monkeypatch):
+    # a slowly decaying trial at d = 1.2: with H = e^s G the tail bound
+    # stops the sums only near Kh = 51 (with H = G near 37), past the
+    # cuts of the log-Gaussians
+    cuts = _record_cuts(monkeypatch)
+    h = _assert_within_cut_bound(1.2, TrialFunction("log_linear_cutoff", 0.556))
+    assert cuts[0] * h > 45.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -446,27 +457,29 @@ def test_offset_cut_within_its_bound_property(d, sigma, center):
 def test_block_budget_changes_nothing(monkeypatch):
     # the element budget only groups offsets into blocks: one offset per
     # block, and budgets that put K on the last or the first row of a
-    # block, give the same K and the same sums up to summation order
+    # block, give the same K and the same sums up to summation order.  The
+    # trials are wide enough that K lies inside the lattice
     eps = np.finfo(float).eps
-    windows, cuts = _record_cuts(monkeypatch)
+    cuts = _record_cuts(monkeypatch)
     default = anticomm._BLOCK_ELEMENTS
 
-    def blocks(budget, lo, hi, n):
+    def blocks(budget, n):
         monkeypatch.setattr(anticomm, "_BLOCK_ELEMENTS", budget)
-        return list(anticomm._offset_blocks(n, lo, hi))
+        return list(anticomm._offset_blocks(n))
 
-    for psi in (TrialFunction("log_gaussian", 1.0),
+    for psi in (TrialFunction("log_gaussian", 4.0),
                 TrialFunction("log_gaussian", 4.0, 6.0)):
         s, h = anticomm._lattice(psi, 2.0)
         G = psi.profile_log(s)
         H = np.exp(s) * G
         value, scale = anticomm._form_engine(2.0, s, h, G, H)
-        (lo, hi, n), K = windows[-1], cuts[-1]
-        assert all(k1 - k0 == 1 for k0, k1 in blocks(1, lo, hi, n))
+        n, K = s.size, cuts[-1]
+        assert K < n - 1
+        assert all(k1 - k0 == 1 for k0, k1 in blocks(1, n))
         last = next(b for b in range(default // 2, 2 * default)
-                    if any(k1 - 1 == K for _, k1 in blocks(b, lo, hi, n)))
+                    if any(k1 - 1 == K for _, k1 in blocks(b, n)))
         first = next(b for b in range(default // 2, 2 * default)
-                     if any(k0 == K for k0, _ in blocks(b, lo, hi, n)))
+                     if any(k0 == K for k0, _ in blocks(b, n)))
         for budget in (1, last, first):
             monkeypatch.setattr(anticomm, "_BLOCK_ELEMENTS", budget)
             v, sc = anticomm._form_engine(2.0, s, h, G, H)
@@ -478,8 +491,8 @@ def test_block_budget_changes_nothing(monkeypatch):
 
 def test_warm_form_memory_bound():
     # three block temporaries of _BLOCK_ELEMENTS doubles (384 KiB) and the
-    # padded lattice arrays: a peak of 0.88 MB measured (0.31 MB for a
-    # loop over single offsets); 2 MB keeps perfbench's peak RSS bound
+    # zero-padded lattice arrays: a peak of 0.75 MB measured; 2 MB keeps
+    # perfbench's peak RSS bound
     psi = TrialFunction("log_gaussian", 4.0)
     relativistic_form(psi, 3.0)
     tracemalloc.start()
@@ -494,7 +507,7 @@ def test_warm_form_memory_bound():
 def test_non_finite_form_raises_domain_error():
     # the weighted lattice leaves double range; pytest turns every
     # RuntimeWarning into an error, so none may be emitted on the way
-    for d, sigma in ((6.0, 8.0), (4.0, 8.0), (3.0, 12.0)):
+    for d, sigma in ((6.0, 8.0), (4.0, 10.0), (3.0, 14.0)):
         psi = TrialFunction("log_gaussian", sigma)
         with pytest.raises(DomainError):
             relativistic_form(psi, d)
@@ -502,15 +515,24 @@ def test_non_finite_form_raises_domain_error():
             momentum_expectation(psi, d)
 
 
+def test_wide_trials_finite_on_their_own_lattice():
+    # the lattice is no longer padded past the trial's extent, so these
+    # stay in double range; they are off the Mellin value by the lattice's
+    # O(h^2), as (6, 4) is (measured 2.7e-4 and 9.0e-4)
+    for d, sigma in ((4.0, 8.0), (6.0, 5.0)):
+        fv = relativistic_form(TrialFunction("log_gaussian", sigma), d)
+        assert fv.value / fv.norm_sq == pytest.approx(mellin_t(d, sigma), rel=5e-3)
+
+
 def test_norm_sq_finite_where_exp_ds_overflows():
-    # at (d, sigma) = (6, 4) e^{ds} overflows at the lattice edge, where
+    # at (d, sigma) = (6, 5) e^{ds} overflows at the lattice edge, where
     # the weighted profile is tiny; the closed form is the reference
-    psi = TrialFunction("log_gaussian", 4.0)
+    psi = TrialFunction("log_gaussian", 5.0)
     assert 6.0 * psi.s_extent(6.0) > 710.0
     fv = relativistic_form(psi, 6.0)
     assert fv.norm_sq == pytest.approx(psi.norm_sq(6.0), rel=1e-13)
     # where the lattice itself leaves double range, the engine says so
-    for d, sigma in ((6.0, 8.0), (4.0, 8.0), (3.0, 12.0)):
+    for d, sigma in ((6.0, 8.0), (4.0, 10.0), (3.0, 14.0)):
         with pytest.raises(DomainError, match="lattice weights|offset sums"):
             relativistic_form(TrialFunction("log_gaussian", sigma), d)
 
@@ -536,8 +558,8 @@ def test_relativistic_form_scaling_covariance():
 def test_dilation_by_power_of_two_property(k, d, sigma, center):
     # ln 2 / h is an integer, so psi(2^k r) is the same samples shifted by
     # a whole number of lattice steps, and t scales by exactly 2^-kd.  Only
-    # the lattice's extent, which follows |center|, and with it the core
-    # window and the offset cut, can move.  Over 588 (d, sigma, center)
+    # the lattice's extent, which follows |center|, and with it the offset
+    # cut, can move.  Over 588 (d, sigma, center)
     # points and k = 1..3 the largest |t[psi_2^k] - 2^-kd t[psi]| measured
     # was 8.7e-15 of 2^-kd scale (value relative: 4.9e-14); the bound
     # allows about 6 times that.

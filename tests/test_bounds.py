@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,3 +189,27 @@ def test_bound_report():
     assert rep2.delta == 2.0
     with pytest.raises(DomainError):
         BoundReport.build(Z=1.0)
+
+
+def test_nonrel_bounds_refuse_values_outside_their_domain():
+    # one electron binds to every Z > 0, so a bindable-number bound below 1,
+    # or a <1/|x_1|> bound <= 0, is no bound.  The thresholds come from the
+    # values: 2 Z + log(sqrt(Z)) + 7/2 = 1 near Z = 0.0065634, and
+    # 4 log(sqrt(Z)) + 10 = 0 at Z = e^-5
+    z_nonrel = scipy.optimize.brentq(
+        lambda z: 2.0 * z + math.log(math.sqrt(z)) + 2.5, 1e-3, 1e-2, xtol=1e-300)
+    z_expect = math.exp(-5.0)
+    for Z, bound, floor in ((z_nonrel, excess_charge_nonrel_2d, 1.0),
+                            (z_expect, expectation_bound, 0.0)):
+        assert 0.0 <= bound(Z * (1.0 + 1e-9)) - floor < 1e-7
+        with pytest.raises(DomainError, match="at Z ="):
+            bound(Z * (1.0 - 1e-9))
+    assert 0.0065633 < z_nonrel < 0.0065635
+    # the report keeps each row only where it is defined
+    for Z, want in ((0.005, set()), (0.0067, {"excess_charge_nonrel_2d"}),
+                    (0.0068, {"excess_charge_nonrel_2d", "expectation_bound"})):
+        rows = {k for k, _, _ in BoundReport.build(Z=Z, delta=0.0).values}
+        assert rows & {"excess_charge_nonrel_2d", "expectation_bound"} == want
+        assert "excess_charge_relativistic" in rows
+    rows = {k: v for k, v, _ in BoundReport.build(Z=0.0, delta=0.0).values}
+    assert "expectation_bound" not in rows and rows["max_bindable"] == 0.0

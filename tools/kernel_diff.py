@@ -20,7 +20,13 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   12 and 40; at d = 40 the far pair weights underflow to 0 where their
   cosh factor in the Laplacian degree would overflow;
 - `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
-  log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T;
+  log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T,
+  for the log_linear_cutoff trials with sigma = 1/(d+2) at d = 1.2, 2, 3
+  and 6 and with sigma = 0.556 at d = 1.2 (its offset cut near Kh = 51),
+  and for the sampled two-bump trial of tests/test_anticomm.py at d = 1.2,
+  2 and 3; and `anticomm.momentum_expectation` (the form with H = G) at
+  the MELLIN_T points, so that a change to the forms shows for every
+  trial family and both H;
 - the 2D Coulomb channel kernel `coulomb_channel_kernel(m, t)` for
   m = 0..6 on the `KERNEL_TS` grid of tests/test_spectra.py, from
   `kernels`, or from `spectra` on a tree that still keeps it there;
@@ -131,9 +137,14 @@ def probe():
                 "error estimates": np.array([r.abs_error_estimate for r in res]),
                 "evaluations": np.array([r.evaluations for r in res])}
 
-    def form(d, sigma):
-        fv = anticomm.relativistic_form(anticomm.TrialFunction("log_gaussian", sigma), d)
+    def form(d, psi):
+        fv = anticomm.relativistic_form(psi, d)
         return np.array([fv.value, fv.scale, fv.norm_sq])
+
+    Trial = anticomm.TrialFunction
+    s = np.linspace(-14.0, 14.0, 561)
+    bumps = Trial("sampled", samples=(tuple(s), tuple(
+        np.exp(-(s - 10.0) ** 2 / 2.0) + np.exp(-(s + 10.0) ** 2 / 2.0))))
 
     jobs = {}
     for d in KERNEL_D:
@@ -155,7 +166,15 @@ def probe():
             lambda d=d: np.array(spectra.lambda_min_anticomm(d)[1]))
     for d, sigma in MELLIN_T:
         jobs["relativistic_form d=%g sigma=%g" % (d, sigma)] = (
-            lambda d=d, sigma=sigma: form(d, sigma))
+            lambda d=d, sigma=sigma: form(d, Trial("log_gaussian", sigma)))
+        jobs["momentum_expectation d=%g sigma=%g" % (d, sigma)] = (
+            lambda d=d, sigma=sigma: np.array(anticomm.momentum_expectation(
+                Trial("log_gaussian", sigma), d)))
+    for d, sigma in [(d, 1.0 / (d + 2.0)) for d in (1.2, 2.0, 3.0, 6.0)] + [(1.2, 0.556)]:
+        jobs["relativistic_form log_linear_cutoff d=%g sigma=%g" % (d, sigma)] = (
+            lambda d=d, sigma=sigma: form(d, Trial("log_linear_cutoff", sigma)))
+    for d in (1.2, 2.0, 3.0):
+        jobs["relativistic_form two bumps d=%g" % d] = lambda d=d: form(d, bumps)
     for m in range(7):
         jobs["coulomb_channel_kernel m=%d" % m] = (
             lambda m=m: km_owner.coulomb_channel_kernel(m, KERNEL_TS))
