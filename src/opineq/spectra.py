@@ -36,8 +36,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.r_min < self.r_max < math.inf:
             raise DomainError("need 0 < r_min < r_max < inf")
-        if self.n < 16:
-            raise DomainError("need at least 16 nodes")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 16:
+            raise DomainError("need an integer count of at least 16 nodes")
         if not (math.isfinite(self.log_step())
                 and np.all(np.diff(self.nodes()) > 0)):
             raise DomainError("need a finite r_max / r_min and n distinct nodes")
@@ -129,9 +129,11 @@ _clear_grids = _momentum_log_grid.cache_clear
 def _cold_start():
     """The grids are assembled from anticomm's band-moment blocks, so
     clearing the grid cache clears those too: the next assembly is cold.
-    This is the library's one cold-start hook, so it also clears the Kato
-    lattice's zero-field operators (lattice.kinetic_matrix)."""
+    This is the library's one cold-start hook, so it also clears the scan
+    threshold solved on SCAN_GRID (_scan_threshold) and the Kato lattice's
+    zero-field operators (lattice.kinetic_matrix)."""
     _clear_grids()
+    _scan_threshold.cache_clear()
     anticomm._moment_block.cache_clear()
     lattice._zero_field.cache_clear()
 
@@ -140,27 +142,11 @@ _momentum_log_grid.cache_clear = _cold_start
 
 
 def _lowest_eigenvalue(H):
-    """Lowest eigenvalue of the symmetric H, solved on the leading block
-    that double precision resolves.
-
-    With tail[k] the sum of the squared entries of rows k..n-1, the block
-    H11 is the leading k x k one for the smallest k with
-    tail[k] <= eps^2 ||H||_F^2.  The dropped part E = H - diag(H11, 0)
-    lies in those rows and their transposed columns, so
-    ||E||_2 <= ||E||_F <= sqrt(2) eps ||H||_F, and by Weyl's inequality
-    |lambda_1(H) - min(lambda_1(H11), 0)| <= sqrt(2) eps ||H||_F, while
-    Cauchy interlacing gives lambda_1(H) <= lambda_1(H11).  The dense
-    solver's own backward error is of the same size, so nothing it could
-    resolve is lost.  Graded matrices, whose rows decay like e^{-s_i} on
-    the log grid, deflate to the rows above the roundoff level; the
-    others keep k = n and the full solve.  An inf or NaN entry raises
-    DomainError.
-    """
-    tail = np.cumsum(np.einsum("ij,ij->i", H, H)[::-1])[::-1]
-    if not np.isfinite(tail[0]):
+    """Lowest eigenvalue of the symmetric H from one dense solve of the
+    whole matrix.  An inf or NaN entry raises DomainError."""
+    if not np.all(np.isfinite(H)):
         raise DomainError("matrix has entries that are not finite")
-    k = int(np.count_nonzero(tail > np.finfo(float).eps ** 2 * tail[0]))
-    return float(sla.eigvalsh(H[:k, :k], subset_by_index=[0, 0])[0])
+    return float(sla.eigvalsh(H, subset_by_index=[0, 0])[0])
 
 
 def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
@@ -190,30 +176,52 @@ class CriticalCouplingResult:
     trace: tuple = field(repr=False, default=())
 
 
-# h = 0.08; _lowest_eigenvalue deflates it to its leading 452 rows
+# h = 0.08; one solve of its congruent 551-row matrix (_scan_threshold)
+# answers every classification
 SCAN_GRID = GridSpec(math.exp(-44.0), 1.0, 551)
 SCAN_NOISE_FLOOR = 1e-14  # bound only below -SCAN_NOISE_FLOOR / r_min
 BISECT_BRACKET = (0.05, 0.6)
 BISECT_HALF_WIDTH = 3e-4
 
 
-def classify_coupling(nu: float):
-    """('divergent' or 'stable', e): whether the lowest channel-0
-    eigenvalue e on SCAN_GRID is negative beyond roundoff.
+@lru_cache(maxsize=1)
+def _scan_threshold():
+    """mu = lambda_min(C (P + f I) C), C = diag(sqrt(nodes)), for the
+    rescaled channel-0 matrix P on SCAN_GRID and f = SCAN_NOISE_FLOOR.
 
-    By degree -1 homogeneity e r_min is the eigenvalue on the rescaled
-    grid, a few 1e-16 on the stable side; when the deflated block's
-    eigenvalue is positive, e is only an upper bound, which is all a
-    sign test needs.
+    H(nu) = P - nu diag(1/nodes) gives
+    H(nu) + f I = C^{-1} (C (P + f I) C - nu I) C^{-1}, so by Sylvester's
+    law of inertia lambda_min(H(nu)) < -f exactly when nu > mu.
     """
-    e = chandrasekhar_lowest(nu, 0, SCAN_GRID)
-    divergent = e < -SCAN_NOISE_FLOOR / SCAN_GRID.r_min
-    return ("divergent" if divergent else "stable"), e
+    g = SCAN_GRID
+    P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
+    c = np.sqrt(nodes)
+    A = P.copy()  # P is cached: never write into it
+    A[np.diag_indices(g.n)] += SCAN_NOISE_FLOOR
+    A *= c[:, None]
+    A *= c[None, :]
+    return _lowest_eigenvalue(A)
+
+
+def classify_coupling(nu: float):
+    """('divergent' or 'stable', mu - nu): whether the lowest channel-0
+    eigenvalue on SCAN_GRID, rescaled to [1, r_max/r_min], lies below
+    -SCAN_NOISE_FLOOR, decided against the inertia threshold mu of
+    _scan_threshold.  The margin mu - nu is negative exactly on the
+    divergent side; no classification solves anything once mu is known.
+    """
+    if not 0.0 <= nu < math.inf:
+        raise DomainError("coupling nu must be finite and >= 0")
+    margin = _scan_threshold() - nu
+    return ("divergent" if margin < 0.0 else "stable"), margin
 
 
 def critical_coupling_bisect() -> CriticalCouplingResult:
     """Bisect BISECT_BRACKET down to BISECT_HALF_WIDTH for the coupling
-    at which the channel-0 scan starts to bind."""
+    at which the channel-0 scan starts to bind.  Each step is a
+    comparison with the scan threshold, and nu_c is the dyadic midpoint
+    of the final bracket, which contains the threshold; the trace holds
+    (nu, side, threshold - nu) per classification."""
     lo, hi = BISECT_BRACKET
     trace = [(nu,) + classify_coupling(nu) for nu in (lo, hi)]
     if trace[0][1] != "stable" or trace[1][1] != "divergent":
@@ -222,8 +230,8 @@ def critical_coupling_bisect() -> CriticalCouplingResult:
             % (lo, hi, trace))
     while hi - lo > 2.0 * BISECT_HALF_WIDTH:
         mid = 0.5 * (lo + hi)
-        c, e = classify_coupling(mid)
-        trace.append((mid, c, e))
+        c, margin = classify_coupling(mid)
+        trace.append((mid, c, margin))
         if c == "stable":
             lo = mid
         else:
@@ -304,13 +312,16 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
 
     Level n lives in channels |m| <= n with multiplicity 2n + 1.
     Raises RefinementNeededError when a half-resolution solve moves any
-    requested level by more than 0.5%.
+    requested level by more than 0.5%, and with check, DomainError for a
+    grid of fewer than 32 nodes, whose half grid could not hold 16.
     """
     if not 0 < Z < math.inf:
         raise DomainError("Z must be finite and positive")
     if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
             and m_max >= 0 and n_levels >= 1):
         raise DomainError("need integers m_max >= 0 and n_levels >= 1")
+    if check and grid.n < 32:
+        raise DomainError("the half-resolution check needs a grid of at least 32 nodes")
     scaled = GridSpec(grid.r_min / Z, grid.r_max / Z, grid.n) if Z != 1 else grid
     chans = {}
     for m in range(0, m_max + 1):
@@ -318,7 +329,7 @@ def hydrogen2d(Z: float, m_max: int, grid: GridSpec = DEFAULT_HYDROGEN_GRID,
         chans[m] = _hydrogen_channel(Z, m, scaled, count)
     trace = [(scaled.n, tuple(float(x) for x in chans[0]))]
     if check:
-        half = GridSpec(scaled.r_min, scaled.r_max, max(16, scaled.n // 2))
+        half = GridSpec(scaled.r_min, scaled.r_max, scaled.n // 2)
         ref = _hydrogen_channel(Z, 0, half, max(1, n_levels))
         trace.insert(0, (half.n, tuple(float(x) for x in ref)))
         shift = np.abs(ref - chans[0]) / np.abs(chans[0])

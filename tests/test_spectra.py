@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opineq import anticomm, kernels
@@ -16,9 +16,10 @@ from opineq.bounds import CRITICAL_CONSTANT_FOURTH_POWER
 from opineq.errors import AccuracyError, DomainError, RefinementNeededError
 from opineq.kernels import coulomb_channel_kernel
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
-                            SCAN_GRID, GridSpec, _anticomm_matrix,
-                            _hydrogen_channel, _lowest_eigenvalue,
-                            _momentum_log_grid,
+                            SCAN_GRID, SCAN_NOISE_FLOOR, GridSpec,
+                            _anticomm_matrix, _hydrogen_channel,
+                            _lowest_eigenvalue, _momentum_log_grid,
+                            _scan_threshold,
                             chandrasekhar_lowest, classify_coupling,
                             critical_coupling_bisect,
                             critical_coupling_mellin, hydrogen2d,
@@ -279,6 +280,20 @@ def test_hydrogen_too_coarse_raises_with_trace():
             hydrogen2d(Z, m_max, n_levels=levels)
 
 
+def test_hydrogen_check_needs_a_32_node_grid():
+    # the half-resolution grid of n < 32 nodes would have fewer than 16; at
+    # n = 16 a floor of 16 compared the grid with itself and let level 2
+    # through 28% off (-0.1022 against -0.08)
+    for n in (16, 31):
+        with pytest.raises(DomainError):
+            hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, n))
+    rep = hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 16), check=False)
+    assert len(rep.refinement_trace) == 1
+    with pytest.raises(RefinementNeededError) as exc:
+        hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 32))
+    assert exc.value.trace[0][0] == 16
+
+
 def test_chandrasekhar_zero_coupling_psd():
     g = GridSpec(1e-6, 1.0, 400)
     e = chandrasekhar_lowest(0.0, 0, g)
@@ -324,22 +339,6 @@ def solved_orders(monkeypatch):
     return orders
 
 
-@pytest.mark.parametrize("nu", [0.05, 0.2, 0.3, 0.6])
-def test_deflated_lowest_eigenvalue_within_bound(nu):
-    # Weyl: lambda_1(H) >= min(lambda_1(H11), 0) - sqrt(2) eps ||H||_F;
-    # interlacing: lambda_1(H) <= lambda_1(H11); plus eps ||H||_2 for each
-    # of the two backward-stable solves
-    eps = np.finfo(float).eps
-    g = SCAN_GRID
-    P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
-    H = P - nu * np.diag(1.0 / nodes)
-    full = sla.eigvalsh(H, subset_by_index=[0, 0])[0]
-    lam = _lowest_eigenvalue(H)
-    solves = 2.0 * eps * np.linalg.norm(H, 2)
-    assert full <= lam + solves
-    assert full >= min(lam, 0.0) - math.sqrt(2.0) * eps * np.linalg.norm(H) - solves
-
-
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_lowest_eigenvalue_rejects_non_finite(bad):
     H = np.eye(4)
@@ -349,12 +348,8 @@ def test_lowest_eigenvalue_rejects_non_finite(bad):
 
 
 def test_deflation_sizes(solved_orders):
-    # the scan grid (h = 0.08) keeps the rows with s below ~36; the pool
-    # grids and the anticommutator blocks are solved whole
-    chandrasekhar_lowest(0.3, 0, SCAN_GRID)
-    assert solved_orders == [452]
-    assert SCAN_GRID.n > 452
-    solved_orders.clear()
+    # nothing is deflated: the pool grids and the anticommutator blocks are
+    # solved whole
     pool = ((20.0, 300), (23.0, 400), (26.0, 500))
     for span, n in pool:
         for m in (0, 1, 2):
@@ -370,6 +365,56 @@ def test_classify_endpoints():
     cls_lo, _ = classify_coupling(0.05)
     cls_hi, _ = classify_coupling(0.6)
     assert cls_lo == "stable" and cls_hi == "divergent"
+
+
+def _scan_matrix(nu):
+    """H(nu) = P - nu diag(1/nodes), the rescaled channel-0 matrix on SCAN_GRID."""
+    g = SCAN_GRID
+    P, nodes = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
+    return P - nu * np.diag(1.0 / nodes)
+
+
+def test_scan_threshold_against_cholesky():
+    # H + f I is positive definite below the threshold and indefinite
+    # above it, checked by a factorization that solves no eigenproblem
+    mu = _scan_threshold()
+    assert 0.2358398 < mu < 0.2363770  # the bisection's final bracket
+    f = SCAN_NOISE_FLOOR * np.eye(SCAN_GRID.n)
+    sla.cholesky(_scan_matrix(mu * (1.0 - 1e-3)) + f)
+    with pytest.raises(sla.LinAlgError):
+        sla.cholesky(_scan_matrix(mu * (1.0 + 1e-3)) + f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(0.05, 0.6))
+def test_classify_matches_eigenvalue_test_property(nu):
+    # away from the threshold, where the eigenvalue test is decided by more
+    # than roundoff, the side is that of the lowest eigenvalue of H(nu)
+    # against the noise floor
+    assume(abs(nu / _scan_threshold() - 1.0) >= 1e-3)
+    divergent = _lowest_eigenvalue(_scan_matrix(nu)) < -SCAN_NOISE_FLOOR
+    side, margin = classify_coupling(nu)
+    assert side == ("divergent" if divergent else "stable")
+    assert (margin < 0.0) == divergent
+
+
+def test_scan_solves_once(solved_orders):
+    # one solve of the 551-row congruent matrix per cold start; every
+    # later bisection and classification compares with its threshold
+    _momentum_log_grid.cache_clear()
+    first = critical_coupling_bisect()
+    assert solved_orders == [SCAN_GRID.n]
+    solved_orders.clear()
+    assert critical_coupling_bisect() == first
+    for nu in (0.05, 0.2, 0.3, 0.6):
+        classify_coupling(nu)
+    assert solved_orders == []
+
+
+@pytest.mark.parametrize("nu", [-1.0, math.nan, math.inf, -math.inf])
+def test_classify_coupling_rejects_bad_coupling(nu):
+    with pytest.raises(DomainError):
+        classify_coupling(nu)
 
 
 def test_mellin_multiplier_properties():
@@ -515,7 +560,11 @@ def test_critical_coupling_cross_validation():
 @pytest.mark.parametrize("call", [
     lambda: hydrogen2d(1.0, 1.5),
     lambda: hydrogen2d(1.0, 1, n_levels=2.5),
-], ids=["hydrogen-m_max", "hydrogen-n_levels"])
+    lambda: GridSpec(1e-3, 1.0, 16.5),
+    lambda: GridSpec(1e-3, 1.0, 16.0),
+    lambda: GridSpec(1e-3, 1.0, "16"),
+], ids=["hydrogen-m_max", "hydrogen-n_levels", "gridspec-n=16.5", "gridspec-n=16.0",
+        "gridspec-n=str"])
 def test_non_integer_counts_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

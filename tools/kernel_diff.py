@@ -35,6 +35,12 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   `test_mellin_multiplier_matches_gamma_ratio`: values, error estimates
   and evaluation counts, each apart;
 - `anticomm.nonrel_form` of the log-Gaussians at five sigma from 0.25 to 4;
+- `spectra.critical_coupling_bisect`'s nu_c and uncertainty, and apart
+  from them its sequence of sides; the sides of
+  `spectra.classify_coupling` at nu = 0.05, 0.075, ..., 0.6; and
+  `spectra.chandrasekhar_lowest` on perfbench's three coupling pool grids
+  for m = 0, 1, 2 at nu = 0.3, 0.5, 0.7, and on `spectra.SCAN_GRID` for
+  m = 0 at nu = 0.3;
 - every block and the norm of `lattice.kinetic_matrix` for the none,
   background, cavity and total fields on open boundaries and none on
   periodic ones, at n = 16, 24, 32 and mass 0 and 1, on the square of
@@ -55,6 +61,7 @@ kernel, so tools/cli_diff.py alone does not cover it.
 import argparse
 import dataclasses
 import itertools
+import math
 import os
 import pickle
 import subprocess
@@ -75,6 +82,9 @@ LATTICE = tuple(itertools.product((16, 24, 32), (0.0, 1.0)))    # (n, mass)
 FIELDS = ("none", "background", "cavity", "total")
 MELLIN_S = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
 NONREL_SIGMA = (0.25, 0.5, 1.0, 2.0, 4.0)
+CLASSIFY_NU = tuple(0.05 + 0.025 * k for k in range(23))
+CHANDRA_NU = (0.3, 0.5, 0.7)
+POOL_GRIDS = ((20.0, 300), (23.0, 400), (26.0, 500))  # perfbench's (span, n) pool
 # tests/test_spectra.py's KERNEL_TS
 KERNEL_TS = np.unique(np.concatenate([
     np.logspace(-12.0, 12.0, 97), np.linspace(0.5, 2.0, 61),
@@ -141,6 +151,12 @@ def probe():
         fv = anticomm.relativistic_form(psi, d)
         return np.array([fv.value, fv.scale, fv.norm_sq])
 
+    def bisect():
+        """nu_c and its uncertainty apart from the sequence of sides."""
+        res = spectra.critical_coupling_bisect()
+        return {"nu_c, uncertainty": np.array([res.nu_c, res.uncertainty]),
+                "sides": " ".join(side for _, side, _ in res.trace)}
+
     Trial = anticomm.TrialFunction
     s = np.linspace(-14.0, 14.0, 561)
     bumps = Trial("sampled", samples=(tuple(s), tuple(
@@ -184,6 +200,16 @@ def probe():
         jobs["nonrel_form sigma=%g" % sigma] = (
             lambda sigma=sigma: np.array(anticomm.nonrel_form(
                 anticomm.TrialFunction("log_gaussian", sigma))))
+    jobs["critical_coupling_bisect"] = bisect
+    jobs["classify_coupling sides"] = lambda: " ".join(
+        spectra.classify_coupling(nu)[0] for nu in CLASSIFY_NU)
+    grids = [("span=%g n=%d" % (span, n), spectra.GridSpec(math.exp(-span), 1.0, n))
+             for span, n in POOL_GRIDS]
+    for (name, g), m, nu in itertools.product(grids, range(3), CHANDRA_NU):
+        jobs["chandrasekhar_lowest %s m=%d nu=%g" % (name, m, nu)] = (
+            lambda nu=nu, m=m, g=g: np.array(spectra.chandrasekhar_lowest(nu, m, g)))
+    jobs["chandrasekhar_lowest SCAN_GRID m=0 nu=0.3"] = (
+        lambda: np.array(spectra.chandrasekhar_lowest(0.3, 0, spectra.SCAN_GRID)))
     cases = [(c, "open") for c in FIELDS] + [("none", "periodic")]
     for (n, mass), (c, b) in itertools.product(LATTICE, cases):
         jobs["kinetic_matrix n=%d m=%g %s %s" % (n, mass, c, b)] = (
