@@ -85,7 +85,7 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
                           % (d, smax, tol))
 
     def f(s):
-        v, e, n = kernels.polar_batch(d, 0, 2.0 * np.sinh(s / 2.0) ** 2)
+        v, e, n = kernels.polar_batch(d, 2.0 * np.sinh(s / 2.0) ** 2)
         nev_inner[0] += n
         unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
         return _bracket_log(d, s) * v
@@ -378,8 +378,10 @@ def band_moments(f, h, n):
     """m[k] = int over band k of f(x) dx, k = 0..n-1, for a vectorized f.
 
     Band 0 is [0, h/2], band k >= 1 is [kh - h/2, kh + h/2].  Bands 0-3
-    hold the Lieb-Yau kernels' ridge at x = 0 and are integrated
-    adaptively; the rest use 12-point Gauss-Legendre in one call of f.
+    hold the singularity at x = 0 (the Lieb-Yau kernels' ridge, the
+    Coulomb channel kernel's log) and are integrated adaptively, so f is
+    never evaluated at x = 0; the rest use 12-point Gauss-Legendre in one
+    call of f.
     """
     out = np.empty(n)
     for k in range(min(_RIDGE_BANDS, n)):
@@ -390,18 +392,10 @@ def band_moments(f, h, n):
     return out
 
 
-# Gauss-Legendre bands per cached block.  Both kernels are elementwise,
-# so the block size only decides which bands are cached together; 512
-# keeps the blocks the moment cache has always had
+# Gauss-Legendre bands per cached block.  The kernel is elementwise, so
+# the block size only decides which bands are cached together; 512 keeps
+# the blocks the moment cache has always had
 _RIDGE_BLOCK = 512
-
-
-def _moments(kernel, arg, h, n):
-    """Bands 0..n-1 of a kernel's moments, joined from its cached blocks."""
-    blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
-    out = np.concatenate([_moment_block(kernel, arg, h, j) for j in range(blocks)])
-    out.flags.writeable = False
-    return out[:n]
 
 
 def ridge_moments(d, h, n):
@@ -412,41 +406,33 @@ def ridge_moments(d, h, n):
     x^2 carries the numerator's quadratic vanishing across it.
 
     The bands come from fixed blocks, each computed once per process and
-    cached by (kernel, d, h, block index) like the log-grid matrices:
-    block 0 is the four ridge bands and the first _RIDGE_BLOCK = 512
-    Gauss-Legendre bands, block j >= 1 the next 512.  Both kernels are
-    closed forms evaluated element by element, so every band comes out
-    bit for bit as one band_moments call over those bands gives it,
-    whatever was computed before.
+    cached by (d, h, block index) like the log-grid matrices: block 0 is
+    the four ridge bands and the first _RIDGE_BLOCK = 512 Gauss-Legendre
+    bands, block j >= 1 the next 512.  The kernel is a closed form
+    evaluated element by element, so every band comes out bit for bit as
+    one band_moments call over those bands gives it, whatever was
+    computed before.
     """
-    return _moments("ridge", d, h, n)
-
-
-def channel_moments(m, h, n):
-    """phi0[k] = int over band k of 2 (A_0 - A_m)(cosh x) dx, as a read-only
-    array: the positive 2D channel-coupling kernel, with an integrable log
-    singularity in band 0.  Served from the same block cache as
-    ridge_moments."""
-    return _moments("channel", m, h, n)
+    blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
+    out = np.concatenate([_moment_block(d, h, j) for j in range(blocks)])
+    out.flags.writeable = False
+    return out[:n]
 
 
 @lru_cache(maxsize=64)
-def _moment_block(kernel, arg, h, j):
-    """Block j of the band moments of kernel "ridge" (arg d) or "channel"
-    (arg m), read-only.  A kernel element whose error bound exceeds KTOL
-    of its value raises AccuracyError carrying the block's estimate, and
-    the block is not cached; the closed forms' bounds stay far below it.
-    Past x of about 710 u - 1 overflows to inf, where the kernel is an
-    exact 0."""
+def _moment_block(d, h, j):
+    """Block j of the ridge moments at dimension d, read-only.  A kernel
+    element whose error bound exceeds KTOL of its value raises
+    AccuracyError carrying the block's estimate, and the block is not
+    cached; the closed form's bounds stay far below it.  Past x of about
+    710 u - 1 overflows to inf, where the kernel is an exact 0."""
     unconverged = [0]
 
     def f(x):
         with np.errstate(over="ignore"):
-            um1 = 2.0 * np.sinh(x / 2.0) ** 2
-            v, e, _ = kernels.polar_batch(*((arg, 0) if kernel == "ridge"
-                                            else (2.0, arg)), um1)
+            v, e, _ = kernels.polar_batch(d, 2.0 * np.sinh(x / 2.0) ** 2)
         unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
-        return v * x * x if kernel == "ridge" else v
+        return v * x * x
 
     k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
     if j == 0:
@@ -454,8 +440,8 @@ def _moment_block(kernel, arg, h, j):
     else:
         out = _gl_bands(f, h, k1 - _RIDGE_BLOCK, k1)
     if unconverged[0]:
-        raise AccuracyError("%d %s-%g kernel elements missed tolerance %g"
-                            % (unconverged[0], kernel, arg, KTOL), best=out)
+        raise AccuracyError("%d K_%g kernel elements missed tolerance %g"
+                            % (unconverged[0], d, KTOL), best=out)
     out.flags.writeable = False
     return out
 
@@ -535,9 +521,7 @@ def nonrel_form(psi: TrialFunction) -> float:
     Q = 2 pi ( int_0^inf r^2 psi'(r)^2 dr - 1/2 int_0^inf psi(r)^2 dr ),
     and in log-radius both pieces are plain 1D integrals.
     """
-    # 44 log-units past the trial's extent: the interval this quadrature
-    # has always used, so that its values stay where they were
-    S = psi.s_extent(2.0) + 44.0
+    S = psi.s_extent(2.0)
 
     def f(s):
         p = psi.profile_log(s)

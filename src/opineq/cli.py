@@ -192,18 +192,18 @@ def cmd_hydrogen(args):
 
 def cmd_critical(args):
     from . import bounds
-    from .spectra import critical_coupling_bisect, critical_coupling_mellin
+    from .spectra import critical_coupling_mellin, critical_coupling_toeplitz
     rows = []
     failures = []
     results = {}
-    if args.method in ("bisect", "both"):
-        res = critical_coupling_bisect()
-        results["bisect"] = res
-        rows.append({"quantity": "nu_c_bisect", "value": res.nu_c,
+    if args.method in ("toeplitz", "both"):
+        res = critical_coupling_toeplitz()
+        results["toeplitz"] = res
+        rows.append({"quantity": "nu_c_toeplitz", "value": res.nu_c,
                      "uncertainty": res.uncertainty,
-                     "provenance": "sign-test bisection on SCAN_GRID; uncertainty "
-                                   "is the bracket half-width only (the result "
-                                   "is 3.3% above Herbst's value)"})
+                     "provenance": "1/lambda_max(T_0) on SCAN_GRID (span 44, h = 0.08); "
+                                   "uncertainty is nu_c on half the span minus nu_c "
+                                   "(the approach to 1/M_0(0) is monotone from above)"})
     if args.method in ("mellin", "both"):
         res = critical_coupling_mellin()
         results["mellin"] = res
@@ -218,7 +218,7 @@ def cmd_critical(args):
                  "value": bounds.CRITICAL_CONSTANT_FOURTH_POWER, "uncertainty": 0.0,
                  "provenance": bounds.FOURTH_POWER_PROVENANCE})
     if len(results) == 2:
-        gap = abs(results["bisect"].nu_c - results["mellin"].nu_c)
+        gap = abs(results["toeplitz"].nu_c - results["mellin"].nu_c)
         rows.append({"quantity": "method_gap", "value": gap, "uncertainty": 0.0,
                      "provenance": "cross-method agreement"})
         if gap > 0.01:
@@ -364,7 +364,7 @@ def build_parser():
     p.set_defaults(func=cmd_hydrogen, parser=p)
 
     p = sub.add_parser("critical", help="Chandrasekhar critical coupling")
-    p.add_argument("--method", choices=("bisect", "mellin", "both"),
+    p.add_argument("--method", choices=("toeplitz", "mellin", "both"),
                    default="both")
     common(p)
     p.set_defaults(func=cmd_critical, parser=p)

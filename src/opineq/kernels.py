@@ -1,18 +1,17 @@
 """The angular kernels in closed form, vectorized in numpy.
 
 polar_batch returns for a batch of um1 = u - 1 (which keeps full
-relative precision as u -> 1) the position-space angular kernel
+relative precision as u -> 1) the position-space angular kernel of
+Lieb and Yau
 
-    K(u) = int over S^(d-1) of c(w) dw / (u - w.e)^((d+1)/2),
+    K_d(u) = int over S^(d-1) of dw / (u - w.e)^((d+1)/2),
 
-c = 1 for m = 0 and 1 - cos(m t) for m >= 1, t the angle between w and
-e: the sphere factor |S^(d-2)| times the polar integral
+the sphere factor |S^(d-2)| times the polar integral
 
-    I(um1) = int_0^pi  sin^(d-2)(t) * c(t) / (u - cos t)^((d+1)/2) dt.
+    I(um1) = int_0^pi  sin^(d-2)(t) / (u - cos t)^((d+1)/2) dt.
 
-m = 0 is the angular kernel K_d of Lieb and Yau, in closed form.  With
-u = cosh x, u - cos t is (e^x / 2) (1 - 2 a cos t + a^2), a = e^-x, and
-the Gegenbauer expansion of its power gives
+With u = cosh x, u - cos t is (e^x / 2) (1 - 2 a cos t + a^2), a = e^-x,
+and the Gegenbauer expansion of its power gives
 
     I = B((d-1)/2, 1/2) (2a)^((d+1)/2) 2F1((d+1)/2, 3/2; d/2; a^2).
 
@@ -24,11 +23,10 @@ Euler's transformation (DLMF 15.8.1) takes that factor out, and with
 
 whose series has c - a - b = 2 and is finite at a = 1.
 
-m >= 1 is the 2D channel kernel 2 (A_0 - A_m)(u), at d = 2 only, with
-|S^0| = 2 (_polar_channel), and coulomb_channel_kernel the momentum-space
-channel kernel k_m(t) of the Mellin multiplier.  Both are Laplace
-coefficients of (1 - 2a cos t + a^2)^-p (_laplace) away from a = 1, and
-near it both come from one elliptic recurrence (_laplace_near_one).
+coulomb_channel_kernel is the 2D Coulomb channel kernel k_m(t) behind
+the Mellin multiplier and the momentum-space channel operator: a Laplace
+coefficient of (1 - 2t cos t' + t^2)^-1/2 (_laplace) away from t = 1,
+and near it an elliptic recurrence (_laplace_near_one).
 """
 
 import functools
@@ -54,11 +52,6 @@ KTOL = 1e-11
 HYP2F1_ULPS = 40.0
 BETA_ULPS = 10.0
 SPHERE_ULPS = 12.0
-# the channels m >= 1 that _polar_channel's allowance was measured on,
-# and that allowance, in units of _U: against mpmath, m = 1..6 and
-# u - 1 from 1e-14 to 1e8, the switch included, at most 50 units
-CHANNEL_M = range(1, 7)
-CHANNEL_ULPS = 80.0
 
 
 def sphere_surface(k: float) -> float:
@@ -71,19 +64,17 @@ def sphere_surface(k: float) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / g
 
 
-def polar_batch(d, m, um1, *, tol=KTOL):
-    """The angular kernel of the module docstring, K_d (m = 0) or
-    2 (A_0 - A_m)(u) (m in CHANNEL_M, d = 2 only), for a batch of u - 1;
-    returns (values, error bounds, n_evaluations), one evaluation per
-    element.  u - 1 = inf is the far tail, an exact 0.
+def polar_batch(d, um1, *, tol=KTOL):
+    """K_d of the module docstring for a batch of u - 1; returns (values,
+    error bounds, n_evaluations), one evaluation per element.  u - 1 = inf
+    is the far tail, an exact 0.
 
-    m = 0: |S^(d-2)| times _polar_closed's value and bound, plus
-    SPHERE_ULPS + 1 units of the value for the rounding of |S^(d-2)| and
-    of the product: below 1.2e-14 of the value for d in (1, 20] up to
-    u - 1 = 1e130, growing with ln(u - 1) beyond.  u - 1 = 0 raises
-    SingularInputError, a value past the double range DomainError.
-    m >= 1: the bound is CHANNEL_ULPS of the value, and u = 1 is +inf.
-    Any other (d, m), and a nan or negative u - 1, raise DomainError.
+    The bound is |S^(d-2)| times _polar_closed's, plus SPHERE_ULPS + 1
+    units of the value for the rounding of |S^(d-2)| and of the product:
+    below 1.2e-14 of the value for d in (1, 20] up to u - 1 = 1e130,
+    growing with ln(u - 1) beyond.  u - 1 = 0 raises SingularInputError,
+    a value past the double range DomainError, and so do a d outside
+    (1, inf) and a nan or negative u - 1.
 
     `tol` changes no value.  It is keyword-only and must be positive,
     because perfbench's tracer reads its default through
@@ -98,61 +89,17 @@ def polar_batch(d, m, um1, *, tol=KTOL):
     lo = um1.min() if ne else 1.0
     if not lo >= 0:
         raise DomainError("u - 1 must be >= 0, not nan")
-    if m == 0:
-        if lo == 0.0:
-            raise SingularInputError("u = 1 is a non-integrable singularity")
-        c = sphere_surface(d - 2)
-        v, e = _polar_closed(d, um1)
-        with np.errstate(over="ignore"):    # reported below, as DomainError
-            v = c * v
-            e = c * e + ((SPHERE_ULPS + 1.0) * _U) * np.abs(v)
-        if not np.isfinite(e).all():        # wherever v is not, e is not
-            raise DomainError("angular kernel is not finite at u - 1 = %g"
-                              % um1[~np.isfinite(e)][0])
-        return v, e, ne
-    if m not in CHANNEL_M or d != 2.0:
-        raise DomainError("the weight 1 - cos(m t) needs m in 1..%d at d = 2"
-                          % CHANNEL_M[-1])
-    v = 2.0 * _polar_channel(int(m), um1, lo)
-    return v, CHANNEL_ULPS * _U * np.abs(v), ne
-
-
-def _polar_channel(m, um1, lo):
-    """(A_0 - A_m)(u) = int_0^pi (1 - cos m t) (u - cos t)^(-3/2) dt.
-
-    With a = e^-x = 1 / (u + sinh x), each J_j = int cos(j t)
-    (u - cos t)^(-3/2) dt is the Gauss series pi (2a)^(3/2)
-    _laplace(3/2, j, a), and I = J_0 - J_m so for a < m / (m + 1).
-
-    Closer to u = 1, where each J_j has the same (u - 1)^-1 pole, the
-    differences e_j = J_(j-1) - J_j, I = sum e_j, carry only a log.  By
-    parts e_j + e_(j+1) = 4 j pi sqrt(2a) k_j(a), k_j the Coulomb channel
-    kernel, and Landen's transformation (DLMF 19.8(ii)) gives
-    e_1 = 4 sqrt(2a) ((1 + a) K - E) / (1 + a)^2, K and E of parameter
-    a^2: I is e_1 (m odd) plus the pair sums over the j < m of the other
-    parity, all positive.  k_j's recurrence loses accuracy the farther
-    from u = 1, and the series nearer it, so the switch moves towards
-    u = 1 as m grows.  u = 1 is +inf.
-    """
-    with np.errstate(invalid="ignore"):
-        q = np.sqrt(um1) * np.sqrt(um1 + 2.0)           # sinh x
-        ex = (1.0 + um1) + q                            # e^x
-        a = 1.0 / ex
-        v = np.empty_like(um1)
-        far = a < m / (m + 1.0)
-        z = a[far]
-        v[far] = np.pi * (2.0 * z) * np.sqrt(2.0 * z) * (
-            _laplace(1.5, 0, z) - _laplace(1.5, m, z))
-        near = ~far
-        z = a[near]
-        c = (um1[near] + q[near]) / ex[near]            # 1 - a, no cancellation
-        K, E, k = _laplace_near_one(m, z, c)
-        s = 4.0 * ((1.0 + z) * K - E) / (1.0 + z) ** 2 if m % 2 else 0.0
-        s = s + 4.0 * np.pi * sum(j * k[j] for j in range(m - 1, 0, -2))
-        v[near] = np.sqrt(2.0 * z) * s
-        if lo == 0.0:
-            v[um1 == 0.0] = np.inf      # 0 * inf in the recurrence there
-    return v
+    if lo == 0.0:
+        raise SingularInputError("u = 1 is a non-integrable singularity")
+    c = sphere_surface(d - 2)
+    v, e = _polar_closed(d, um1)
+    with np.errstate(over="ignore"):    # reported below, as DomainError
+        v = c * v
+        e = c * e + ((SPHERE_ULPS + 1.0) * _U) * np.abs(v)
+    if not np.isfinite(e).all():        # wherever v is not, e is not
+        raise DomainError("angular kernel is not finite at u - 1 = %g"
+                          % um1[~np.isfinite(e)][0])
+    return v, e, ne
 
 
 # below t = 0.9 (or above 1/0.9) the Gauss series, which scipy's hyp2f1
@@ -164,7 +111,7 @@ SERIES_MAX = 0.9
 def coulomb_channel_kernel(m: int, t):
     """k_m(t) = (2 pi)^-1 int_0^{2pi} cos(m theta) (1 + t^2 - 2 t cos theta)^{-1/2} dtheta.
 
-    _laplace(1/2, m, t) below SERIES_MAX, _laplace_near_one from there to
+    _laplace(m, t) below SERIES_MAX, _laplace_near_one from there to
     t = 1, and k_m(t) = k_m(1/t) / t past it; k_m(1) = +inf, the log
     singularity, in every channel.  Measured within 2.5e-15 relative of
     mpmath for m = 0..6 over t in [1e-12, 1e12].
@@ -181,45 +128,44 @@ def coulomb_channel_kernel(m: int, t):
     c[inv] = (t[inv] - 1.0) / t[inv]
     k = np.full_like(t, np.inf)
     lo = r < SERIES_MAX
-    k[lo] = _laplace(0.5, m, r[lo])
+    k[lo] = _laplace(m, r[lo])
     near = ~lo & (c > 0.0)
-    k[near] = _laplace_near_one(m, r[near], c[near])[2][m]
+    k[near] = _laplace_near_one(m, r[near], c[near])[m]
     k[inv] /= t[inv]
     return k
 
 
-def _laplace(p, j, z):
-    """((p)_j / j!) z^j 2F1(p, j + p; j + 1; z^2), the Laplace coefficient
-    of cos(j t) in (1 - 2 z cos t + z^2)^-p, halved for j >= 1: k_j(z) at
-    p = 1/2, and at p = 3/2 the cosine moments of _polar_channel."""
-    coeff = math.prod((i + p) / (i + 1.0) for i in range(j))
-    return coeff * z ** j * hyp2f1(p, j + p, j + 1.0, z * z)
+def _laplace(j, z):
+    """((1/2)_j / j!) z^j 2F1(1/2, j + 1/2; j + 1; z^2), the Laplace
+    coefficient of cos(j t) in (1 - 2 z cos t + z^2)^-1/2, halved for
+    j >= 1: k_j(z)."""
+    coeff = math.prod((i + 0.5) / (i + 1.0) for i in range(j))
+    return coeff * z ** j * hyp2f1(0.5, j + 0.5, j + 1.0, z * z)
 
 
 def _laplace_near_one(m, r, c):
-    """K and E of parameter r^2 (E is None for m = 0) and [k_0, ..., k_m]
-    at r, for r < 1 near 1; c = 1 - r.
+    """[k_0, ..., k_m] at r, for r < 1 near 1; c = 1 - r.
 
-    k_0 = (2/pi) K and k_1 = (2/(pi r)) (K - E) (DLMF 19.5), then the
-    three-term recurrence (j + 1/2) k_{j+1} = j (r + 1/r) k_j
-    - (j - 1/2) k_{j-1}, carried as the differences d_j = k_j - k_{j-1}:
-    (j + 1/2) d_{j+1} = (j - 1/2) d_j + j (c^2 / r) k_j.  Near r = 1 every
-    k_j carries the same log singularity, so the differences are the small
-    part: rounding on them instead of on k_j keeps k_m within 2.5e-15
-    relative up to m = 6 from r = 0.9 (the plain form reaches 8e-15).
+    k_0 = (2/pi) K and k_1 = (2/(pi r)) (K - E), K and E of parameter
+    r^2 (DLMF 19.5), then the three-term recurrence (j + 1/2) k_{j+1} =
+    j (r + 1/r) k_j - (j - 1/2) k_{j-1}, carried as the differences
+    d_j = k_j - k_{j-1}: (j + 1/2) d_{j+1} = (j - 1/2) d_j + j (c^2 / r) k_j.
+    Near r = 1 every k_j carries the same log singularity, so the
+    differences are the small part: rounding on them instead of on k_j
+    keeps k_m within 2.5e-15 relative up to m = 6 from r = 0.9 (the plain
+    form reaches 8e-15).
     """
     K = ellipkm1(c * (2.0 - c))  # 1 - r^2 without cancellation
     k = [2.0 / np.pi * K]
     if m == 0:
-        return K, None, k
-    E = ellipe(r * r)
-    d = 2.0 / (np.pi * r) * (c * K - E)
+        return k
+    d = 2.0 / (np.pi * r) * (c * K - ellipe(r * r))
     k.append(k[0] + d)
     x2 = c * c / r  # r + 1/r - 2
     for j in range(1, m):
         d = ((j - 0.5) * d + j * x2 * k[j]) / (j + 0.5)
         k.append(k[j] + d)
-    return K, E, k
+    return k
 
 
 @functools.lru_cache(maxsize=64)

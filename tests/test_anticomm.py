@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
-                             channel_moments, gamma, lower_bound,
+                             gamma, lower_bound,
                              momentum_expectation, nonrel_form,
                              relativistic_form, relativistic_form_direct,
                              ridge_moments)
@@ -233,15 +233,8 @@ def test_relativistic_form_matches_mellin_oracle():
 
 def _ridge_integrand(d):
     def f(x):
-        v, _, _ = kernels.polar_batch(d, 0, 2.0 * np.sinh(x / 2.0) ** 2)
+        v, _, _ = kernels.polar_batch(d, 2.0 * np.sinh(x / 2.0) ** 2)
         return v * x * x
-    return f
-
-
-def _channel_integrand(m):
-    def f(x):
-        v, _, _ = kernels.polar_batch(2.0, m, 2.0 * np.sinh(x / 2.0) ** 2)
-        return v
     return f
 
 
@@ -258,17 +251,15 @@ def test_ridge_block_prefixes_agree(cold_moment_blocks):
 def test_ridge_blocks_match_one_band_moments_call(cold_moment_blocks):
     h = 0.08
     n = anticomm._RIDGE_BANDS + 2 * anticomm._RIDGE_BLOCK
-    for moments, arg, f in ((ridge_moments, 3.0, _ridge_integrand(3.0)),
-                            (channel_moments, 1, _channel_integrand(1))):
-        for k in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
-            got = moments(arg, h, k)
-        assert np.array_equal(got, band_moments(f, h, n))
+    for k in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
+        got = ridge_moments(3.0, h, k)
+    assert np.array_equal(got, band_moments(_ridge_integrand(3.0), h, n))
 
 
 def test_ridge_moments_read_only(cold_moment_blocks):
-    for phi in (ridge_moments(2.0, 0.1, 20), channel_moments(1, 0.1, 20)):
-        with pytest.raises(ValueError):
-            phi[3] = 0.0
+    phi = ridge_moments(2.0, 0.1, 20)
+    with pytest.raises(ValueError):
+        phi[3] = 0.0
 
 
 def test_repeated_form_makes_no_kernel_call(cold_moment_blocks, monkeypatch):
@@ -284,29 +275,23 @@ def test_ridge_blocks_bounded_and_clean_on_error(cold_moment_blocks):
     assert anticomm._moment_block.cache_info().maxsize == 64
     with pytest.raises(DomainError):
         ridge_moments(1.0, 0.1, 8)
-    with pytest.raises(DomainError):
-        channel_moments(1, math.nan, 8)
     assert anticomm._moment_block.cache_info().currsize == 0
 
 
 def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
-    # both kernels are closed forms that fall like e^(-3x/2) at d = 2: the
-    # ridge bands like x^2 e^(-3x/2), the channel bands like e^(-3x/2),
-    # until they underflow past x of about 497 (bands 994-995 at
-    # h = 0.5); from x of about 710, where u - 1 overflows to inf, the
-    # kernels are an exact 0.  The suite turns an overflow warning into an
-    # error
+    # K_2 is a closed form that falls like e^(-3x/2): the ridge bands fall
+    # like x^2 e^(-3x/2) until they underflow past x of about 497 (bands
+    # 994-995 at h = 0.5); from x of about 710, where u - 1 overflows to
+    # inf, the kernel is an exact 0.  The suite turns an overflow warning
+    # into an error
     k = np.arange(900, 960)
-    for moments, arg, decay, rtol in (
-            (ridge_moments, 2.0, np.exp(-0.75) * ((k + 1.0) / k) ** 2, 1e-3),
-            (channel_moments, 1, np.exp(-0.75), 1e-9)):
-        anticomm._moment_block.cache_clear()
-        big = moments(arg, 0.5, 1500).copy()
-        assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
-        assert np.all(big[:990] > 0.0) and np.all(big[1000:] == 0.0)
-        assert np.allclose(big[k + 1] / big[k], decay, rtol=rtol)
-        anticomm._moment_block.cache_clear()
-        assert np.array_equal(moments(arg, 0.5, 900), big[:900])
+    big = ridge_moments(2.0, 0.5, 1500).copy()
+    assert np.all(np.isfinite(big)) and np.all(big >= 0.0)
+    assert np.all(big[:990] > 0.0) and np.all(big[1000:] == 0.0)
+    assert np.allclose(big[k + 1] / big[k], np.exp(-0.75) * ((k + 1.0) / k) ** 2,
+                       rtol=1e-3)
+    anticomm._moment_block.cache_clear()
+    assert np.array_equal(ridge_moments(2.0, 0.5, 900), big[:900])
 
 
 def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch):
@@ -595,6 +580,19 @@ def test_nonrel_closed_form():
         # relative to the natural magnitude (want = 0 exactly at sqrt(2))
         mag = 1.0 / (2.0 * sigma ** 2) + 0.25
         assert abs(got - want) <= 1e-6 * mag
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.3])
+def test_nonrel_closed_form_log_linear_cutoff(sigma):
+    # psi = e^{-|s|/(2 sigma)} has psi'^2 = psi^2 / (4 sigma^2), so
+    # Q = 2 pi (1/(4 sigma^2) - 1/2) int e^{s - |s|/sigma} ds
+    #   = 2 pi (1/(4 sigma^2) - 1/2) 2 sigma / (1 - sigma^2),
+    # 15.0534648 at sigma = 0.2; the kink at s = 0 is a panel end, and
+    # the quadrature's tolerance is 1e-11 relative (NONREL_TOL)
+    want = (2.0 * math.pi * (0.25 / sigma ** 2 - 0.5)
+            * 2.0 * sigma / (1.0 - sigma ** 2))
+    q = nonrel_form(TrialFunction("log_linear_cutoff", sigma))
+    assert q == pytest.approx(want, rel=1e-10)
 
 
 def test_sampled_trial_function():

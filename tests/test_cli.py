@@ -146,6 +146,42 @@ def test_hydrogen_command(capsys):
     assert degs == [1, 3, 5]
 
 
+def test_hydrogen_refine_trace(capsys):
+    # three trace rows after the levels, at n/4, n/2 and n, whose largest
+    # level error falls with each refinement
+    code, out, _ = run(["hydrogen", "--refine-trace", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    trace = [r for r in rows if r["provenance"] == "refinement trace"]
+    assert [r["level"] for r in trace] == ["trace-n=225", "trace-n=450", "trace-n=900"]
+    errs = [r["reference"] for r in trace]
+    assert errs[0] > errs[1] > errs[2] > 0.0
+
+
+def _critical_rows(method, capsys):
+    code, out, _ = run(["critical", "--method", method, "--format", "json"], capsys)
+    assert code == 0
+    return {r["quantity"]: r for r in json.loads(out)["rows"]}
+
+
+def test_critical_methods(capsys):
+    printed = {"printed_constant_as_printed", "printed_constant_fourth_power"}
+    both = _critical_rows("both", capsys)
+    assert set(both) == printed | {"nu_c_toeplitz", "nu_c_mellin", "method_gap"}
+    gap = both["method_gap"]["value"]
+    assert gap == abs(both["nu_c_toeplitz"]["value"] - both["nu_c_mellin"]["value"])
+    assert 0.0 < gap <= 0.01
+    assert both["nu_c_toeplitz"]["uncertainty"] > gap
+    for method in ("toeplitz", "mellin"):
+        rows = _critical_rows(method, capsys)
+        assert set(rows) == printed | {"nu_c_" + method}
+        assert rows["nu_c_" + method] == both["nu_c_" + method]
+    # the retired bisection is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["critical", "--method", "bisect"])
+    assert exc.value.code == 2
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dimension-list=2.5\ntol=1e-6\n")
@@ -176,7 +212,7 @@ def _run_captured(argv):
 ROUND_TRIP_FLAGS = {
     "gamma": {"dimension-list": st.sampled_from(["2.0", "2.5", "1.5,3.0"]),
               "tol": st.sampled_from(["1e-6", "1e-8", "abc"])},
-    "critical": {"method": st.sampled_from(["bisect", "mellin", "both"])},
+    "critical": {"method": st.sampled_from(["toeplitz", "mellin", "both"])},
     "bounds": {"charge": st.sampled_from(["0", "0.5", "2"]),
                "delta": st.sampled_from(["0", "1.25"]),
                "b-field": st.sampled_from(["0", "1"]),

@@ -1,6 +1,6 @@
-"""The numpy angular kernels: both closed forms against mpmath, with
-their sphere factors, the K_d identities and limits, determinism, and
-batches that match their elements bit for bit."""
+"""The numpy angular kernel K_d: its closed form against mpmath, with its
+sphere factor, the K_d identities and limits, determinism, and batches
+that match their elements bit for bit."""
 
 import math
 from unittest import mock
@@ -21,8 +21,8 @@ K2_AT_2 = 2.9125841903282682   # int_0^{2pi} (2 - cos t)^{-3/2} dt, mpmath 30 di
 
 def test_polar_batch_deterministic():
     um1 = np.geomspace(1e-6, 10.0, 25)
-    v1, _, n1 = kernels.polar_batch(2.0, 0, um1, tol=1e-11)
-    v2, _, n2 = kernels.polar_batch(2.0, 0, um1, tol=1e-11)
+    v1, _, n1 = kernels.polar_batch(2.0, um1, tol=1e-11)
+    v2, _, n2 = kernels.polar_batch(2.0, um1, tol=1e-11)
     assert np.array_equal(v1, v2)
     assert n1 == n2
 
@@ -31,35 +31,29 @@ def test_backend_name_reported():
     assert kernels.backend_name == "python"
 
 
-@pytest.mark.parametrize("d,m", [
-    (2.0, 0),       # K_2
-    (3.0, 0),
-    (1.5, 0),       # singular sin weight
-    (2.0, 2),       # 1 - cos(2t) weight
-    (2.0, 1),       # 1 - cos(t) weight
+@pytest.mark.parametrize("d", [
+    2.0,        # K_2
+    3.0,
+    1.5,        # singular sin weight
 ])
-def test_batched_call_matches_per_element(d, m):
-    _assert_batch_matches_elements(d, m, np.geomspace(1e-10, 1e3, 30))
+def test_batched_call_matches_per_element(d):
+    _assert_batch_matches_elements(d, np.geomspace(1e-10, 1e3, 30))
 
 
-def _assert_batch_matches_elements(d, m, um1):
-    # both closed forms are elementwise: one evaluation per element, and
-    # the same bits whatever else is in the batch
-    v, e, n = kernels.polar_batch(d, m, um1)
+def _assert_batch_matches_elements(d, um1):
+    # the closed form is elementwise: one evaluation per element, and the
+    # same bits whatever else is in the batch
+    v, e, n = kernels.polar_batch(d, um1)
     assert n == um1.size
     assert np.all(e >= 0)
     ref, ref_e = np.array([
-        [r[0] for r in kernels.polar_batch(d, m, [u])[:2]]
+        [r[0] for r in kernels.polar_batch(d, [u])[:2]]
         for u in um1]).T
     assert np.array_equal(v, ref) and np.array_equal(e, ref_e)
 
 
-# the kernel arguments of each library caller: K_d for anticomm.gamma and
-# the ridge moments, and the channel kernel at d = 2 for the channel moments
-CALLER_ARGS = st.one_of(
-    st.floats(1.2, 6.0).map(lambda d: (d, 0)),
-    st.tuples(st.just(2.0), st.integers(1, 6)),
-)
+# the dimensions of the library callers, anticomm.gamma and the ridge moments
+CALLER_D = st.floats(1.2, 6.0)
 # u - 1 from 1e-10 to 1e3, at least 2.3% apart once sorted
 UM1_BATCHES = st.lists(st.integers(-1000, 300), min_size=1, max_size=12,
                        unique=True).map(lambda k: 10.0 ** (np.sort(k) / 100.0))
@@ -67,29 +61,26 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 
 @PROPERTY
-@given(CALLER_ARGS, UM1_BATCHES)
-def test_batched_call_matches_per_element_property(args, um1):
-    _assert_batch_matches_elements(*args, um1)
+@given(CALLER_D, UM1_BATCHES)
+def test_batched_call_matches_per_element_property(d, um1):
+    _assert_batch_matches_elements(d, um1)
 
 
 @PROPERTY
 @given(st.floats(1.2, 6.0), UM1_BATCHES)
 def test_angular_kernel_decreases_in_u(d, um1):
-    vals, _, _ = kernels.polar_batch(d, 0, um1)
+    vals, _, _ = kernels.polar_batch(d, um1)
     assert np.all(np.diff(vals) < 0)
 
 
-@pytest.mark.parametrize("d,m,um1", [
-    (2.0, 1, 1e-10),    # 1 - cos t ~ t^2/2 under the u ~ 1 peak
-    (2.0, 2, 1e-8),
-] + [
+@pytest.mark.parametrize("d,um1", [
     # angular kernels at d = 1.2, 2.01, 2.3: sin^(d-2), not a half-integer power
-    pytest.param(d, 0, um1, id="d%g-%g" % (d, um1))
+    pytest.param(d, um1, id="d%g-%g" % (d, um1))
     for d in (1.2, 2.01, 2.3) for um1 in (1e-12, 1e-8, 1e-3, 1.0, 1e3)
 ])
-def test_relative_precision_at_the_ends(d, m, um1):
+def test_relative_precision_at_the_ends(d, um1):
     # the polar integral by mpmath quadrature, times the sphere factor
-    v, e, _ = kernels.polar_batch(d, m, [um1], tol=1e-11)
+    v, e, _ = kernels.polar_batch(d, [um1], tol=1e-11)
     with mpmath.workdps(30):
         u = mpmath.mpf(um1)
         p, w = (mpmath.mpf(d) + 1) / 2, mpmath.mpf(d) - 2
@@ -101,9 +92,8 @@ def test_relative_precision_at_the_ends(d, m, um1):
         def f(s, region):
             x = s ** a
             t = mpmath.pi - x if region else x
-            c = 2 * mpmath.sin(m * t / 2) ** 2 if m else 1
             s2 = 2 * (mpmath.cos(x / 2) if region else mpmath.sin(x / 2)) ** 2
-            return a * s ** (a - 1) * mpmath.sin(x) ** w * c / (u + s2) ** p
+            return a * s ** (a - 1) * mpmath.sin(x) ** w / (u + s2) ** p
 
         breaks = ([0] + [mpmath.mpf(10) ** (k / a) for k in range(-8, 0)]
                   + [(mpmath.pi / 2) ** (1 / a)])
@@ -116,22 +106,22 @@ def test_relative_precision_at_the_ends(d, m, um1):
 @pytest.mark.parametrize("um1", [[np.nan], [-1e-300], [0.5, np.nan, 2.0]])
 def test_nan_or_negative_um1_rejected(um1):
     with pytest.raises(DomainError):
-        kernels.polar_batch(2.0, 0, um1)
+        kernels.polar_batch(2.0, um1)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_non_positive_tolerance_rejected(tol):
     with pytest.raises(DomainError):
-        kernels.polar_batch(2.0, 0, [0.5], tol=tol)
+        kernels.polar_batch(2.0, [0.5], tol=tol)
 
 
 def test_tolerance_is_keyword_only():
     # perfbench's tracer reads the tolerance from the keywords: a positional
     # one would be counted against the default, without any error
     with pytest.raises(TypeError):
-        kernels.polar_batch(2.0, 0, [0.5], 1e-11)
+        kernels.polar_batch(2.0, [0.5], 1e-11)
     with pytest.raises(TypeError):
-        kernels.polar_batch(2.0, 0, [0.5], tol=1e-11, eta=[0.0])
+        kernels.polar_batch(2.0, [0.5], tol=1e-11, eta=[0.0])
 
 
 def _sphere_mp(k):
@@ -141,7 +131,7 @@ def _sphere_mp(k):
 
 
 def _closed_form_reference(d, um1):
-    """The m = 0 integral at mpf d: the Gegenbauer series in u^-2,
+    """The polar integral at mpf d: the Gegenbauer series in u^-2,
     B((d-1)/2, 1/2) u^-p 2F1(p/2, (p+1)/2; d/2; u^-2), p = (d+1)/2, which
     takes neither the quadratic nor Euler's transformation of the closed
     form."""
@@ -174,7 +164,7 @@ def test_kd_closed_form_within_its_bound(d):
     # units of 2^-53
     um1 = 10.0 ** np.arange(-14, 9)
     v, e = kernels._polar_closed(d, um1)
-    kv, ke, n = kernels.polar_batch(d, 0, um1)
+    kv, ke, n = kernels.polar_batch(d, um1)
     assert n == um1.size
     assert np.all(ke >= sphere_surface(d - 2) * e + (13 * 2.0 ** -53) * np.abs(kv))
     for x, vi, ei, kvi, kei in zip(um1, v, e, kv, ke):
@@ -202,104 +192,41 @@ def test_kd_closed_form_passes_integer_c_minus_a_minus_b(d, log_um1):
     _assert_within_bound(d, um1, v[0], e[0], 60 if um1 >= 1e6 else 40)
 
 
-def _channel_reference(m, um1):
-    """2 (A_0 - A_m)(u), |S^0| = 2 included, through mpmath's toroidal
-    functions: d/du of Q_(j-1/2)(u) = 2^(-1/2) int cos(j t)
-    (u - cos t)^(-1/2) dt is Q^1_(j-1/2)(u) / sinh x (type 3, u = cosh x),
-    so int cos(j t) (u - cos t)^(-3/2) dt is -2 sqrt(2) Q^1_(j-1/2)(u) /
-    sinh x.  Neither the Gauss series nor the elliptic recurrence of the
-    closed form enters.  The two terms share
-    a (u - 1)^-1 pole, which takes 14 of the 50 digits at u - 1 = 1e-14."""
-    with mpmath.workdps(50):
-        w = mpmath.mpf(um1)
-        q = [mpmath.re(mpmath.legenq(j - mpmath.mpf(1) / 2, 1, 1 + w, type=3))
-             for j in (0, m)]
-        return 4 * mpmath.sqrt(2) * (q[1] - q[0]) / mpmath.sqrt(w * (w + 2))
-
-
-@pytest.mark.parametrize("m", list(kernels.CHANNEL_M))
-def test_channel_closed_form_within_its_bound(m):
-    # every value lies within its returned bound, and the bound within
-    # 1e-14, from u - 1 = 1e-14 to 1e8 and on both sides of the switch
-    # between the Gauss series and the elliptic integrals, at
-    # e^-x = m / (m + 1), u - 1 = 1 / (2m (m + 1)).  Around e^-x = 1/2,
-    # u - 1 = 1/4, a switch there would leave k_j's recurrence 224 units
-    # of 2^-53 off at m = 6
-    sides = np.array([0.9, 0.96, 1 - 1e-15, 1.0, 1 + 1e-15, 1.1])
-    um1 = np.concatenate([10.0 ** np.arange(-14, 9), 0.25 * sides,
-                          sides / (2.0 * m * (m + 1.0))])
-    v, e, n = kernels.polar_batch(2.0, m, um1)
-    assert n == um1.size
-    for x, vi, ei in zip(um1, v, e):
-        ref = _channel_reference(m, x)
-        assert abs(mpmath.mpf(vi) - ref) <= ei, (x, float(abs(vi / ref - 1)))
-    assert np.all(e <= 1e-14 * v)
-
-
-def test_channel_closed_form_ends():
-    # u = 1 is the log singularity, u - 1 = inf the far tail; the suite
-    # turns any warning on the way into an error
-    for m in kernels.CHANNEL_M:
-        v, e, _ = kernels.polar_batch(2.0, m, [0.0, np.inf])
-        assert v[0] == np.inf and v[1] == 0.0 and e[1] == 0.0
-
-
-@pytest.mark.parametrize("m", range(1, 6))
-def test_channel_kernels_tied_by_parts(m):
-    # int cos(m t) (u - cos t)^(-1/2) dt = (J_(m-1) - J_(m+1)) / 4m by
-    # parts, so with t = e^-x, u - 1 = (1 - t)^2 / 2t, the two channel
-    # kernels agree: 4 m pi sqrt(2t) k_m(t) = (polar_batch(2, m + 1)
-    # - polar_batch(2, m - 1)) / 2, where channel 0's term is 0.  Below
-    # t = 0.3 the right side loses digits to its cancellation
-    t = np.concatenate([np.linspace(0.3, 1.0, 141, endpoint=False),
-                        1.0 - 10.0 ** -np.arange(1.0, 16.0)])
-    um1 = (1.0 - t) ** 2 / (2.0 * t)
-    right = kernels.polar_batch(2.0, m + 1, um1)[0]
-    if m > 1:
-        right = right - kernels.polar_batch(2.0, m - 1, um1)[0]
-    left = 4.0 * m * np.pi * np.sqrt(2.0 * t) * kernels.coulomb_channel_kernel(m, t)
-    np.testing.assert_allclose(left, right / 2.0, rtol=5e-14, atol=0.0)
-
-
-@pytest.mark.parametrize("d,m", [
-    (3.0, 1), (1.5, 2),                     # not the channel kernel's d
-    (2.0, 7), (2.0, -1), (2.0, 1.5),        # outside the gated m
-    (1.0, 0), (0.5, 0), (np.nan, 0), (np.inf, 0),   # d outside (1, inf)
-])
-def test_arguments_outside_their_domain_rejected(d, m):
+@pytest.mark.parametrize("d", [1.0, 0.5, np.nan, np.inf])   # outside (1, inf)
+def test_arguments_outside_their_domain_rejected(d):
     with pytest.raises(DomainError):
-        kernels.polar_batch(d, m, [0.5])
+        kernels.polar_batch(d, [0.5])
 
 
 def test_angular_query_invariants():
     # d > 1 for the continued sin^(d-2) weight; u = (r + 1/r)/2 >= 1
     for d in (0.5, 1.0):
         with pytest.raises(DomainError):
-            kernels.polar_batch(d, 0, [1.0])
+            kernels.polar_batch(d, [1.0])
     with pytest.raises(DomainError):
-        kernels.polar_batch(2.0, 0, [1.0, -0.5])
+        kernels.polar_batch(2.0, [1.0, -0.5])
 
 
 def test_kernel_d3_closed_form():
     # K_3(u) (u^2 - 1) = 4 pi
     u = np.array([1.1, 2.0, 10.0])
-    vals, _, _ = kernels.polar_batch(3.0, 0, u - 1.0)
+    vals, _, _ = kernels.polar_batch(3.0, u - 1.0)
     assert np.all(np.abs(vals * (u * u - 1.0) - 4.0 * math.pi) < 1e-9)
 
 
 def test_kernel_d3_value_at_two():
-    vals, _, _ = kernels.polar_batch(3.0, 0, [1.0])
+    vals, _, _ = kernels.polar_batch(3.0, [1.0])
     assert abs(vals[0] - 4.0 * math.pi / 3.0) < 1e-10
 
 
 def test_kernel_d2_regression_constant():
-    vals, _, _ = kernels.polar_batch(2.0, 0, [1.0])
+    vals, _, _ = kernels.polar_batch(2.0, [1.0])
     assert abs(vals[0] - K2_AT_2) < 1e-10
 
 
 def test_kernel_monotone_in_u():
     for d in (1.5, 2.0, 3.0):
-        vals, _, _ = kernels.polar_batch(d, 0, [0.1, 0.5, 2.0, 10.0])
+        vals, _, _ = kernels.polar_batch(d, [0.1, 0.5, 2.0, 10.0])
         assert np.all(np.diff(vals) < 0)
 
 
@@ -307,7 +234,7 @@ def test_kernel_u_to_one_limit():
     # (u-1) K_d(u) approaches a finite positive limit
     for d in (1.5, 2.0, 3.0):
         um1 = np.array([1e-2, 1e-4, 1e-6])
-        vals, _, _ = kernels.polar_batch(d, 0, um1)
+        vals, _, _ = kernels.polar_batch(d, um1)
         lim = um1 * vals
         assert np.all(lim > 0)
         ratios = lim[1:] / lim[:-1]
@@ -317,7 +244,7 @@ def test_kernel_u_to_one_limit():
 def test_kernel_singular_input():
     for d in (1.5, 2.0):
         with pytest.raises(SingularInputError):
-            kernels.polar_batch(d, 0, [0.5, 0.0])
+            kernels.polar_batch(d, [0.5, 0.0])
 
 
 @pytest.mark.parametrize("d", [1.5, 2.0])
@@ -327,12 +254,12 @@ def test_kernel_overflow_is_domain_error(d):
     # finite, and K_d(1 + 5e-324) is past the double range
     limit = (sphere_surface(d - 1) * 2.0 ** ((d - 5.0) / 2.0) * math.gamma(d / 2.0)
              / (math.gamma((d + 1.0) / 2.0) * math.gamma(1.5)))
-    vals, _, _ = kernels.polar_batch(d, 0, [1e-300])
+    vals, _, _ = kernels.polar_batch(d, [1e-300])
     assert 1e-300 * vals[0] == pytest.approx(limit, rel=1e-14)
     if d == 2.0:
         assert vals[0] == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-14)
     with pytest.raises(DomainError):
-        kernels.polar_batch(d, 0, [5e-324])
+        kernels.polar_batch(d, [5e-324])
 
 
 def test_sphere_surface_values():
@@ -346,6 +273,6 @@ def test_sphere_surface_values():
 
 
 def test_kernel_deterministic():
-    a = kernels.polar_batch(2.3, 0, [0.37])
-    b = kernels.polar_batch(2.3, 0, [0.37])
+    a = kernels.polar_batch(2.3, [0.37])
+    b = kernels.polar_batch(2.3, [0.37])
     assert np.array_equal(a[0], b[0]) and a[2] == b[2]

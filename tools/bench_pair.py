@@ -4,7 +4,8 @@
         --pairs 10 --pr 8 [--seed 5192]
 
 The base side is BASE_REV exported with `git archive` into a temporary
-directory; the new side is this working tree.  Each pair runs
+directory; the new side is a copy of this working tree in another
+(snapshot), so that both run from fresh directories alike.  Each pair runs
 `perfbench/run.py --workload W --out <dir>` once per side, with run.py's
 own defaults for the run length and, unless --seed is given, the seed; the
 side that goes first alternates from pair to pair.  After the pairs, one
@@ -33,6 +34,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +53,22 @@ def export(rev, dest):
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def snapshot(dest):
+    """Copy into the existing directory `dest` the files of this working
+    tree that git lists as tracked or as untracked and not ignored, those
+    that exist, so that a new side runs from a fresh directory as the base
+    side does."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        src = os.path.join(ROOT, name)
+        if os.path.isfile(src):
+            target = os.path.join(dest, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(src, target)
 
 
 def run_bench(tree, out, workload, seed, trace):
@@ -167,9 +185,11 @@ def main(argv=None):
             ap.error("%s compares against %s, not %s" % (path, doc["base_rev"], rev))
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": os.path.join(tmp, "base"), "new": ROOT}
-        os.makedirs(trees["base"])
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        for tree in trees.values():
+            os.makedirs(tree)
         export(rev, trees["base"])
+        snapshot(trees["new"])
         for workload in args.workload:
             entry = pair_runs(workload, args.seed, args.pairs, spec, trees, tmp)
             doc["entries"] = [e for e in doc["entries"]

@@ -3,7 +3,8 @@
     python3 tools/cli_diff.py BASE_REV
 
 BASE_REV is exported with `git archive` (bench_pair.export) into a
-temporary directory; the other side is this working tree.  Each command
+temporary directory, and this working tree is copied into another
+(bench_pair.snapshot).  Each command
 of COMMANDS runs on both trees as `python -m opineq.cli`, with
 PYTHONPATH=src, once with --format csv and once with --format json, and
 its stdout, stderr and exit status are compared.  Prints one line per
@@ -16,7 +17,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_pair import ROOT, export
+from bench_pair import export, snapshot
 
 COMMANDS = (
     ["gamma"],
@@ -42,12 +43,13 @@ def main(argv=None):
     ap.add_argument("base_rev")
     args = ap.parse_args(argv)
     differs = 0
-    with tempfile.TemporaryDirectory() as base:
+    with tempfile.TemporaryDirectory() as base, tempfile.TemporaryDirectory() as new:
         export(args.base_rev, base)
+        snapshot(new)
         for command in COMMANDS:
             for fmt in ("csv", "json"):
                 cmd = command + ["--format", fmt]
-                same = run_cli(base, cmd) == run_cli(ROOT, cmd)
+                same = run_cli(base, cmd) == run_cli(new, cmd)
                 differs += not same
                 print("%-8s %s" % ("SAME" if same else "DIFFERS", " ".join(cmd)))
     return 1 if differs else 0

@@ -4,18 +4,20 @@ and of the Kato lattice operators against BASE_REV.
     python3 tools/kernel_diff.py BASE_REV
 
 BASE_REV is exported with `git archive` (bench_pair.export) into a
-temporary directory; the other side is this working tree.  On each tree
-this script runs itself as `kernel_diff.py --probe FILE` with that tree's
-`src` on PYTHONPATH, and the probe pickles into FILE, by name:
+temporary directory, and this working tree is copied into another
+(bench_pair.snapshot).  On each tree this script runs itself as
+`kernel_diff.py --probe FILE` with that tree's `src` on PYTHONPATH, and
+the probe pickles into FILE, by name:
 
-- the angular kernel (`kernels.polar_batch`, sphere factor included)
-  values and bounds, for m = 0 at seven dimensions and for m = 1..6 at
-  d = 2, on u - 1 from 1e-14 to 1e200 and inf (0 too for m >= 1);
+- the angular kernel K_d (`kernels.polar_batch`, sphere factor included)
+  values and bounds at seven dimensions, on u - 1 from 1e-14 to 1e200 and
+  inf, through either signature, `polar_batch(d, um1)` or the older
+  `polar_batch(d, m, um1)` with m = 0;
 - `anticomm.gamma`'s value and error estimate, and apart from them its
   evaluation count, at eight dimensions from 1.2 to 12; a change to the
   work alone shows the first SAME and the second DIFFERS;
-- the ridge moments at d = 2, 2.5, 3 and the channel moments at m = 1, 2,
-  1,500 bands at each of three step sizes;
+- the ridge moments at d = 2, 2.5, 3, 1,500 bands at each of three step
+  sizes;
 - the (L, lambda) trace of `spectra.lambda_min_anticomm` at d = 2, 2.5, 3,
   12 and 40; at d = 40 the far pair weights underflow to 0 where their
   cosh factor in the Laplacian degree would overflow;
@@ -34,13 +36,19 @@ this script runs itself as `kernel_diff.py --probe FILE` with that tree's
   `mellin_multiplier`, for m = 0..6 on the s grid of
   `test_mellin_multiplier_matches_gamma_ratio`: values, error estimates
   and evaluation counts, each apart;
-- `anticomm.nonrel_form` of the log-Gaussians at five sigma from 0.25 to 4;
-- `spectra.critical_coupling_bisect`'s nu_c and uncertainty, and apart
-  from them its sequence of sides; the sides of
+- `anticomm.nonrel_form` of the log-Gaussians at five sigma from 0.25 to 4
+  and of the log_linear_cutoff trials at sigma = 0.2 and 0.3;
+- the Toeplitz column of the channel operator, `D^{-1/2} S D^{-1/2}` from
+  `spectra._momentum_log_grid(m, n, L)`'s `(S, q)` read along the row of
+  q = 1, for m = 0, 1, 2 on `spectra.SCAN_GRID` and on perfbench's three
+  coupling pool grids (a tree with the position-space channel matrix
+  gives other numbers under the same name);
+- `spectra.critical_coupling_toeplitz`'s nu_c and uncertainty (on a tree
+  without it, `critical_coupling_bisect`'s); the sides of
   `spectra.classify_coupling` at nu = 0.05, 0.075, ..., 0.6; and
-  `spectra.chandrasekhar_lowest` on perfbench's three coupling pool grids
-  for m = 0, 1, 2 at nu = 0.3, 0.5, 0.7, and on `spectra.SCAN_GRID` for
-  m = 0 at nu = 0.3;
+  `spectra.chandrasekhar_lowest` on the three pool grids for m = 0, 1, 2
+  at nu = 0.3, 0.5, 0.7, and on `spectra.SCAN_GRID` for m = 0 at
+  nu = 0.3;
 - every block and the norm of `lattice.kinetic_matrix` for the none,
   background, cavity and total fields on open boundaries and none on
   periodic ones, at n = 16, 24, 32 and mass 0 and 1, on the square of
@@ -54,12 +62,12 @@ A quantity that raises is recorded as its exception.  Prints one line per
 quantity, SAME or DIFFERS; a differing array of the same shape also says
 whether the new side is >= the base side everywhere, and gives the largest
 relative difference between them.  Exits with status 1 if any quantity
-differs.  No default CLI command reaches the m >= 1
-kernel, so tools/cli_diff.py alone does not cover it.
+differs.
 """
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -70,7 +78,7 @@ import tempfile
 
 import numpy as np
 
-from bench_pair import ROOT, export
+from bench_pair import export, snapshot
 from oracles import MELLIN_T  # perfbench, on the path through bench_pair
 
 KERNEL_D = (1.2, 1.5, 2.0, 2.5, 3.0, 7.050034627526924, 12.0)
@@ -93,18 +101,22 @@ KERNEL_TS = np.unique(np.concatenate([
 ]))
 
 
-def angular_kernel(d, m, um1):
-    """(values, bounds) of the angular kernel with its sphere factor.  A
-    tree whose polar_batch still returns the bare polar integral has
-    quadrature.angular_kernel_batch, which applied |S^(d-2)| for m = 0;
-    for m >= 1 |S^0| = 2 was applied by the channel moments."""
-    from opineq import kernels, quadrature
-    if hasattr(quadrature, "angular_kernel_batch"):
-        if m == 0:
-            return quadrature.angular_kernel_batch(d, um1)[:2]
-        v, e, _ = kernels.polar_batch(d, m, um1)
-        return 2.0 * v, 2.0 * e
-    return kernels.polar_batch(d, m, um1)[:2]
+def angular_kernel(d, um1):
+    """(values, bounds) of K_d with its sphere factor, from a polar_batch
+    that takes the channel m (called with m = 0) or one that does not."""
+    from opineq import kernels
+    if "m" in inspect.signature(kernels.polar_batch).parameters:
+        return kernels.polar_batch(d, 0, um1)[:2]
+    return kernels.polar_batch(d, um1)[:2]
+
+
+def toeplitz_column(m, grid):
+    """T_m's first column: D^{-1/2} S D^{-1/2} along the row of q = 1."""
+    from opineq import spectra
+    S, q = spectra._momentum_log_grid(m, grid.n, math.log(grid.r_max / grid.r_min))
+    row = int(np.argmin(q))
+    T = S[row] / np.sqrt(q[row] * q)
+    return T[::-1] if row else T
 
 
 def lattice_field(n):
@@ -151,11 +163,10 @@ def probe():
         fv = anticomm.relativistic_form(psi, d)
         return np.array([fv.value, fv.scale, fv.norm_sq])
 
-    def bisect():
-        """nu_c and its uncertainty apart from the sequence of sides."""
-        res = spectra.critical_coupling_bisect()
-        return {"nu_c, uncertainty": np.array([res.nu_c, res.uncertainty]),
-                "sides": " ".join(side for _, side, _ in res.trace)}
+    def critical():
+        res = getattr(spectra, "critical_coupling_toeplitz",
+                      spectra.critical_coupling_bisect)()
+        return np.array([res.nu_c, res.uncertainty])
 
     Trial = anticomm.TrialFunction
     s = np.linspace(-14.0, 14.0, 561)
@@ -164,19 +175,13 @@ def probe():
 
     jobs = {}
     for d in KERNEL_D:
-        jobs["kernel m=0 d=%g" % d] = lambda d=d: angular_kernel(d, 0, UM1)
-    for m in range(1, 7):
-        jobs["kernel m=%d d=2" % m] = (
-            lambda m=m: angular_kernel(2.0, m, np.append(0.0, UM1)))
+        jobs["kernel m=0 d=%g" % d] = lambda d=d: angular_kernel(d, UM1)
     for d in GAMMA_D:
         jobs["gamma d=%g" % d] = lambda d=d: quad(anticomm.gamma(d))
     for h in STEPS:
         for d in (2.0, 2.5, 3.0):
             jobs["ridge_moments d=%g h=%g" % (d, h)] = (
                 lambda d=d, h=h: anticomm.ridge_moments(d, h, BANDS))
-        for m in (1, 2):
-            jobs["channel_moments m=%d h=%g" % (m, h)] = (
-                lambda m=m, h=h: anticomm.channel_moments(m, h, BANDS))
     for d in (2.0, 2.5, 3.0, 12.0, 40.0):
         jobs["lambda_min_anticomm d=%g" % d] = (
             lambda d=d: np.array(spectra.lambda_min_anticomm(d)[1]))
@@ -200,11 +205,18 @@ def probe():
         jobs["nonrel_form sigma=%g" % sigma] = (
             lambda sigma=sigma: np.array(anticomm.nonrel_form(
                 anticomm.TrialFunction("log_gaussian", sigma))))
-    jobs["critical_coupling_bisect"] = bisect
+    for sigma in (0.2, 0.3):
+        jobs["nonrel_form log_linear_cutoff sigma=%g" % sigma] = (
+            lambda sigma=sigma: np.array(anticomm.nonrel_form(
+                anticomm.TrialFunction("log_linear_cutoff", sigma))))
+    jobs["critical_coupling_toeplitz nu_c, uncertainty"] = critical
     jobs["classify_coupling sides"] = lambda: " ".join(
         spectra.classify_coupling(nu)[0] for nu in CLASSIFY_NU)
     grids = [("span=%g n=%d" % (span, n), spectra.GridSpec(math.exp(-span), 1.0, n))
              for span, n in POOL_GRIDS]
+    for (name, g), m in itertools.product([("SCAN_GRID", spectra.SCAN_GRID)] + grids,
+                                          range(3)):
+        jobs["T_m column %s m=%d" % (name, m)] = lambda m=m, g=g: toeplitz_column(m, g)
     for (name, g), m, nu in itertools.product(grids, range(3), CHANDRA_NU):
         jobs["chandrasekhar_lowest %s m=%d nu=%g" % (name, m, nu)] = (
             lambda nu=nu, m=m, g=g: np.array(spectra.chandrasekhar_lowest(nu, m, g)))
@@ -273,11 +285,13 @@ def main(argv=None):
         ap.error("BASE_REV is required")
     differs = 0
     with tempfile.TemporaryDirectory() as tmp:
-        base = os.path.join(tmp, "base")
+        base, new = os.path.join(tmp, "base"), os.path.join(tmp, "new")
         os.makedirs(base)
+        os.makedirs(new)
         export(args.base_rev, base)
+        snapshot(new)
         sides = [run_probe(tree, os.path.join(tmp, name + ".pkl"))
-                 for tree, name in ((base, "base"), (ROOT, "new"))]
+                 for tree, name in ((base, "base"), (new, "new"))]
     for name in sorted(set(sides[0]) | set(sides[1])):
         word, detail = verdict(*(side.get(name, "missing") for side in sides))
         differs += word != "SAME"
