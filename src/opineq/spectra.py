@@ -73,7 +73,10 @@ class SpectrumReport:
 @lru_cache(maxsize=64)
 def _momentum_log_grid(m: int, n: int, L: float):
     """1/|x| in 2D channel m on the momentum log grid q_i = e^{(n-1-i)h},
-    i = 0..n-1, h = L/(n-1): (S, q) with S = D^{1/2} T_m D^{1/2}, D = diag(q).
+    i = 0..n-1, h = L/(n-1): (t, q), T_m's first column t and the nodes q,
+    two read-only arrays of length n.  The channel operator is
+    D^{1/2} T_m D^{1/2}, D = diag(q); callers form the n x n matrix they
+    solve, so that the cache holds 16n bytes per key.
 
     On phi = q f, the L^2(du) form of a radial momentum function f with
     u = ln q, 1/|x| is the convolution by the even, positive
@@ -85,20 +88,19 @@ def _momentum_log_grid(m: int, n: int, L: float):
     the line, so lambda_max(T_m) < sum_k t_k = M_m(0).  |p| is diag(q),
     and a physical grid [1/r_max, 1/r_min] rescales by 1/r_max.
 
-    The nodes run from e^L down to 1, so that diag(q) - nu S is graded
-    with its large entries first.  LAPACK's tridiagonal reduction of the
-    lower triangle starts there and keeps the eigenvalues of size 1 next
-    to entries of size e^L; in ascending order they drown in its
-    roundoff, eps e^L, 3e3 at L = 44.
+    The nodes run from e^L down to 1, so that H(nu) = D^{1/2} (I - nu T_m)
+    D^{1/2} is graded with its large entries first.  LAPACK's tridiagonal
+    reduction of the lower triangle starts there and keeps the eigenvalues
+    of size 1 next to entries of size e^L; in ascending order they drown
+    in its roundoff, eps e^L, 3e3 at L = 44.
     """
     h = L / (n - 1)
     t = anticomm.band_moments(
         lambda x: np.exp(-0.5 * x) * kernels.coulomb_channel_kernel(m, np.exp(-x)), h, n)
     t[0] *= 2.0
     q = np.exp(h * np.arange(n - 1, -1, -1))
-    S = sla.toeplitz(t)
-    S *= np.outer(np.sqrt(q), np.sqrt(q))
-    return S, q
+    t.flags.writeable = q.flags.writeable = False
+    return t, q
 
 
 _clear_grids = _momentum_log_grid.cache_clear
@@ -106,7 +108,7 @@ _clear_grids = _momentum_log_grid.cache_clear
 
 def _cold_start():
     """The library's one cold-start hook, installed as
-    _momentum_log_grid.cache_clear: it clears the channel matrices, the
+    _momentum_log_grid.cache_clear: it clears the channel columns, the
     thresholds solved from them (_scan_threshold), anticomm's ridge-moment
     blocks and the Kato lattice's zero-field operators
     (lattice.kinetic_matrix), so that the next assembly is cold."""
@@ -131,25 +133,36 @@ def _lowest_eigenvalue(H):
     """
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has entries that are not finite")
-    lam = float(sla.eigvalsh(H, subset_by_index=[0, 0])[0])
+    lam = float(sla.eigvalsh(H, subset_by_index=[0, 0], check_finite=False)[0])
     if abs(lam) <= 64.0 * np.finfo(float).eps * np.linalg.norm(H):
-        lam = float(sla.eigvalsh(H)[0])
+        lam = float(sla.eigvalsh(H, check_finite=False)[0])
     return lam
+
+
+def _toeplitz_view(t):
+    """The symmetric Toeplitz matrix of first column t as a read-only
+    strided view, T[i, j] = t[|i - j|], on 2n - 1 stored values."""
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((t[::-1], t[1:])), t.size)[::-1]
 
 
 def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     """Lowest eigenvalue of |p| - nu/|x| in 2D channel m, on the momentum
     grid [1/r_max, 1/r_min] with grid.n log-spaced nodes.
 
-    H(nu) = diag(q) - nu S = D^{1/2} (I - nu T_m) D^{1/2} is assembled on
-    the grid scaled to [1, r_max/r_min] and its eigenvalue scaled back:
-    |p| - nu/|x| has degree -1.
+    H(nu) = D^{1/2} (I - nu T_m) D^{1/2}, D = diag(q), is assembled on the
+    grid scaled to [1, r_max/r_min] and its eigenvalue scaled back:
+    |p| - nu/|x| has degree -1.  H takes one n x n allocation: the outer
+    product of sqrt(q), scaled in place by a view of T_m.
     """
-    if nu < 0:
-        raise DomainError("coupling nu must be >= 0")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError("coupling nu must be finite and >= 0")
     L = math.log(grid.r_max / grid.r_min)
-    S, q = _momentum_log_grid(abs(m), grid.n, L)
-    H = S * (-nu)  # S is cached: never write into it
+    t, q = _momentum_log_grid(abs(m), grid.n, L)
+    r = np.sqrt(q)
+    H = np.outer(r, r)
+    H *= _toeplitz_view(t)
+    H *= -nu
     H[np.diag_indices(grid.n)] += q
     return _lowest_eigenvalue(H) / grid.r_max
 
@@ -172,16 +185,16 @@ HALF_SCAN_GRID = GridSpec(math.exp(-22.0), 1.0, 276)
 
 @lru_cache(maxsize=2)
 def _scan_threshold(grid: GridSpec):
-    """nu_c(grid) = 1 / lambda_max(T_0), T_0 = D^{-1/2} S D^{-1/2} from the
-    channel-0 S of _momentum_log_grid, in one dense solve.
+    """nu_c(grid) = 1 / lambda_max(T_0), T_0 the Toeplitz matrix of the
+    channel-0 column of _momentum_log_grid, in one dense solve.
 
     H(nu) = D^{1/2} (I - nu T_0) D^{1/2}, so by Sylvester's law of inertia
     lambda_min(H(nu)) < 0 exactly when nu > nu_c(grid).  Since
     lambda_max(T_0) < M_0(0), nu_c(grid) lies above Herbst's 1/M_0(0) and
     falls towards it as the span grows.
     """
-    S, q = _momentum_log_grid(0, grid.n, math.log(grid.r_max / grid.r_min))
-    T = S / np.outer(np.sqrt(q), np.sqrt(q))
+    t, _ = _momentum_log_grid(0, grid.n, math.log(grid.r_max / grid.r_min))
+    T = sla.toeplitz(t)
     return 1.0 / float(sla.eigvalsh(T, subset_by_index=[grid.n - 1, grid.n - 1])[0])
 
 

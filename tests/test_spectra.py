@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -25,6 +26,7 @@ from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID
                             hydrogen2d, lambda_min_anticomm, mellin_multiplier)
 
 HERBST_2D = 0.228473290522232  # 2 Gamma(3/4)^2 / Gamma(1/4)^2, sanity anchor only
+POOL_GRIDS = ((20.0, 300), (23.0, 400), (26.0, 500))  # perfbench's (span, n) pool
 
 
 def test_gridspec_validation():
@@ -73,21 +75,49 @@ def test_gridspec_validation_property(r_min, r_max):
     assert math.isfinite(g.log_step()) and g.log_step() > 0
 
 
-def _toeplitz(S, q):
-    """T_m = D^{-1/2} S D^{-1/2} from _momentum_log_grid's (S, q)."""
-    return S / np.outer(np.sqrt(q), np.sqrt(q))
-
-
 def test_momentum_channel_symmetric_psd():
-    # 1/|x| is a positive operator with a positive kernel: S is symmetric
-    # with positive entries, and T_m positive definite (measured lambda_min
-    # 0.0186 at n = 400)
+    # 1/|x| is a positive operator with a positive kernel: T_m's column is
+    # positive, and T_m positive definite (measured lambda_min 0.0186 at
+    # n = 400)
     for m in (0, 1, 2):
-        S, q = _momentum_log_grid(m, 400, 20.0)
-        assert np.array_equal(S, S.T) and np.all(S > 0.0)
+        t, q = _momentum_log_grid(m, 400, 20.0)
+        assert np.all(t > 0.0)
         assert np.all(np.diff(q) < 0.0) and q[-1] == 1.0
-        ev = np.linalg.eigvalsh(_toeplitz(S, q))
+        ev = np.linalg.eigvalsh(sla.toeplitz(t))
         assert ev[0] > 1e-3 * ev[-1]
+
+
+def test_momentum_log_grid_entries_are_read_only_columns():
+    # every cache entry is T_m's column and the nodes, 16n bytes, and
+    # every caller gets the same two arrays: an in-place write into either
+    # raises.  No n x n array outlives a solve: after the 11 cold keys of
+    # the pool grids and the scan, 0.097 MB stays allocated (measured),
+    # against 0.61 MB for the smallest matrix solved and 15.1 MB with the
+    # 11 dense matrices cached
+    _momentum_log_grid.cache_clear()
+    grids = [GridSpec(math.exp(-span), 1.0, n) for span, n in POOL_GRIDS]
+    tracemalloc.start()
+    try:
+        for g in grids:
+            for m in (0, 1, 2):
+                chandrasekhar_lowest(0.3, m, g)
+        critical_coupling_toeplitz()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2e5
+    keys = [(m, g) for g in grids for m in (0, 1, 2)] + [(0, SCAN_GRID), (0, HALF_SCAN_GRID)]
+    info = _momentum_log_grid.cache_info()
+    assert info.currsize == len(keys)
+    for m, g in keys:
+        t, q = _momentum_log_grid(m, g.n, math.log(g.r_max / g.r_min))
+        assert t.shape == q.shape == (g.n,) and t.nbytes + q.nbytes == 16 * g.n
+        for a in (t, q):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+    assert _momentum_log_grid.cache_info().hits == info.hits + len(keys)
 
 
 def test_anticomm_matrix_rayleigh_vs_lieb_yau():
@@ -155,8 +185,8 @@ def _pairwise_log_grid(n, L):
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_log_grid_matches_pairwise_form(m):
-    # S against sqrt(q_i q_j) t_|i-j| built one band at a time, each band
-    # of kappa_m(x) = e^{-x/2} k_m(e^{-x}) by its own adaptive quadrature,
+    # T_m's column against its bands built one at a time, each band of
+    # kappa_m(x) = e^{-x/2} k_m(e^{-x}) by its own adaptive quadrature,
     # band 0 as both halves of [-h/2, h/2].  band_moments integrates the
     # first bands to 1e-10; measured up to 1.7e-11 off in band 0, the log
     # singularity's, and 1.3e-14 elsewhere
@@ -166,15 +196,12 @@ def test_log_grid_matches_pairwise_form(m):
     def kappa(x):
         return np.exp(-0.5 * x) * coulomb_channel_kernel(m, np.exp(-x))
 
-    t = [2.0 * integrate_adaptive(kappa, 0.0, h / 2.0, 1e-13).value]
-    t += [integrate_adaptive(kappa, (k - 0.5) * h, (k + 0.5) * h, 1e-13).value
-          for k in range(1, n)]
+    ref = [2.0 * integrate_adaptive(kappa, 0.0, h / 2.0, 1e-13).value]
+    ref += [integrate_adaptive(kappa, (k - 0.5) * h, (k + 0.5) * h, 1e-13).value
+            for k in range(1, n)]
     q = np.exp(h * np.arange(n - 1, -1, -1))
-    ref = np.array([[math.sqrt(q[i] * q[j]) * t[abs(i - j)] for j in range(n)]
-                    for i in range(n)])
-    S, nodes = _momentum_log_grid(m, n, L)
-    assert np.array_equal(S, S.T)
-    assert np.max(np.abs(S / ref - 1.0)) <= 1e-10
+    t, nodes = _momentum_log_grid(m, n, L)
+    assert np.max(np.abs(t / np.array(ref) - 1.0)) <= 1e-10
     assert np.allclose(nodes, q, rtol=1e-15)
 
 
@@ -286,8 +313,9 @@ def test_chandrasekhar_zero_coupling_psd():
     g = GridSpec(1e-6, 1.0, 400)
     e = chandrasekhar_lowest(0.0, 0, g)
     assert e >= -1e-10 / g.r_min
-    with pytest.raises(DomainError):
-        chandrasekhar_lowest(-0.1, 0, g)
+    for nu in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            chandrasekhar_lowest(nu, 0, g)
 
 
 def test_chandrasekhar_subcritical_stable():
@@ -338,11 +366,10 @@ def test_lowest_eigenvalue_rejects_non_finite(bad):
 def test_deflation_sizes(solved_orders):
     # nothing is deflated: the pool grids and the anticommutator blocks are
     # solved whole
-    pool = ((20.0, 300), (23.0, 400), (26.0, 500))
-    for span, n in pool:
+    for span, n in POOL_GRIDS:
         for m in (0, 1, 2):
             chandrasekhar_lowest(0.3, m, GridSpec(math.exp(-span), 1.0, n))
-    assert solved_orders == [n for _, n in pool for _ in range(3)]
+    assert solved_orders == [n for _, n in POOL_GRIDS for _ in range(3)]
     solved_orders.clear()
     for d in (2, 3):
         lambda_min_anticomm(d)
@@ -356,10 +383,12 @@ def test_classify_endpoints():
 
 
 def _scan_matrix(nu):
-    """H(nu) = diag(q) - nu S, the scaled channel-0 matrix on SCAN_GRID."""
+    """H(nu) = D^{1/2} (I - nu T_0) D^{1/2}, D = diag(q), the scaled
+    channel-0 matrix on SCAN_GRID."""
     g = SCAN_GRID
-    S, q = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
-    return np.diag(q) - nu * S
+    t, q = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
+    r = np.sqrt(q)
+    return np.diag(q) - nu * sla.toeplitz(t) * np.outer(r, r)
 
 
 def test_scan_threshold_against_cholesky():
@@ -553,7 +582,7 @@ def _gamma_symbol(m):
 def _nu_c(m, L, h=0.1):
     """1 / lambda_max(T_m) on a span L with step h."""
     n = round(L / h) + 1
-    T = _toeplitz(*_momentum_log_grid(m, n, L))
+    T = sla.toeplitz(_momentum_log_grid(m, n, L)[0])
     return 1.0 / float(sla.eigvalsh(T, subset_by_index=[n - 1, n - 1])[0])
 
 
@@ -561,8 +590,7 @@ def _nu_c(m, L, h=0.1):
 def test_channel_band_total_matches_closed_form(m):
     # t_0 + 2 sum_{k>=1} t_k = int kappa_m = M_m(0); the bands past a span
     # of 60 add below 1e-12 (measured within 3.3e-12 relative)
-    S, q = _momentum_log_grid(m, 601, 60.0)
-    t = _toeplitz(S, q)[-1, ::-1]
+    t, _ = _momentum_log_grid(m, 601, 60.0)
     assert t[0] + 2.0 * np.sum(t[1:]) == pytest.approx(_gamma_symbol(m), rel=1e-10)
 
 

@@ -38,11 +38,12 @@ the probe pickles into FILE, by name:
   and evaluation counts, each apart;
 - `anticomm.nonrel_form` of the log-Gaussians at five sigma from 0.25 to 4
   and of the log_linear_cutoff trials at sigma = 0.2 and 0.3;
-- the Toeplitz column of the channel operator, `D^{-1/2} S D^{-1/2}` from
-  `spectra._momentum_log_grid(m, n, L)`'s `(S, q)` read along the row of
-  q = 1, for m = 0, 1, 2 on `spectra.SCAN_GRID` and on perfbench's three
-  coupling pool grids (a tree with the position-space channel matrix
-  gives other numbers under the same name);
+- the Toeplitz column of the channel operator, the `t` of
+  `spectra._momentum_log_grid(m, n, L)`'s `(t, q)`, or on a tree whose
+  first item is the matrix `S = D^{1/2} T_m D^{1/2}`, `D^{-1/2} S D^{-1/2}`
+  read along the row of q = 1, for m = 0, 1, 2 on `spectra.SCAN_GRID` and
+  on perfbench's three coupling pool grids (a tree with the
+  position-space channel matrix gives other numbers under the same name);
 - `spectra.critical_coupling_toeplitz`'s nu_c and uncertainty (on a tree
   without it, `critical_coupling_bisect`'s); the sides of
   `spectra.classify_coupling` at nu = 0.05, 0.075, ..., 0.6; and
@@ -111,11 +112,15 @@ def angular_kernel(d, um1):
 
 
 def toeplitz_column(m, grid):
-    """T_m's first column: D^{-1/2} S D^{-1/2} along the row of q = 1."""
+    """T_m's first column: the 1-D first item of _momentum_log_grid's pair
+    as it is, or from a 2-D one, S, D^{-1/2} S D^{-1/2} along the row of
+    q = 1."""
     from opineq import spectra
-    S, q = spectra._momentum_log_grid(m, grid.n, math.log(grid.r_max / grid.r_min))
+    first, q = spectra._momentum_log_grid(m, grid.n, math.log(grid.r_max / grid.r_min))
+    if first.ndim == 1:
+        return first
     row = int(np.argmin(q))
-    T = S[row] / np.sqrt(q[row] * q)
+    T = first[row] / np.sqrt(q[row] * q)
     return T[::-1] if row else T
 
 
