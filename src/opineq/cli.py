@@ -152,7 +152,7 @@ def cmd_positivity(args):
 
 
 def cmd_hydrogen(args):
-    from .spectra import DEFAULT_HYDROGEN_GRID, GridSpec, hydrogen2d
+    from .spectra import DEFAULT_HYDROGEN_GRID, GridSpec, hydrogen2d, hydrogen_channels
     grid = args.grid or DEFAULT_HYDROGEN_GRID
     failures = []
     rows = []
@@ -168,19 +168,19 @@ def cmd_hydrogen(args):
         if g != 2 * n + 1 and args.m_max >= n:
             failures.append("level %d degeneracy %d != %d" % (n, g, 2 * n + 1))
     if args.refine_trace:
+        # the n // 2 and n rows are hydrogen2d's own trace
+        quarter = GridSpec(grid.r_min, grid.r_max, grid.n // 4)
+        coarse = tuple(map(float, hydrogen_channels(args.charge, quarter, 0, args.levels)[0]))
         errs_prev = None
-        for factor in (4, 2, 1):
-            sub = GridSpec(grid.r_min, grid.r_max, grid.n // factor)
-            r = hydrogen2d(args.charge, 0, sub, n_levels=args.levels, check=False)
+        for k, ev in ((quarter.n, coarse),) + rep.refinement_trace:
             errs = [abs(e - (-args.charge ** 2 / (2 * (n + 0.5) ** 2)))
-                    for n, e, _ in r.levels]
-            rows.append({"level": "trace-n=%d" % sub.n,
-                         "energy": r.levels[0][1],
+                    for n, e in enumerate(ev)]
+            rows.append({"level": "trace-n=%d" % k, "energy": ev[0],
                          "reference": max(errs), "rel_error": float("nan"),
                          "degeneracy": 0, "provenance": "refinement trace"})
             if errs_prev is not None and not all(b < a for a, b in
                                                  zip(errs_prev, errs)):
-                failures.append("refinement trace not monotone at n=%d" % sub.n)
+                failures.append("refinement trace not monotone at n=%d" % k)
             errs_prev = errs
     meta = _meta(args, "hydrogen", charge=args.charge, m_max=args.m_max,
                  levels=args.levels,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opineq import lattice
+from opineq import lattice, spectra
 from opineq.cli import main
 
 
@@ -156,6 +156,29 @@ def test_hydrogen_refine_trace(capsys):
     assert [r["level"] for r in trace] == ["trace-n=225", "trace-n=450", "trace-n=900"]
     errs = [r["reference"] for r in trace]
     assert errs[0] > errs[1] > errs[2] > 0.0
+
+
+def test_hydrogen_refine_trace_reuses_the_level_solve(capsys, monkeypatch):
+    # three channels on n = 900 and the half-grid check on 450 in
+    # hydrogen2d, then only the n / 4 grid for the trace: its n / 2 and n
+    # rows are hydrogen2d's own refinement trace, bit for bit
+    sizes = []
+    solve = spectra.sla.eigvalsh_tridiagonal
+
+    def counted(d, e, **kwargs):
+        sizes.append(len(d))
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigvalsh_tridiagonal", counted)
+    code, out, _ = run(["hydrogen", "--refine-trace", "--format", "json"], capsys)
+    assert code == 0
+    assert sizes == [900, 900, 900, 450, 225]
+    trace = [r for r in json.loads(out)["rows"] if r["provenance"] == "refinement trace"]
+    for row, (n, ev) in zip(trace[1:], spectra.hydrogen2d(1.0, 2).refinement_trace):
+        assert row["level"] == "trace-n=%d" % n
+        assert row["energy"] == ev[0]
+        assert row["reference"] == max(abs(e + 0.5 / (k + 0.5) ** 2)
+                                       for k, e in enumerate(ev))
 
 
 def _critical_rows(method, capsys):

@@ -18,12 +18,12 @@ from opineq.kernels import coulomb_channel_kernel
 from opineq.quadrature import integrate_adaptive
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
                             HALF_SCAN_GRID, SCAN_GRID, GridSpec,
-                            _anticomm_matrix, _hydrogen_channel,
-                            _lowest_eigenvalue, _momentum_log_grid,
+                            _anticomm_matrix, _lowest_eigenvalue, _momentum_log_grid,
                             _scan_threshold,
                             chandrasekhar_lowest, classify_coupling,
                             critical_coupling_mellin, critical_coupling_toeplitz,
-                            hydrogen2d, lambda_min_anticomm, mellin_multiplier)
+                            hydrogen2d, hydrogen_channels, lambda_min_anticomm,
+                            mellin_multiplier)
 
 HERBST_2D = 0.228473290522232  # 2 Gamma(3/4)^2 / Gamma(1/4)^2, sanity anchor only
 POOL_GRIDS = ((20.0, 300), (23.0, 400), (26.0, 500))  # perfbench's (span, n) pool
@@ -252,14 +252,14 @@ def test_hydrogen_refinement_monotone():
     refs = [-0.5 / (k + 0.5) ** 2 for k in range(3)]
     errs = []
     for n in (300, 600, 1200):
-        rep = hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, n), check=False)
-        errs.append([abs(e - r) / abs(r) for (_, e, _), r in zip(rep.levels, refs)])
+        ev = hydrogen_channels(1.0, GridSpec(1e-3, 120.0, n), 0, 3)[0]
+        errs.append([abs(e - r) / abs(r) for e, r in zip(ev, refs)])
     for a, b in zip(errs, errs[1:]):
         assert all(y < x for x, y in zip(a, b))
 
 
 def _dense_hydrogen_channel(Z, m, grid, count):
-    """The log-grid finite-difference matrix of _hydrogen_channel assembled
+    """The log-grid finite-difference matrix of hydrogen_channels assembled
     densely and solved with the general symmetric solver."""
     n, h = grid.n, grid.log_step()
     s = np.log(grid.nodes())
@@ -279,9 +279,9 @@ def _dense_hydrogen_channel(Z, m, grid, count):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_hydrogen_channel_tridiagonal_matches_dense(Z, m):
     g = DEFAULT_HYDROGEN_GRID
-    grid = GridSpec(g.r_min / Z, g.r_max / Z, g.n)
-    ev = _hydrogen_channel(Z, m, grid, 3)
-    ref = _dense_hydrogen_channel(Z, m, grid, 3)
+    # channel m of hydrogen_channels holds n_levels - m = 3 levels
+    ev = hydrogen_channels(Z, g, m, m + 3)[m]
+    ref = _dense_hydrogen_channel(Z, m, GridSpec(g.r_min / Z, g.r_max / Z, g.n), 3)
     assert np.all(np.abs(ev - ref) <= 1e-13 * np.abs(ref))
 
 
@@ -302,8 +302,6 @@ def test_hydrogen_check_needs_a_32_node_grid():
     for n in (16, 31):
         with pytest.raises(DomainError):
             hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, n))
-    rep = hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 16), check=False)
-    assert len(rep.refinement_trace) == 1
     with pytest.raises(RefinementNeededError) as exc:
         hydrogen2d(1.0, 0, GridSpec(1e-3, 120.0, 32))
     assert exc.value.trace[0][0] == 16
@@ -374,6 +372,37 @@ def test_deflation_sizes(solved_orders):
     for d in (2, 3):
         lambda_min_anticomm(d)
     assert solved_orders == 2 * [round(L / 0.08) + 1 for L in ANTICOMM_SPANS]
+
+
+def test_lowest_eigenvalue_within_its_bisection_width():
+    # chandrasekhar_lowest's single-index solve stops at an absolute width
+    # of about eps ||H||: on the pool grids it differs from a full-spectrum
+    # solve of the same H(nu) by up to 4.1 eps ||H||_F on 2 BLAS threads
+    # (1.9 on one), up to 2.6e-5 relative (measured)
+    eps = np.finfo(float).eps
+    for span, n in POOL_GRIDS:
+        g = GridSpec(math.exp(-span), 1.0, n)
+        for m in (0, 1, 2):
+            t, q = _momentum_log_grid(m, n, span)
+            for nu in np.linspace(0.05, 0.95, 4):
+                H = np.outer(np.sqrt(q), np.sqrt(q)) * sla.toeplitz(t) * -nu + np.diag(q)
+                full = sla.eigvalsh(H)[0]
+                lam = chandrasekhar_lowest(nu, m, g)
+                assert abs(lam - full) <= 16.0 * eps * np.linalg.norm(H)
+
+
+def test_scan_threshold_solves_t0_in_place():
+    # T_0 is symmetric, so its transpose is the Fortran-order array LAPACK
+    # takes and the solve overwrites it: a cold solve on SCAN_GRID peaks at
+    # 1.13 T_0.nbytes (measured), where a copy in Fortran order took 2.07
+    _momentum_log_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        _scan_threshold(SCAN_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * SCAN_GRID.n ** 2
 
 
 def test_classify_endpoints():
@@ -680,14 +709,16 @@ def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
 
 
 def test_grid_cache_clear_clears_ridge_blocks():
-    # the cold-start hook clears the channel matrices, the scan thresholds,
-    # the ridge-moment blocks and the Kato lattice's zero-field operators
+    # the cold-start hook clears the channel columns, the scan thresholds,
+    # the ridge-moment blocks, the kernel's closed-form scalars and the Kato
+    # lattice's zero-field operators; from a cold start every one refills
+    _momentum_log_grid.cache_clear()
     critical_coupling_toeplitz()
     lambda_min_anticomm(3)
     lattice.kinetic_matrix(lattice.make_fields(1.0, 1.0, lattice.SquareGrid(12.0, 16)),
                            0.0, "none")
     caches = (_momentum_log_grid, _scan_threshold, anticomm._moment_block,
-              lattice._zero_field)
+              kernels._closed_form, lattice._zero_field)
     assert all(c.cache_info().currsize > 0 for c in caches)
     _momentum_log_grid.cache_clear()
     assert all(c.cache_info().currsize == 0 for c in caches)

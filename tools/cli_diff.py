@@ -24,6 +24,7 @@ COMMANDS = (
     ["positivity"],
     ["positivity", "--nonrel"],
     ["hydrogen", "--refine-trace"],
+    ["hydrogen", "--charge", "2.5", "--refine-trace"],
     ["critical", "--method", "both"],
     ["kato"],
     ["bounds", "--charge", "1", "--delta", "0"],
