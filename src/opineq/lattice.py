@@ -18,9 +18,11 @@ grid about its centre permutes the four classes in one orbit, and every
 field make_fields builds is symmetric under it, so the four blocks are one
 block re-indexed: a single eigensolve of size N/4 replaces one of size N.
 A block that is not the turned previous one (a gauge-shifted field, say)
-gets its own solve.  T_m is kept as the four blocks and applied block by
-block; with zero field every link phase is 1, so the blocks are real and
-so is their arithmetic.
+gets its own solve.  (p+A)^2 is assembled block by block from the
+stencil, and T_m is kept as the four blocks and applied block by block,
+so no N x N array is formed; with zero field every link phase is 1, so
+the blocks are real and so is their arithmetic.  kato_random_run draws
+and tests its samples in slabs of a fixed number of elements.
 """
 
 import functools
@@ -122,8 +124,10 @@ def discrete_curl(A, h):
     return ((ay[2:, 1:-1] - ay[:-2, 1:-1]) - (ax[1:-1, 2:] - ax[1:-1, :-2])) / (2 * h)
 
 
-def _kinetic_square(A, grid, boundary):
-    """(p+A)^2 as a dense complex matrix over flattened (i, j) node indices.
+def _stencil(A, grid, boundary):
+    """The entries of (p+A)^2 on the n x n grid, as (hops, diagonal): per
+    axis the two-hop entry from each node, and each node's link count, all
+    over 4h^2; real when A is identically zero.
 
     Per axis, P = (-i/2h)(U - U^H) with U the forward links u_ab =
     exp(-i h (A_a + A_b)/2), so P^2 = (U U^H + U^H U - U^2 - U^H^2)/4h^2:
@@ -131,9 +135,8 @@ def _kinetic_square(A, grid, boundary):
     their conjugates.
     """
     n, h = grid.n, grid.h
-    N = n * n
-    node = np.arange(N).reshape(n, n)
-    H = np.zeros((N, N), dtype=complex)
+    real = not np.any(A)
+    hops = []
     links = np.zeros((n, n))
     for axis in (0, 1):
         u = np.exp(-0.5j * h * (A[axis] + np.roll(A[axis], -1, axis)))
@@ -141,11 +144,32 @@ def _kinetic_square(A, grid, boundary):
             u[(slice(None),) * axis + (-1,)] = 0.0  # no link leaves the edge
         w = np.abs(u) ** 2
         links += w + np.roll(w, 1, axis)  # links leaving and entering a node
-        a, c = node.ravel(), np.roll(node, -2, axis).ravel()
-        hop = (-u * np.roll(u, -1, axis)).ravel() / (4.0 * h * h)
-        H[a, c] += hop
-        H[c, a] += hop.conj()
-    H[np.diag_indices(N)] += links.ravel() / (4.0 * h * h)
+        hop = (-u * np.roll(u, -1, axis)) / (4.0 * h * h)
+        hops.append(hop.real if real else hop)  # every link phase is exactly 1
+    return hops, links / (4.0 * h * h)
+
+
+def _kinetic_square(stencil, k):
+    """Parity class k's (N/4, N/4) block of (p+A)^2 from its _stencil,
+    over the class's nodes in _parity_classes order.
+
+    A two-hop is one step on the class's own n/2 x n/2 grid.  Each entry
+    sums its terms in the order of the N x N matrix's entry (axis 0, then
+    1, then the diagonal), so the block is bitwise that matrix's class
+    block, also where a periodic two-hop wraps onto a node's own entry
+    (n = 2) or its partner's (n = 4).
+    """
+    hops, diagonal = stencil
+    p, q = divmod(k, 2)
+    half = diagonal.shape[0] // 2
+    node = np.arange(half * half).reshape(half, half)
+    H = np.zeros((half * half, half * half), dtype=hops[0].dtype)
+    for axis, hop in enumerate(hops):
+        a, c = node.ravel(), np.roll(node, -1, axis).ravel()
+        x = hop[p::2, q::2].ravel()
+        H[a, c] += x
+        H[c, a] += x.conj()
+    H[np.diag_indices(half * half)] += diagonal[p::2, q::2].ravel()
     return H
 
 
@@ -228,14 +252,16 @@ def _zero_field(grid, mass, boundary):
 def _solve(A, grid, mass, component, boundary):
     """T_m of the vector potential A, one eigensolve per quarter-turn orbit.
 
-    The quarter turn of the grid that maps class (p, q) to (q, 1 - p)
-    walks the classes in _ORBIT order and maps each class's n/2 x n/2
-    sub-array onto the next one's by a clockwise quarter turn, a
-    permutation P.  When a block B' agrees with the turned previous block
-    P^T B P to 4 eps max|B|, its T block is the turned previous T block,
-    since f(P^T B P) = P^T f(B) P.  The difference E has the 5-point
-    pattern, at most five entries per row and column, so ||E||_2 <=
-    5 max|E| <= 20 eps ||B||_2, and three steps add at most 60 eps ||B||_2.
+    Each class's block of (p+A)^2 is built when the walk reaches it, so
+    no N x N array is formed.  The quarter turn of the grid that maps
+    class (p, q) to (q, 1 - p) walks the classes in _ORBIT order and maps
+    each class's n/2 x n/2 sub-array onto the next one's by a clockwise
+    quarter turn, a permutation P.  When a block B' agrees with the turned
+    previous block P^T B P to 4 eps max|B|, its T block is the turned
+    previous T block, since f(P^T B P) = P^T f(B) P.  The difference E
+    has the 5-point pattern, at most five entries per row and column, so
+    ||E||_2 <= 5 max|E| <= 20 eps ||B||_2, and three steps add at most
+    60 eps ||B||_2.
     That is inside the backward error eigh's own bound allows, p(N/4) eps
     ||B||_2 with p growing with the block size, so the copy loses nothing
     a solve would resolve (the argument of spectra._lowest_eigenvalue).
@@ -243,9 +269,7 @@ def _solve(A, grid, mass, component, boundary):
     hermiticity and semidefiniteness and has its roundoff-floor
     eigenvalues zeroed, and the norm is the largest of their top values.
     """
-    H = _kinetic_square(A, grid, boundary)
-    real = not np.any(A)  # every link phase is exactly 1
-    classes = _parity_classes(grid.n)
+    stencil = _stencil(A, grid, boundary)
     half = grid.n // 2
     turn = np.rot90(np.arange(half * half).reshape(half, half), -1).ravel()
     turned = np.ix_(turn, turn)
@@ -253,11 +277,7 @@ def _solve(A, grid, mass, component, boundary):
     norm = 0.0
     prev = None
     for k in _ORBIT:
-        # the blocks are what eigh reads; entries across classes are 0
-        c = classes[k]
-        B = H[np.ix_(c, c)]
-        if real:
-            B = B.real
+        B = _kinetic_square(stencil, k)
         if prev is not None and (np.max(np.abs(B - prev[turned]))
                                  <= 4 * np.finfo(float).eps * np.max(np.abs(prev))):
             Tc = Tc[turned]
@@ -346,6 +366,14 @@ class KatoRun:
         return self.max_violation <= self.tol_violation
 
 
+# samples x N elements per slab of kato_random_run.  On perfbench's kato
+# workload (1 BLAS thread, 2 cores, medians of 10 runs) 16,384 ran 72.5
+# tasks/s with a median task of 9.34 ms, 32,768 ran 70.5 and 9.93 ms, and
+# 8,192 ran 67.2 (6 runs); the draws and kato_test temporaries of a run
+# peak at 1.8 to 2.6 MB traced for n = 16 to 48
+_SLAB_ELEMENTS = 16384
+
+
 def kato_random_run(fld: LatticeField, mass: float, component: str,
                     samples: int = 200, seed: int = 1234,
                     nonneg_phi: bool = False) -> KatoRun:
@@ -353,7 +381,9 @@ def kato_random_run(fld: LatticeField, mass: float, component: str,
     1e-10 * ||eta|| ||phi|| ||T|| relative tolerance.
 
     nonneg_phi draws phi >= 0 real; with zero field that is the exact
-    equality case of the inequality.
+    equality case of the inequality.  The samples are drawn and tested in
+    slabs of max(1, _SLAB_ELEMENTS // N) rows, so the draws and kato_test's
+    temporaries stay bounded whatever the sample count.
     """
     if samples < 1:
         raise DomainError("need samples >= 1")
@@ -362,14 +392,19 @@ def kato_random_run(fld: LatticeField, mass: float, component: str,
     rng = np.random.default_rng(seed)
     N = fld.grid.n ** 2
     h2 = fld.grid.h ** 2
-    # one draw in the per-sample order eta, then phi (real, imaginary)
-    z = rng.standard_normal((samples, 2 if nonneg_phi else 3, N))
-    eta = np.abs(z[:, 0])
-    phi = np.abs(z[:, 1]) if nonneg_phi else z[:, 1] + 1j * z[:, 2]
-    lhs, rhs = kato_test(eta, phi, T_free, T_mag)
-    gaps = lhs - rhs
-    tols = (1e-10 * h2 * np.linalg.norm(eta, axis=1) * np.linalg.norm(phi, axis=1)
-            * T_mag.norm)
+    rows = max(1, _SLAB_ELEMENTS // N)
+    gaps, tols = np.empty(samples), np.empty(samples)
+    for s0 in range(0, samples, rows):
+        s1 = min(samples, s0 + rows)
+        # one draw in the per-sample order eta, then phi (real, imaginary):
+        # slab by slab, the generator's stream is the same
+        z = rng.standard_normal((s1 - s0, 2 if nonneg_phi else 3, N))
+        eta = np.abs(z[:, 0])
+        phi = np.abs(z[:, 1]) if nonneg_phi else z[:, 1] + 1j * z[:, 2]
+        lhs, rhs = kato_test(eta, phi, T_free, T_mag)
+        gaps[s0:s1] = lhs - rhs
+        tols[s0:s1] = (1e-10 * h2 * np.linalg.norm(eta, axis=1)
+                       * np.linalg.norm(phi, axis=1) * T_mag.norm)
     rel = gaps / tols
     edges = np.array([-np.inf, -1e3, -1e0, -1e-3, 0.0, 1e-3, 1e0, np.inf])
     counts = np.histogram(rel, bins=edges)[0]

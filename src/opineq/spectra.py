@@ -12,7 +12,7 @@ log-interval.  2D hydrogen is tridiagonal in each channel (hydrogen_channels).
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -112,21 +112,26 @@ def _cold_start():
 _momentum_log_grid.cache_clear = _cold_start
 
 
-def _lowest_eigenvalue(H):
-    """Lowest eigenvalue of the symmetric H.  An inf or NaN entry raises
-    DomainError.
+def _lowest_eigenvalue(assemble):
+    """Lowest eigenvalue of the bitwise symmetric C-ordered H = assemble().
+    An inf or NaN entry raises DomainError.
 
     The solve for that eigenvalue alone ends its bisection at an absolute
     width of eps ||H||.  Where it lands within 64 eps ||H||_F of 0, a solve
     of the whole spectrum replaces it: LAPACK's QR iteration keeps the
     small eigenvalues of a matrix graded with its large entries first to
-    their relative accuracy (Demmel-Veselic).
+    their relative accuracy (Demmel-Veselic).  Each solve overwrites H.T,
+    the Fortran-order array LAPACK takes, instead of copying H into that
+    order, so the fallback assembles its own H.
     """
+    H = assemble()
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has entries that are not finite")
-    lam = float(sla.eigvalsh(H, subset_by_index=[0, 0], check_finite=False)[0])
-    if abs(lam) <= 64.0 * np.finfo(float).eps * np.linalg.norm(H):
-        lam = float(sla.eigvalsh(H, check_finite=False)[0])
+    floor = 64.0 * np.finfo(float).eps * np.linalg.norm(H)
+    lam = float(sla.eigvalsh(H.T, subset_by_index=[0, 0], overwrite_a=True,
+                             check_finite=False)[0])
+    if abs(lam) <= floor:
+        lam = float(sla.eigvalsh(assemble().T, overwrite_a=True, check_finite=False)[0])
     return lam
 
 
@@ -144,7 +149,8 @@ def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     H(nu) = D^{1/2} (I - nu T_m) D^{1/2}, D = diag(q), is assembled on the
     grid scaled to [1, r_max/r_min] and its eigenvalue scaled back:
     |p| - nu/|x| has degree -1.  H takes one n x n allocation: the outer
-    product of sqrt(q), scaled in place by a view of T_m.
+    product of sqrt(q), scaled in place by a view of T_m, which the solve
+    then overwrites.
 
     It carries _lowest_eigenvalue's bisection width: on perfbench's pool
     grids it differs from a full-spectrum solve of the same H by up to
@@ -155,11 +161,15 @@ def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     L = math.log(grid.r_max / grid.r_min)
     t, q = _momentum_log_grid(abs(m), grid.n, L)
     r = np.sqrt(q)
-    H = np.einsum("i,j->ij", r, r)
-    H *= _toeplitz_view(t)
-    H *= -nu
-    H[np.diag_indices(grid.n)] += q
-    return _lowest_eigenvalue(H) / grid.r_max
+
+    def assemble():
+        H = np.einsum("i,j->ij", r, r)
+        H *= _toeplitz_view(t)
+        H *= -nu
+        H[np.diag_indices(grid.n)] += q
+        return H
+
+    return _lowest_eigenvalue(assemble) / grid.r_max
 
 
 # ---------------------------------------------------------------------------
@@ -375,5 +385,6 @@ def lambda_min_anticomm(d: float):
     """inf spec of |x||p| + |p||x| in channel 0 (a pure number by scale
     invariance, exactly d - 2), with the trace of (L, lambda) pairs: the
     lowest eigenvalue of _anticomm_matrix(d, L), decreasing towards d - 2."""
-    trace = tuple((L, _lowest_eigenvalue(_anticomm_matrix(d, L))) for L in ANTICOMM_SPANS)
+    trace = tuple((L, _lowest_eigenvalue(partial(_anticomm_matrix, d, L)))
+                  for L in ANTICOMM_SPANS)
     return trace[-1][1], trace

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from opineq.errors import ConfigurationError, DomainError
 from opineq.lattice import (LatticeField, SquareGrid, discrete_curl,
                             kato_random_run, kato_test, kinetic_matrix,
                             make_fields, _background, _cavity, _kinetic_square,
-                            _parity_classes)
+                            _parity_classes, _stencil)
 
 
 def _hop_matrices(A, grid, boundary):
@@ -47,6 +48,35 @@ def _hop_matrices(A, grid, boundary):
 def _reference_square(fld, component, boundary="open"):
     Px, Py = _hop_matrices(fld.component(component), fld.grid, boundary)
     return Px @ Px + Py @ Py
+
+
+def _dense_square(A, grid, boundary):
+    """Reference: (p+A)^2 as one dense N x N complex matrix, the link count
+    on the diagonal and -u_ab u_bc/4h^2 plus its conjugate on the two-hop
+    entries, each entry summed in _kinetic_square's order."""
+    n, h = grid.n, grid.h
+    N = n * n
+    node = np.arange(N).reshape(n, n)
+    H = np.zeros((N, N), dtype=complex)
+    links = np.zeros((n, n))
+    for axis in (0, 1):
+        u = np.exp(-0.5j * h * (A[axis] + np.roll(A[axis], -1, axis)))
+        if boundary != "periodic":
+            u[(slice(None),) * axis + (-1,)] = 0.0
+        w = np.abs(u) ** 2
+        links += w + np.roll(w, 1, axis)
+        a, c = node.ravel(), np.roll(node, -2, axis).ravel()
+        hop = (-u * np.roll(u, -1, axis)).ravel() / (4.0 * h * h)
+        H[a, c] += hop
+        H[c, a] += hop.conj()
+    H[np.diag_indices(N)] += links.ravel() / (4.0 * h * h)
+    return H
+
+
+def _square_blocks(fld, component, boundary="open"):
+    """The four parity blocks of (p+A)^2, in _parity_classes order."""
+    stencil = _stencil(fld.component(component), fld.grid, boundary)
+    return [_kinetic_square(stencil, k) for k in range(4)]
 
 
 def _cross_class(M, n):
@@ -203,8 +233,30 @@ _ASSEMBLY_CASES += [(n, "periodic", "none") for n in (2, 4, 10, 16)]
 def test_direct_assembly_matches_loop(n, boundary, component):
     fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
     ref = _reference_square(fld, component, boundary)
-    H = _kinetic_square(fld.component(component), fld.grid, boundary)
-    assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert not np.any(_cross_class(ref, n))
+    for c, B in zip(_parity_classes(n), _square_blocks(fld, component, boundary)):
+        assert np.max(np.abs(B - ref[np.ix_(c, c)])) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("component",
+                         ["none", "background", "cavity", "total", "gauge-shifted"])
+def test_class_blocks_are_the_dense_blocks_bitwise(n, boundary, component):
+    # at n = 2 and 4 periodic a two-hop wraps onto a node's own entry or
+    # its partner's, and the terms must still be summed in the same order
+    fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
+    if component == "gauge-shifted":
+        fld, component = _gauge_shifted(fld), "background"
+    A = fld.component(component)
+    H = _dense_square(A, fld.grid, boundary)
+    for c, B in zip(_parity_classes(n), _square_blocks(fld, component, boundary)):
+        want = H[np.ix_(c, c)]
+        if component == "none":
+            assert B.dtype == np.float64
+            want = want.real
+        assert B.shape == want.shape and B.dtype == want.dtype
+        assert B.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("n,boundary,component",
@@ -217,12 +269,12 @@ def test_block_structure(n, boundary, component, mass):
     fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
     if component == "gauge-shifted":
         fld, component = _gauge_shifted(fld), "background"
-    H = _kinetic_square(fld.component(component), fld.grid, boundary)
     T = kinetic_matrix(fld, mass, component, boundary)
+    H = _reference_square(fld, component, boundary)
     assert not np.any(_cross_class(H, n))
     assert not np.any(_cross_class(T.matrix, n))
     # the full N x N construction, as one eigensolve of the reference square
-    w, V = np.linalg.eigh(_reference_square(fld, component, boundary))
+    w, V = np.linalg.eigh(H)
     w = np.where(w < 1e-13 * max(w[-1], 1.0), 0.0, w)
     f = np.sqrt(w + mass * mass) - mass
     ref = (V * f) @ V.conj().T
@@ -234,14 +286,16 @@ def test_block_structure(n, boundary, component, mass):
 @pytest.mark.parametrize("component", ["background", "total"])
 def test_heat_kernel_domination(n, component):
     # |exp(-t H_A)| <= exp(-t H_0) entrywise: the reason the discrete
-    # diamagnetic inequality holds exactly
+    # diamagnetic inequality holds exactly.  Checked block by block, since
+    # entries across classes are 0 on both sides
     fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
-    H0 = _kinetic_square(fld.component("none"), fld.grid, "open")
-    HA = _kinetic_square(fld.component(component), fld.grid, "open")
+    pairs = list(zip(_square_blocks(fld, "none"), _square_blocks(fld, component)))
     for t in (0.05, 0.5, 2.0):
-        K0 = scipy.linalg.expm(-t * H0).real
-        KA = np.abs(scipy.linalg.expm(-t * HA))
-        assert np.all(KA <= K0 + 1e-12 * np.max(K0))
+        K = [(scipy.linalg.expm(-t * H0).real, np.abs(scipy.linalg.expm(-t * HA)))
+             for H0, HA in pairs]
+        top = max(np.max(K0) for K0, _ in K)
+        for K0, KA in K:
+            assert np.all(KA <= K0 + 1e-12 * top)
 
 
 def _cold():
@@ -295,10 +349,10 @@ def test_zero_field_eigensolves_are_real(monkeypatch):
 def test_kinetic_matrix_rejects_non_hermitian_block(monkeypatch, broken_class):
     # class 0 is the solved one; class 3 then no longer matches its turned
     # predecessor and is solved, so the check fires either way
-    def broken(A, grid, boundary):
-        H = _kinetic_square(A, grid, boundary)
-        c = _parity_classes(grid.n)[broken_class]
-        H[c[0], c[1]] += 1e-3  # one block, one triangle only
+    def broken(stencil, k):
+        H = _kinetic_square(stencil, k)
+        if k == broken_class:
+            H[0, 1] += 1e-3  # one block, one triangle only
         return H
 
     monkeypatch.setattr("opineq.lattice._kinetic_square", broken)
@@ -346,6 +400,50 @@ def test_kato_random_run_matches_per_sample_loop(nonneg_phi):
                     * np.linalg.norm(phi) * T_mag.norm)
     assert run.tol_violation == pytest.approx(min(tols), rel=1e-13)
     assert abs(run.max_violation - max(gaps)) <= 1e-4 * run.tol_violation
+
+
+@pytest.mark.parametrize("nonneg_phi", [False, True])
+def test_kato_random_run_in_slabs_matches_one_stacked_call(nonneg_phi):
+    # 200 samples at n = 32 span several slabs; the slabs draw from the same
+    # stream, so every field is bitwise that of one stacked kato_test
+    n, samples, seed = 32, 200, 23
+    N = n * n
+    assert lattice._SLAB_ELEMENTS // N < samples // 2
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, n))
+    run = kato_random_run(fld, 1.0, "total", samples=samples, seed=seed,
+                          nonneg_phi=nonneg_phi)
+    T_free = kinetic_matrix(fld, 1.0, "none")
+    T_mag = kinetic_matrix(fld, 1.0, "total")
+    z = np.random.default_rng(seed).standard_normal((samples, 2 if nonneg_phi else 3, N))
+    eta = np.abs(z[:, 0])
+    phi = np.abs(z[:, 1]) if nonneg_phi else z[:, 1] + 1j * z[:, 2]
+    lhs, rhs = kato_test(eta, phi, T_free, T_mag)
+    gaps = lhs - rhs
+    tols = (1e-10 * fld.grid.h ** 2 * np.linalg.norm(eta, axis=1)
+            * np.linalg.norm(phi, axis=1) * T_mag.norm)
+    edges = np.array([-np.inf, -1e3, -1e0, -1e-3, 0.0, 1e-3, 1e0, np.inf])
+    want = lattice.KatoRun(
+        field_kind="total", mass=1.0, samples=samples, seed=seed,
+        max_violation=float(np.max(gaps)), tol_violation=float(np.min(tols)),
+        histogram_edges=tuple(edges.tolist()),
+        histogram_counts=tuple(int(c) for c in np.histogram(gaps / tols, bins=edges)[0]))
+    for f in dataclasses.fields(run):
+        assert getattr(run, f.name) == getattr(want, f.name), f.name
+
+
+def test_cold_kato_run_allocates_no_dense_matrix():
+    # a cold run at n = 32 with a field: two kinetic operators, held as
+    # blocks, and the samples in slabs, all below one N x N complex array
+    n = 32
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, n))
+    _cold()
+    tracemalloc.start()
+    try:
+        kato_random_run(fld, 1.0, "total")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n ** 4
 
 
 def _scatter(T):
