@@ -18,7 +18,7 @@ from opineq.kernels import coulomb_channel_kernel
 from opineq.quadrature import integrate_adaptive
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
                             HALF_SCAN_GRID, SCAN_GRID, GridSpec,
-                            _anticomm_matrix, _lowest_eigenvalue, _momentum_log_grid,
+                            _anticomm_column, _lowest_eigenvalue, _momentum_log_grid,
                             _scan_threshold,
                             chandrasekhar_lowest, classify_coupling,
                             critical_coupling_mellin, critical_coupling_toeplitz,
@@ -124,9 +124,10 @@ def test_anticomm_matrix_rayleigh_vs_lieb_yau():
     # the restricted anticommutator in dimension d against the double-integral
     # form 2 alpha_d t it discretizes, on s in [-22, 22]; measured within 2.9e-5
     L = 44.0
+    n = round(L / ANTICOMM_STEP) + 1
     for d in (1.5, 2.0, 2.5, 3.0):
-        H = _anticomm_matrix(d, L)
-        s = np.arange(H.shape[0]) * ANTICOMM_STEP - L / 2.0
+        H = sla.toeplitz(_anticomm_column(d)[:n])
+        s = np.arange(n) * ANTICOMM_STEP - L / 2.0
         for sigma in (0.5, 1.0, 2.0):
             psi = TrialFunction("log_gaussian", sigma)
             v = psi.profile_log(s) * np.exp(0.5 * d * s)
@@ -213,7 +214,7 @@ def test_anticomm_matrix_matches_padded_pairwise_form():
     P = _pairwise_log_grid(N, (N - 1) * ANTICOMM_STEP)[pad:pad + n, pad:pad + n]
     r = np.exp(np.arange(pad, pad + n) * ANTICOMM_STEP)
     ref = (r[:, None] + r[None, :]) * P
-    H = _anticomm_matrix(2.0, 20.0)
+    H = sla.toeplitz(_anticomm_column(2.0)[:n])
     assert H.shape == (n, n) and np.array_equal(H, H.T)
     assert np.max(np.abs(H - ref)) <= 2e-14 * np.max(np.abs(ref))
 
@@ -293,6 +294,16 @@ def test_hydrogen_too_coarse_raises_with_trace():
                              (1.0, -1, 3), (1.0, 0, 0)):
         with pytest.raises(DomainError):
             hydrogen2d(Z, m_max, n_levels=levels)
+
+
+@pytest.mark.parametrize("Z, m_max, n_levels", [
+    (0.0, 0, 3), (-1.0, 0, 3), (math.nan, 0, 3), (math.inf, 0, 3),
+    (1.0, 2.5, 3), (1.0, -1, 3), (1.0, 0, 1.5), (1.0, 0, 0)])
+def test_hydrogen_channels_rejects_bad_input(Z, m_max, n_levels):
+    # the channel solve checks its own inputs, so that Z = 0 raises no
+    # ZeroDivisionError and m_max = -1 returns no empty list
+    with pytest.raises(DomainError):
+        hydrogen_channels(Z, DEFAULT_HYDROGEN_GRID, m_max, n_levels)
 
 
 def test_hydrogen_check_needs_a_32_node_grid():
@@ -455,6 +466,15 @@ def _scan_matrix(nu):
     t, q = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
     r = np.sqrt(q)
     return np.diag(q) - nu * sla.toeplitz(t) * np.outer(r, r)
+
+
+def test_scan_threshold_is_the_largest_eigenvalue_of_t0():
+    # the threshold solves -T_0 for its lowest eigenvalue; that is exactly
+    # the solve of T_0 for its largest
+    for g in (SCAN_GRID, HALF_SCAN_GRID):
+        t, _ = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
+        top = sla.eigvalsh(sla.toeplitz(t), subset_by_index=[g.n - 1, g.n - 1])[0]
+        assert _scan_threshold(g) == 1.0 / top
 
 
 def test_scan_threshold_against_cholesky():
@@ -625,7 +645,6 @@ def test_mellin_uncertainty_covers_herbst_constant():
 def test_critical_coupling_cross_validation():
     mel = critical_coupling_mellin()
     top = critical_coupling_toeplitz()
-    assert top.method == "toeplitz"
     assert [L for L, _ in top.trace] == [44.0, 22.0]
     assert top.nu_c == top.trace[0][1] == pytest.approx(0.2320494590, rel=1e-9)
     assert top.uncertainty == top.trace[1][1] - top.nu_c

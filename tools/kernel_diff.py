@@ -9,10 +9,9 @@ temporary directory, and this working tree is copied into another
 `kernel_diff.py --probe FILE` with that tree's `src` on PYTHONPATH, and
 the probe pickles into FILE, by name:
 
-- the angular kernel K_d (`kernels.polar_batch`, sphere factor included)
-  values and bounds at seven dimensions, on u - 1 from 1e-14 to 1e200 and
-  inf, through either signature, `polar_batch(d, um1)` or the older
-  `polar_batch(d, m, um1)` with m = 0;
+- the angular kernel K_d (`kernels.polar_batch(d, um1)`, sphere factor
+  included) values and bounds at seven dimensions, on u - 1 from 1e-14 to
+  1e200 and inf;
 - `anticomm.gamma`'s value and error estimate, and apart from them its
   evaluation count, at eight dimensions from 1.2 to 12; a change to the
   work alone shows the first SAME and the second DIFFERS;
@@ -30,8 +29,7 @@ the probe pickles into FILE, by name:
   the MELLIN_T points, so that a change to the forms shows for every
   trial family and both H;
 - the 2D Coulomb channel kernel `coulomb_channel_kernel(m, t)` for
-  m = 0..6 on the `KERNEL_TS` grid of tests/test_spectra.py, from
-  `kernels`, or from `spectra` on a tree that still keeps it there;
+  m = 0..6 on the `KERNEL_TS` grid of tests/test_spectra.py;
 - `spectra._mellin_quadrature(m, s)`, the quadrature behind
   `mellin_multiplier`, for m = 0..6 on the s grid of
   `test_mellin_multiplier_matches_gamma_ratio`: values, error estimates
@@ -39,13 +37,9 @@ the probe pickles into FILE, by name:
 - `anticomm.nonrel_form` of the log-Gaussians at five sigma from 0.25 to 4
   and of the log_linear_cutoff trials at sigma = 0.2 and 0.3;
 - the Toeplitz column of the channel operator, the `t` of
-  `spectra._momentum_log_grid(m, n, L)`'s `(t, q)`, or on a tree whose
-  first item is the matrix `S = D^{1/2} T_m D^{1/2}`, `D^{-1/2} S D^{-1/2}`
-  read along the row of q = 1, for m = 0, 1, 2 on `spectra.SCAN_GRID` and
-  on perfbench's three coupling pool grids (a tree with the
-  position-space channel matrix gives other numbers under the same name);
-- `spectra.critical_coupling_toeplitz`'s nu_c and uncertainty (on a tree
-  without it, `critical_coupling_bisect`'s); the sides of
+  `spectra._momentum_log_grid(m, n, L)`'s `(t, q)`, for m = 0, 1, 2 on
+  `spectra.SCAN_GRID` and on perfbench's three coupling pool grids;
+- `spectra.critical_coupling_toeplitz`'s nu_c and uncertainty; the sides of
   `spectra.classify_coupling` at nu = 0.05, 0.075, ..., 0.6; and
   `spectra.chandrasekhar_lowest` on the three pool grids for m = 0, 1, 2
   at nu = 0.3, 0.5, 0.7, and on `spectra.SCAN_GRID` for m = 0 at
@@ -68,7 +62,6 @@ differs.
 
 import argparse
 import dataclasses
-import inspect
 import itertools
 import math
 import os
@@ -102,28 +95,6 @@ KERNEL_TS = np.unique(np.concatenate([
 ]))
 
 
-def angular_kernel(d, um1):
-    """(values, bounds) of K_d with its sphere factor, from a polar_batch
-    that takes the channel m (called with m = 0) or one that does not."""
-    from opineq import kernels
-    if "m" in inspect.signature(kernels.polar_batch).parameters:
-        return kernels.polar_batch(d, 0, um1)[:2]
-    return kernels.polar_batch(d, um1)[:2]
-
-
-def toeplitz_column(m, grid):
-    """T_m's first column: the 1-D first item of _momentum_log_grid's pair
-    as it is, or from a 2-D one, S, D^{-1/2} S D^{-1/2} along the row of
-    q = 1."""
-    from opineq import spectra
-    first, q = spectra._momentum_log_grid(m, grid.n, math.log(grid.r_max / grid.r_min))
-    if first.ndim == 1:
-        return first
-    row = int(np.argmin(q))
-    T = first[row] / np.sqrt(q[row] * q)
-    return T[::-1] if row else T
-
-
 def lattice_field(n):
     from opineq import lattice
     return lattice.make_fields(1.3, 0.9, lattice.SquareGrid(12.0, n))
@@ -150,8 +121,6 @@ def kato_run(n, component, mass, nonneg_phi):
 def probe():
     """{name: array, or the repr of the exception it raised}."""
     from opineq import anticomm, kernels, spectra
-    # a tree from before the move keeps the Coulomb channel kernel in spectra
-    km_owner = kernels if hasattr(kernels, "coulomb_channel_kernel") else spectra
 
     def quad(res):
         """A QuadResult's value and error estimate apart from its work."""
@@ -169,8 +138,7 @@ def probe():
         return np.array([fv.value, fv.scale, fv.norm_sq])
 
     def critical():
-        res = getattr(spectra, "critical_coupling_toeplitz",
-                      spectra.critical_coupling_bisect)()
+        res = spectra.critical_coupling_toeplitz()
         return np.array([res.nu_c, res.uncertainty])
 
     Trial = anticomm.TrialFunction
@@ -180,7 +148,7 @@ def probe():
 
     jobs = {}
     for d in KERNEL_D:
-        jobs["kernel m=0 d=%g" % d] = lambda d=d: angular_kernel(d, UM1)
+        jobs["kernel m=0 d=%g" % d] = lambda d=d: kernels.polar_batch(d, UM1)[:2]
     for d in GAMMA_D:
         jobs["gamma d=%g" % d] = lambda d=d: quad(anticomm.gamma(d))
     for h in STEPS:
@@ -203,7 +171,7 @@ def probe():
         jobs["relativistic_form two bumps d=%g" % d] = lambda d=d: form(d, bumps)
     for m in range(7):
         jobs["coulomb_channel_kernel m=%d" % m] = (
-            lambda m=m: km_owner.coulomb_channel_kernel(m, KERNEL_TS))
+            lambda m=m: kernels.coulomb_channel_kernel(m, KERNEL_TS))
     for m in range(7):
         jobs["_mellin_quadrature m=%d" % m] = lambda m=m: mellin(m)
     for sigma in NONREL_SIGMA:
@@ -221,7 +189,8 @@ def probe():
              for span, n in POOL_GRIDS]
     for (name, g), m in itertools.product([("SCAN_GRID", spectra.SCAN_GRID)] + grids,
                                           range(3)):
-        jobs["T_m column %s m=%d" % (name, m)] = lambda m=m, g=g: toeplitz_column(m, g)
+        jobs["T_m column %s m=%d" % (name, m)] = lambda m=m, g=g: (
+            spectra._momentum_log_grid(m, g.n, math.log(g.r_max / g.r_min))[0])
     for (name, g), m, nu in itertools.product(grids, range(3), CHANDRA_NU):
         jobs["chandrasekhar_lowest %s m=%d nu=%g" % (name, m, nu)] = (
             lambda nu=nu, m=m, g=g: np.array(spectra.chandrasekhar_lowest(nu, m, g)))
