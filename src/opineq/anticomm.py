@@ -126,12 +126,17 @@ class TrialFunction:
             raise DomainError("unknown trial family %r" % self.family)
         if self.family != "sampled" and not 0 < self.sigma < math.inf:
             raise DomainError("sigma must be finite and positive")
+        if not math.isfinite(self.center):
+            raise DomainError("center must be finite")
         if self.family == "sampled":
             if self.samples is None:
                 raise DomainError("sampled trial needs (s_nodes, values)")
-            s, v = self.samples
-            if np.any(np.asarray(v) < 0):
-                raise DomainError("sampled trial must be nonnegative")
+            s, v = (np.asarray(a, dtype=float) for a in self.samples)
+            if not (s.ndim == v.ndim == 1 and s.size == v.size >= 2
+                    and np.all(np.isfinite(s)) and np.all(np.diff(s) > 0)
+                    and np.all(np.isfinite(v) & (v >= 0))):
+                raise DomainError("sampled trial needs finite values >= 0 on at "
+                                  "least 2 finite, strictly increasing nodes")
 
     def profile_log(self, s):
         """psi evaluated at r = e^s."""

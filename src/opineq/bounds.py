@@ -93,6 +93,8 @@ class Configuration:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise DomainError("configuration must be N x 2")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("coordinates must be finite")
         if np.any(np.hypot(pts[:, 0], pts[:, 1]) == 0.0):
             raise DomainError("no point may sit at the origin")
         diff = pts[:, None, :] - pts[None, :, :]

@@ -27,7 +27,10 @@ def _fmt(x):
 
 
 def _parse_floats(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
 
 
 def _parse_grid(text):
@@ -56,10 +59,11 @@ def _csv_field(x):
     return text
 
 
-def write_output(meta, columns, rows, path, fmt):
-    """Emit the table; CSV carries '# key=value' metadata lines and is
-    mirrored as JSON next to it."""
+def write_output(meta, rows, path, fmt):
+    """Emit the table, its columns the first row's keys; CSV carries
+    '# key=value' metadata lines and is mirrored as JSON next to it."""
     meta = dict(sorted(meta.items()))
+    columns = list(rows[0])
     lines = ["# %s=%s" % (k, _fmt(v)) for k, v in meta.items()]
     lines.append(",".join(columns))
     for row in rows:
@@ -81,12 +85,17 @@ def write_output(meta, columns, rows, path, fmt):
             fh.write(json_text)
 
 
-def _meta(args, command, **extra):
+def _meta(args, extra=()):
+    """The header: the command and every parameter it parsed, a list as its
+    comma-joined reprs, with the artifact version, the kernel backend and the
+    entries of extra.  Where and how the table is written is no parameter."""
     from . import __version__
     from . import kernels
-    meta = {"command": command, "artifact_version": __version__,
-            "kernel_backend": kernels.backend_name, "seed": args.seed}
-    meta.update(extra)
+    meta = {k: ",".join(map(repr, v)) if isinstance(v, tuple) else v
+            for k, v in vars(args).items()
+            if k not in ("func", "parser", "output", "format", "config")}
+    meta.update(extra, artifact_version=__version__,
+                kernel_backend=kernels.backend_name)
     return meta
 
 
@@ -107,11 +116,7 @@ def cmd_gamma(args):
             failures.append("gamma(%g) not negative" % d)
         if d > 2.0 and not g.value > 0:
             failures.append("gamma(%g) not positive" % d)
-    meta = _meta(args, "gamma", dimension_list=",".join(map(repr, args.dimension_list)),
-                 tol=args.tol)
-    write_output(meta, ["d", "gamma", "two_alpha_gamma", "abs_error_estimate",
-                        "evaluations", "provenance"], rows, args.output, args.format)
-    return failures
+    return rows, failures
 
 
 def cmd_positivity(args):
@@ -140,20 +145,13 @@ def cmd_positivity(args):
         if abs(ratio - expected) > 1e-6 * expected:
             failures.append("lambda-scaling ratio %r != %r at sigma=%g"
                             % (ratio, expected, sigma))
-    cols = (["sigma", "nonrel_Q", "provenance"] if args.nonrel else
-            ["sigma", "t", "scale", "norm_sq", "t_scaled_lambda",
-             "lambda_ratio", "provenance"])
-    meta = _meta(args, "positivity", family=args.family,
-                 sigma_grid=",".join(map(repr, args.sigma_grid)),
-                 dimension=args.dimension, nonrel=args.nonrel,
-                 lambda_scale=lam)
-    write_output(meta, cols, rows, args.output, args.format)
-    return failures
+    return rows, failures
 
 
 def cmd_hydrogen(args):
     from .spectra import DEFAULT_HYDROGEN_GRID, GridSpec, hydrogen2d, hydrogen_channels
-    grid = args.grid or DEFAULT_HYDROGEN_GRID
+    # resolved here, and not in the parser, which would import spectra first
+    grid = args.grid = args.grid or DEFAULT_HYDROGEN_GRID
     failures = []
     rows = []
     rep = hydrogen2d(args.charge, args.m_max, grid, n_levels=args.levels)
@@ -182,12 +180,7 @@ def cmd_hydrogen(args):
                                                  zip(errs_prev, errs)):
                 failures.append("refinement trace not monotone at n=%d" % k)
             errs_prev = errs
-    meta = _meta(args, "hydrogen", charge=args.charge, m_max=args.m_max,
-                 levels=args.levels,
-                 grid="%r,%r,%d" % (grid.r_min, grid.r_max, grid.n))
-    write_output(meta, ["level", "energy", "reference", "rel_error",
-                        "degeneracy", "provenance"], rows, args.output, args.format)
-    return failures
+    return rows, failures
 
 
 def cmd_critical(args):
@@ -223,10 +216,7 @@ def cmd_critical(args):
                      "provenance": "cross-method agreement"})
         if gap > 0.01:
             failures.append("methods disagree by %r (> 0.01 coupling)" % gap)
-    meta = _meta(args, "critical", method=args.method)
-    write_output(meta, ["quantity", "value", "uncertainty", "provenance"],
-                 rows, args.output, args.format)
-    return failures
+    return rows, failures
 
 
 def cmd_kato(args):
@@ -250,13 +240,7 @@ def cmd_kato(args):
     if not run.passed:
         failures.append("diamagnetic violation %r beyond %r"
                         % (run.max_violation, run.tol_violation))
-    meta = _meta(args, "kato", field=args.field,
-                 b_field=args.b_field, radius=args.radius, mass=args.mass,
-                 grid_size=args.grid_size, extent=args.extent,
-                 samples=args.samples, nonneg_phi=args.nonneg_phi)
-    write_output(meta, ["bin_upper", "count", "provenance"], rows,
-                 args.output, args.format)
-    return failures
+    return rows, failures
 
 
 def cmd_bounds(args):
@@ -271,12 +255,7 @@ def cmd_bounds(args):
     rel = dict((n, v) for n, v, _ in rep.values)
     if rel["excess_charge_relativistic"] < 1.0:
         failures.append("relativistic bound below 1")
-    meta = _meta(args, "bounds", charge=args.charge,
-                 delta=args.delta, b_field=args.b_field, radius=args.radius,
-                 threshold_premise_assumed=rep.threshold_premise_assumed)
-    write_output(meta, ["quantity", "value", "provenance"], rows,
-                 args.output, args.format)
-    return failures
+    return rows, failures, {"threshold_premise_assumed": rep.threshold_premise_assumed}
 
 
 def _apply_config(subparser, args, argv):
@@ -415,7 +394,9 @@ def main(argv=None):
             parser.error("kato needs an even --grid-size, not %d" % args.grid_size)
     from .errors import OpineqError
     try:
-        failures = args.func(args)
+        # each command returns its rows and failures, bounds also entries of the header
+        rows, failures, *extra = args.func(args)
+        write_output(_meta(args, *extra), rows, args.output, args.format)
     except (OpineqError, OSError) as exc:     # OSError: --output cannot be written
         failures = ["%s: %s" % (type(exc).__name__, exc)]
     if failures:

@@ -43,8 +43,9 @@ class SquareGrid:
     n: int
 
     def __post_init__(self):
-        if self.extent <= 0 or self.n < 2:
-            raise DomainError("need positive extent and n >= 2")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2
+                and 0 < self.extent < np.inf):
+            raise DomainError("need a finite extent > 0 and an integer n >= 2")
 
     @property
     def h(self):
@@ -385,8 +386,8 @@ def kato_random_run(fld: LatticeField, mass: float, component: str,
     slabs of max(1, _SLAB_ELEMENTS // N) rows, so the draws and kato_test's
     temporaries stay bounded whatever the sample count.
     """
-    if samples < 1:
-        raise DomainError("need samples >= 1")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError("need an integer samples >= 1")
     T_free = kinetic_matrix(fld, mass, component="none")
     T_mag = T_free if component == "none" else kinetic_matrix(fld, mass, component)
     rng = np.random.default_rng(seed)

@@ -39,6 +39,9 @@ class GridSpec:
                 and np.all(np.diff(self.nodes()) > 0)):
             raise DomainError("need a finite r_max / r_min and n distinct nodes")
 
+    def __str__(self):
+        return "%r,%r,%d" % (self.r_min, self.r_max, self.n)
+
     def nodes(self):
         # geomspace may overflow on its way to an r_max near the top of
         # double range; it then sets the end nodes to the bounds themselves
@@ -182,48 +185,45 @@ class CriticalCouplingResult:
     trace: tuple = field(repr=False, default=())
 
 
-# h = 0.08 on a span of 44, and the same h on half the span
+# h = 0.08 on a span of 44; the scan solves that span and half of it
 SCAN_GRID = GridSpec(math.exp(-44.0), 1.0, 551)
-HALF_SCAN_GRID = GridSpec(math.exp(-22.0), 1.0, 276)
+SCAN_SPANS = (44.0, 22.0)
 
 
 @lru_cache(maxsize=2)
-def _scan_threshold(grid: GridSpec):
-    """nu_c(grid) = 1 / lambda_max(T_0), T_0 the Toeplitz matrix of the
-    channel-0 column of _momentum_log_grid, solved as -lambda_min(-T_0).
+def _scan_threshold(L: float):
+    """nu_c(L) = 1 / lambda_max(T_0), solved as -lambda_min(-T_0), T_0 the
+    Toeplitz matrix of the leading L/h + 1 entries of SCAN_GRID's channel-0
+    column: no entry depends on the length, so this is span L at step h.
 
     H(nu) = D^{1/2} (I - nu T_0) D^{1/2}, so by Sylvester's law of inertia
-    lambda_min(H(nu)) < 0 exactly when nu > nu_c(grid).  Since
-    lambda_max(T_0) < M_0(0), nu_c(grid) lies above Herbst's 1/M_0(0) and
+    lambda_min(H(nu)) < 0 exactly when nu > nu_c(L).  Since
+    lambda_max(T_0) < M_0(0), nu_c(L) lies above Herbst's 1/M_0(0) and
     falls towards it as the span grows.
     """
-    t, _ = _momentum_log_grid(0, grid.n, math.log(grid.r_max / grid.r_min))
+    t, _ = _momentum_log_grid(0, SCAN_GRID.n, math.log(SCAN_GRID.r_max / SCAN_GRID.r_min))
+    t = t[:round(L / SCAN_GRID.log_step()) + 1]
     return -1.0 / _lowest_eigenvalue(lambda: np.negative(_toeplitz_view(t)))
 
 
 def classify_coupling(nu: float):
-    """('divergent' or 'stable', nu_c - nu): whether the channel-0
-    operator on SCAN_GRID has a negative eigenvalue at coupling nu,
-    decided against its threshold nu_c = _scan_threshold(SCAN_GRID).  The
-    margin is negative exactly on the divergent side; no classification
-    solves anything once nu_c is known.
-    """
+    """('divergent' or 'stable', nu_c - nu): whether the channel-0 operator on
+    SCAN_GRID has a negative eigenvalue at coupling nu, decided against its
+    threshold nu_c = _scan_threshold(44.0).  The margin is negative exactly on
+    the divergent side; no classification solves anything once nu_c is known."""
     if not 0.0 <= nu < math.inf:
         raise DomainError("coupling nu must be finite and >= 0")
-    margin = _scan_threshold(SCAN_GRID) - nu
+    margin = _scan_threshold(SCAN_SPANS[0]) - nu
     return ("divergent" if margin < 0.0 else "stable"), margin
 
 
 def critical_coupling_toeplitz() -> CriticalCouplingResult:
-    """nu_c = 1 / lambda_max(T_0) on SCAN_GRID.  The uncertainty is
-    nu_c on HALF_SCAN_GRID minus nu_c: the approach is monotone from
-    above, so where the span error falls at least as fast as 1/L this
-    bounds the span error that remains.  The trace holds (span, nu_c)
-    for both spans."""
-    trace = tuple((math.log(g.r_max / g.r_min), _scan_threshold(g))
-                  for g in (SCAN_GRID, HALF_SCAN_GRID))
-    nu_c = trace[0][1]
-    return CriticalCouplingResult(nu_c=nu_c, uncertainty=trace[1][1] - nu_c, trace=trace)
+    """nu_c = 1 / lambda_max(T_0) on SCAN_GRID.  The uncertainty is nu_c on half
+    the span at the same step minus nu_c: the approach is monotone from above, so
+    where the span error falls at least as fast as 1/L this bounds the span error
+    that remains.  The trace holds (span, nu_c) for both SCAN_SPANS."""
+    nu_c, half = map(_scan_threshold, SCAN_SPANS)
+    return CriticalCouplingResult(nu_c, half - nu_c, tuple(zip(SCAN_SPANS, (nu_c, half))))
 
 
 # the name perfbench's coupling workload calls

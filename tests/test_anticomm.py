@@ -185,6 +185,17 @@ def test_trial_function_families():
         TrialFunction("unknown")
     with pytest.raises(DomainError):
         TrialFunction("sampled")
+    for center in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            TrialFunction("log_gaussian", 1.0, center)
+    # nodes not increasing, repeated or not finite; a length mismatch; one
+    # node; values that are not finite or negative
+    for samples in (((0, 2, 1), (1, 2, 1)), ((0, 0, 1), (1, 2, 1)),
+                    ((0, math.nan, 1), (1, 2, 1)), ((0, 1, math.inf), (1, 2, 1)),
+                    ((0, 1, 2), (1, 2)), ((0,), (1,)), ((0, 1), (1, math.nan)),
+                    ((0, 1), (1, -1))):
+        with pytest.raises(DomainError):
+            TrialFunction("sampled", samples=samples)
     with pytest.raises(DomainError):
         # decays too slowly against the |x|^(d+1) weights
         TrialFunction("log_linear_cutoff", 2.0).s_extent(2.0)

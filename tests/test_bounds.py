@@ -97,6 +97,9 @@ def test_configuration_validation():
         Configuration(((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(DomainError):
         Configuration(((1.0, 1.0), (1.0, 1.0)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            Configuration(((0.0, bad), (1.0, 1.0)))
 
 
 def test_max_bindable_examples():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opineq import lattice, spectra
-from opineq.cli import main
+from opineq.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -136,6 +136,49 @@ def test_epsilon_option_is_gone(tmp_path, capsys):
             main([command, "--config", str(cfg)])
         assert exc.value.code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+
+# a quick run of each subcommand
+QUICK_ARGS = {"gamma": ["--dimension-list", "2.5", "--tol", "1e-6"],
+              "positivity": ["--sigma-grid", "1"],
+              "hydrogen": ["--refine-trace"],
+              "critical": ["--method", "mellin"],
+              "kato": ["--samples", "3", "--grid-size", "10", "--extent", "6"],
+              "bounds": ["--charge", "1", "--delta", "0"]}
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_ARGS))
+def test_header_is_the_parsed_parameter_set(command, capsys):
+    # every parameter of the subparser and nothing else but the command, the
+    # artifact version, the kernel backend and bounds' premise flag; the
+    # hydrogen header once left out refine_trace
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    params = {a.dest for a in sub._actions} - {"help", "output", "format", "config"}
+    params |= {"command", "artifact_version", "kernel_backend"}
+    if command == "bounds":
+        params.add("threshold_premise_assumed")
+    code, out, _ = run([command, *QUICK_ARGS[command], "--format", "json"], capsys)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert set(meta) == params
+    if command == "hydrogen":
+        assert meta["refine_trace"] is True and meta["grid"] == "0.001,120.0,900"
+
+
+@pytest.mark.parametrize("command, key", [("gamma", "dimension-list"),
+                                          ("positivity", "sigma-grid")])
+@pytest.mark.parametrize("value", ["", ","])
+def test_empty_number_list_is_usage_error(command, key, value, tmp_path, capsys):
+    # no rows to tabulate: refused from a flag or a config line, where it
+    # once wrote a header-only table and exited 0
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("%s=%s\n" % (key, value))
+    for argv in ([command, "--" + key, value], [command, "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "needs at least one number" in err
 
 
 def test_hydrogen_command(capsys):

@@ -137,6 +137,16 @@ def test_origin_on_node_rejected():
         make_fields(1.0, 1.0, SquareGrid(8.0, 15))  # odd n puts a node at 0
 
 
+def test_square_grid_validation():
+    # extents that are not finite and positive, and node counts that are
+    # not integers >= 2: SquareGrid(12.0, 24.0) once reached kinetic_matrix
+    for extent, n in ((0.0, 12), (-1.0, 12), (np.nan, 12), (np.inf, 12),
+                      (12.0, 1), (12.0, 24.0), (12.0, 2.5)):
+        with pytest.raises(DomainError):
+            SquareGrid(extent, n)
+    assert SquareGrid(12, np.int64(24)).h == 0.5
+
+
 def test_fft_dispersion_oracle():
     grid = SquareGrid(2 * np.pi, 12)
     fld = make_fields(0.0, 1.0, grid)
@@ -483,7 +493,7 @@ def test_blockwise_kato_test_matches_dense_property(half_n, B, R, mass, componen
     assert np.all(np.abs(rhs - rhs_ref) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, 3.0])
 def test_kato_random_run_needs_a_sample(samples):
     fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
     with pytest.raises(DomainError):

@@ -17,7 +17,7 @@ from opineq.errors import DomainError, RefinementNeededError
 from opineq.kernels import coulomb_channel_kernel
 from opineq.quadrature import integrate_adaptive
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
-                            HALF_SCAN_GRID, SCAN_GRID, GridSpec,
+                            SCAN_GRID, SCAN_SPANS, GridSpec,
                             _anticomm_column, _lowest_eigenvalue, _momentum_log_grid,
                             _scan_threshold,
                             chandrasekhar_lowest, classify_coupling,
@@ -90,10 +90,10 @@ def test_momentum_channel_symmetric_psd():
 def test_momentum_log_grid_entries_are_read_only_columns():
     # every cache entry is T_m's column and the nodes, 16n bytes, and
     # every caller gets the same two arrays: an in-place write into either
-    # raises.  No n x n array outlives a solve: after the 11 cold keys of
-    # the pool grids and the scan, 0.097 MB stays allocated (measured),
-    # against 0.61 MB for the smallest matrix solved and 15.1 MB with the
-    # 11 dense matrices cached
+    # raises.  No n x n array outlives a solve: after the 10 cold keys of
+    # the pool grids and the scan, 0.089 MB stays allocated (measured),
+    # against 0.61 MB for the smallest matrix solved and 14.4 MB with the
+    # 10 dense matrices cached
     _momentum_log_grid.cache_clear()
     grids = [GridSpec(math.exp(-span), 1.0, n) for span, n in POOL_GRIDS]
     tracemalloc.start()
@@ -106,7 +106,7 @@ def test_momentum_log_grid_entries_are_read_only_columns():
     finally:
         tracemalloc.stop()
     assert held < 2e5
-    keys = [(m, g) for g in grids for m in (0, 1, 2)] + [(0, SCAN_GRID), (0, HALF_SCAN_GRID)]
+    keys = [(m, g) for g in grids for m in (0, 1, 2)] + [(0, SCAN_GRID)]
     info = _momentum_log_grid.cache_info()
     assert info.currsize == len(keys)
     for m, g in keys:
@@ -431,7 +431,7 @@ def test_scan_threshold_solves_t0_in_place():
     _momentum_log_grid.cache_clear()
     tracemalloc.start()
     try:
-        _scan_threshold(SCAN_GRID)
+        _scan_threshold(44.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,17 +470,18 @@ def _scan_matrix(nu):
 
 def test_scan_threshold_is_the_largest_eigenvalue_of_t0():
     # the threshold solves -T_0 for its lowest eigenvalue; that is exactly
-    # the solve of T_0 for its largest
-    for g in (SCAN_GRID, HALF_SCAN_GRID):
+    # the solve of T_0 for its largest.  Span 22 solves the leading block of
+    # SCAN_GRID's column, which is bitwise the column of the span-22 grid
+    for L, g in zip(SCAN_SPANS, (SCAN_GRID, GridSpec(math.exp(-22.0), 1.0, 276))):
         t, _ = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
         top = sla.eigvalsh(sla.toeplitz(t), subset_by_index=[g.n - 1, g.n - 1])[0]
-        assert _scan_threshold(g) == 1.0 / top
+        assert _scan_threshold(L) == 1.0 / top
 
 
 def test_scan_threshold_against_cholesky():
     # H(nu) is positive definite below the threshold and indefinite above
     # it, checked by a factorization that solves no eigenproblem
-    nu_c = _scan_threshold(SCAN_GRID)
+    nu_c = _scan_threshold(44.0)
     assert nu_c == pytest.approx(0.2320495, abs=1e-7)
     sla.cholesky(_scan_matrix(nu_c * (1.0 - 1e-3)))
     with pytest.raises(sla.LinAlgError):
@@ -493,7 +494,7 @@ def test_classify_matches_eigenvalue_test_property(nu):
     # Sylvester: H(nu) = D^{1/2} (I - nu T_0) D^{1/2}, so away from the
     # threshold the side is the sign of the lowest eigenvalue that
     # chandrasekhar_lowest computes, with no noise floor
-    assume(abs(nu / _scan_threshold(SCAN_GRID) - 1.0) >= 1e-3)
+    assume(abs(nu / _scan_threshold(44.0) - 1.0) >= 1e-3)
     divergent = chandrasekhar_lowest(nu, 0, SCAN_GRID) < 0.0
     side, margin = classify_coupling(nu)
     assert side == ("divergent" if divergent else "stable")
@@ -501,11 +502,12 @@ def test_classify_matches_eigenvalue_test_property(nu):
 
 
 def test_scan_solves_once(solved_orders):
-    # one solve of T_0 per scan grid and cold start; every later
-    # classification compares with the cached threshold
+    # one solve of T_0 per scan span and cold start, from one channel-0
+    # column; every later classification compares with the cached threshold
     _momentum_log_grid.cache_clear()
     first = critical_coupling_toeplitz()
-    assert solved_orders == [SCAN_GRID.n, HALF_SCAN_GRID.n] == [551, 276]
+    assert solved_orders == [round(L / 0.08) + 1 for L in SCAN_SPANS] == [551, 276]
+    assert _momentum_log_grid.cache_info().currsize == 1
     solved_orders.clear()
     assert critical_coupling_toeplitz() == first
     for nu in (0.05, 0.2, 0.3, 0.6):
