@@ -110,63 +110,42 @@ def lower_bound(d: float, tol: float = 1e-10) -> float:
 class TrialFunction:
     """Radial trial profile, parameterized in log-radius s = ln r.
 
-    Families: "log_gaussian" psi = exp(-(s - center)^2 / (2 sigma^2)),
+    Families: "log_gaussian" psi = exp(-(s - center)^2 / (2 sigma^2)) and
     "log_linear_cutoff" psi = exp(-|s - center| / (2 sigma)) (linear in
-    log coordinates, strictly positive), and "sampled" (values on a
-    uniform s-grid, linearly interpolated).
+    log coordinates, strictly positive).
     """
 
     family: str = "log_gaussian"
     sigma: float = 1.0
     center: float = 0.0
-    samples: tuple = None
 
     def __post_init__(self):
-        if self.family not in ("log_gaussian", "log_linear_cutoff", "sampled"):
+        if self.family not in ("log_gaussian", "log_linear_cutoff"):
             raise DomainError("unknown trial family %r" % self.family)
-        if self.family != "sampled" and not 0 < self.sigma < math.inf:
+        if not 0 < self.sigma < math.inf:
             raise DomainError("sigma must be finite and positive")
         if not math.isfinite(self.center):
             raise DomainError("center must be finite")
-        if self.family == "sampled":
-            if self.samples is None:
-                raise DomainError("sampled trial needs (s_nodes, values)")
-            s, v = (np.asarray(a, dtype=float) for a in self.samples)
-            if not (s.ndim == v.ndim == 1 and s.size == v.size >= 2
-                    and np.all(np.isfinite(s)) and np.all(np.diff(s) > 0)
-                    and np.all(np.isfinite(v) & (v >= 0))):
-                raise DomainError("sampled trial needs finite values >= 0 on at "
-                                  "least 2 finite, strictly increasing nodes")
 
     def profile_log(self, s):
         """psi evaluated at r = e^s."""
-        s = np.asarray(s, dtype=float)
-        x = s - self.center
+        x = np.asarray(s, dtype=float) - self.center
         if self.family == "log_gaussian":
             return np.exp(-x * x / (2.0 * self.sigma ** 2))
-        if self.family == "log_linear_cutoff":
-            return np.exp(-np.abs(x) / (2.0 * self.sigma))
-        sn, vn = self.samples
-        return np.interp(s, np.asarray(sn, float), np.asarray(vn, float),
-                         left=0.0, right=0.0)
+        return np.exp(-np.abs(x) / (2.0 * self.sigma))
 
     def dprofile_log(self, s):
         """d psi(e^s) / ds."""
-        s = np.asarray(s, dtype=float)
-        x = s - self.center
+        x = np.asarray(s, dtype=float) - self.center
         if self.family == "log_gaussian":
             return -x / self.sigma ** 2 * self.profile_log(s)
-        if self.family == "log_linear_cutoff":
-            return -np.sign(x) / (2.0 * self.sigma) * self.profile_log(s)
-        h = 1e-5
-        return (self.profile_log(s + h) - self.profile_log(s - h)) / (2 * h)
+        return -np.sign(x) / (2.0 * self.sigma) * self.profile_log(s)
 
     def scaled(self, lam: float) -> "TrialFunction":
         """psi_lambda(r) = psi(lambda r), for finite lambda > 0."""
         if not 0.0 < lam < math.inf:
             raise DomainError("scale lambda must be finite and > 0, got %r" % lam)
-        return TrialFunction(self.family, self.sigma, self.center - math.log(lam),
-                             self.samples)
+        return TrialFunction(self.family, self.sigma, self.center - math.log(lam))
 
     def s_extent(self, d: float) -> float:
         """Half-width of the s-lattice, past which the forms take psi = 0.
@@ -174,34 +153,34 @@ class TrialFunction:
         The form engine counts the pairs that reach past the lattice in
         closed form, so the extent only has to hold the trial: log_gaussian
         |center| + d sigma^2 / 2 + 10 sigma, log_linear_cutoff
-        |center| + 53 / rate, sampled the samples' support (psi is 0 past
-        it).  Against the all-pairs sum on the lattice padded by 40
-        log-units, the form was within 2.7 eps * scale for log-Gaussians
-        (d in [1.2, 6], sigma in [0.25, 4], |center| <= 6) and within 3.2
-        for log_linear_cutoff, which at 35 / rate was 1e4 off at d = 1.2.
+        |center| + 53 / rate.  Against the all-pairs sum on the lattice
+        padded by 40 log-units, the form was within 2.7 eps * scale for
+        log-Gaussians (d in [1.2, 6], sigma in [0.25, 4], |center| <= 6) and
+        within 3.2 for log_linear_cutoff, which at 35 / rate was 1e4 off at
+        d = 1.2.
         """
         if self.family == "log_gaussian":
             return abs(self.center) + d * self.sigma ** 2 / 2.0 + 10.0 * self.sigma
-        if self.family == "log_linear_cutoff":
-            rate = 1.0 / self.sigma - d
-            if rate <= 0.5:
-                raise DomainError(
-                    "log_linear_cutoff with sigma=%g is too slowly decaying "
-                    "for dimension %g" % (self.sigma, d))
-            return abs(self.center) + 53.0 / rate
-        sn = np.asarray(self.samples[0], float)
-        return float(np.max(np.abs(sn)))
+        rate = 1.0 / self.sigma - d
+        if rate <= 0.5:
+            raise DomainError("log_linear_cutoff with sigma=%g is too slowly "
+                              "decaying for dimension %g" % (self.sigma, d))
+        return abs(self.center) + 53.0 / rate
 
     def norm_sq(self, d: float) -> float:
-        """||psi||^2 on R^d (closed form for the log-Gaussian family)."""
+        """||psi||^2 on R^d in closed form, log_gaussian only; DomainError
+        for the other family and where the norm is no finite double."""
         d = _check_dimension(d)
-        if self.family == "log_gaussian":
-            return (sphere_surface(d - 1) * self.sigma * math.sqrt(math.pi)
+        if self.family != "log_gaussian":
+            raise DomainError("norm_sq has a closed form only for log_gaussian")
+        try:
+            norm = (sphere_surface(d - 1) * self.sigma * math.sqrt(math.pi)
                     * math.exp(d * d * self.sigma ** 2 / 4.0 + d * self.center))
-        S = self.s_extent(d)
-        res = integrate_adaptive(
-            lambda s: np.exp(d * s) * self.profile_log(s) ** 2, -S, S, 1e-12)
-        return sphere_surface(d - 1) * res.value
+        except OverflowError:
+            norm = math.inf
+        if not norm < math.inf:
+            raise DomainError("||psi||^2 at d = %g is not a finite double" % d)
+        return norm
 
 
 @dataclass(frozen=True)
@@ -225,11 +204,9 @@ def _lattice(psi, d):
     # halve h (keeping ln2/h integer, so dilation by 2 stays an exact
     # lattice shift) until narrow trials are resolved
     h = H_STEP
-    sigma = getattr(psi, "sigma", 1.0) if psi.family != "sampled" else 1.0
-    while h > sigma / 3.0 and h > H_STEP / 64.0:
+    while h > psi.sigma / 3.0 and h > H_STEP / 64.0:
         h *= 0.5
-    S = psi.s_extent(d)
-    half = int(math.ceil(S / h))
+    half = int(math.ceil(psi.s_extent(d) / h))
     return (np.arange(-half, half + 1) * h), h
 
 
@@ -524,7 +501,8 @@ def nonrel_form(psi: TrialFunction) -> float:
 
     Integration by parts gives the radial reduction
     Q = 2 pi ( int_0^inf r^2 psi'(r)^2 dr - 1/2 int_0^inf psi(r)^2 dr ),
-    and in log-radius both pieces are plain 1D integrals.
+    and in log-radius both pieces are plain 1D integrals.  DomainError
+    where the integrand leaves double range.
     """
     S = psi.s_extent(2.0)
 
@@ -533,5 +511,5 @@ def nonrel_form(psi: TrialFunction) -> float:
         dp = psi.dprofile_log(s)
         return (dp * dp - 0.5 * p * p) * np.exp(s)
 
-    res = integrate_adaptive(f, -S, S, NONREL_TOL)
-    return 2.0 * math.pi * res.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * math.pi * integrate_adaptive(f, -S, S, NONREL_TOL).value

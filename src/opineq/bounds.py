@@ -103,9 +103,6 @@ class Configuration:
         if n > 1 and np.min(dist[~np.eye(n, dtype=bool)]) == 0.0:
             raise DomainError("points must be pairwise distinct")
 
-    def __len__(self):
-        return len(self.points)
-
 
 def pair_sum(config: Configuration) -> float:
     """S = (1/2) sum over m != n of (|x_m| + |x_n|) / |x_m - x_n|.

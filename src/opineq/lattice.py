@@ -191,9 +191,6 @@ class KineticMatrix:
     four parity blocks in _parity_classes order (real when A = 0)."""
 
     blocks: tuple = field(repr=False)
-    mass: float
-    component: str
-    boundary: str
     grid: SquareGrid
     norm: float
 
@@ -238,19 +235,19 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
         raise ConfigurationError("periodic boundary requires zero vector potential")
     if component == "none":
         return _zero_field(fld.grid, float(mass), boundary)
-    return _solve(A, fld.grid, mass, component, boundary)
+    return _solve(A, fld.grid, mass, boundary)
 
 
 @functools.lru_cache(maxsize=8)
 def _zero_field(grid, mass, boundary):
     """The cached T_m of A = 0; see kinetic_matrix."""
-    T = _solve(np.zeros((2, grid.n, grid.n)), grid, mass, "none", boundary)
+    T = _solve(np.zeros((2, grid.n, grid.n)), grid, mass, boundary)
     for B in T.blocks:
         B.flags.writeable = False
     return T
 
 
-def _solve(A, grid, mass, component, boundary):
+def _solve(A, grid, mass, boundary):
     """T_m of the vector potential A, one eigensolve per quarter-turn orbit.
 
     Each class's block of (p+A)^2 is built when the walk reaches it, so
@@ -299,8 +296,7 @@ def _solve(A, grid, mass, component, boundary):
             Tc = 0.5 * (Tc + Tc.conj().T)
         blocks[k] = Tc
         prev = B
-    return KineticMatrix(blocks=tuple(blocks), mass=mass, component=component,
-                         boundary=boundary, grid=grid, norm=float(norm))
+    return KineticMatrix(blocks=tuple(blocks), grid=grid, norm=float(norm))
 
 
 def _apply(T, rows):

@@ -130,7 +130,8 @@ def _lowest_eigenvalue(assemble):
     H = assemble()
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has entries that are not finite")
-    floor = 64.0 * np.finfo(float).eps * np.linalg.norm(H)
+    with np.errstate(over="ignore"):  # an inf floor takes the fallback
+        floor = 64.0 * np.finfo(float).eps * np.linalg.norm(H)
     lam = float(sla.eigvalsh(H.T, subset_by_index=[0, 0], overwrite_a=True,
                              check_finite=False)[0])
     if abs(lam) <= floor:

@@ -188,14 +188,6 @@ def test_trial_function_families():
     for center in (math.nan, math.inf):
         with pytest.raises(DomainError):
             TrialFunction("log_gaussian", 1.0, center)
-    # nodes not increasing, repeated or not finite; a length mismatch; one
-    # node; values that are not finite or negative
-    for samples in (((0, 2, 1), (1, 2, 1)), ((0, 0, 1), (1, 2, 1)),
-                    ((0, math.nan, 1), (1, 2, 1)), ((0, 1, math.inf), (1, 2, 1)),
-                    ((0, 1, 2), (1, 2)), ((0,), (1,)), ((0, 1), (1, math.nan)),
-                    ((0, 1), (1, -1))):
-        with pytest.raises(DomainError):
-            TrialFunction("sampled", samples=samples)
     with pytest.raises(DomainError):
         # decays too slowly against the |x|^(d+1) weights
         TrialFunction("log_linear_cutoff", 2.0).s_extent(2.0)
@@ -212,6 +204,11 @@ def test_trial_norm_closed_form():
         lambda s: np.exp(d * s) * psi.profile_log(s) ** 2, -40, 40, 1e-12)
     assert psi.norm_sq(d) == pytest.approx(sphere_surface(d - 1) * num.value,
                                            rel=1e-10)
+    # e^(d center) past double range, and a family with no closed form
+    for trial in (TrialFunction("log_gaussian", 1.0, 400.0),
+                  TrialFunction("log_linear_cutoff", 0.2)):
+        with pytest.raises(DomainError):
+            trial.norm_sq(d)
 
 
 def test_band_moments_polynomial():
@@ -361,12 +358,17 @@ def _form_all_offsets(d, s, h, G, H):
             A * (phi2[0] * D_abs + 2.0 * np.dot(w, F_abs[1:])))
 
 
-def _two_bumps():
+def _two_bumps(s):
     # bumps 20 apart in s: the offset sums have a second hump near k h = 20,
-    # and the cross terms between the bumps decay only like e^{-d 20 / 2}
-    s = np.linspace(-14.0, 14.0, 561)
-    v = np.exp(-(s - 10.0) ** 2 / 2.0) + np.exp(-(s + 10.0) ** 2 / 2.0)
-    return TrialFunction("sampled", samples=(tuple(s), tuple(v)))
+    # and the cross terms between the bumps decay only like e^{-d 20 / 2}.
+    # 561 samples on [-14, 14], linearly interpolated and 0 past them
+    nodes = np.linspace(-14.0, 14.0, 561)
+    v = np.exp(-(nodes - 10.0) ** 2 / 2.0) + np.exp(-(nodes + 10.0) ** 2 / 2.0)
+    return np.interp(s, nodes, v, left=0.0, right=0.0)
+
+
+# the lattice of step H_STEP that holds the samples, out to 182 h > 14
+TWO_BUMPS_LATTICE = np.arange(-182, 183) * anticomm.H_STEP, anticomm.H_STEP
 
 
 def _record_cuts(monkeypatch):
@@ -383,18 +385,23 @@ def _record_cuts(monkeypatch):
     return cuts
 
 
-def _padded_form(d, psi, s, h, same):
-    """_form_all_offsets on the trial's lattice padded by 40 log-units on
-    each side, with the trial sampled on the padding too; H = G when
-    `same`, else e^s G."""
+def _padded_form(d, profile, s, h, same):
+    """_form_all_offsets on the lattice s padded by 40 log-units on each
+    side, with the profile sampled on the padding too; H = G when `same`,
+    else e^s G."""
     pad = int(math.ceil(40.0 / h))
     s = np.concatenate([s[0] - h * np.arange(pad, 0, -1), s,
                         s[-1] + h * np.arange(1, pad + 1)])
-    G = psi.profile_log(s)
+    G = profile(s)
     return _form_all_offsets(d, s, h, G, G if same else np.exp(s) * G)
 
 
 def _assert_within_cut_bound(d, psi):
+    return _assert_profile_within_cut_bound(d, psi.profile_log,
+                                            *anticomm._lattice(psi, d))
+
+
+def _assert_profile_within_cut_bound(d, profile, s, h):
     # on its own lattice the engine counts the pairs that reach past it in
     # closed form, with G = H = 0 there; against every pair of a lattice
     # padded by 40 log-units the cut moves the value by at most eps * scale
@@ -402,11 +409,10 @@ def _assert_within_cut_bound(d, psi):
     # is below roundoff.  The two sums are also added in a different
     # order, so each side carries a few ulps of summation roundoff on top
     eps = np.finfo(float).eps
-    s, h = anticomm._lattice(psi, d)
-    G = psi.profile_log(s)
+    G = profile(s)
     for same in (False, True):
         value, scale = anticomm._form_engine(d, s, h, G, G if same else np.exp(s) * G)
-        full_value, full_scale = _padded_form(d, psi, s, h, same)
+        full_value, full_scale = _padded_form(d, profile, s, h, same)
         assert abs(value - full_value) <= 5.0 * eps * scale
         assert scale <= full_scale * (1.0 + 4.0 * eps)
     return h
@@ -425,9 +431,10 @@ def test_offset_cut_within_its_bound(d, monkeypatch):
     trials = [TrialFunction("log_gaussian", sigma) for sigma in (0.25, 1.0, 4.0)]
     trials += [TrialFunction("log_gaussian", sigma, center)
                for sigma in (0.25, 4.0) for center in (-6.0, 6.0)]
-    trials += [TrialFunction("log_linear_cutoff", 1.0 / (d + 2.0)), _two_bumps()]
-    for psi in trials:
-        h = _assert_within_cut_bound(d, psi)
+    trials.append(TrialFunction("log_linear_cutoff", 1.0 / (d + 2.0)))
+    profiles = [(psi.profile_log, *anticomm._lattice(psi, d)) for psi in trials]
+    for profile, s, h in profiles + [(_two_bumps, *TWO_BUMPS_LATTICE)]:
+        _assert_profile_within_cut_bound(d, profile, s, h)
         for K in cuts[-2:]:
             # bands 0..K, and the cut sits where e^{-Kh} ~ eps, inside the
             # lattice or past it
@@ -606,11 +613,8 @@ def test_nonrel_closed_form_log_linear_cutoff(sigma):
     assert q == pytest.approx(want, rel=1e-10)
 
 
-def test_sampled_trial_function():
-    s = np.linspace(-6, 6, 301)
-    vals = np.exp(-s ** 2 / 2.0)
-    psi = TrialFunction("sampled", samples=(tuple(s), tuple(vals)))
-    ref = TrialFunction("log_gaussian", 1.0)
-    fv = relativistic_form(psi, 2.0)
-    fr = relativistic_form(ref, 2.0)
-    assert fv.value / fv.norm_sq == pytest.approx(fr.value / fr.norm_sq, rel=1e-2)
+def test_nonrel_form_outside_double_range_is_domain_error():
+    # at sigma = 40 the extent is 2,000 log-units and e^s overflows: the
+    # quadrature raises its typed error, with no RuntimeWarning before it
+    with pytest.raises(DomainError):
+        nonrel_form(TrialFunction("log_gaussian", 40.0))

@@ -100,6 +100,11 @@ def test_configuration_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             Configuration(((0.0, bad), (1.0, 1.0)))
+    # not N x 2 with N >= 1
+    for points in ((), (1.0, 2.0), ((1.0, 2.0, 3.0),), (((1.0, 2.0),),)):
+        with pytest.raises(DomainError):
+            Configuration(points)
+    assert pair_sum(Configuration(((1.0, 2.0),))) == 0.0
 
 
 def test_max_bindable_examples():

@@ -321,6 +321,19 @@ def test_config_round_trip_property(case):
         assert from_config == ("", 2)
 
 
+def test_config_comments_blank_lines_and_bare_words(tmp_path, capsys):
+    # comment and blank lines are skipped; a line with no "=" is a usage error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# one dimension\n\n   \ndimension-list=2.5\n# tol=abc\ntol=1e-6\n")
+    code, out, _ = run(["gamma", "--config", str(cfg)], capsys)
+    assert code == 0 and out.splitlines()[-1].startswith("2.5,")
+    cfg.write_text("dimension-list=2.5\ntol\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "config line 'tol' is not key=value" in capsys.readouterr().err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not-a-flag=1\n")

@@ -137,6 +137,16 @@ def test_origin_on_node_rejected():
         make_fields(1.0, 1.0, SquareGrid(8.0, 15))  # odd n puts a node at 0
 
 
+def test_make_fields_validation():
+    # a negative B or a radius that is not positive; an unknown component
+    grid = SquareGrid(8.0, 16)
+    for B, R in ((-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
+        with pytest.raises(DomainError):
+            make_fields(B, R, grid)
+    with pytest.raises(ConfigurationError):
+        make_fields(1.0, 1.0, grid).component("bogus")
+
+
 def test_square_grid_validation():
     # extents that are not finite and positive, and node counts that are
     # not integers >= 2: SquareGrid(12.0, 24.0) once reached kinetic_matrix
@@ -232,6 +242,13 @@ def test_lattice_field_invariant_guard():
     with pytest.raises(DomainError):
         LatticeField(grid=grid, B=1.0, R=1.0,
                      A_background=fld.A_background, A_cavity=bad)
+    # a potential that is not finite
+    for value in (np.nan, np.inf):
+        A = fld.A_background.copy()
+        A[0, 3, 3] = value
+        with pytest.raises(DomainError):
+            LatticeField(grid=grid, B=1.0, R=1.0, A_background=A,
+                         A_cavity=fld.A_cavity)
 
 
 _ASSEMBLY_CASES = [(n, "open", comp) for n in (2, 4, 10, 16)

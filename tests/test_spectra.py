@@ -394,6 +394,21 @@ def test_lowest_eigenvalue_falls_back_to_a_fresh_matrix(solved_orders):
     assert abs(lam) <= 64.0 * np.finfo(float).eps * np.linalg.norm(assemble())
 
 
+def test_lowest_eigenvalue_past_the_norm_range():
+    # at span 400 the entries of H reach 4.6e173 and ||H||_F overflows: the
+    # floor is inf, which takes the whole-spectrum solve, with no warning
+    g = GridSpec(math.exp(-200.0), math.exp(200.0), 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = chandrasekhar_lowest(0.1, 0, g)
+    t, q = _momentum_log_grid(0, g.n, 400.0)
+    H = np.einsum("i,j->ij", np.sqrt(q), np.sqrt(q))
+    H *= sla.toeplitz(t)
+    H *= -0.1
+    H[np.diag_indices(g.n)] += q
+    assert lam == sla.eigvalsh(H)[0] / g.r_max
+
+
 def test_deflation_sizes(solved_orders):
     # nothing is deflated: the pool grids and the anticommutator blocks are
     # solved whole

@@ -23,9 +23,11 @@ the probe pickles into FILE, by name:
 - `anticomm.relativistic_form`'s (value, scale, norm_sq) for the
   log-Gaussians at the seven (d, sigma) points of perfbench's MELLIN_T,
   for the log_linear_cutoff trials with sigma = 1/(d+2) at d = 1.2, 2, 3
-  and 6 and with sigma = 0.556 at d = 1.2 (its offset cut near Kh = 51),
-  and for the sampled two-bump trial of tests/test_anticomm.py at d = 1.2,
-  2 and 3; and `anticomm.momentum_expectation` (the form with H = G) at
+  and 6 and with sigma = 0.556 at d = 1.2 (its offset cut near Kh = 51);
+  `anticomm._form_engine`'s (value, scale) with H = e^s G for the
+  two-bump profile of tests/test_anticomm.py (561 samples interpolated
+  onto the lattice of step H_STEP out to |s| = 182 H_STEP) at d = 1.2, 2
+  and 3; and `anticomm.momentum_expectation` (the form with H = G) at
   the MELLIN_T points, so that a change to the forms shows for every
   trial family and both H;
 - the 2D Coulomb channel kernel `coulomb_channel_kernel(m, t)` for
@@ -141,10 +143,14 @@ def probe():
         res = spectra.critical_coupling_toeplitz()
         return np.array([res.nu_c, res.uncertainty])
 
+    def bumps(d):
+        nodes = np.linspace(-14.0, 14.0, 561)
+        s = np.arange(-182, 183) * anticomm.H_STEP
+        G = np.interp(s, nodes, np.exp(-(nodes - 10.0) ** 2 / 2.0)
+                      + np.exp(-(nodes + 10.0) ** 2 / 2.0), left=0.0, right=0.0)
+        return np.array(anticomm._form_engine(d, s, anticomm.H_STEP, G, np.exp(s) * G))
+
     Trial = anticomm.TrialFunction
-    s = np.linspace(-14.0, 14.0, 561)
-    bumps = Trial("sampled", samples=(tuple(s), tuple(
-        np.exp(-(s - 10.0) ** 2 / 2.0) + np.exp(-(s + 10.0) ** 2 / 2.0))))
 
     jobs = {}
     for d in KERNEL_D:
@@ -168,7 +174,7 @@ def probe():
         jobs["relativistic_form log_linear_cutoff d=%g sigma=%g" % (d, sigma)] = (
             lambda d=d, sigma=sigma: form(d, Trial("log_linear_cutoff", sigma)))
     for d in (1.2, 2.0, 3.0):
-        jobs["relativistic_form two bumps d=%g" % d] = lambda d=d: form(d, bumps)
+        jobs["_form_engine two bumps d=%g" % d] = lambda d=d: bumps(d)
     for m in range(7):
         jobs["coulomb_channel_kernel m=%d" % m] = (
             lambda m=m: kernels.coulomb_channel_kernel(m, KERNEL_TS))
