@@ -18,11 +18,16 @@ grid about its centre permutes the four classes in one orbit, and every
 field make_fields builds is symmetric under it, so the four blocks are one
 block re-indexed: a single eigensolve of size N/4 replaces one of size N.
 A block that is not the turned previous one (a gauge-shifted field, say)
-gets its own solve.  (p+A)^2 is assembled block by block from the
+gets its own solve.  The x <-> y mirror composed with complex conjugation
+is a symmetry of every field make_fields builds too; it maps classes
+(0, 0) and (1, 1) onto themselves, and such a class's block is real in a
+basis of mirror-symmetric and -antisymmetric node pairs, so its solve is
+a real eigensolve.  (p+A)^2 is assembled block by block from the
 stencil, and T_m is kept as the four blocks and applied block by block,
-so no N x N array is formed; with zero field every link phase is 1, so
-the blocks are real and so is their arithmetic.  kato_random_run draws
-and tests its samples in slabs of a fixed number of elements.
+each class a strided view of the rows on the grid, so no N x N array is
+formed; with zero field every link phase is 1, so the blocks are real
+and so is their arithmetic.  kato_random_run draws and tests its samples
+in slabs of a fixed number of elements.
 """
 
 import functools
@@ -247,8 +252,78 @@ def _zero_field(grid, mass, boundary):
     return T
 
 
+def _turned(X, half):
+    """P^T X P for the quarter turn P of _solve, as a (half,) * 4 view of
+    the (half^2, half^2) X: row and column node each turned clockwise."""
+    return np.rot90(np.rot90(X.reshape((half,) * 4), -1, (0, 1)), -1, (2, 3))
+
+
+def _spectral(H, mass):
+    """(sqrt(H + m^2) - m, its largest eigenvalue) of the Hermitian H by
+    one eigensolve, real when H is: H must be semidefinite, and its
+    eigenvalues at the roundoff floor are zeroed."""
+    w, V = np.linalg.eigh(H)
+    top = max(w[-1], 1.0)
+    if w[0] < -1e-10 * top:
+        raise DomainError("(p+A)^2 not PSD: min eig %.3e" % w[0])
+    # zero out eigenvalues at the roundoff floor: sqrt would amplify
+    # O(eps ||B||) noise on an exact kernel mode to O(sqrt(eps))
+    w = np.where(w < 1e-13 * top, 0.0, w)
+    f = np.sqrt(w + mass * mass) - mass
+    F = (V * f[None, :]) @ V.conj().T
+    return 0.5 * (F + F.conj().T), f[-1]
+
+
+def _mirror_solve(B, half, mass):
+    """_spectral of the complex block B of a self-mirror class whose
+    mirror S, (a, b) -> (b, a), gives S B S = conj(B), by a real solve.
+
+    With the class's nodes ordered as d, the diagonal nodes (a, a), then p,
+    the nodes (a, b) with a < b, then q, their mirrors (b, a) in the same
+    order, the unitary C with columns e_d, (e_p + e_q)/sqrt2 and
+    i (e_p - e_q)/sqrt2 takes B to the real symmetric
+        M = [[Re B_dd, sqrt2 Re B_dp,       -sqrt2 Im B_dp     ],
+             [   .   , Re (B_pp + B_pq),    Im (B_pq - B_pp)   ],
+             [   .   ,       .         ,    Re (B_pp - B_pq)   ]],
+    since B_dq = conj(B_dp), B_qq = conj(B_pp) and B_qp = conj(B_pq).  M
+    is read from B's d and p rows alone; it is C^H B C where the q rows
+    are the mirrored conjugates of the p rows.  f(B) = C f(M) C^H is
+    written block by block from F = f(M) in the same way, exactly
+    Hermitian since F is exactly symmetric.
+    """
+    K = half * half
+    node = np.arange(K).reshape(half, half)
+    upper = np.arange(half)[:, None] < np.arange(half)
+    order = np.concatenate([node.diagonal(), node[upper], node.T[upper]])
+    d, p, q = slice(0, half), slice(half, (K + half) // 2), slice((K + half) // 2, K)
+    Bo = B[np.ix_(order[:q.start], order)]     # the d and p rows
+    r2 = np.sqrt(2.0)
+    M = np.empty((K, K))
+    M[d, d] = Bo[d, d].real
+    M[d, p] = r2 * Bo[d, p].real
+    M[d, q] = -r2 * Bo[d, p].imag
+    M[p, p] = Bo[p, p].real + Bo[p, q].real
+    M[p, q] = Bo[p, q].imag - Bo[p, p].imag
+    M[q, q] = Bo[p, p].real - Bo[p, q].real
+    M[p, d], M[q, d], M[q, p] = M[d, p].T, M[d, q].T, M[p, q].T
+    F, f_top = _spectral(M, mass)
+    T = np.empty((K, K), dtype=complex)
+    Tr, Ti = T.real, T.imag
+    Tr[d, d], Ti[d, d] = F[d, d], 0.0
+    Tr[d, p], Ti[d, p] = F[d, p] / r2, -F[d, q] / r2
+    Tr[d, q], Ti[d, q] = Tr[d, p], -Ti[d, p]
+    Tr[p, p], Ti[p, p] = 0.5 * (F[p, p] + F[q, q]), 0.5 * (F[q, p] - F[p, q])
+    Tr[p, q], Ti[p, q] = 0.5 * (F[p, p] - F[q, q]), 0.5 * (F[q, p] + F[p, q])
+    Tr[q, q], Ti[q, q] = Tr[p, p], -Ti[p, p]
+    Tr[q, p], Ti[q, p] = Tr[p, q], -Ti[p, q]
+    Tr[half:, d], Ti[half:, d] = Tr[d, half:].T, -Ti[d, half:].T
+    back = np.argsort(order)
+    return T[np.ix_(back, back)], f_top
+
+
 def _solve(A, grid, mass, boundary):
-    """T_m of the vector potential A, one eigensolve per quarter-turn orbit.
+    """T_m of the vector potential A, one eigensolve per quarter-turn orbit,
+    real wherever the block allows.
 
     Each class's block of (p+A)^2 is built when the walk reaches it, so
     no N x N array is formed.  The quarter turn of the grid that maps
@@ -263,37 +338,39 @@ def _solve(A, grid, mass, boundary):
     That is inside the backward error eigh's own bound allows, p(N/4) eps
     ||B||_2 with p growing with the block size, so the copy loses nothing
     a solve would resolve (the argument of spectra._lowest_eigenvalue).
-    Any other block is solved; each solved block is checked for
-    hermiticity and semidefiniteness and has its roundoff-floor
-    eigenvalues zeroed, and the norm is the largest of their top values.
+    Any other block is solved.  A complex block of a class the x <-> y
+    mirror maps to itself (p = q) that agrees with its mirrored conjugate
+    S conj(B) S to 4 eps max|B| is solved as the real M of _mirror_solve,
+    which is C^H B C up to such an E, by the same argument; every field
+    make_fields builds is mirrored bitwise, so its solve is real.  Each
+    solved block is checked for hermiticity and semidefiniteness and has
+    its roundoff-floor eigenvalues zeroed, and the norm is the largest of
+    their top values.
     """
     stencil = _stencil(A, grid, boundary)
     half = grid.n // 2
-    turn = np.rot90(np.arange(half * half).reshape(half, half), -1).ravel()
-    turned = np.ix_(turn, turn)
+    K = half * half
+    tol = 4 * np.finfo(float).eps
     blocks = [None] * 4
     norm = 0.0
     prev = None
     for k in _ORBIT:
         B = _kinetic_square(stencil, k)
-        if prev is not None and (np.max(np.abs(B - prev[turned]))
-                                 <= 4 * np.finfo(float).eps * np.max(np.abs(prev))):
-            Tc = Tc[turned]
+        B4 = B.reshape((half,) * 4)
+        if prev is not None and (np.max(np.abs(B4 - _turned(prev, half)))
+                                 <= tol * np.max(np.abs(prev))):
+            Tc = _turned(Tc, half).reshape(K, K)
         else:
+            bmax = np.max(np.abs(B))
             herm = np.max(np.abs(B - B.conj().T))
-            if herm > 1e-12 * max(1.0, np.max(np.abs(B))):
+            if herm > 1e-12 * max(1.0, bmax):
                 raise DomainError("kinetic square lost hermiticity (%.2e)" % herm)
-            w, V = np.linalg.eigh(B)
-            top = max(w[-1], 1.0)
-            if w[0] < -1e-10 * top:
-                raise DomainError("(p+A)^2 not PSD: min eig %.3e" % w[0])
-            # zero out eigenvalues at the roundoff floor: sqrt would amplify
-            # O(eps ||B||) noise on an exact kernel mode to O(sqrt(eps))
-            w = np.where(w < 1e-13 * top, 0.0, w)
-            f = np.sqrt(w + mass * mass) - mass
-            norm = max(norm, f[-1])
-            Tc = (V * f[None, :]) @ V.conj().T
-            Tc = 0.5 * (Tc + Tc.conj().T)
+            if (np.iscomplexobj(B) and k in (0, 3) and np.max(np.abs(
+                    B4.transpose(1, 0, 3, 2) - B4.conj())) <= tol * bmax):
+                Tc, f_top = _mirror_solve(B, half, mass)
+            else:
+                Tc, f_top = _spectral(B, mass)
+            norm = max(norm, f_top)
         blocks[k] = Tc
         prev = B
     return KineticMatrix(blocks=tuple(blocks), grid=grid, norm=float(norm))
@@ -301,16 +378,28 @@ def _solve(A, grid, mass, boundary):
 
 def _apply(T, rows):
     """T_m applied to each of the (S, N) rows, i.e. rows @ T^T, as one
-    (S, N/4) x (N/4, N/4) product per parity block."""
+    (S, N/4) x (N/4, N/4) product per parity block, each class read and
+    written as the strided (S, n/2, n/2) view [:, p::2, q::2] of the rows
+    on the n x n grid, which is _parity_classes order.
+
+    A class is copied out column-major, the layout numpy gives the index
+    gather rows[:, c]: BLAS rounds differently for the other layout, and
+    the products are bitwise the gathered ones (tests keep that reference).
+    """
+    n, half = T.grid.n, T.grid.n // 2
+    S = rows.shape[0]
     out = np.empty(rows.shape, dtype=np.result_type(rows, *T.blocks))
-    for c, B in zip(_parity_classes(T.grid.n), T.blocks):
-        x = rows[:, c]
+    on_grid, out_grid = rows.reshape(S, n, n), out.reshape(S, n, n)
+    for k, B in enumerate(T.blocks):
+        p, q = divmod(k, 2)
+        x = on_grid[:, p::2, q::2].transpose(1, 2, 0).reshape(half * half, S).T
+        y = out_grid[:, p::2, q::2]
         if np.iscomplexobj(x) and not np.iscomplexobj(B):
             # two real products: real rows get the bits of a real call
-            out.real[:, c] = x.real @ B.T
-            out.imag[:, c] = x.imag @ B.T
+            y.real[...] = (x.real @ B.T).reshape(S, half, half)
+            y.imag[...] = (x.imag @ B.T).reshape(S, half, half)
         else:
-            out[:, c] = x @ B.T
+            y[...] = (x @ B.T).reshape(S, half, half)
     return out
 
 
@@ -319,27 +408,41 @@ def kato_test(eta, phi, T_free: KineticMatrix, T_mag: KineticMatrix):
     with sgn(phi) = phi/|phi| where phi != 0 and 0 otherwise.
 
     Returns (lhs, rhs); the diamagnetic inequality asserts lhs <= rhs.
-    Stacked (S, N) rows of eta and phi give arrays of S values each.
+    Stacked (S, N) rows of eta and phi give arrays of S values each.  The
+    two operators must share one grid, eta and phi must have as many rows
+    of N nodes each, and lhs and rhs must come out finite.
     """
+    if T_free.grid != T_mag.grid:
+        raise ConfigurationError("T_free and T_mag are on different grids")
     N = T_free.grid.n ** 2
-    stacked = np.ndim(eta) == 2 and np.shape(eta)[1] == N
+    if not all(np.ndim(x) in (1, 2) and np.shape(x)[-1] == N for x in (eta, phi)):
+        raise DomainError("eta and phi need rows of the grid's %d nodes" % N)
+    stacked = np.ndim(eta) == 2
     eta = np.asarray(eta, dtype=float).reshape(-1, N)
     phi = np.asarray(phi, dtype=complex).reshape(-1, N)
+    if len(eta) != len(phi):
+        raise DomainError("%d rows of eta against %d of phi" % (len(eta), len(phi)))
     if np.any(eta < 0):
         raise DomainError("eta must be nonnegative")
     h2 = T_free.grid.h ** 2
     absphi = np.abs(phi)
     sgn = np.zeros_like(phi)
     nz = absphi > 0
-    # parts divided separately: complex division leaves phi/|phi| off 1
-    # by an ulp for real phi, and the zero-field equality case needs it exact
-    np.divide(phi.real, absphi, out=sgn.real, where=nz)
-    np.divide(phi.imag, absphi, out=sgn.imag, where=nz)
-    lhs = h2 * np.einsum("sa,sa->s", eta, _apply(T_free, absphi).real)
-    Y = _apply(T_mag, phi)
-    # Re(conj(sgn) Y) as one contiguous array: with A = 0 and phi >= 0 it
-    # is bitwise the lhs operand
-    rhs = h2 * np.einsum("sa,sa->s", eta, sgn.real * Y.real + sgn.imag * Y.imag)
+    # a nan or inf in eta or phi is not warned of on its way: it leaves
+    # lhs or rhs not finite, which is refused below
+    with np.errstate(invalid="ignore", over="ignore"):
+        # parts divided separately: complex division leaves phi/|phi| off 1
+        # by an ulp for real phi, and the zero-field equality case needs it
+        # exact
+        np.divide(phi.real, absphi, out=sgn.real, where=nz)
+        np.divide(phi.imag, absphi, out=sgn.imag, where=nz)
+        lhs = h2 * np.einsum("sa,sa->s", eta, _apply(T_free, absphi).real)
+        Y = _apply(T_mag, phi)
+        # Re(conj(sgn) Y) as one contiguous array: with A = 0 and phi >= 0
+        # it is bitwise the lhs operand
+        rhs = h2 * np.einsum("sa,sa->s", eta, sgn.real * Y.real + sgn.imag * Y.imag)
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise DomainError("lhs or rhs not finite: eta and phi must be")
     if stacked:
         return lhs, rhs
     return float(lhs[0]), float(rhs[0])
@@ -397,7 +500,11 @@ def kato_random_run(fld: LatticeField, mass: float, component: str,
         # slab by slab, the generator's stream is the same
         z = rng.standard_normal((s1 - s0, 2 if nonneg_phi else 3, N))
         eta = np.abs(z[:, 0])
-        phi = np.abs(z[:, 1]) if nonneg_phi else z[:, 1] + 1j * z[:, 2]
+        if nonneg_phi:
+            phi = np.abs(z[:, 1])
+        else:
+            phi = np.empty((s1 - s0, N), dtype=complex)
+            phi.real, phi.imag = z[:, 1], z[:, 2]
         lhs, rhs = kato_test(eta, phi, T_free, T_mag)
         gaps[s0:s1] = lhs - rhs
         tols[s0:s1] = (1e-10 * h2 * np.linalg.norm(eta, axis=1)

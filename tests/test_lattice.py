@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from opineq.bounds import flux_delta
 from opineq.errors import ConfigurationError, DomainError
 from opineq.lattice import (LatticeField, SquareGrid, discrete_curl,
                             kato_random_run, kato_test, kinetic_matrix,
-                            make_fields, _background, _cavity, _kinetic_square,
-                            _parity_classes, _stencil)
+                            make_fields, _apply, _background, _cavity,
+                            _kinetic_square, _parity_classes, _stencil)
 
 
 def _hop_matrices(A, grid, boundary):
@@ -94,6 +95,14 @@ def _gauge_shifted(fld):
     X, Y = fld.grid.coordinates()
     grad = np.stack([0.3 + 0.2 * X - 0.25 * Y, 0.7 - 0.25 * X + 0.1 * Y])
     return dataclasses.replace(fld, A_background=fld.A_background + grad)
+
+
+def _mirror_only(fld):
+    """fld with the gradient of chi = 0.4 (x - y) added to the background.
+    The field stays mirrored under x <-> y with conjugation but is no
+    longer symmetric under the quarter turn."""
+    return dataclasses.replace(
+        fld, A_background=fld.A_background + np.array([0.4, -0.4])[:, None, None])
 
 
 def test_background_formula():
@@ -331,45 +340,122 @@ def _cold():
     spectra._momentum_log_grid.cache_clear()
 
 
-def _eigh_sizes(monkeypatch):
+def _eigh_solves(monkeypatch):
+    """The (shape, dtype) of each np.linalg.eigh call from here on, with
+    the caches cleared first."""
     _cold()
-    sizes = []
+    solves = []
     eigh = np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a))
+    def recording(a, *args, **kwargs):
+        solves.append((np.shape(a), np.asarray(a).dtype))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return sizes
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return solves
+
+
+REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 
 
 def test_kinetic_matrix_eigensolve_count(monkeypatch):
-    # one solve per quarter-turn orbit of the parity blocks
-    sizes = _eigh_sizes(monkeypatch)
+    # one solve per quarter-turn orbit of the parity blocks, real since
+    # the field is mirrored under x <-> y with conjugation
+    solves = _eigh_solves(monkeypatch)
     kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 16)), 0.5, "total")
-    assert sizes == [(64, 64)]
+    assert solves == [((64, 64), REAL)]
 
 
 def test_gauge_shifted_field_is_solved_per_block(monkeypatch):
     fld = _gauge_shifted(make_fields(1.0, 1.0, SquareGrid(8.0, 16)))
-    sizes = _eigh_sizes(monkeypatch)
+    solves = _eigh_solves(monkeypatch)
     kinetic_matrix(fld, 0.5, "background")
-    assert sizes == [(64, 64)] * 4
+    assert solves == [((64, 64), COMPLEX)] * 4
+
+
+def test_mirror_only_field_is_solved_real_on_the_self_mirror_classes(monkeypatch):
+    # no class is the turned previous one; classes 0 and 3 (solved first
+    # and third in _ORBIT order) are mapped to themselves by the mirror
+    fld = _mirror_only(make_fields(1.0, 1.0, SquareGrid(8.0, 16)))
+    solves = _eigh_solves(monkeypatch)
+    T = kinetic_matrix(fld, 0.5, "background")
+    assert solves == [((64, 64), REAL), ((64, 64), COMPLEX)] * 2
+    _assert_blocks_match_complex_solves(T, fld, "background", 0.5)
 
 
 def test_zero_field_eigensolves_are_real(monkeypatch):
-    _cold()
-    dtypes = []
-    eigh = np.linalg.eigh
-
-    def recording(a, *args, **kwargs):
-        dtypes.append((np.shape(a), np.asarray(a).dtype))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    solves = _eigh_solves(monkeypatch)
     kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 16)), 0.5, "none")
-    assert dtypes == [((64, 64), np.dtype(np.float64))]
+    assert solves == [((64, 64), REAL)]
+
+
+def _complex_solve(H, mass):
+    """Reference: the T block of the Hermitian H by one eigh of H as it
+    is, with _solve's roundoff floor; and its largest eigenvalue."""
+    w, V = np.linalg.eigh(H)
+    w = np.where(w < 1e-13 * max(w[-1], 1.0), 0.0, w)
+    f = np.sqrt(w + mass * mass) - mass
+    return (V * f) @ V.conj().T, f[-1]
+
+
+def _assert_blocks_match_complex_solves(T, fld, component, mass):
+    solved = [_complex_solve(B, mass) for B in _square_blocks(fld, component)]
+    top = max(np.max(np.abs(F)) for F, _ in solved)
+    for Tc, (F, _) in zip(T.blocks, solved):
+        assert Tc.dtype == COMPLEX
+        assert np.max(np.abs(Tc - F)) <= 1e-13 * top
+    assert T.norm == pytest.approx(max(f for _, f in solved), rel=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(1, 8), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.sampled_from([0.0, 1.0]), st.sampled_from(["background", "cavity", "total"]))
+def test_real_solve_matches_complex_solve_property(half_n, B, R, mass, component):
+    fld = make_fields(B, R, SquareGrid(6.0, 2 * half_n))
+    _assert_blocks_match_complex_solves(kinetic_matrix(fld, mass, component),
+                                        fld, component, mass)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("component", ["background", "total"])
+def test_real_solve_with_no_or_one_mirror_pair(monkeypatch, n, component):
+    # the mirror basis of an n/2 x n/2 class has n/2 diagonal nodes and
+    # (n/2)(n/2 - 1)/2 pairs: none at n = 2, one at n = 4
+    fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
+    solves = _eigh_solves(monkeypatch)
+    T = kinetic_matrix(fld, 1.0, component)
+    assert solves == [((n * n // 4,) * 2, REAL)]
+    _assert_blocks_match_complex_solves(T, fld, component, 1.0)
+
+
+@pytest.mark.parametrize("component", ["none", "total", "gauge-shifted"])
+def test_solved_blocks_keep_the_psd_test_and_the_roundoff_floor(monkeypatch, component):
+    # every block shifted down by class 0's lowest eigenvalue: the turn and
+    # the mirror still hold, the shifted lowest eigenvalue sits at the
+    # roundoff floor, and sqrt of it unfloored would be far off or nan.
+    # Shifted further, the block is indefinite
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 16))
+    if component == "gauge-shifted":
+        fld, component = _gauge_shifted(fld), "background"
+    lowest = np.linalg.eigvalsh(_square_blocks(fld, component)[0])[0]
+
+    def shifted(by):
+        def square(stencil, k):
+            H = _kinetic_square(stencil, k)
+            H[np.diag_indices(len(H))] -= by
+            return H
+        return square
+
+    monkeypatch.setattr("opineq.lattice._kinetic_square", shifted(lowest))
+    _cold()
+    T = kinetic_matrix(fld, 0.0, component)
+    for Tc, H in zip(T.blocks, _square_blocks(fld, component)):
+        H[np.diag_indices(len(H))] -= lowest
+        assert np.max(np.abs(Tc - _complex_solve(H, 0.0)[0])) <= 1e-13 * np.max(np.abs(Tc))
+    monkeypatch.setattr("opineq.lattice._kinetic_square", shifted(lowest + 1e-3))
+    _cold()
+    with pytest.raises(DomainError, match="PSD"):
+        kinetic_matrix(fld, 0.0, component)
 
 
 @pytest.mark.parametrize("broken_class", [0, 3])
@@ -558,6 +644,84 @@ def test_warm_kato_run_equals_cold_run(component, mass, nonneg_phi):
     assert lattice._zero_field.cache_info().hits == hits + 1
     for f in dataclasses.fields(cold):
         assert getattr(warm, f.name) == getattr(cold, f.name), f.name
+
+
+def test_kato_test_refuses_operators_on_different_grids():
+    # the same N nodes at two spacings
+    T_free = kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 8)), 0.5, "none")
+    T_mag = kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(16.0, 8)), 0.5, "total")
+    rng = np.random.default_rng(31)
+    eta = np.abs(rng.standard_normal(64))
+    phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    with pytest.raises(ConfigurationError):
+        kato_test(eta, phi, T_free, T_mag)
+
+
+@pytest.mark.parametrize("where,value", [("eta", np.nan), ("eta", np.inf),
+                                         ("phi", np.nan), ("phi", np.inf),
+                                         ("phi", complex(1.0, -np.inf))])
+@pytest.mark.parametrize("component", ["none", "total"])
+def test_kato_test_refuses_non_finite_input(where, value, component):
+    # a typed error, also with every warning an error
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 8))
+    T_free = kinetic_matrix(fld, 0.5, "none")
+    T_mag = kinetic_matrix(fld, 0.5, component)
+    rng = np.random.default_rng(37)
+    eta = np.abs(rng.standard_normal((3, 64)))
+    phi = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    (eta if where == "eta" else phi)[1, 9] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            kato_test(eta, phi, T_free, T_mag)
+        with pytest.raises(DomainError, match="not finite"):
+            kato_test(eta[1], phi[1], T_free, T_mag)
+
+
+def test_kato_test_refuses_rows_of_another_length():
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 8))
+    T = kinetic_matrix(fld, 0.5, "total")
+    rng = np.random.default_rng(41)
+    eta = np.abs(rng.standard_normal((3, 64)))
+    phi = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    # rows one node short, a grid-shaped row, a third axis, unequal row counts
+    for e, p in ((eta[:, :-1], phi), (eta, phi[:, :-1]), (eta[0, :-1], phi[0, :-1]),
+                 (eta[0].reshape(8, 8), phi[0]), (eta[None], phi[None]),
+                 (eta, phi[:2]), (eta[:2], phi[0]), (eta[0], phi)):
+        with pytest.raises(DomainError):
+            kato_test(e, p, T, T)
+
+
+def _apply_by_gathers(T, rows):
+    """Reference: T applied to the rows as one product per class, each
+    class gathered and scattered by its _parity_classes indices."""
+    out = np.empty(rows.shape, dtype=np.result_type(rows, *T.blocks))
+    for c, B in zip(_parity_classes(T.grid.n), T.blocks):
+        x = rows[:, c]
+        if np.iscomplexobj(x) and not np.iscomplexobj(B):
+            out.real[:, c] = x.real @ B.T
+            out.imag[:, c] = x.imag @ B.T
+        else:
+            out[:, c] = x @ B.T
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_apply_is_the_gathered_product_bitwise(n, boundary):
+    # real blocks on both boundaries, complex ones where a field is allowed
+    fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
+    operators = [kinetic_matrix(fld, 1.0, "none", boundary)]
+    if boundary == "open":
+        operators.append(kinetic_matrix(fld, 1.0, "total"))
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((5, n * n))
+    cplx = real + 1j * rng.standard_normal((5, n * n))
+    for T in operators:
+        for rows in (real, cplx):
+            got, want = _apply(T, rows), _apply_by_gathers(T, rows)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_kato_test_sign_is_zero_where_phi_is():

@@ -58,8 +58,10 @@ the probe pickles into FILE, by name:
 A quantity that raises is recorded as its exception.  Prints one line per
 quantity, SAME or DIFFERS; a differing array of the same shape also says
 whether the new side is >= the base side everywhere, and gives the largest
-relative difference between them.  Exits with status 1 if any quantity
-differs.
+elementwise relative difference between them and the largest difference
+relative to max|base|.  The first reads near 2 for an entry at roundoff
+level that changed sign; the second says how far the array moved as a
+whole.  Exits with status 1 if any quantity differs.
 """
 
 import argparse
@@ -236,8 +238,9 @@ def run_probe(tree, path):
 
 def verdict(base, new):
     """("SAME" or "DIFFERS", detail): for arrays of one shape that differ,
-    whether the new side is >= the base side everywhere, and the largest
-    |new - base| / max(|new|, |base|) over the elements that differ."""
+    whether the new side is >= the base side everywhere, the largest
+    |new - base| / max(|new|, |base|) over the elements that differ, and
+    the largest |new - base| / max|base|."""
     if isinstance(base, str) or isinstance(new, str):
         return ("SAME", "") if base == new else ("DIFFERS", "")
     if base.shape != new.shape:
@@ -247,9 +250,12 @@ def verdict(base, new):
     differ = ~((new == base) | (np.isnan(new) & np.isnan(base)))
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.abs(new - base) / np.maximum(np.abs(new), np.abs(base))
+        gap = np.where(differ, np.nan_to_num(np.abs(new - base), nan=np.inf), 0.0)
+        of_max = np.max(gap) / np.max(np.abs(base))
     rel = np.where(differ, np.nan_to_num(rel, nan=np.inf, posinf=np.inf), 0.0)
-    return "DIFFERS", " (new %s base everywhere; largest relative difference %.3g)" % (
-        ">=" if np.all(new >= base) else "not >=", np.max(rel))
+    return "DIFFERS", (" (new %s base everywhere; largest relative difference %.3g;"
+                       " largest difference %.3g of max|base|)") % (
+        ">=" if np.all(new >= base) else "not >=", np.max(rel), of_max)
 
 
 def main(argv=None):
