@@ -275,7 +275,8 @@ def _apply_config(subparser, args, argv):
             subparser.error("config line %r is not key=value" % line)
         key, val = line.split("=", 1)
         overrides[key.strip().replace("-", "_")] = val.strip()
-    actions = {a.dest: a for a in subparser._actions}
+    # --help and --config are not parameters, so no config key sets them
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     unknown = set(overrides) - set(actions)
     if unknown:
         subparser.error("unknown config keys: %s" % ", ".join(sorted(unknown)))

@@ -20,14 +20,15 @@ block re-indexed: a single eigensolve of size N/4 replaces one of size N.
 A block that is not the turned previous one (a gauge-shifted field, say)
 gets its own solve.  The x <-> y mirror composed with complex conjugation
 is a symmetry of every field make_fields builds too; it maps classes
-(0, 0) and (1, 1) onto themselves, and such a class's block is real in a
-basis of mirror-symmetric and -antisymmetric node pairs, so its solve is
-a real eigensolve.  (p+A)^2 is assembled block by block from the
-stencil, and T_m is kept as the four blocks and applied block by block,
-each class a strided view of the rows on the grid, so no N x N array is
-formed; with zero field every link phase is 1, so the blocks are real
-and so is their arithmetic.  kato_random_run draws and tests its samples
-in slabs of a fixed number of elements.
+(0, 0) and (1, 1) onto themselves, and with S the swap of a class's
+node (a, b) with (b, a), the unitary (I + iS)/sqrt2 takes such a class's
+block to a real symmetric one, so its solve is a real eigensolve.
+(p+A)^2 is assembled block by block from the stencil, and T_m is kept as
+the four blocks and applied block by block, each class a strided view of
+the rows on the grid, so no N x N array is formed; with zero field every
+link phase is 1, so the blocks are real and so is their arithmetic.
+kato_random_run draws and tests its samples in slabs of a fixed number of
+elements.
 """
 
 import functools
@@ -278,47 +279,26 @@ def _mirror_solve(B, half, mass):
     """_spectral of the complex block B of a self-mirror class whose
     mirror S, (a, b) -> (b, a), gives S B S = conj(B), by a real solve.
 
-    With the class's nodes ordered as d, the diagonal nodes (a, a), then p,
-    the nodes (a, b) with a < b, then q, their mirrors (b, a) in the same
-    order, the unitary C with columns e_d, (e_p + e_q)/sqrt2 and
-    i (e_p - e_q)/sqrt2 takes B to the real symmetric
-        M = [[Re B_dd, sqrt2 Re B_dp,       -sqrt2 Im B_dp     ],
-             [   .   , Re (B_pp + B_pq),    Im (B_pq - B_pp)   ],
-             [   .   ,       .         ,    Re (B_pp - B_pq)   ]],
-    since B_dq = conj(B_dp), B_qq = conj(B_pp) and B_qp = conj(B_pq).  M
-    is read from B's d and p rows alone; it is C^H B C where the q rows
-    are the mirrored conjugates of the p rows.  f(B) = C f(M) C^H is
-    written block by block from F = f(M) in the same way, exactly
-    Hermitian since F is exactly symmetric.
+    W = (I + iS)/sqrt2 is unitary and takes B to the real symmetric
+        M = W^H B W = Re B + (S Im B - Im B S)/2,
+    and f(B) = W F W^H = (F + S F S)/2 + i (S F - F S)/2 with F = f(M).
+    On the (half,) * 4 view of a block, S X is X.transpose(1, 0, 2, 3)
+    and X S is X.transpose(0, 1, 3, 2), so M and f(B) are sums of
+    transposed views.  f(B) is exactly Hermitian since F is exactly
+    symmetric.
     """
-    K = half * half
-    node = np.arange(K).reshape(half, half)
-    upper = np.arange(half)[:, None] < np.arange(half)
-    order = np.concatenate([node.diagonal(), node[upper], node.T[upper]])
-    d, p, q = slice(0, half), slice(half, (K + half) // 2), slice((K + half) // 2, K)
-    Bo = B[np.ix_(order[:q.start], order)]     # the d and p rows
-    r2 = np.sqrt(2.0)
-    M = np.empty((K, K))
-    M[d, d] = Bo[d, d].real
-    M[d, p] = r2 * Bo[d, p].real
-    M[d, q] = -r2 * Bo[d, p].imag
-    M[p, p] = Bo[p, p].real + Bo[p, q].real
-    M[p, q] = Bo[p, q].imag - Bo[p, p].imag
-    M[q, q] = Bo[p, p].real - Bo[p, q].real
-    M[p, d], M[q, d], M[q, p] = M[d, p].T, M[d, q].T, M[p, q].T
-    F, f_top = _spectral(M, mass)
-    T = np.empty((K, K), dtype=complex)
-    Tr, Ti = T.real, T.imag
-    Tr[d, d], Ti[d, d] = F[d, d], 0.0
-    Tr[d, p], Ti[d, p] = F[d, p] / r2, -F[d, q] / r2
-    Tr[d, q], Ti[d, q] = Tr[d, p], -Ti[d, p]
-    Tr[p, p], Ti[p, p] = 0.5 * (F[p, p] + F[q, q]), 0.5 * (F[q, p] - F[p, q])
-    Tr[p, q], Ti[p, q] = 0.5 * (F[p, p] - F[q, q]), 0.5 * (F[q, p] + F[p, q])
-    Tr[q, q], Ti[q, q] = Tr[p, p], -Ti[p, p]
-    Tr[q, p], Ti[q, p] = Tr[p, q], -Ti[p, q]
-    Tr[half:, d], Ti[half:, d] = Tr[d, half:].T, -Ti[d, half:].T
-    back = np.argsort(order)
-    return T[np.ix_(back, back)], f_top
+    shape = (half,) * 4
+    J = B.imag.reshape(shape)
+    M = np.subtract(J.transpose(1, 0, 2, 3), J.transpose(0, 1, 3, 2))
+    M *= 0.5
+    M += B.real.reshape(shape)
+    F, f_top = _spectral(M.reshape(B.shape), mass)
+    F = F.reshape(shape)
+    F *= 0.5
+    T = np.empty(shape, dtype=complex)
+    np.add(F, F.transpose(1, 0, 3, 2), out=T.real)
+    np.subtract(F.transpose(1, 0, 2, 3), F.transpose(0, 1, 3, 2), out=T.imag)
+    return T.reshape(B.shape), f_top
 
 
 def _solve(A, grid, mass, boundary):
@@ -341,7 +321,7 @@ def _solve(A, grid, mass, boundary):
     Any other block is solved.  A complex block of a class the x <-> y
     mirror maps to itself (p = q) that agrees with its mirrored conjugate
     S conj(B) S to 4 eps max|B| is solved as the real M of _mirror_solve,
-    which is C^H B C up to such an E, by the same argument; every field
+    which is W^H B W up to such an E, by the same argument; every field
     make_fields builds is mirrored bitwise, so its solve is real.  Each
     solved block is checked for hermiticity and semidefiniteness and has
     its roundoff-floor eigenvalues zeroed, and the norm is the largest of
@@ -409,14 +389,16 @@ def kato_test(eta, phi, T_free: KineticMatrix, T_mag: KineticMatrix):
 
     Returns (lhs, rhs); the diamagnetic inequality asserts lhs <= rhs.
     Stacked (S, N) rows of eta and phi give arrays of S values each.  The
-    two operators must share one grid, eta and phi must have as many rows
-    of N nodes each, and lhs and rhs must come out finite.
+    two operators must share one grid, eta must be real, eta and phi must
+    have as many rows of N nodes each, and lhs and rhs must come out finite.
     """
     if T_free.grid != T_mag.grid:
         raise ConfigurationError("T_free and T_mag are on different grids")
     N = T_free.grid.n ** 2
     if not all(np.ndim(x) in (1, 2) and np.shape(x)[-1] == N for x in (eta, phi)):
         raise DomainError("eta and phi need rows of the grid's %d nodes" % N)
+    if np.iscomplexobj(eta):
+        raise DomainError("eta must be real")
     stacked = np.ndim(eta) == 2
     eta = np.asarray(eta, dtype=float).reshape(-1, N)
     phi = np.asarray(phi, dtype=complex).reshape(-1, N)

@@ -336,11 +336,17 @@ def test_config_comments_blank_lines_and_bare_words(tmp_path, capsys):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not-a-flag=1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["gamma", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "unknown config keys: not_a_flag" in capsys.readouterr().err
+    # --help and --config are options but no parameters: as config keys
+    # they would write help into the header or name a config never read
+    for command, line, key in (
+            (["gamma"], "not-a-flag=1", "not_a_flag"),
+            (["bounds", "--charge", "1", "--delta", "0"], "help=yes", "help"),
+            (["gamma"], "config=" + str(cfg), "config")):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unknown config keys: " + key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, line, why", [

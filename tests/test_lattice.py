@@ -403,6 +403,7 @@ def _assert_blocks_match_complex_solves(T, fld, component, mass):
     top = max(np.max(np.abs(F)) for F, _ in solved)
     for Tc, (F, _) in zip(T.blocks, solved):
         assert Tc.dtype == COMPLEX
+        assert np.array_equal(Tc, Tc.conj().T)
         assert np.max(np.abs(Tc - F)) <= 1e-13 * top
     assert T.norm == pytest.approx(max(f for _, f in solved), rel=1e-14)
 
@@ -419,8 +420,8 @@ def test_real_solve_matches_complex_solve_property(half_n, B, R, mass, component
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("component", ["background", "total"])
 def test_real_solve_with_no_or_one_mirror_pair(monkeypatch, n, component):
-    # the mirror basis of an n/2 x n/2 class has n/2 diagonal nodes and
-    # (n/2)(n/2 - 1)/2 pairs: none at n = 2, one at n = 4
+    # the mirror S swaps a class's nodes (a, b) and (b, a) and fixes the
+    # n/2 diagonal ones: at n = 2 it has no 2-cycle, at n = 4 one
     fld = make_fields(1.3, 0.9, SquareGrid(6.0, n))
     solves = _eigh_solves(monkeypatch)
     T = kinetic_matrix(fld, 1.0, component)
@@ -676,6 +677,17 @@ def test_kato_test_refuses_non_finite_input(where, value, component):
             kato_test(eta, phi, T_free, T_mag)
         with pytest.raises(DomainError, match="not finite"):
             kato_test(eta[1], phi[1], T_free, T_mag)
+
+
+def test_kato_test_refuses_complex_eta():
+    # a typed error, not a ComplexWarning and a cast to the real part
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 4))
+    T = kinetic_matrix(fld, 0.5, "total")
+    for eta in (np.ones(16) + 1j, np.ones((2, 16), dtype=complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="real"):
+                kato_test(eta, np.ones(eta.shape), T, T)
 
 
 def test_kato_test_refuses_rows_of_another_length():
