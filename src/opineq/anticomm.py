@@ -349,13 +349,6 @@ _GL12 = np.polynomial.legendre.leggauss(12)
 _RIDGE_BANDS = 4
 
 
-def _gl_bands(f, h, k0, k1):
-    """Bands k0..k1-1 (k0 >= 1) by 12-point Gauss-Legendre in one call of f."""
-    xi, wi = _GL12
-    x = (np.arange(k0, k1)[:, None] * h + (h / 2.0) * xi[None, :]).ravel()
-    return (h / 2.0) * f(x).reshape(k1 - k0, xi.size) @ wi
-
-
 def band_moments(f, h, n):
     """m[k] = int over band k of f(x) dx, k = 0..n-1, for a vectorized f.
 
@@ -370,13 +363,14 @@ def band_moments(f, h, n):
         out[k] = integrate_adaptive(f, max(0.0, k * h - h / 2.0),
                                     k * h + h / 2.0, 1e-10).value
     if n > _RIDGE_BANDS:
-        out[_RIDGE_BANDS:] = _gl_bands(f, h, _RIDGE_BANDS, n)
+        xi, wi = _GL12
+        x = np.arange(_RIDGE_BANDS, n)[:, None] * h + (h / 2.0) * xi[None, :]
+        out[_RIDGE_BANDS:] = (h / 2.0) * f(x.ravel()).reshape(x.shape) @ wi
     return out
 
 
-# Gauss-Legendre bands per cached block.  The kernel is elementwise, so
-# the block size only decides which bands are cached together; 512 keeps
-# the blocks the moment cache has always had
+# size classes of the ridge-moment cache, in bands: the forms ask for at
+# most about 500 bands per (d, h), so one class of 512 holds them
 _RIDGE_BLOCK = 512
 
 
@@ -387,27 +381,22 @@ def ridge_moments(d, h, n):
     pulled out of |x - y|^(d+1); it has a 1/x^2 ridge at x = 0, and the
     x^2 carries the numerator's quadratic vanishing across it.
 
-    The bands come from fixed blocks, each computed once per process and
-    cached by (d, h, block index) like the log-grid matrices: block 0 is
-    the four ridge bands and the first _RIDGE_BLOCK = 512 Gauss-Legendre
-    bands, block j >= 1 the next 512.  The kernel is a closed form
-    evaluated element by element, so every band comes out bit for bit as
-    one band_moments call over those bands gives it, whatever was
-    computed before.
+    The bands are a slice of one band_moments call over the smallest
+    whole multiple of _RIDGE_BLOCK = 512 bands that holds n, computed once
+    per process and cached by (d, h, size) like the channel columns.
+    The kernel is a closed form evaluated element by element, so every
+    band comes out bit for bit the same whatever size it is computed in.
     """
-    blocks = 1 + max(0, n - _RIDGE_BANDS - 1) // _RIDGE_BLOCK
-    out = np.concatenate([_moment_block(d, h, j) for j in range(blocks)])
-    out.flags.writeable = False
-    return out[:n]
+    return _ridge_cache(d, h, -(-n // _RIDGE_BLOCK) * _RIDGE_BLOCK)[:n]
 
 
 @lru_cache(maxsize=64)
-def _moment_block(d, h, j):
-    """Block j of the ridge moments at dimension d, read-only.  A kernel
+def _ridge_cache(d, h, size):
+    """Ridge moments bands 0..size-1 at dimension d, read-only.  A kernel
     element whose error bound exceeds KTOL of its value raises
-    AccuracyError carrying the block's estimate, and the block is not
-    cached; the closed form's bounds stay far below it.  Past x of about
-    710 u - 1 overflows to inf, where the kernel is an exact 0."""
+    AccuracyError carrying the estimate, and nothing is cached; the
+    closed form's bounds stay far below it.  Past x of about 710 u - 1
+    overflows to inf, where the kernel is an exact 0."""
     unconverged = [0]
 
     def f(x):
@@ -416,11 +405,7 @@ def _moment_block(d, h, j):
         unconverged[0] += int(np.count_nonzero(e > KTOL * np.abs(v)))
         return v * x * x
 
-    k1 = _RIDGE_BANDS + (j + 1) * _RIDGE_BLOCK
-    if j == 0:
-        out = band_moments(f, h, k1)
-    else:
-        out = _gl_bands(f, h, k1 - _RIDGE_BLOCK, k1)
+    out = band_moments(f, h, size)
     if unconverged[0]:
         raise AccuracyError("%d K_%g kernel elements missed tolerance %g"
                             % (unconverged[0], d, KTOL), best=out)

@@ -280,8 +280,12 @@ def _apply_config(subparser, args, argv):
     unknown = set(overrides) - set(actions)
     if unknown:
         subparser.error("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    explicit = {tok.split("=")[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
+    # argparse reads a flag as the option string it equals, else the one it
+    # uniquely prefixes
+    options = {o: a.dest for a in subparser._actions for o in a.option_strings}
+    flags = {tok.split("=")[0] for tok in argv if tok.startswith("--") and tok != "--"}
+    explicit = {dest for o, dest in options.items() for f in flags
+                if o == f or (f not in options and o.startswith(f))}
     for key, val in overrides.items():
         if key in explicit:
             print("notice: flag --%s overrides config value %r"
@@ -379,6 +383,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args = _apply_config(args.parser, args, argv)
+    if args.format == "csv" and os.path.splitext(args.output or "")[1] == ".json":
+        parser.error("--output %s: the CSV's JSON mirror would overwrite it; "
+                     "use --format json" % args.output)
     if args.command == "bounds" and args.charge is None:
         parser.error("bounds needs --charge")
     if args.command == "bounds" and args.delta is None and (

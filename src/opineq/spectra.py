@@ -103,11 +103,11 @@ def _cold_start():
     """The library's one cold-start hook, installed as
     _momentum_log_grid.cache_clear: it clears the channel columns, the
     thresholds solved from them (_scan_threshold), anticomm's ridge-moment
-    blocks, kernels._closed_form and the Kato lattice's zero-field
+    cache, kernels._closed_form and the Kato lattice's zero-field
     operators (lattice.kinetic_matrix), so that the next assembly is cold."""
     _clear_grids()
     _scan_threshold.cache_clear()
-    anticomm._moment_block.cache_clear()
+    anticomm._ridge_cache.cache_clear()
     kernels._closed_form.cache_clear()
     lattice._zero_field.cache_clear()
 

@@ -54,10 +54,10 @@ def mellin_t(d, sigma):
 
 
 @pytest.fixture
-def cold_moment_blocks():
-    anticomm._moment_block.cache_clear()
+def cold_ridge_cache():
+    anticomm._ridge_cache.cache_clear()
     yield
-    anticomm._moment_block.cache_clear()
+    anticomm._ridge_cache.cache_clear()
 
 
 def _forbid_kernel_calls(monkeypatch):
@@ -246,17 +246,22 @@ def _ridge_integrand(d):
     return f
 
 
-def test_ridge_block_prefixes_agree(cold_moment_blocks):
-    # a slice of a large fill and a fresh small fill, in both orders
-    d, h = 2.5, 0.1
-    big = ridge_moments(d, h, 700).copy()
-    anticomm._moment_block.cache_clear()
-    small = ridge_moments(d, h, 40).copy()
-    assert np.array_equal(big[:40], small)
-    assert np.array_equal(ridge_moments(d, h, 700), big)
+def test_ridge_block_prefixes_agree(cold_ridge_cache):
+    # a cold fill at either end of a size class and a cold fill of the
+    # 2,048 class, in both orders, agree bit for bit on their common bands
+    d, h, n_big = 2.5, 0.1, 4 * anticomm._RIDGE_BLOCK
+    for n in (1, 512, 513, 1024, 1025):
+        anticomm._ridge_cache.cache_clear()
+        small = ridge_moments(d, h, n).copy()
+        big = ridge_moments(d, h, n_big).copy()
+        anticomm._ridge_cache.cache_clear()
+        assert np.array_equal(ridge_moments(d, h, n_big), big)
+        assert np.array_equal(ridge_moments(d, h, n), small)
+        assert small.shape == (n,) and np.array_equal(small, big[:n])
+    assert np.array_equal(ridge_moments(d, h, 700), big[:700])
 
 
-def test_ridge_blocks_match_one_band_moments_call(cold_moment_blocks):
+def test_ridge_blocks_match_one_band_moments_call(cold_ridge_cache):
     h = 0.08
     n = anticomm._RIDGE_BANDS + 2 * anticomm._RIDGE_BLOCK
     for k in (3, 10, anticomm._RIDGE_BLOCK + 7, n):
@@ -264,29 +269,29 @@ def test_ridge_blocks_match_one_band_moments_call(cold_moment_blocks):
     assert np.array_equal(got, band_moments(_ridge_integrand(3.0), h, n))
 
 
-def test_ridge_moments_read_only(cold_moment_blocks):
+def test_ridge_moments_read_only(cold_ridge_cache):
     phi = ridge_moments(2.0, 0.1, 20)
     with pytest.raises(ValueError):
         phi[3] = 0.0
 
 
-def test_repeated_form_makes_no_kernel_call(cold_moment_blocks, monkeypatch):
+def test_repeated_form_makes_no_kernel_call(cold_ridge_cache, monkeypatch):
     psi = TrialFunction("log_gaussian", 1.0)
     first = relativistic_form(psi, 2.0)
     _forbid_kernel_calls(monkeypatch)
     assert relativistic_form(psi, 2.0) == first
-    # the dilated trial needs 18 more bands, inside the block already filled
+    # the dilated trial needs 18 more bands, inside the size class already filled
     assert relativistic_form(psi.scaled(2.0), 2.0).value > 0
 
 
-def test_ridge_blocks_bounded_and_clean_on_error(cold_moment_blocks):
-    assert anticomm._moment_block.cache_info().maxsize == 64
+def test_ridge_blocks_bounded_and_clean_on_error(cold_ridge_cache):
+    assert anticomm._ridge_cache.cache_info().maxsize == 64
     with pytest.raises(DomainError):
         ridge_moments(1.0, 0.1, 8)
-    assert anticomm._moment_block.cache_info().currsize == 0
+    assert anticomm._ridge_cache.cache_info().currsize == 0
 
 
-def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
+def test_ridge_bands_past_double_range_are_zero(cold_ridge_cache):
     # K_2 is a closed form that falls like e^(-3x/2): the ridge bands fall
     # like x^2 e^(-3x/2) until they underflow past x of about 497 (bands
     # 994-995 at h = 0.5); from x of about 710, where u - 1 overflows to
@@ -298,21 +303,21 @@ def test_ridge_bands_past_double_range_are_zero(cold_moment_blocks):
     assert np.all(big[:990] > 0.0) and np.all(big[1000:] == 0.0)
     assert np.allclose(big[k + 1] / big[k], np.exp(-0.75) * ((k + 1.0) / k) ** 2,
                        rtol=1e-3)
-    anticomm._moment_block.cache_clear()
+    anticomm._ridge_cache.cache_clear()
     assert np.array_equal(ridge_moments(2.0, 0.5, 900), big[:900])
 
 
-def test_ridge_kernel_miss_raises_accuracy_error(cold_moment_blocks, monkeypatch):
+def test_ridge_kernel_miss_raises_accuracy_error(cold_ridge_cache, monkeypatch):
     # an element of the ridge kernel whose error bound exceeds KTOL of its
-    # value is reported with the moments of the whole block, and the block
-    # is not cached.  An inflated allowance stands in for the miss, so the
-    # reported moments are the true ones
+    # value is reported with the moments of its whole size class, and
+    # nothing is cached.  An inflated allowance stands in for the miss, so
+    # the reported moments are the true ones
     monkeypatch.setattr(kernels, "HYP2F1_ULPS", 1e6)
     with pytest.raises(AccuracyError) as info:
         ridge_moments(2.0, 0.1, 30)
     best = info.value.best
-    assert best.shape == (anticomm._RIDGE_BANDS + anticomm._RIDGE_BLOCK,)
-    assert anticomm._moment_block.cache_info().currsize == 0
+    assert best.shape == (anticomm._RIDGE_BLOCK,)
+    assert anticomm._ridge_cache.cache_info().currsize == 0
     monkeypatch.undo()
     assert np.array_equal(ridge_moments(2.0, 0.1, 30), best[:30])
 

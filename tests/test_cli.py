@@ -54,6 +54,16 @@ def test_json_only_format(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_csv_output_to_json_path_is_usage_error(tmp_path, capsys):
+    # the JSON mirror of a CSV written to out.json would overwrite it
+    path = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--charge", "1", "--delta", "0", "--output", str(path)])
+    assert exc.value.code == 2
+    assert not path.exists()
+    capsys.readouterr()
+
+
 def test_csv_has_metadata_and_mirror(tmp_path, capsys):
     path = tmp_path / "k.csv"
     code, _, _ = run(["kato", "--field", "zero", "--samples", "10",
@@ -260,6 +270,13 @@ def test_config_file_and_override(tmp_path, capsys):
     assert code == 0
     assert "notice:" in err
     assert out.splitlines()[-1].startswith("3.0,")
+    # argparse takes a unique prefix of a flag, which wins all the same
+    code, out, err = run(["gamma", "--config", str(cfg), "--to", "1e-9"], capsys)
+    assert code == 0 and "notice:" in err and "# tol=1e-09" in out
+    for dim in (["--dim", "3.0"], ["--dim=3.0"]):
+        code, out, err = run(["gamma", "--config", str(cfg), *dim], capsys)
+        assert code == 0 and "notice:" in err
+        assert out.splitlines()[-1].startswith("3.0,")
 
 
 def _run_captured(argv):

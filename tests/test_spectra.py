@@ -771,7 +771,7 @@ def test_lambda_min_anticommutator():
 
 
 def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
-    # the second call finds every ridge band in anticomm's block cache
+    # the second call finds every ridge band in anticomm's ridge-moment cache
     first = lambda_min_anticomm(3)
 
     def fail(*args, **kwargs):
@@ -783,14 +783,14 @@ def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
 
 def test_grid_cache_clear_clears_ridge_blocks():
     # the cold-start hook clears the channel columns, the scan thresholds,
-    # the ridge-moment blocks, the kernel's closed-form scalars and the Kato
+    # the ridge-moment cache, the kernel's closed-form scalars and the Kato
     # lattice's zero-field operators; from a cold start every one refills
     _momentum_log_grid.cache_clear()
     critical_coupling_toeplitz()
     lambda_min_anticomm(3)
     lattice.kinetic_matrix(lattice.make_fields(1.0, 1.0, lattice.SquareGrid(12.0, 16)),
                            0.0, "none")
-    caches = (_momentum_log_grid, _scan_threshold, anticomm._moment_block,
+    caches = (_momentum_log_grid, _scan_threshold, anticomm._ridge_cache,
               kernels._closed_form, lattice._zero_field)
     assert all(c.cache_info().currsize > 0 for c in caches)
     _momentum_log_grid.cache_clear()
