@@ -157,10 +157,16 @@ class TrialFunction:
         padded by 40 log-units, the form was within 2.7 eps * scale for
         log-Gaussians (d in [1.2, 6], sigma in [0.25, 4], |center| <= 6) and
         within 3.2 for log_linear_cutoff, which at 35 / rate was 1e4 off at
-        d = 1.2.
+        d = 1.2.  DomainError where the extent is no finite double.
         """
         if self.family == "log_gaussian":
-            return abs(self.center) + d * self.sigma ** 2 / 2.0 + 10.0 * self.sigma
+            try:
+                extent = abs(self.center) + d * self.sigma ** 2 / 2.0 + 10.0 * self.sigma
+            except OverflowError:  # sigma ** 2 past double range
+                extent = math.inf
+            if not extent < math.inf:
+                raise DomainError("sigma=%g: no finite extent at d = %g" % (self.sigma, d))
+            return extent
         rate = 1.0 / self.sigma - d
         if rate <= 0.5:
             raise DomainError("log_linear_cutoff with sigma=%g is too slowly "
@@ -206,8 +212,11 @@ def _lattice(psi, d):
     h = H_STEP
     while h > psi.sigma / 3.0 and h > H_STEP / 64.0:
         h *= 0.5
-    half = int(math.ceil(psi.s_extent(d) / h))
-    return (np.arange(-half, half + 1) * h), h
+    half = psi.s_extent(d) / h
+    try:
+        return (np.arange(-math.ceil(half), math.ceil(half) + 1) * h), h
+    except (OverflowError, ValueError, MemoryError) as exc:  # no int, or numpy refuses it
+        raise DomainError("a lattice of 2 * %g + 1 nodes: %s" % (half, exc)) from exc
 
 
 # elements (offsets x columns) per block of _offset_sums: below it numpy's

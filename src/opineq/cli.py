@@ -3,12 +3,16 @@
 Every command emits a machine-readable table (CSV with a `#` metadata
 header plus a JSON mirror, or JSON only) embedding the command, the full
 parameter set, the seed, the artifact version and the kernel backend.
+The csv module writes the rows; a field with a comma, a quote or a line
+break is quoted.
 No timestamps: identical configurations produce byte-identical files.
 Exit code 0 iff every in-command assertion passed, 1 with the failures as a
 JSON record on stderr (an unwritable --output too), 2 on a usage error.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -18,12 +22,6 @@ import sys
 # config values of a store_true flag, in any case
 FLAG_WORDS = {"1": True, "true": True, "yes": True,
               "0": False, "false": False, "no": False}
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _parse_floats(text):
@@ -52,37 +50,27 @@ def _positive_float(text):
     return v
 
 
-def _csv_field(x):
-    text = _fmt(x)
-    if "," in text or '"' in text:
-        return '"%s"' % text.replace('"', '""')
-    return text
-
-
 def write_output(meta, rows, path, fmt):
     """Emit the table, its columns the first row's keys; CSV carries
     '# key=value' metadata lines and is mirrored as JSON next to it."""
     meta = dict(sorted(meta.items()))
     columns = list(rows[0])
-    lines = ["# %s=%s" % (k, _fmt(v)) for k, v in meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_csv_field(row[c]) for c in columns))
-    csv_text = "\n".join(lines) + "\n"
-    json_text = json.dumps({"meta": meta, "rows": rows}, indent=2,
-                           sort_keys=True, default=_fmt) + "\n"
+    buf = io.StringIO()
+    buf.writelines("# %s=%s\n" % item for item in meta.items())
+    csv.writer(buf, lineterminator="\n").writerows(
+        [columns] + [[row[c] for c in columns] for row in rows])
+    texts = {"csv": buf.getvalue(),
+             "json": json.dumps({"meta": meta, "rows": rows}, indent=2,
+                                sort_keys=True, default=str) + "\n"}
     if path is None:
-        sys.stdout.write(csv_text if fmt == "csv" else json_text)
+        sys.stdout.write(texts[fmt])
         return
+    targets = [(path, fmt)]
     if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(csv_text)
-        mirror = os.path.splitext(path)[0] + ".json"
-        with open(mirror, "w") as fh:
-            fh.write(json_text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(json_text)
+        targets.append((os.path.splitext(path)[0] + ".json", "json"))
+    for target, kind in targets:
+        with open(target, "w") as fh:
+            fh.write(texts[kind])
 
 
 def _meta(args, extra=()):

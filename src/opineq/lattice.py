@@ -467,8 +467,9 @@ def kato_random_run(fld: LatticeField, mass: float, component: str,
     slabs of max(1, _SLAB_ELEMENTS // N) rows, so the draws and kato_test's
     temporaries stay bounded whatever the sample count.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise DomainError("need an integer samples >= 1")
+    if not (all(isinstance(k, (int, np.integer)) for k in (samples, seed))
+            and samples >= 1 and seed >= 0):
+        raise DomainError("need integers samples >= 1 and seed >= 0")
     T_free = kinetic_matrix(fld, mass, component="none")
     T_mag = T_free if component == "none" else kinetic_matrix(fld, mass, component)
     rng = np.random.default_rng(seed)

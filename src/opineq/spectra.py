@@ -283,26 +283,30 @@ def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
     if not 0 < Z < math.inf:
         raise DomainError("Z must be finite and positive")
     if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
-            and m_max >= 0 and n_levels >= 1):
-        raise DomainError("need integers m_max >= 0 and n_levels >= 1")
+            and m_max >= 0 and 1 <= n_levels <= grid.n):
+        raise DomainError("need integers m_max >= 0 and 1 <= n_levels <= %d nodes" % grid.n)
     grid = GridSpec(grid.r_min / Z, grid.r_max / Z, grid.n)
     n, h = grid.n, grid.log_step()
     s = np.log(grid.nodes())
-    d = np.exp(-s)  # B^{-1/2} for B = diag(e^{2s})
-    off = np.full(n - 1, -0.5 / (h * h)) * d[:-1] * d[1:]
-    chans = []
-    for m in range(m_max + 1):
-        # natural (free) ends: the log-coordinate eigenfunction tends to a
-        # constant at the inner boundary, so Dirichlet ghosts would poison it
-        main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - Z * np.exp(s)
-        main[0] -= 0.5 / (h * h)
-        main[-1] -= 0.5 / (h * h)
-        if m == 0:
-            # Robin term encoding the s-wave Coulomb cusp phi'(0)/phi(0) = -2Z;
-            # without it the truncation error is O(r_min) instead of O(r_min^2)
-            main[0] -= Z * grid.r_min / h
-        chans.append(sla.eigvalsh_tridiagonal(main * d * d, off, select="i",
-                                              select_range=(0, max(1, n_levels - m) - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past double range raise
+        d = np.exp(-s)  # B^{-1/2} for B = diag(e^{2s})
+        off = np.full(n - 1, -0.5 / (h * h)) * d[:-1] * d[1:]
+        chans = []
+        for m in range(m_max + 1):
+            # natural (free) ends: the log-coordinate eigenfunction tends to a
+            # constant at the inner boundary, so Dirichlet ghosts would poison it
+            main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - Z * np.exp(s)
+            main[0] -= 0.5 / (h * h)
+            main[-1] -= 0.5 / (h * h)
+            if m == 0:
+                # Robin term encoding the s-wave Coulomb cusp phi'(0)/phi(0) = -2Z;
+                # without it the truncation error is O(r_min) instead of O(r_min^2)
+                main[0] -= Z * grid.r_min / h
+            diag = main * d * d
+            if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+                raise DomainError("Z = %r scales the grid past double range" % Z)
+            chans.append(sla.eigvalsh_tridiagonal(diag, off, select="i",
+                                                  select_range=(0, max(1, n_levels - m) - 1)))
     return chans
 
 

@@ -521,6 +521,15 @@ def test_non_finite_form_raises_domain_error():
             relativistic_form(psi, d)
         with pytest.raises(DomainError):
             momentum_expectation(psi, d)
+    # sigma ** 2 past double range, in both forms
+    with pytest.raises(DomainError, match="no finite extent"):
+        nonrel_form(TrialFunction("log_gaussian", 1e200))
+    # the same in relativistic_form, then lattices that cannot be built:
+    # 2.6e13 nodes (189 TiB), a node count past numpy's maximal size, and
+    # an extent / h past double range
+    for d, sigma in ((2.0, 1e200), (2.0, 1e6), (1e308, 0.25), (1e308, 1.0)):
+        with pytest.raises(DomainError):
+            relativistic_form(TrialFunction("log_gaussian", sigma), d)
 
 
 def test_wide_trials_finite_on_their_own_lattice():

@@ -1,16 +1,18 @@
 import contextlib
+import csv
 import io
 import json
 import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opineq import lattice, spectra
-from opineq.cli import build_parser, main
+from opineq.cli import build_parser, main, write_output
 
 
 def run(argv, capsys):
@@ -77,6 +79,39 @@ def test_csv_has_metadata_and_mirror(tmp_path, capsys):
     hist = [r["count"] for r in mirror["rows"]
             if r["provenance"] == "violation histogram"]
     assert sum(int(c) for c in hist) == 10
+
+
+def _read_csv(text):
+    """The table of a CSV output, read by csv.reader after its '#' lines."""
+    lines = text.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return list(csv.reader(lines[start:]))
+
+
+def test_csv_quotes_line_breaks_quotes_and_commas(tmp_path, capsys):
+    # a line break, a quote and a comma are quoted, and each field reads
+    # back as the str of its value, an np.float64 too (not numpy 2's repr)
+    rows = [{"a": "one\ntwo", "b": 'say "hi", ok', "c": np.float64(0.5)}]
+    path = tmp_path / "t.csv"
+    write_output({"command": "x"}, rows, str(path), "csv")
+    write_output({"command": "x"}, rows, None, "csv")
+    table = [["a", "b", "c"], [str(v) for v in rows[0].values()]]
+    assert _read_csv(path.read_text()) == table
+    assert _read_csv(capsys.readouterr().out) == table
+    assert json.loads((tmp_path / "t.json").read_text())["rows"] == rows
+
+
+@pytest.mark.parametrize("argv", [["critical", "--method", "toeplitz"],
+                                  ["bounds", "--charge", "1", "--delta", "0"]])
+def test_csv_reads_back_as_its_json_mirror(argv, tmp_path, capsys):
+    # critical's provenance fields hold commas, so they are quoted
+    path = tmp_path / "t.csv"
+    code, _, _ = run(argv + ["--output", str(path)], capsys)
+    assert code == 0
+    header, *body = _read_csv(path.read_text())
+    mirror = json.loads((tmp_path / "t.json").read_text())["rows"]
+    assert [dict(zip(header, r)) for r in body] == [
+        {k: str(v) for k, v in row.items()} for row in mirror]
 
 
 def test_negative_charge_usage_error(capsys):
@@ -476,9 +511,11 @@ def test_kato_nonneg_phi_zero_field_exact(capsys):
     assert abs(float(rows[0].split(",")[1])) < 1e-12
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_kato_without_samples_is_failure_record(samples, capsys):
-    code, _, err = run(["kato", "--samples", samples, "--grid-size", "10",
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-3"),
+                                         ("--seed", "-1")], ids=["0", "-3", "seed=-1"])
+def test_kato_without_samples_is_failure_record(flag, value, capsys):
+    # no sample, or a seed numpy's generator refuses
+    code, _, err = run(["kato", flag, value, "--grid-size", "10",
                         "--extent", "6"], capsys)
     assert code == 1
     record = json.loads(err.splitlines()[-1])

@@ -604,6 +604,14 @@ def test_kato_random_run_needs_a_sample(samples):
         kato_random_run(fld, 0.0, "none", samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 2.5])
+def test_kato_random_run_needs_a_seed(seed):
+    # numpy's generator takes only a whole seed >= 0
+    fld = make_fields(1.0, 1.0, SquareGrid(8.0, 12))
+    with pytest.raises(DomainError):
+        kato_random_run(fld, 0.0, "none", samples=10, seed=seed)
+
+
 def test_zero_field_operator_is_shared_per_grid_mass_and_boundary():
     _cold()
     grid = SquareGrid(8.0, 16)

@@ -298,10 +298,13 @@ def test_hydrogen_too_coarse_raises_with_trace():
 
 @pytest.mark.parametrize("Z, m_max, n_levels", [
     (0.0, 0, 3), (-1.0, 0, 3), (math.nan, 0, 3), (math.inf, 0, 3),
-    (1.0, 2.5, 3), (1.0, -1, 3), (1.0, 0, 1.5), (1.0, 0, 0)])
+    (1.0, 2.5, 3), (1.0, -1, 3), (1.0, 0, 1.5), (1.0, 0, 0),
+    (1.0, 0, 901), (1e308, 0, 3)])
 def test_hydrogen_channels_rejects_bad_input(Z, m_max, n_levels):
     # the channel solve checks its own inputs, so that Z = 0 raises no
-    # ZeroDivisionError and m_max = -1 returns no empty list
+    # ZeroDivisionError, m_max = -1 returns no empty list, more levels than
+    # the 900 grid nodes reach no scipy range error, and a Z that scales
+    # r_min to 1e-311, where e^{-s} overflows, no scipy non-finite error
     with pytest.raises(DomainError):
         hydrogen_channels(Z, DEFAULT_HYDROGEN_GRID, m_max, n_levels)
 
