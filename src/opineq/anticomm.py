@@ -67,8 +67,8 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
     raises AccuracyError carrying the result.
     """
     d = _check_dimension(d)
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     if d == 2.0:
         return QuadResult(0.0, 0.0, 1)  # bracket vanishes identically
     nev_inner = [0]

@@ -63,15 +63,19 @@ class SquareGrid:
         return X, Y
 
 
+# a field past double range comes out inf or nan, without a warning, and
+# LatticeField refuses it with DomainError
 def _background(B, X, Y):
-    return -0.5 * B * Y, 0.5 * B * X
+    with np.errstate(over="ignore"):
+        return -0.5 * B * Y, 0.5 * B * X
 
 
 def _cavity(B, R, X, Y):
-    r2 = X * X + Y * Y
-    factor = 1.0 / np.maximum(r2, R * R)  # quadratic inside, 1/|x|^2 tail
-    ax = 0.5 * B * R * R * factor * Y
-    ay = -0.5 * B * R * R * factor * X
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = X * X + Y * Y
+        factor = 1.0 / np.maximum(r2, R * R)  # quadratic inside, 1/|x|^2 tail
+        ax = 0.5 * B * R * R * factor * Y
+        ay = -0.5 * B * R * R * factor * X
     return ax, ay
 
 
@@ -139,14 +143,16 @@ def _stencil(A, grid, boundary):
     Per axis, P = (-i/2h)(U - U^H) with U the forward links u_ab =
     exp(-i h (A_a + A_b)/2), so P^2 = (U U^H + U^H U - U^2 - U^H^2)/4h^2:
     a diagonal link count and the two-hop entries -u_ab u_bc/4h^2 plus
-    their conjugates.
+    their conjugates.  A phase h A past double range comes out nan,
+    without a warning, and _solve refuses the block with DomainError.
     """
     n, h = grid.n, grid.h
     real = not np.any(A)
     hops = []
     links = np.zeros((n, n))
     for axis in (0, 1):
-        u = np.exp(-0.5j * h * (A[axis] + np.roll(A[axis], -1, axis)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.exp(-0.5j * h * (A[axis] + np.roll(A[axis], -1, axis)))
         if boundary != "periodic":
             u[(slice(None),) * axis + (-1,)] = 0.0  # no link leaves the edge
         w = np.abs(u) ** 2
@@ -211,6 +217,8 @@ class KineticMatrix:
 
 
 MAX_DENSE_GRID = 48
+# sqrt((p+A)^2 + m^2) needs a finite m^2
+_MASS_CAP = float(np.sqrt(np.finfo(float).max))
 
 # _parity_classes indices in the order a quarter turn of the grid visits them
 _ORBIT = (0, 1, 3, 2)
@@ -226,10 +234,11 @@ def kinetic_matrix(fld: LatticeField, mass: float, component: str = "total",
     holds, so T_m depends only on (fld.grid, mass, boundary): it is built
     once per such key and kept in a cache of 8 entries, with read-only
     blocks.  An entry is at most 4 (N/4)^2 doubles, 10.6 MB at n = 48.
-    spectra._momentum_log_grid.cache_clear() clears it.
+    spectra._momentum_log_grid.cache_clear() clears it.  A negative mass,
+    or one whose square overflows (from 1.3e154), raises DomainError.
     """
-    if not 0 <= mass < np.inf:
-        raise DomainError("mass must be finite and >= 0")
+    if not 0 <= mass < _MASS_CAP:
+        raise DomainError("mass must be finite and >= 0, with a finite square")
     if fld.grid.n > MAX_DENSE_GRID:
         raise DomainError(
             "grid beyond the %dx%d dense budget" % (MAX_DENSE_GRID, MAX_DENSE_GRID))
@@ -342,6 +351,8 @@ def _solve(A, grid, mass, boundary):
             Tc = _turned(Tc, half).reshape(K, K)
         else:
             bmax = np.max(np.abs(B))
+            if not np.isfinite(bmax):
+                raise DomainError("kinetic square not finite: h |A| past double range")
             herm = np.max(np.abs(B - B.conj().T))
             if herm > 1e-12 * max(1.0, bmax):
                 raise DomainError("kinetic square lost hermiticity (%.2e)" % herm)

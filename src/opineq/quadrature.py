@@ -132,10 +132,12 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> QuadResult:
 
     Raises AccuracyError (carrying the best estimate) if the relative
     tolerance is not reached within the subdivision budget, and
-    DomainError for an infinite limit or if f produces non-finite values.
+    DomainError for a tolerance that is not positive and finite (an inf
+    one would accept the first panel), an infinite limit, or if f produces
+    non-finite values.
     """
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
     if not a < b:

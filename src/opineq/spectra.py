@@ -116,16 +116,19 @@ _momentum_log_grid.cache_clear = _cold_start
 
 
 def _lowest_eigenvalue(assemble):
-    """Lowest eigenvalue of the bitwise symmetric C-ordered H = assemble().
+    """Lowest eigenvalue of the bitwise symmetric C-ordered H = assemble(),
+    the one dense eigensolve of this module: chandrasekhar_lowest's whole
+    H(nu) and its trailing blocks, -T_0 and the anticommutator blocks.
     An inf or NaN entry raises DomainError.
 
     The solve for that eigenvalue alone ends its bisection at an absolute
     width of eps ||H||.  Where it lands within 64 eps ||H||_F of 0, a solve
     of the whole spectrum replaces it: LAPACK's QR iteration keeps the
     small eigenvalues of a matrix graded with its large entries first to
-    their relative accuracy (Demmel-Veselic).  Each solve overwrites H.T,
-    the Fortran-order array LAPACK takes, instead of copying H into that
-    order, so the fallback assembles its own H.
+    their relative accuracy (Demmel-Veselic), so the sign of the result is
+    the sign of the eigenvalue.  Each solve overwrites H.T, the
+    Fortran-order array LAPACK takes, instead of copying H into that order,
+    so the fallback assembles its own H.
     """
     H = assemble()
     if not np.all(np.isfinite(H)):
@@ -146,19 +149,72 @@ def _toeplitz_view(t):
         np.concatenate((t[::-1], t[1:])), t.size)[::-1]
 
 
+# chandrasekhar_lowest's first trailing block, in rows, and the relative
+# slack of the lower bound it certifies.  Measured on 54 stable solves over
+# perfbench's draw ranges (m = 1, nu in [0.3, 0.5]; m = 2, nu in [0.3, 0.9];
+# the three pool grids): a 128-row block is at most 5.4e-9 relative above
+# lambda_min(H), 177 times inside the slack 2^-20 = 9.5e-7, which is still
+# 20 times inside the whole H's bisection error there, 1.9e-5.  96 rows are
+# 2.7e-7 above it and 64 fail 14 of the 54 certificates; with 128 rows every
+# slack from 2^-26 up certifies all 54, and 2^-30 fails 5.
+_TRAIL_ROWS = 128
+_TRAIL_SLACK = 2.0 ** -20
+
+
+def _bounded_below(nu, t, q, sigma):
+    """Whether H(nu) - sigma I is positive definite, decided by one Cholesky
+    factorization of the congruent A = D^{-1/2} (H(nu) - sigma I) D^{-1/2}
+    = I - nu T_m - sigma D^{-1}, whose entries are of order 1 where H's
+    reach e^L.  By Sylvester's law of inertia a success means
+    lambda_min(H(nu)) > sigma, up to the rounding below.
+
+    A factorization that runs to completion in floating point is exact for
+    a positive definite A + E with |E_ij| <= gamma_{n+1} sqrt(a_ii a_jj),
+    gamma_{n+1} = (n+1) eps / (1 - (n+1) eps) (Demmel, LAPACK Working Note
+    14, 1989; Higham, Accuracy and Stability, Thm 10.5): entry by entry a
+    perturbation of I - nu T_m of relative size (n+1) eps.  Forming A
+    rounds each entry by a few eps of operands of order 1, which adds
+    O(eps) to ||E||_2.  Congruence gives D^{1/2} (A + E) D^{1/2} =
+    H - sigma I + D^{1/2} E D^{1/2} > 0, and D^{1/2} E D^{1/2} <= ||E||_2 D,
+    so a success certifies lambda_min(H + delta D) > sigma with
+    delta = ||E||_2 <= gamma_{n+1} tr A + O(eps).  For sigma >= 0 each
+    a_ii <= 1, so delta is at most about n^2 eps, 6e-11 at n = 500: the
+    normwise size of an (n+1) eps relative perturbation of I - nu T_m.
+    On H's ground state x, delta D moves the bound by delta <x, D x>, of
+    the order of delta where x lives at the small end of q, as a stable
+    channel's does.
+    """
+    A = _toeplitz_view(t) * -nu
+    A[np.diag_indices(q.size)] += 1.0 - sigma / q
+    return sla.lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)[1] == 0
+
+
 def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     """Lowest eigenvalue of |p| - nu/|x| in 2D channel m, on the momentum
     grid [1/r_max, 1/r_min] with grid.n log-spaced nodes.
 
     H(nu) = D^{1/2} (I - nu T_m) D^{1/2}, D = diag(q), is assembled on the
     grid scaled to [1, r_max/r_min] and its eigenvalue scaled back:
-    |p| - nu/|x| has degree -1.  H takes one n x n allocation: the outer
-    product of sqrt(q), scaled in place by a view of T_m, which the solve
-    then overwrites.
+    |p| - nu/|x| has degree -1.
 
-    It carries _lowest_eigenvalue's bisection width: on perfbench's pool
-    grids it differs from a full-spectrum solve of the same H by up to
-    4.1 eps ||H||_F on 2 BLAS threads, 2.6e-5 relative (measured).
+    A stable channel's ground state lives on the last rows, the small end
+    of q, so the trailing k x k block of H is solved first, k =
+    _TRAIL_ROWS.  Its lowest eigenvalue theta is an upper bound on
+    lambda_min(H) by Cauchy interlacing.  A negative theta means the
+    channel binds, and H is solved whole.  Otherwise _bounded_below
+    certifies lambda_min(H) > sigma = theta - _TRAIL_SLACK |theta| with one
+    Cholesky factorization, and theta is returned: it is within
+    _TRAIL_SLACK |theta| of lambda_min(H), up to the block solve's
+    bisection width eps ||H_k|| and the factorization's delta.  Where the
+    certificate fails, k doubles while it is below n; then H is solved
+    whole, bitwise as if no block had been tried.  Each matrix takes one
+    allocation: H and its blocks are the outer product of sqrt(q), scaled
+    in place by a view of T_m, and the solve overwrites them.
+
+    On perfbench's pool grids (n = 300-500) a certified solve costs a
+    0.6 ms block and a 0.7-1.9 ms factorization where the whole H took
+    2.3-7.0 ms, and a binding channel pays one 128-row block before its
+    whole solve (measured, 2 BLAS threads).
     """
     if not 0.0 <= nu < math.inf:
         raise DomainError("coupling nu must be finite and >= 0")
@@ -166,13 +222,22 @@ def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     t, q = _momentum_log_grid(abs(m), grid.n, L)
     r = np.sqrt(q)
 
-    def assemble():
-        H = np.einsum("i,j->ij", r, r)
-        H *= _toeplitz_view(t)
+    def assemble(k=grid.n):
+        H = np.einsum("i,j->ij", r[-k:], r[-k:])
+        H *= _toeplitz_view(t[:k])
         H *= -nu
-        H[np.diag_indices(grid.n)] += q
+        H[np.diag_indices(k)] += q[-k:]
         return H
 
+    k = _TRAIL_ROWS
+    # a top node e^L past double range leaves H non-finite: solved whole, it raises
+    while k < grid.n and math.isfinite(q[0]):
+        theta = _lowest_eigenvalue(lambda: assemble(k))
+        if theta < 0.0:
+            break
+        if _bounded_below(nu, t, q, theta - _TRAIL_SLACK * theta):
+            return theta / grid.r_max
+        k *= 2
     return _lowest_eigenvalue(assemble) / grid.r_max
 
 

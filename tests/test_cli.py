@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,26 @@ def test_kato_without_samples_is_failure_record(flag, value, capsys):
     record = json.loads(err.splitlines()[-1])
     assert record["command"] == "kato"
     assert "DomainError" in record["failures"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--tol", "inf"],
+    ["kato", "--grid-size", "4", "--extent", "1e308"],
+    ["kato", "--grid-size", "4", "--b-field", "1e308"],
+    ["kato", "--grid-size", "4", "--radius", "1e308"],
+    ["kato", "--grid-size", "4", "--mass", "1e308"]],
+    ids=["tol=inf", "extent=1e308", "b-field=1e308", "radius=1e308", "mass=1e308"])
+def test_input_past_double_range_is_failure_record(argv, capsys):
+    # an inf tolerance stopped gamma after one panel (exit 0); a 1e308 kato
+    # input ended in numpy's LinAlgError or, with warnings as errors, in a
+    # RuntimeWarning before its record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(argv, capsys)
+    assert code == 1
+    record = json.loads(err.splitlines()[-1])
+    assert record["command"] == argv[0]
+    assert record["failures"][0].startswith("DomainError")
 
 
 def test_domain_error_becomes_failure_record(capsys):

@@ -166,6 +166,43 @@ def test_square_grid_validation():
     assert SquareGrid(12, np.int64(24)).h == 0.5
 
 
+def test_fields_past_double_range_raise_domain_error_without_warning():
+    # B or R at 1e308 overflows the sampled field: LatticeField refuses it,
+    # and no RuntimeWarning comes first
+    grid = SquareGrid(12.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for B, R in ((1e308, 1.0), (1.0, 1e308)):
+            with pytest.raises(DomainError, match="vector potential not finite"):
+                make_fields(B, R, grid)
+
+
+def test_link_phases_past_double_range_raise_before_eigh(monkeypatch):
+    # on a 1e308 square the field is finite but h A is not: the link phases
+    # are nan, and the block is refused before numpy's eigh sees it
+    fld = make_fields(1.0, 1.0, SquareGrid(1e308, 4))
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on a non-finite block")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="kinetic square not finite"):
+            kinetic_matrix(fld, 0.0)
+
+
+@pytest.mark.parametrize("mass", [1e155, 1e308, np.inf, -1.0])
+def test_kinetic_matrix_needs_a_mass_with_a_finite_square(mass):
+    # sqrt((p+A)^2 + m^2) - m is inf where m^2 overflows
+    fld = make_fields(1.0, 1.0, SquareGrid(12.0, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for component in ("none", "total"):
+            with pytest.raises(DomainError, match="mass must be"):
+                kinetic_matrix(fld, mass, component)
+
+
 def test_fft_dispersion_oracle():
     grid = SquareGrid(2 * np.pi, 12)
     fld = make_fields(0.0, 1.0, grid)

@@ -175,7 +175,7 @@ def test_bad_interval_and_tolerance():
     for a, b in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, a, b)
-    for tol in (-1.0, math.nan):
+    for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 0.0, 1.0, tol=tol)
 

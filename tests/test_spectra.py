@@ -399,37 +399,110 @@ def test_lowest_eigenvalue_falls_back_to_a_fresh_matrix(solved_orders):
 
 def test_lowest_eigenvalue_past_the_norm_range():
     # at span 400 the entries of H reach 4.6e173 and ||H||_F overflows: the
-    # floor is inf, which takes the whole-spectrum solve, with no warning
+    # floor is inf, which takes the whole-spectrum solve, with no warning.
+    # chandrasekhar_lowest certifies this stable channel on a trailing block,
+    # whose value lies within its slack of that solve
     g = GridSpec(math.exp(-200.0), math.exp(200.0), 400)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        lam = chandrasekhar_lowest(0.1, 0, g)
     t, q = _momentum_log_grid(0, g.n, 400.0)
     H = np.einsum("i,j->ij", np.sqrt(q), np.sqrt(q))
     H *= sla.toeplitz(t)
     H *= -0.1
     H[np.diag_indices(g.n)] += q
-    assert lam == sla.eigvalsh(H)[0] / g.r_max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = _lowest_eigenvalue(H.copy)
+        block = chandrasekhar_lowest(0.1, 0, g) * g.r_max
+    assert lam == sla.eigvalsh(H)[0]
+    assert abs(block - lam) <= 2.0 ** -20 * block
 
 
 def test_deflation_sizes(solved_orders):
-    # nothing is deflated: the pool grids and the anticommutator blocks are
-    # solved whole
+    # at nu = 0.3 channels 1 and 2 are certified on their first 128-row
+    # trailing block.  Channel 0 binds: its first block is negative at n =
+    # 300 and 400; at n = 500 it is positive, fails the certificate, and the
+    # 256-row block is negative.  Each binding channel is then solved whole,
+    # as are the anticommutator blocks
     for span, n in POOL_GRIDS:
         for m in (0, 1, 2):
             chandrasekhar_lowest(0.3, m, GridSpec(math.exp(-span), 1.0, n))
-    assert solved_orders == [n for _, n in POOL_GRIDS for _ in range(3)]
+    assert solved_orders == [128, 300, 128, 128,
+                             128, 400, 128, 128,
+                             128, 256, 500, 128, 128]
     solved_orders.clear()
     for d in (2, 3):
         lambda_min_anticomm(d)
     assert solved_orders == 2 * [round(L / 0.08) + 1 for L in ANTICOMM_SPANS]
 
 
+def _channel_matrix(nu, m, span, n):
+    """H(nu) as chandrasekhar_lowest assembled it whole before it solved
+    trailing blocks, bitwise."""
+    t, q = _momentum_log_grid(m, n, span)
+    H = np.einsum("i,j->ij", np.sqrt(q), np.sqrt(q))
+    H *= sla.toeplitz(t)
+    H *= -nu
+    H[np.diag_indices(n)] += q
+    return H
+
+
+def _trail_bracket(theta, H, k):
+    """Whether the full-spectrum lambda_min(H) lies in the bracket a
+    certified trailing-block value theta carries: at most the slack 2^-20
+    below it, and above it by no more than the block solve's bisection
+    width, taken as 4 eps ||H_k||_F."""
+    full = sla.eigvalsh(H)[0]
+    width = 4.0 * np.finfo(float).eps * np.linalg.norm(H[-k:, -k:])
+    return theta - 2.0 ** -20 * theta <= full <= theta + width
+
+
+def test_stable_channels_certified_on_the_first_block(solved_orders):
+    # perfbench's draw ranges: m = 1 over [0.3, 0.5], m = 2 over [0.3, 0.9]
+    for span, n in POOL_GRIDS:
+        g = GridSpec(math.exp(-span), 1.0, n)
+        for m, hi in ((1, 0.5), (2, 0.9)):
+            for nu in np.linspace(0.3, hi, 5):
+                solved_orders.clear()
+                lam = chandrasekhar_lowest(nu, m, g)
+                assert solved_orders == [128]
+                assert _trail_bracket(lam, _channel_matrix(nu, m, span, n), 128)
+
+
+def test_binding_channel_zero_solved_whole_bitwise():
+    # a negative trailing block leaves the whole solve as it was
+    for span, n in POOL_GRIDS:
+        g = GridSpec(math.exp(-span), 1.0, n)
+        for nu in np.linspace(0.3, 0.9, 4):
+            want = _lowest_eigenvalue(lambda: _channel_matrix(nu, 0, span, n))
+            assert chandrasekhar_lowest(nu, 0, g) == want / g.r_max < 0.0
+
+
+def test_failed_certificate_takes_the_next_block(solved_orders):
+    # channel 0 at nu = 0.1 is stable, but its ground state reaches past
+    # 128 rows of the n = 500 grid: the 256-row block is certified
+    g = GridSpec(math.exp(-26.0), 1.0, 500)
+    lam = chandrasekhar_lowest(0.1, 0, g)
+    assert solved_orders == [128, 256]
+    assert _trail_bracket(lam, _channel_matrix(0.1, 0, 26.0, 500), 256)
+
+
+def test_chandrasekhar_non_finite_matrix_raises_domain_error():
+    # entries of H past double range raise, whether the trailing block is
+    # finite (nu = 1e300) or the top node e^L rounds past it (n = 133)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for nu, g in ((1e300, GridSpec(math.exp(-26.0), 1.0, 500)),
+                      (0.1, GridSpec(1.0, sys.float_info.max, 133))):
+            with pytest.raises(DomainError, match="not finite"):
+                chandrasekhar_lowest(nu, 1, g)
+
+
 def test_lowest_eigenvalue_within_its_bisection_width():
-    # chandrasekhar_lowest's single-index solve stops at an absolute width
-    # of about eps ||H||: on the pool grids it differs from a full-spectrum
+    # a single-index solve of the whole H stops at an absolute width of
+    # about eps ||H||: a binding channel 0 here differs from a full-spectrum
     # solve of the same H(nu) by up to 4.1 eps ||H||_F on 2 BLAS threads
-    # (1.9 on one), up to 2.6e-5 relative (measured)
+    # (1.9 on one).  The stable channels' certified blocks are at most 0.51
+    # eps ||H||_F, 6.8e-7 relative, off it (channel 0 at nu = 0.05, n = 500;
+    # measured)
     eps = np.finfo(float).eps
     for span, n in POOL_GRIDS:
         g = GridSpec(math.exp(-span), 1.0, n)
