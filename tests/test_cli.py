@@ -529,12 +529,18 @@ def test_kato_without_samples_is_failure_record(flag, value, capsys):
     ["kato", "--grid-size", "4", "--extent", "1e308"],
     ["kato", "--grid-size", "4", "--b-field", "1e308"],
     ["kato", "--grid-size", "4", "--radius", "1e308"],
-    ["kato", "--grid-size", "4", "--mass", "1e308"]],
-    ids=["tol=inf", "extent=1e308", "b-field=1e308", "radius=1e308", "mass=1e308"])
+    ["kato", "--grid-size", "4", "--mass", "1e308"],
+    ["kato", "--grid-size", "4", "--field", "zero", "--extent", "1e155"],
+    ["kato", "--grid-size", "4", "--field", "zero", "--extent", "1e308"],
+    ["kato", "--grid-size", "4", "--extent", "1e-155"]],
+    ids=["tol=inf", "extent=1e308", "b-field=1e308", "radius=1e308", "mass=1e308",
+         "zero-field-extent=1e155", "zero-field-extent=1e308", "extent=1e-155"])
 def test_input_past_double_range_is_failure_record(argv, capsys):
     # an inf tolerance stopped gamma after one panel (exit 0); a 1e308 kato
     # input ended in numpy's LinAlgError or, with warnings as errors, in a
-    # RuntimeWarning before its record
+    # RuntimeWarning before its record; a zero-field cell whose square
+    # overflows ended in an OverflowError traceback; on a cell whose 1/h^2
+    # overflows the stencil must not warn before its DomainError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(argv, capsys)
@@ -542,6 +548,23 @@ def test_input_past_double_range_is_failure_record(argv, capsys):
     record = json.loads(err.splitlines()[-1])
     assert record["command"] == argv[0]
     assert record["failures"][0].startswith("DomainError")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kato", "--grid-size", "4", "--extent", "1e-12"],
+    ["kato", "--grid-size", "4", "--extent", "1e8"],
+    ["kato", "--b-field", "1e4", "--radius", "2"]],
+    ids=["extent=1e-12", "extent=1e8", "b-field=1e4"])
+def test_rescaled_kato_inputs_run(argv, capsys):
+    # each exited 1: an origin scan against 1e-12 refused the tiny cells,
+    # an absolute roundoff floor zeroed every tolerance on the wide ones,
+    # and an absolute cavity slack of 1e-12 refused B R^2 = 4e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(argv, capsys)
+    assert code == 0
+    tolerance = [l for l in out.splitlines() if l.startswith("tolerance")]
+    assert 0 < float(tolerance[0].split(",")[1]) < float("inf")
 
 
 def test_domain_error_becomes_failure_record(capsys):

@@ -142,8 +142,47 @@ def test_discrete_curls():
 
 
 def test_origin_on_node_rejected():
-    with pytest.raises(ConfigurationError):
-        make_fields(1.0, 1.0, SquareGrid(8.0, 15))  # odd n puts a node at 0
+    # odd n puts a node at 0, up to rounding: at extent 16000 it is 1.3e-12
+    # off, which a radius scan against 1e-12 let through, and kinetic_matrix
+    # then met shapes of (49,) against (64,)
+    for extent in (8.0, 16000.0):
+        with pytest.raises(ConfigurationError):
+            make_fields(1.0, 1.0, SquareGrid(extent, 15))
+
+
+@pytest.mark.parametrize("extent", [1e-12, 1e8, 1e20, 1e100])
+def test_kato_random_run_at_rescaled_extents(extent):
+    # at 1e-12 the nodes nearest the origin are at +-h/2 = 1.25e-13, which
+    # a radius scan against 1e-12 refused; on the wide cells every
+    # eigenvalue of (p+A)^2 is about 1/h^2, and an absolute roundoff floor
+    # zeroed them all, and with them the norm and every tolerance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = kato_random_run(make_fields(1.0, 1.0, SquareGrid(extent, 4)), 0.0,
+                              "total", samples=20, seed=3)
+    assert 0 < run.tol_violation < np.inf
+    assert run.passed and sum(run.histogram_counts) == 20
+
+
+@pytest.mark.parametrize("B, R", [(1e4, 2.0), (1e6, 1.0), (1e-300, 1e160)])
+def test_strong_cavity_fields_accepted(B, R):
+    # make_fields puts |A_cav||x| on B R^2 / 2 outside R to a few eps
+    # relative, past an absolute slack of 1e-12 once B R^2 is a few 1e4;
+    # R ** 2 raised OverflowError at R = 1e160 where B R^2 = 1e20 is finite
+    fld = make_fields(B, R, SquareGrid(12.0, 24))
+    run = kato_random_run(fld, 0.0, "total", samples=20, seed=3)
+    assert 0 < run.tol_violation < np.inf
+    assert run.passed and sum(run.histogram_counts) == 20
+
+
+def test_zero_field_cell_past_double_range_raises_domain_error():
+    # h * h overflows to inf at h = 2.5e154 (h ** 2 raised OverflowError);
+    # the zero-field blocks are finite (all 0), so kato_test refuses the cell
+    fld = make_fields(1.0, 1.0, SquareGrid(1e155, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="cell square"):
+            kato_random_run(fld, 0.0, "none", samples=4)
 
 
 def test_make_fields_validation():
@@ -330,6 +369,8 @@ def test_class_blocks_are_the_dense_blocks_bitwise(n, boundary, component):
             want = want.real
         assert B.shape == want.shape and B.dtype == want.dtype
         assert B.tobytes() == np.ascontiguousarray(want).tobytes()
+        # built Hermitian, so _solve does not re-test it
+        assert np.array_equal(B, B.conj().T)
 
 
 @pytest.mark.parametrize("n,boundary,component",
@@ -494,21 +535,6 @@ def test_solved_blocks_keep_the_psd_test_and_the_roundoff_floor(monkeypatch, com
     _cold()
     with pytest.raises(DomainError, match="PSD"):
         kinetic_matrix(fld, 0.0, component)
-
-
-@pytest.mark.parametrize("broken_class", [0, 3])
-def test_kinetic_matrix_rejects_non_hermitian_block(monkeypatch, broken_class):
-    # class 0 is the solved one; class 3 then no longer matches its turned
-    # predecessor and is solved, so the check fires either way
-    def broken(stencil, k):
-        H = _kinetic_square(stencil, k)
-        if k == broken_class:
-            H[0, 1] += 1e-3  # one block, one triangle only
-        return H
-
-    monkeypatch.setattr("opineq.lattice._kinetic_square", broken)
-    with pytest.raises(DomainError, match="hermiticity"):
-        kinetic_matrix(make_fields(1.0, 1.0, SquareGrid(8.0, 16)), 0.5, "total")
 
 
 def test_stacked_kato_test_matches_single_calls():
