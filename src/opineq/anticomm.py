@@ -101,11 +101,6 @@ def gamma(d: float, tol: float = 1e-10) -> QuadResult:
     return out
 
 
-def lower_bound(d: float, tol: float = 1e-10) -> float:
-    """Lower bound 2 alpha_d gamma_d on the spectrum of |x||p| + |p||x|."""
-    return 2.0 * alpha(d) * gamma(d, tol).value
-
-
 @dataclass(frozen=True)
 class TrialFunction:
     """Radial trial profile, parameterized in log-radius s = ln r.
@@ -479,15 +474,6 @@ def relativistic_form(psi: TrialFunction, d: float) -> FormValue:
 def relativistic_form_direct(psi: TrialFunction, d: float) -> float:
     """The value of relativistic_form as a float."""
     return relativistic_form(psi, d).value
-
-
-def momentum_expectation(psi: TrialFunction, d: float) -> float:
-    """<psi, |p| psi> through the position-space double integral."""
-    d = _check_dimension(d)
-    s, h = _lattice(psi, d)
-    G = psi.profile_log(s)
-    v, _ = _form_engine(d, s, h, G, G)
-    return alpha(d) * v
 
 
 def nonrel_form(psi: TrialFunction) -> float:

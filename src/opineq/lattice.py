@@ -134,12 +134,6 @@ def make_fields(B: float, R: float, grid: SquareGrid) -> LatticeField:
     return LatticeField(grid=grid, B=B, R=R, A_background=bg, A_cavity=cav)
 
 
-def discrete_curl(A, h):
-    """Centered-difference curl dA2/dx - dA1/dy on interior nodes."""
-    ax, ay = A
-    return ((ay[2:, 1:-1] - ay[:-2, 1:-1]) - (ax[1:-1, 2:] - ax[1:-1, :-2])) / (2 * h)
-
-
 def _stencil(A, grid, boundary):
     """The entries of (p+A)^2 on the n x n grid, as (hops, diagonal): per
     axis the two-hop entry from each node, and each node's link count, all

@@ -119,7 +119,7 @@ def _lowest_eigenvalue(assemble):
     """Lowest eigenvalue of the bitwise symmetric C-ordered H = assemble(),
     the one dense eigensolve of this module: chandrasekhar_lowest's whole
     H(nu) and its trailing blocks, -T_0 and the anticommutator blocks.
-    An inf or NaN entry raises DomainError.
+    An inf or NaN entry, or a solve that overflows to one, raises DomainError.
 
     The solve for that eigenvalue alone ends its bisection at an absolute
     width of eps ||H||.  Where it lands within 64 eps ||H||_F of 0, a solve
@@ -139,6 +139,8 @@ def _lowest_eigenvalue(assemble):
                              check_finite=False)[0])
     if abs(lam) <= floor:
         lam = float(sla.eigvalsh(assemble().T, overwrite_a=True, check_finite=False)[0])
+    if not math.isfinite(lam):  # finite entries whose solve overflowed
+        raise DomainError("lowest eigenvalue %r is not finite" % lam)
     return lam
 
 
@@ -347,6 +349,8 @@ def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
     """
     if not 0 < Z < math.inf:
         raise DomainError("Z must be finite and positive")
+    if Z < math.sqrt(np.finfo(float).tiny):  # the levels, of order Z^2, would round to 0
+        raise DomainError("Z = %r: Z^2 is below the smallest normal double" % Z)
     if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
             and m_max >= 0 and 1 <= n_levels <= grid.n):
         raise DomainError("need integers m_max >= 0 and 1 <= n_levels <= %d nodes" % grid.n)

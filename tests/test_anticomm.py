@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from opineq import anticomm, kernels
 from opineq.anticomm import (TrialFunction, _bracket_log, alpha, band_moments,
-                             gamma, lower_bound,
-                             momentum_expectation, nonrel_form,
+                             gamma, nonrel_form,
                              relativistic_form, relativistic_form_direct,
                              ridge_moments)
 from opineq.errors import AccuracyError, DomainError
@@ -162,14 +161,6 @@ def test_gamma_rejects_bad_tolerance(tol, monkeypatch):
     _forbid_kernel_calls(monkeypatch)
     with pytest.raises(DomainError):
         gamma(3.0, tol)
-
-
-def test_lower_bound():
-    assert lower_bound(2.0) == 0.0
-    lb = lower_bound(2.01, 1e-9)
-    assert 0 < lb < 0.1
-    assert lower_bound(3.0, 1e-9) == pytest.approx(1.0, rel=1e-7)
-    assert lower_bound(1.5, 1e-8) == pytest.approx(-0.5, rel=1e-6)
 
 
 def test_trial_function_families():
@@ -520,8 +511,10 @@ def test_non_finite_form_raises_domain_error():
         psi = TrialFunction("log_gaussian", sigma)
         with pytest.raises(DomainError):
             relativistic_form(psi, d)
+        s, h = anticomm._lattice(psi, d)
+        G = psi.profile_log(s)
         with pytest.raises(DomainError):
-            momentum_expectation(psi, d)
+            anticomm._form_engine(d, s, h, G, G)  # <psi, |p| psi>, H = G
     # sigma ** 2 past double range, in both forms
     with pytest.raises(DomainError, match="no finite extent"):
         nonrel_form(TrialFunction("log_gaussian", 1e200))
@@ -589,9 +582,9 @@ def test_dilation_by_power_of_two_property(k, d, sigma, center):
 
 
 def test_chain_consistency_with_lower_bound():
-    # <psi,(|x||p|+|p||x|)psi> = 2 alpha_d t >= lower_bound ||psi||^2
+    # <psi,(|x||p|+|p||x|)psi> = 2 alpha_d t >= 2 alpha_d gamma_d ||psi||^2
     for d in (2.5, 3.0):
-        lb = lower_bound(d, 1e-9)
+        lb = 2.0 * alpha(d) * gamma(d, 1e-9).value
         for sigma in (0.25, 1.0, 4.0):
             fv = relativistic_form(TrialFunction("log_gaussian", sigma), d)
             lhs = lb * fv.norm_sq
@@ -600,9 +593,11 @@ def test_chain_consistency_with_lower_bound():
 
 
 def test_momentum_expectation_positive():
+    # <psi, |p| psi> = alpha_d times the form with H = G
     psi = TrialFunction("log_gaussian", 1.0)
-    val = momentum_expectation(psi, 2.0)
-    assert val > 0
+    s, h = anticomm._lattice(psi, 2.0)
+    G = psi.profile_log(s)
+    assert alpha(2.0) * anticomm._form_engine(2.0, s, h, G, G)[0] > 0
 
 
 def test_nonrel_closed_form():

@@ -532,15 +532,18 @@ def test_kato_without_samples_is_failure_record(flag, value, capsys):
     ["kato", "--grid-size", "4", "--mass", "1e308"],
     ["kato", "--grid-size", "4", "--field", "zero", "--extent", "1e155"],
     ["kato", "--grid-size", "4", "--field", "zero", "--extent", "1e308"],
-    ["kato", "--grid-size", "4", "--extent", "1e-155"]],
+    ["kato", "--grid-size", "4", "--extent", "1e-155"],
+    ["hydrogen", "--charge", "1e-200"]],
     ids=["tol=inf", "extent=1e308", "b-field=1e308", "radius=1e308", "mass=1e308",
-         "zero-field-extent=1e155", "zero-field-extent=1e308", "extent=1e-155"])
+         "zero-field-extent=1e155", "zero-field-extent=1e308", "extent=1e-155",
+         "charge=1e-200"])
 def test_input_past_double_range_is_failure_record(argv, capsys):
     # an inf tolerance stopped gamma after one panel (exit 0); a 1e308 kato
     # input ended in numpy's LinAlgError or, with warnings as errors, in a
     # RuntimeWarning before its record; a zero-field cell whose square
     # overflows ended in an OverflowError traceback; on a cell whose 1/h^2
-    # overflows the stencil must not warn before its DomainError
+    # overflows the stencil must not warn before its DomainError; a charge
+    # whose square underflows ended in a ZeroDivisionError traceback
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(argv, capsys)

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opineq import anticomm, kernels, lattice
-from opineq.anticomm import TrialFunction, momentum_expectation, ridge_moments
+from opineq.anticomm import TrialFunction, alpha, ridge_moments
 from opineq.bounds import CRITICAL_CONSTANT_FOURTH_POWER
 from opineq.errors import DomainError, RefinementNeededError
 from opineq.kernels import coulomb_channel_kernel
@@ -150,7 +150,9 @@ def test_momentum_channel_log_agrees():
     P, r, w = _channel_0(GridSpec(1e-4, 1e4, 800))
     v = psi.profile_log(np.log(r)) * np.sqrt(w)
     q_log = float(v @ P @ v) / float(v @ v)
-    q_ly = momentum_expectation(psi, 2.0) / psi.norm_sq(2.0)
+    s, h = anticomm._lattice(psi, 2.0)
+    G = psi.profile_log(s)  # <psi, |p| psi>: the form with H = G
+    q_ly = alpha(2.0) * anticomm._form_engine(2.0, s, h, G, G)[0] / psi.norm_sq(2.0)
     assert q_log == pytest.approx(q_ly, rel=1e-3)
     ev = np.linalg.eigvalsh(P)
     assert ev[0] >= -1e-10 * ev[-1]  # PSD by pairwise-square construction
@@ -299,12 +301,13 @@ def test_hydrogen_too_coarse_raises_with_trace():
 @pytest.mark.parametrize("Z, m_max, n_levels", [
     (0.0, 0, 3), (-1.0, 0, 3), (math.nan, 0, 3), (math.inf, 0, 3),
     (1.0, 2.5, 3), (1.0, -1, 3), (1.0, 0, 1.5), (1.0, 0, 0),
-    (1.0, 0, 901), (1e308, 0, 3)])
+    (1.0, 0, 901), (1e308, 0, 3), (1e-160, 0, 3), (1e-200, 0, 3)])
 def test_hydrogen_channels_rejects_bad_input(Z, m_max, n_levels):
     # the channel solve checks its own inputs, so that Z = 0 raises no
     # ZeroDivisionError, m_max = -1 returns no empty list, more levels than
     # the 900 grid nodes reach no scipy range error, and a Z that scales
-    # r_min to 1e-311, where e^{-s} overflows, no scipy non-finite error
+    # r_min to 1e-311, where e^{-s} overflows, no scipy non-finite error; a
+    # Z whose square is subnormal returned positive subnormal levels or 0
     with pytest.raises(DomainError):
         hydrogen_channels(Z, DEFAULT_HYDROGEN_GRID, m_max, n_levels)
 
@@ -487,11 +490,14 @@ def test_failed_certificate_takes_the_next_block(solved_orders):
 
 def test_chandrasekhar_non_finite_matrix_raises_domain_error():
     # entries of H past double range raise, whether the trailing block is
-    # finite (nu = 1e300) or the top node e^L rounds past it (n = 133)
+    # finite (nu = 1e300) or the top node e^L rounds past it (n = 133); so
+    # does a finite H whose whole-spectrum solve overflows to -inf (nu =
+    # 1e300 on a narrower grid, entries up to 1.4e308)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for nu, g in ((1e300, GridSpec(math.exp(-26.0), 1.0, 500)),
-                      (0.1, GridSpec(1.0, sys.float_info.max, 133))):
+                      (0.1, GridSpec(1.0, sys.float_info.max, 133)),
+                      (1e300, GridSpec(1e-9, 1.0, 300))):
             with pytest.raises(DomainError, match="not finite"):
                 chandrasekhar_lowest(nu, 1, g)
 

@@ -27,9 +27,9 @@ the probe pickles into FILE, by name:
   `anticomm._form_engine`'s (value, scale) with H = e^s G for the
   two-bump profile of tests/test_anticomm.py (561 samples interpolated
   onto the lattice of step H_STEP out to |s| = 182 H_STEP) at d = 1.2, 2
-  and 3; and `anticomm.momentum_expectation` (the form with H = G) at
-  the MELLIN_T points, so that a change to the forms shows for every
-  trial family and both H;
+  and 3; and <psi, |p| psi> at the MELLIN_T points, alpha(d) times
+  `anticomm._form_engine`'s value with H = G on the trial's own lattice,
+  so that a change to the forms shows for every trial family and both H;
 - the 2D Coulomb channel kernel `coulomb_channel_kernel(m, t)` for
   m = 0..6 on the `KERNEL_TS` grid of tests/test_spectra.py;
 - `spectra._mellin_quadrature(m, s)`, the quadrature behind
@@ -141,6 +141,11 @@ def probe():
         fv = anticomm.relativistic_form(psi, d)
         return np.array([fv.value, fv.scale, fv.norm_sq])
 
+    def momentum(d, psi):
+        s, h = anticomm._lattice(psi, d)
+        G = psi.profile_log(s)
+        return np.array(anticomm.alpha(d) * anticomm._form_engine(d, s, h, G, G)[0])
+
     def critical():
         res = spectra.critical_coupling_toeplitz()
         return np.array([res.nu_c, res.uncertainty])
@@ -170,8 +175,7 @@ def probe():
         jobs["relativistic_form d=%g sigma=%g" % (d, sigma)] = (
             lambda d=d, sigma=sigma: form(d, Trial("log_gaussian", sigma)))
         jobs["momentum_expectation d=%g sigma=%g" % (d, sigma)] = (
-            lambda d=d, sigma=sigma: np.array(anticomm.momentum_expectation(
-                Trial("log_gaussian", sigma), d)))
+            lambda d=d, sigma=sigma: momentum(d, Trial("log_gaussian", sigma)))
     for d, sigma in [(d, 1.0 / (d + 2.0)) for d in (1.2, 2.0, 3.0, 6.0)] + [(1.2, 0.556)]:
         jobs["relativistic_form log_linear_cutoff d=%g sigma=%g" % (d, sigma)] = (
             lambda d=d, sigma=sigma: form(d, Trial("log_linear_cutoff", sigma)))
