@@ -117,8 +117,8 @@ class TrialFunction:
     def __post_init__(self):
         if self.family not in ("log_gaussian", "log_linear_cutoff"):
             raise DomainError("unknown trial family %r" % self.family)
-        if not 0 < self.sigma < math.inf:
-            raise DomainError("sigma must be finite and positive")
+        if not math.sqrt(np.finfo(float).tiny) <= self.sigma < math.inf:  # sigma^2 normal
+            raise DomainError("sigma must be finite, with a normal double square")
         if not math.isfinite(self.center):
             raise DomainError("center must be finite")
 
@@ -207,6 +207,8 @@ def _lattice(psi, d):
     h = H_STEP
     while h > psi.sigma / 3.0 and h > H_STEP / 64.0:
         h *= 0.5
+    if h > psi.sigma / 3.0:
+        raise DomainError("sigma=%g is narrower than the finest lattice resolves" % psi.sigma)
     half = psi.s_extent(d) / h
     try:
         return (np.arange(-math.ceil(half), math.ceil(half) + 1) * h), h

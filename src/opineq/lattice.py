@@ -271,16 +271,17 @@ def _turned(X, half):
 
 def _spectral(H, mass):
     """(sqrt(H + m^2) - m, its largest eigenvalue) of the Hermitian H by
-    one eigensolve, real when H is: H must be semidefinite, and its
-    eigenvalues at the roundoff floor are zeroed, both relative to its top
-    eigenvalue (about 1/h^2, whatever h is)."""
+    one eigensolve, real when H is; at m > 0 it is formed as
+    H / (sqrt(H + m^2) + m), which does not cancel at large m.  H must be
+    semidefinite, and its eigenvalues at the roundoff floor are zeroed,
+    both relative to its top eigenvalue (about 1/h^2, whatever h is)."""
     w, V = np.linalg.eigh(H)
     if w[0] < -1e-10 * w[-1]:
         raise DomainError("(p+A)^2 not PSD: min eig %.3e" % w[0])
     # zero out eigenvalues at the roundoff floor: sqrt would amplify
     # O(eps ||B||) noise on an exact kernel mode to O(sqrt(eps))
     w = np.where(w < 1e-13 * w[-1], 0.0, w)
-    f = np.sqrt(w + mass * mass) - mass
+    f = np.sqrt(w) if mass == 0 else w / (np.sqrt(w + mass * mass) + mass)
     F = (V * f[None, :]) @ V.conj().T
     return 0.5 * (F + F.conj().T), f[-1]
 

@@ -338,25 +338,24 @@ DEFAULT_HYDROGEN_GRID = GridSpec(1e-3, 120.0, 900)
 
 def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
     """The max(1, n_levels - m) lowest eigenvalues of -Laplacian/2 - Z/r in
-    each channel m = 0..m_max, one ascending array per channel, on grid
-    scaled by 1/Z (log-grid finite differences).
+    each channel m = 0..m_max, one ascending array per channel: Z^2 times
+    those at Z = 1 on grid (log-grid finite differences), which is exact,
+    since the dilation r -> r/Z that takes charge Z to 1 keeps the log step.
 
     The quadratic form in s = ln r with phi = f(e^s) is
     (1/2) int (phi'^2 + m^2 phi^2) ds + int V(e^s) e^{2s} phi^2 ds over
     int phi^2 e^{2s} ds; the diagonal weight is folded in symmetrically,
-    so each channel's matrix is tridiagonal.  The scaled grid is built once
-    and shared by the channels.  A bad Z, m_max or n_levels raises DomainError.
-    """
-    if not 0 < Z < math.inf:
-        raise DomainError("Z must be finite and positive")
-    if Z < math.sqrt(np.finfo(float).tiny):  # the levels, of order Z^2, would round to 0
-        raise DomainError("Z = %r: Z^2 is below the smallest normal double" % Z)
+    so each channel's matrix is tridiagonal.  DomainError for a bad Z, m_max
+    or n_levels, levels Z^2 E past double range and grid entries from
+    sqrt(max double) up, which LAPACK's bisection would square."""
+    if not math.sqrt(np.finfo(float).tiny) <= Z < math.inf:  # levels ~ Z^2 would round to 0
+        raise DomainError("Z = %r: need sqrt(smallest normal double) <= Z < inf" % Z)
     if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
             and m_max >= 0 and 1 <= n_levels <= grid.n):
         raise DomainError("need integers m_max >= 0 and 1 <= n_levels <= %d nodes" % grid.n)
-    grid = GridSpec(grid.r_min / Z, grid.r_max / Z, grid.n)
     n, h = grid.n, grid.log_step()
     s = np.log(grid.nodes())
+    big = math.sqrt(np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):  # entries past double range raise
         d = np.exp(-s)  # B^{-1/2} for B = diag(e^{2s})
         off = np.full(n - 1, -0.5 / (h * h)) * d[:-1] * d[1:]
@@ -364,18 +363,21 @@ def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
         for m in range(m_max + 1):
             # natural (free) ends: the log-coordinate eigenfunction tends to a
             # constant at the inner boundary, so Dirichlet ghosts would poison it
-            main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - Z * np.exp(s)
+            main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - np.exp(s)
             main[0] -= 0.5 / (h * h)
             main[-1] -= 0.5 / (h * h)
             if m == 0:
-                # Robin term encoding the s-wave Coulomb cusp phi'(0)/phi(0) = -2Z;
+                # Robin term encoding the s-wave Coulomb cusp phi'(0)/phi(0) = -2;
                 # without it the truncation error is O(r_min) instead of O(r_min^2)
-                main[0] -= Z * grid.r_min / h
+                main[0] -= grid.r_min / h
             diag = main * d * d
-            if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-                raise DomainError("Z = %r scales the grid past double range" % Z)
+            if not (np.abs(diag).max() < big and np.abs(off).max() < big):
+                raise DomainError("grid %s: matrix entries reach sqrt(max double)" % grid)
             chans.append(sla.eigvalsh_tridiagonal(diag, off, select="i",
                                                   select_range=(0, max(1, n_levels - m) - 1)))
+        chans = [Z * Z * ev for ev in chans]
+    if not all(np.isfinite(ev).all() for ev in chans):
+        raise DomainError("Z = %r: the levels Z^2 E overflow" % Z)
     return chans
 
 

@@ -170,7 +170,8 @@ def test_trial_function_families():
     cut = TrialFunction("log_linear_cutoff", 0.1)
     assert np.all(cut.profile_log(s) > 0)
     for family in ("log_gaussian", "log_linear_cutoff"):
-        for sigma in (-1.0, 0.0, math.nan, math.inf):
+        # sigma = 1e-300 has a square that underflows
+        for sigma in (-1.0, 0.0, 1e-300, math.nan, math.inf):
             with pytest.raises(DomainError):
                 TrialFunction(family, sigma)
     with pytest.raises(DomainError):
@@ -229,6 +230,14 @@ def test_relativistic_form_matches_mellin_oracle():
         fv = relativistic_form(psi, d)
         assert fv.value / fv.norm_sq == pytest.approx(mellin_t(d, sig), rel=5e-3)
         assert fv.value == relativistic_form_direct(psi, d)
+
+
+def test_relativistic_form_refuses_trials_narrower_than_its_lattice():
+    # below sigma = 3 H_STEP / 64 the lattice stops halving: sigma = 1e-3
+    # returned a form 7.7% low against mellin_t, and said nothing
+    for family in ("log_gaussian", "log_linear_cutoff"):
+        with pytest.raises(DomainError):
+            relativistic_form(TrialFunction(family, 1e-3), 2.0)
 
 
 def _ridge_integrand(d):

@@ -533,17 +533,23 @@ def test_kato_without_samples_is_failure_record(flag, value, capsys):
     ["kato", "--grid-size", "4", "--field", "zero", "--extent", "1e155"],
     ["kato", "--grid-size", "4", "--field", "zero", "--extent", "1e308"],
     ["kato", "--grid-size", "4", "--extent", "1e-155"],
-    ["hydrogen", "--charge", "1e-200"]],
+    ["hydrogen", "--charge", "1e-200"],
+    ["hydrogen", "--grid", "1e-150,1,900"],
+    ["positivity", "--sigma-grid", "1e-3"],
+    ["positivity", "--nonrel", "--sigma-grid", "1e-300"]],
     ids=["tol=inf", "extent=1e308", "b-field=1e308", "radius=1e308", "mass=1e308",
          "zero-field-extent=1e155", "zero-field-extent=1e308", "extent=1e-155",
-         "charge=1e-200"])
+         "charge=1e-200", "grid=1e-150", "sigma=1e-3", "nonrel-sigma=1e-300"])
 def test_input_past_double_range_is_failure_record(argv, capsys):
     # an inf tolerance stopped gamma after one panel (exit 0); a 1e308 kato
     # input ended in numpy's LinAlgError or, with warnings as errors, in a
     # RuntimeWarning before its record; a zero-field cell whose square
     # overflows ended in an OverflowError traceback; on a cell whose 1/h^2
     # overflows the stencil must not warn before its DomainError; a charge
-    # whose square underflows ended in a ZeroDivisionError traceback
+    # whose square underflows ended in a ZeroDivisionError traceback; grid
+    # entries past sqrt(max double) in scipy's LinAlgError; a trial narrower
+    # than the finest lattice gave a wrong form silently, and sigma = 1e-300,
+    # whose square underflows, a RuntimeWarning traceback
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(argv, capsys)
@@ -556,18 +562,36 @@ def test_input_past_double_range_is_failure_record(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["kato", "--grid-size", "4", "--extent", "1e-12"],
     ["kato", "--grid-size", "4", "--extent", "1e8"],
-    ["kato", "--b-field", "1e4", "--radius", "2"]],
-    ids=["extent=1e-12", "extent=1e8", "b-field=1e4"])
+    ["kato", "--b-field", "1e4", "--radius", "2"],
+    ["kato", "--grid-size", "4", "--mass", "3e7"],
+    ["kato", "--grid-size", "4", "--mass", "1e12"]],
+    ids=["extent=1e-12", "extent=1e8", "b-field=1e4", "mass=3e7", "mass=1e12"])
 def test_rescaled_kato_inputs_run(argv, capsys):
     # each exited 1: an origin scan against 1e-12 refused the tiny cells,
     # an absolute roundoff floor zeroed every tolerance on the wide ones,
-    # and an absolute cavity slack of 1e-12 refused B R^2 = 4e4
+    # an absolute cavity slack of 1e-12 refused B R^2 = 4e4, and at large
+    # mass sqrt(w + m^2) - m cancelled into a false diamagnetic violation
+    # (3e7) or a zero tolerance (1e12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, _ = run(argv, capsys)
     assert code == 0
     tolerance = [l for l in out.splitlines() if l.startswith("tolerance")]
     assert 0 < float(tolerance[0].split(",")[1]) < float("inf")
+
+
+@pytest.mark.parametrize("charge", ["1e80", "1e-100"])
+def test_extreme_hydrogen_charges_run(charge, capsys):
+    # the levels are Z^2 times those at Z = 1: at 1e80 the charge-scaled
+    # grid ended in scipy's LinAlgError, and at 1e-100 it gave wrong levels
+    # that hydrogen2d blamed on the grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["hydrogen", "--charge", charge], capsys)
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l[:1].isdigit()]
+    assert [int(r[4]) for r in rows] == [1, 3, 5]
+    assert all(float(r[3]) < 5e-3 for r in rows)
 
 
 def test_domain_error_becomes_failure_record(capsys):

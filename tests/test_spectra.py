@@ -261,16 +261,16 @@ def test_hydrogen_refinement_monotone():
         assert all(y < x for x, y in zip(a, b))
 
 
-def _dense_hydrogen_channel(Z, m, grid, count):
-    """The log-grid finite-difference matrix of hydrogen_channels assembled
-    densely and solved with the general symmetric solver."""
+def _dense_hydrogen_channel(m, grid, count):
+    """The log-grid finite-difference matrix of hydrogen_channels at Z = 1
+    assembled densely and solved with the general symmetric solver."""
     n, h = grid.n, grid.log_step()
     s = np.log(grid.nodes())
-    main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - Z * np.exp(s)
+    main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - np.exp(s)
     main[0] -= 0.5 / (h * h)
     main[-1] -= 0.5 / (h * h)
     if m == 0:
-        main[0] -= Z * grid.r_min / h
+        main[0] -= grid.r_min / h
     d = np.exp(-s)
     A = np.diag(main * d * d)
     idx = np.arange(n - 1)
@@ -283,9 +283,30 @@ def _dense_hydrogen_channel(Z, m, grid, count):
 def test_hydrogen_channel_tridiagonal_matches_dense(Z, m):
     g = DEFAULT_HYDROGEN_GRID
     # channel m of hydrogen_channels holds n_levels - m = 3 levels
+    # the matrix does not depend on Z: the levels are Z^2 times those at Z = 1
     ev = hydrogen_channels(Z, g, m, m + 3)[m]
-    ref = _dense_hydrogen_channel(Z, m, GridSpec(g.r_min / Z, g.r_max / Z, g.n), 3)
+    ref = Z * Z * _dense_hydrogen_channel(m, g, 3)
     assert np.all(np.abs(ev - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("Z", [1.5e-154, 1e-100, 1e-78, 0.7, 2.5, 1e80, 1e150])
+def test_hydrogen_channels_scale_exactly_as_z_squared(Z):
+    # a charge of 1e-78 and below returned wrong levels (+1.97e-201 for
+    # -2.0e-200 at 1e-100) and one of 1e80 an untyped LinAlgError, from the
+    # grid that the charge once scaled
+    g = DEFAULT_HYDROGEN_GRID
+    ref = hydrogen_channels(1.0, g, 2, 3)
+    for ev, one in zip(hydrogen_channels(Z, g, 2, 3), ref):
+        assert np.array_equal(ev, Z * Z * one)
+
+
+def test_hydrogen_small_charge_levels():
+    # at Z = 1e-100 hydrogen2d blamed the grid with RefinementNeededError
+    Z = 1e-100
+    for n, e, g in hydrogen2d(Z, 2).levels:
+        ref = -Z * Z / (2.0 * (n + 0.5) ** 2)
+        assert abs(e - ref) / abs(ref) < 5e-3
+        assert g == 2 * n + 1
 
 
 def test_hydrogen_too_coarse_raises_with_trace():
@@ -298,18 +319,21 @@ def test_hydrogen_too_coarse_raises_with_trace():
             hydrogen2d(Z, m_max, n_levels=levels)
 
 
-@pytest.mark.parametrize("Z, m_max, n_levels", [
-    (0.0, 0, 3), (-1.0, 0, 3), (math.nan, 0, 3), (math.inf, 0, 3),
-    (1.0, 2.5, 3), (1.0, -1, 3), (1.0, 0, 1.5), (1.0, 0, 0),
-    (1.0, 0, 901), (1e308, 0, 3), (1e-160, 0, 3), (1e-200, 0, 3)])
-def test_hydrogen_channels_rejects_bad_input(Z, m_max, n_levels):
+@pytest.mark.parametrize("Z, m_max, n_levels, grid", [
+    pytest.param(*case, DEFAULT_HYDROGEN_GRID, id="-".join(map(str, case))) for case in (
+        (0.0, 0, 3), (-1.0, 0, 3), (math.nan, 0, 3), (math.inf, 0, 3),
+        (1.0, 2.5, 3), (1.0, -1, 3), (1.0, 0, 1.5), (1.0, 0, 0),
+        (1.0, 0, 901), (1e308, 0, 3), (1e154, 0, 3), (1e-160, 0, 3), (1e-200, 0, 3))] + [
+    pytest.param(1.0, 0, 3, GridSpec(1e-150, 1.0, 900), id="grid=1e-150,1,900")])
+def test_hydrogen_channels_rejects_bad_input(Z, m_max, n_levels, grid):
     # the channel solve checks its own inputs, so that Z = 0 raises no
     # ZeroDivisionError, m_max = -1 returns no empty list, more levels than
-    # the 900 grid nodes reach no scipy range error, and a Z that scales
-    # r_min to 1e-311, where e^{-s} overflows, no scipy non-finite error; a
-    # Z whose square is subnormal returned positive subnormal levels or 0
+    # the 900 grid nodes reach no scipy range error, and Z^2 E past double
+    # range (1e154, 1e308) no -inf levels; a Z whose square is subnormal
+    # returned positive subnormal levels or 0, and on a grid whose entries
+    # pass sqrt(max double) LAPACK's bisection ended in an untyped LinAlgError
     with pytest.raises(DomainError):
-        hydrogen_channels(Z, DEFAULT_HYDROGEN_GRID, m_max, n_levels)
+        hydrogen_channels(Z, grid, m_max, n_levels)
 
 
 def test_hydrogen_check_needs_a_32_node_grid():
