@@ -117,8 +117,10 @@ _momentum_log_grid.cache_clear = _cold_start
 
 def _lowest_eigenvalue(assemble):
     """Lowest eigenvalue of the bitwise symmetric C-ordered H = assemble(),
-    the one dense eigensolve of this module: chandrasekhar_lowest's whole
-    H(nu) and its trailing blocks, -T_0 and the anticommutator blocks.
+    the one dense eigensolve of this module: chandrasekhar_lowest's
+    trailing and leading blocks and, where they and the Cholesky factors
+    built on them leave it undecided, its whole H(nu); -T_0 and the
+    anticommutator blocks.
     An inf or NaN entry, or a solve that overflows to one, raises DomainError.
 
     The solve for that eigenvalue alone ends its bisection at an absolute
@@ -162,33 +164,131 @@ def _toeplitz_view(t):
 _TRAIL_ROWS = 128
 _TRAIL_SLACK = 2.0 ** -20
 
+# A binding channel's leading block, in rows; the shifts tried below its
+# lowest eigenvalue rho, as fractions of |rho|; the cap on inverse-iteration
+# steps; and the residual that ends them, in units of eps ||H_k||_F.
+# Measured on channel 0 over the pool grids, 15 couplings per grid in
+# [0.3, 0.9] (1 BLAS thread):
+# - the 128-row leading block lies 6.4e-7 (n = 300, nu = 0.9) to 5.2e-3
+#   (n = 500, nu = 0.4) relative above lambda_min(H) from nu = 0.4 up and
+#   up to 9.5e-2 below that; at nu = 0.3 it is 0.6 off at n = 400 and does not
+#   bind at n = 500, the 2 of 45 solves left with no certified shift.  64
+#   and 96 rows leave 15 and 6.
+# - lambda_2 / lambda_1 is 2.4e-5 to 3.9e-2, so from a shift delta |rho|
+#   below rho each step shrinks the residual about 1/delta-fold: 2^-8
+#   converges in 5-6 steps, 2^-4 in 7-9 and 1 in at most 31.  A first
+#   shift of 2^-12 fails from nu = 0.55 down at n = 500, and a failed
+#   factorization costs about half a successful one.
+# - the residual falls to 0.1-0.35 eps ||H_k||_F.  The values lie within
+#   0.2 eps ||H||_F of a long-double Rayleigh quotient of eigh's ground
+#   state, the whole H's solves up to 2.8 eps ||H||_F.
+_LEAD_ROWS = 128
+_LEAD_SHIFTS = (2.0 ** -8, 2.0 ** -4, 1.0)
+_LEAD_STEPS = 40
+_LEAD_RESIDUAL = 4.0
 
-def _bounded_below(nu, t, q, sigma):
+
+def _bounded_below(nu, t, q, sigma, A):
     """Whether H(nu) - sigma I is positive definite, decided by one Cholesky
     factorization of the congruent A = D^{-1/2} (H(nu) - sigma I) D^{-1/2}
     = I - nu T_m - sigma D^{-1}, whose entries are of order 1 where H's
     reach e^L.  By Sylvester's law of inertia a success means
-    lambda_min(H(nu)) > sigma, up to the rounding below.
+    lambda_min(H(nu)) > sigma, up to the rounding below.  A is formed in the
+    C-ordered n x n buffer A, and A.T, the same matrix in Fortran order,
+    is factored in place: after a success its lower triangle holds the
+    factor L, A(sigma) = L L^T, and its strict upper triangle still holds
+    A(sigma).
 
     A factorization that runs to completion in floating point is exact for
     a positive definite A + E with |E_ij| <= gamma_{n+1} sqrt(a_ii a_jj),
     gamma_{n+1} = (n+1) eps / (1 - (n+1) eps) (Demmel, LAPACK Working Note
-    14, 1989; Higham, Accuracy and Stability, Thm 10.5): entry by entry a
-    perturbation of I - nu T_m of relative size (n+1) eps.  Forming A
-    rounds each entry by a few eps of operands of order 1, which adds
-    O(eps) to ||E||_2.  Congruence gives D^{1/2} (A + E) D^{1/2} =
-    H - sigma I + D^{1/2} E D^{1/2} > 0, and D^{1/2} E D^{1/2} <= ||E||_2 D,
-    so a success certifies lambda_min(H + delta D) > sigma with
-    delta = ||E||_2 <= gamma_{n+1} tr A + O(eps).  For sigma >= 0 each
-    a_ii <= 1, so delta is at most about n^2 eps, 6e-11 at n = 500: the
-    normwise size of an (n+1) eps relative perturbation of I - nu T_m.
-    On H's ground state x, delta D moves the bound by delta <x, D x>, of
-    the order of delta where x lives at the small end of q, as a stable
-    channel's does.
+    14, 1989; Higham, Accuracy and Stability, Thm 10.5); forming A rounds
+    each entry by a few eps of its operands.  Congruence carries this to
+    H's frame: D^{1/2} (A + E) D^{1/2} = H - sigma I + F, where
+    |F_ij| <= gamma_{n+1} sqrt((H_ii - sigma)(H_jj - sigma)), since
+    q_i a_ii = H_ii - sigma.  So a success certifies lambda_min(H + F) >
+    sigma.  On a unit vector x, F moves the Rayleigh quotient by at most
+    gamma_{n+1} (sum_i |x_i| sqrt(H_ii - sigma))^2, and in norm
+    lambda_min(H) > sigma - gamma_{n+1} tr(H - sigma I).
+
+    For sigma >= 0, as on a stable channel's trailing block, each a_ii <= 1
+    and the bound reads more simply in A's frame: ||E||_2 <= gamma_{n+1}
+    tr A, at most about n^2 eps, 6e-11 at n = 500, so a success certifies
+    lambda_min(H + delta D) > sigma with delta = ||E||_2; on H's ground
+    state x that moves the bound by delta <x, D x>, of the order of delta
+    where x lives at the small end of q.  For the negative sigma of a
+    binding channel, a_ii = 1 - nu t_0 + |sigma| / q_i reaches |sigma| at
+    q = 1, and tr A says nothing.  The componentwise bound still holds:
+    tr(H - sigma I) = tr H + n |sigma|, so a success certifies
+    lambda_min(H) > sigma up to gamma_{n+1} (tr H + n |sigma|), about
+    n^2 eps |sigma| plus (n+1) eps tr H.
     """
-    A = _toeplitz_view(t) * -nu
+    np.multiply(_toeplitz_view(t), -nu, out=A)
     A[np.diag_indices(q.size)] += 1.0 - sigma / q
     return sla.lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)[1] == 0
+
+
+def _binding_lowest(nu, t, q, lead):
+    """lambda_min(H(nu)) of a binding channel by shifted inverse iteration on
+    one Cholesky factor, or None where no shift is certified, the iteration
+    does not converge within _LEAD_STEPS, or ||H_k||_F^2 leaves double range.
+
+    lead() assembles the leading k x k block of H, k = _LEAD_ROWS, the
+    large-q end where a binding ground state lives.  Its lowest eigenvalue
+    rho bounds lambda_min(H) from above (Cauchy interlacing); a block that
+    does not bind, rho >= 0, gives no shift.  The shift sigma = rho - delta
+    |rho| takes delta from _LEAD_SHIFTS in turn until _bounded_below
+    certifies lambda_min(H) > sigma; every shift refills one n x n buffer,
+    which then holds the factor L of A(sigma) = I - nu T_m - sigma D^{-1} in
+    one triangle and A(sigma) in the other.
+
+    (H - sigma I)^{-1} = D^{-1/2} A^{-1} D^{-1/2}, so a step from the unit
+    vector x solves z = A^{-1} (x / sqrt(q)) by two triangular solves and
+    takes y = z / sqrt(q).  One product with A's stored triangle gives A z,
+    and from it the Rayleigh quotient sigma + mu, mu = <z, A z> / ||y||^2,
+    and the residual H y - (sigma + mu) y = sqrt(q) A z - mu y, with no
+    second n x n matrix.  A residual of at most _LEAD_RESIDUAL eps ||H_k||_F
+    ||y|| ends the iteration and returns sigma + mu: for a symmetric H some
+    eigenvalue lies within ||H y - (sigma + mu) y|| / ||y|| of it, and
+    ||H_k||_F <= ||H||_F.  The iteration never stops on a Rayleigh quotient
+    that has stopped moving.  That eigenvalue is lambda_min: H - sigma I is
+    positive definite with off-diagonal entries < 0, so its inverse is
+    entrywise positive, every step from the start x = sqrt(q) / ||sqrt(q)||
+    is a positive vector, and so is H's ground state (Perron-Frobenius).
+    Each step shrinks the share of the eigenvector of lambda_j by
+    (lambda_1 - sigma) / (lambda_j - sigma) against the ground state's.
+    """
+    rho = _lowest_eigenvalue(lead)
+    with np.errstate(over="ignore"):  # an inf tolerance takes the whole solve
+        tol = _LEAD_RESIDUAL * np.finfo(float).eps * np.linalg.norm(lead())
+    if not (rho < 0.0 and tol * tol < math.inf):
+        return None
+    n = q.size
+    A = np.empty((n, n))
+    for delta in _LEAD_SHIFTS:
+        sigma = rho - delta * abs(rho)
+        if _bounded_below(nu, t, q, sigma, A):
+            break
+    else:
+        return None
+    L = A.T
+    # dsymv reads the diagonal of A's stored triangle, which now holds L's:
+    # fix swaps in A(sigma)'s diagonal, formed as _bounded_below formed it
+    fix = (t[0] * -nu + (1.0 - sigma / q)) - L.diagonal()
+    r = np.sqrt(q)
+    w = np.ones(n)
+    for _ in range(_LEAD_STEPS):
+        z = sla.blas.dtrsv(L, sla.blas.dtrsv(L, w, lower=1), lower=1, trans=1)
+        y = z / r
+        Az = sla.blas.dsymv(1.0, L, z, lower=0)
+        Az += fix * z
+        yy = y @ y
+        mu = (z @ Az) / yy
+        res = r * Az - mu * y
+        if res @ res <= tol * tol * yy:
+            return sigma + mu
+        w = y / (math.sqrt(yy) * r)
+    return None
 
 
 def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
@@ -202,21 +302,31 @@ def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     A stable channel's ground state lives on the last rows, the small end
     of q, so the trailing k x k block of H is solved first, k =
     _TRAIL_ROWS.  Its lowest eigenvalue theta is an upper bound on
-    lambda_min(H) by Cauchy interlacing.  A negative theta means the
-    channel binds, and H is solved whole.  Otherwise _bounded_below
+    lambda_min(H) by Cauchy interlacing.  If theta >= 0, _bounded_below
     certifies lambda_min(H) > sigma = theta - _TRAIL_SLACK |theta| with one
     Cholesky factorization, and theta is returned: it is within
     _TRAIL_SLACK |theta| of lambda_min(H), up to the block solve's
-    bisection width eps ||H_k|| and the factorization's delta.  Where the
-    certificate fails, k doubles while it is below n; then H is solved
-    whole, bitwise as if no block had been tried.  Each matrix takes one
-    allocation: H and its blocks are the outer product of sqrt(q), scaled
-    in place by a view of T_m, and the solve overwrites them.
+    bisection width eps ||H_k|| and the factorization's rounding.  Where the
+    certificate fails, k doubles while it is below n.
 
-    On perfbench's pool grids (n = 300-500) a certified solve costs a
-    0.6 ms block and a 0.7-1.9 ms factorization where the whole H took
-    2.3-7.0 ms, and a binding channel pays one 128-row block before its
-    whole solve (measured, 2 BLAS threads).
+    A negative theta means the channel binds.  Its ground state lives on
+    the leading rows, the large end of q, and _binding_lowest solves it by
+    inverse iteration on the Cholesky factor of A(sigma) for a certified
+    shift sigma below the leading block's lowest eigenvalue: the value lies
+    above sigma and within 4 eps ||H||_F of an eigenvalue of H.  Where no
+    shift is certified or the iteration does not converge, and where no
+    block is left, H is solved whole, bitwise as if no block had been
+    tried.  Each matrix takes one allocation: H and its blocks are the
+    outer product of sqrt(q), scaled in place by a view of T_m, and the
+    solve overwrites them; the factorizations share one n x n buffer, freed
+    before a whole solve.
+
+    On perfbench's pool grids (n = 300, 400, 500; 1 BLAS thread) the
+    whole H takes 2.6, 5.2 and 9.2 ms.  A certified stable channel costs a
+    0.4 ms block and a 0.4, 0.8 or 1.6 ms factorization.  A binding channel
+    costs its trailing block, a 0.4 ms leading block, 0.4, 0.8 or 1.6 ms
+    per successful factorization and about half that per failed one, and
+    0.04-0.1 ms per inverse-iteration step (measured).
     """
     if not 0.0 <= nu < math.inf:
         raise DomainError("coupling nu must be finite and >= 0")
@@ -224,20 +334,25 @@ def chandrasekhar_lowest(nu: float, m: int, grid: GridSpec) -> float:
     t, q = _momentum_log_grid(abs(m), grid.n, L)
     r = np.sqrt(q)
 
-    def assemble(k=grid.n):
-        H = np.einsum("i,j->ij", r[-k:], r[-k:])
+    def assemble(rows=slice(None)):
+        H = np.einsum("i,j->ij", r[rows], r[rows])
+        k = H.shape[0]
         H *= _toeplitz_view(t[:k])
         H *= -nu
-        H[np.diag_indices(k)] += q[-k:]
+        H[np.diag_indices(k)] += q[rows]
         return H
 
     k = _TRAIL_ROWS
     # a top node e^L past double range leaves H non-finite: solved whole, it raises
     while k < grid.n and math.isfinite(q[0]):
-        theta = _lowest_eigenvalue(lambda: assemble(k))
+        theta = _lowest_eigenvalue(lambda: assemble(slice(-k, None)))
         if theta < 0.0:
+            lam = _binding_lowest(nu, t, q, lambda: assemble(slice(_LEAD_ROWS)))
+            if lam is not None:
+                return lam / grid.r_max
             break
-        if _bounded_below(nu, t, q, theta - _TRAIL_SLACK * theta):
+        if _bounded_below(nu, t, q, theta - _TRAIL_SLACK * theta,
+                          np.empty((grid.n, grid.n))):
             return theta / grid.r_max
         k *= 2
     return _lowest_eigenvalue(assemble) / grid.r_max

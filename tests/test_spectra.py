@@ -10,7 +10,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opineq import anticomm, kernels, lattice
+from opineq import anticomm, kernels, lattice, spectra
 from opineq.anticomm import TrialFunction, alpha, ridge_moments
 from opineq.bounds import CRITICAL_CONSTANT_FOURTH_POWER
 from opineq.errors import DomainError, RefinementNeededError
@@ -445,16 +445,19 @@ def test_lowest_eigenvalue_past_the_norm_range():
 
 def test_deflation_sizes(solved_orders):
     # at nu = 0.3 channels 1 and 2 are certified on their first 128-row
-    # trailing block.  Channel 0 binds: its first block is negative at n =
-    # 300 and 400; at n = 500 it is positive, fails the certificate, and the
-    # 256-row block is negative.  Each binding channel is then solved whole,
-    # as are the anticommutator blocks
+    # trailing block.  Channel 0 binds: its first trailing block is negative
+    # at n = 300 and 400; at n = 500 it is positive, fails the certificate,
+    # and the 256-row block is negative.  Each binding channel then solves
+    # its 128-row leading block: at n = 300 a shift below it is certified and
+    # inverse iteration converges; at n = 400 no shift is certified and at
+    # n = 500 the block does not bind, so those are solved whole.  The
+    # anticommutator blocks are solved whole too
     for span, n in POOL_GRIDS:
         for m in (0, 1, 2):
             chandrasekhar_lowest(0.3, m, GridSpec(math.exp(-span), 1.0, n))
-    assert solved_orders == [128, 300, 128, 128,
-                             128, 400, 128, 128,
-                             128, 256, 500, 128, 128]
+    assert solved_orders == [128, 128, 128, 128,
+                             128, 128, 400, 128, 128,
+                             128, 256, 128, 500, 128, 128]
     solved_orders.clear()
     for d in (2, 3):
         lambda_min_anticomm(d)
@@ -494,13 +497,95 @@ def test_stable_channels_certified_on_the_first_block(solved_orders):
                 assert _trail_bracket(lam, _channel_matrix(nu, m, span, n), 128)
 
 
-def test_binding_channel_zero_solved_whole_bitwise():
-    # a negative trailing block leaves the whole solve as it was
+@pytest.fixture
+def shifts(monkeypatch):
+    """The (sigma, certified) pair of every _bounded_below call."""
+    calls, bounded_below = [], spectra._bounded_below
+
+    def recorder(nu, t, q, sigma, A):
+        ok = bounded_below(nu, t, q, sigma, A)
+        calls.append((sigma, ok))
+        return ok
+
+    monkeypatch.setattr(spectra, "_bounded_below", recorder)
+    return calls
+
+
+def test_binding_channel_bracketed_by_its_certified_shift(solved_orders, shifts):
+    # channel 0 binds at these couplings.  Where inverse iteration converges
+    # the certified shift lies below a full-spectrum solve of the same H(nu),
+    # which lies at most 4 eps ||H||_F above the value (a Rayleigh quotient);
+    # both solves agree to 16 eps ||H||_F.  Only nu = 0.3 at n = 400 (no
+    # shift certified) and at n = 500 (the leading block does not bind) are
+    # solved whole
+    eps = np.finfo(float).eps
+    whole = []
+    for span, n in POOL_GRIDS:
+        g = GridSpec(math.exp(-span), 1.0, n)
+        for nu in np.linspace(0.3, 0.9, 7):
+            solved_orders.clear()
+            shifts.clear()
+            lam = chandrasekhar_lowest(nu, 0, g)
+            if solved_orders[-1] == n:
+                whole.append((n, nu))
+                continue
+            H = _channel_matrix(nu, 0, span, n)
+            full = sla.eigvalsh(H)[0]
+            width = eps * np.linalg.norm(H)
+            sigma, = [sigma for sigma, certified in shifts if certified]
+            assert sigma < full <= lam + 4.0 * width
+            assert abs(lam - full) <= 16.0 * width
+    assert whole == [(400, 0.3), (500, 0.3)]
+
+
+def test_binding_fallback_is_the_whole_solve_bitwise(monkeypatch):
+    # where no leading-block shift gives a converged inverse iteration, H is
+    # solved whole, bitwise as if no block had been tried: at n = 500 the
+    # leading block does not bind at nu = 0.3; just above the SCAN_GRID
+    # threshold the binding ground state spreads past it; and at span 400
+    # ||H_k||_F overflows, which leaves no finite residual tolerance
+    results, binding_lowest = [], spectra._binding_lowest
+
+    def recorder(*args):
+        results.append(binding_lowest(*args))
+        return results[-1]
+
+    monkeypatch.setattr(spectra, "_binding_lowest", recorder)
+    for nu, g in ((0.3, GridSpec(math.exp(-26.0), 1.0, 500)),
+                  (1.01 * _scan_threshold(SCAN_SPANS[0]), SCAN_GRID),
+                  (0.5, GridSpec(math.exp(-200.0), math.exp(200.0), 400))):
+        results.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = chandrasekhar_lowest(nu, 0, g)
+            H = _channel_matrix(nu, 0, math.log(g.r_max / g.r_min), g.n)
+            assert results == [None]
+            assert lam == _lowest_eigenvalue(H.copy) / g.r_max < 0.0
+
+
+@pytest.mark.parametrize("rows", [8, 32])
+def test_binding_channel_from_a_poor_leading_block(monkeypatch, solved_orders, rows):
+    # a leading block too short for the ground state gives a poor upper
+    # bound: an 8-row block does not bind below nu = 0.9 and every solve
+    # falls back; a 32-row one certifies at most its widest shift, from
+    # which the iteration converges slowly at nu = 0.9 on every pool grid
+    # and at 0.7 on n = 300.  Either way the value stays within the bound,
+    # and each fallback is the whole solve bitwise
+    monkeypatch.setattr(spectra, "_LEAD_ROWS", rows)
+    eps = np.finfo(float).eps
+    converged = 0
     for span, n in POOL_GRIDS:
         g = GridSpec(math.exp(-span), 1.0, n)
         for nu in np.linspace(0.3, 0.9, 4):
-            want = _lowest_eigenvalue(lambda: _channel_matrix(nu, 0, span, n))
-            assert chandrasekhar_lowest(nu, 0, g) == want / g.r_max < 0.0
+            solved_orders.clear()
+            lam = chandrasekhar_lowest(nu, 0, g)
+            H = _channel_matrix(nu, 0, span, n)
+            if solved_orders[-1] == n:
+                assert lam == _lowest_eigenvalue(H.copy) / g.r_max
+            else:
+                converged += 1
+                assert abs(lam - sla.eigvalsh(H)[0]) <= 16.0 * eps * np.linalg.norm(H)
+    assert converged == (0 if rows == 8 else 4)
 
 
 def test_failed_certificate_takes_the_next_block(solved_orders):
