@@ -102,11 +102,13 @@ _clear_grids = _momentum_log_grid.cache_clear
 def _cold_start():
     """The library's one cold-start hook, installed as
     _momentum_log_grid.cache_clear: it clears the channel columns, the
-    thresholds solved from them (_scan_threshold), anticomm's ridge-moment
-    cache, kernels._closed_form and the Kato lattice's zero-field
-    operators (lattice.kinetic_matrix), so that the next assembly is cold."""
+    thresholds solved from them (_scan_threshold), the unit-charge hydrogen
+    levels (_hydrogen_unit), anticomm's ridge-moment cache,
+    kernels._closed_form and the Kato lattice's zero-field operators
+    (lattice.kinetic_matrix), so that the next assembly or solve is cold."""
     _clear_grids()
     _scan_threshold.cache_clear()
+    _hydrogen_unit.cache_clear()
     anticomm._ridge_cache.cache_clear()
     kernels._closed_form.cache_clear()
     lattice._zero_field.cache_clear()
@@ -119,8 +121,8 @@ def _lowest_eigenvalue(assemble):
     """Lowest eigenvalue of the bitwise symmetric C-ordered H = assemble(),
     the one dense eigensolve of this module: chandrasekhar_lowest's
     trailing and leading blocks and, where they and the Cholesky factors
-    built on them leave it undecided, its whole H(nu); -T_0 and the
-    anticommutator blocks.
+    built on them leave it undecided, its whole H(nu); and the even blocks
+    of -T_0 and of the anticommutator matrices (_toeplitz_lowest).
     An inf or NaN entry, or a solve that overflows to one, raises DomainError.
 
     The solve for that eigenvalue alone ends its bisection at an absolute
@@ -151,6 +153,42 @@ def _toeplitz_view(t):
     strided view, T[i, j] = t[|i - j|], on 2n - 1 stored values."""
     return np.lib.stride_tricks.sliding_window_view(
         np.concatenate((t[::-1], t[1:])), t.size)[::-1]
+
+
+def _toeplitz_lowest(col):
+    """Lowest eigenvalue of the symmetric Toeplitz T of first column col,
+    for a column with col[1] < 0 and every off-diagonal entry <= 0; any
+    other column raises DomainError.
+
+    T commutes with the reversal J (Cantoni-Butler, Linear Algebra Appl.
+    13, 1976).  With off-diagonal entries <= 0 and T's offset-1 chain
+    connecting every pair of rows, c I - T is nonnegative and irreducible
+    for c large, so by Perron-Frobenius its ground state x is simple and
+    positive; J x is a ground state too, hence J x = x.  So lambda_min(T)
+    is the lowest eigenvalue of E = Q^T T Q on the ceil(n/2) J-even
+    vectors, Q = [I; J] / sqrt(2) for even n and the middle unit vector
+    added for odd n: E_ij = col[|i - j|] + col[n-1-i-j] on the first
+    n // 2 rows (T11 + T12 J), bordered for odd n by sqrt(2) col[k - i]
+    and the corner col[0], k = n // 2.  E is formed in its own buffer from
+    a Toeplitz and a Hankel view of col, with no n x n temporary, and a
+    solve of about n^3 / 8 replaces one of n^3.
+    """
+    n = col.size
+    if not (n > 1 and col[1] < 0.0 and np.all(col[1:] <= 0.0)):
+        raise DomainError("need a Toeplitz column with col[1] < 0 and col[k] <= 0 for k >= 1")
+    k = n // 2
+    half = n - k
+
+    def assemble():
+        E = np.empty((half, half))
+        np.add(_toeplitz_view(col[:half]),
+               np.lib.stride_tricks.sliding_window_view(col[::-1], half)[:half], out=E)
+        if n % 2:
+            E[-1, :-1] = E[:-1, -1] = math.sqrt(2.0) * col[k:0:-1]
+            E[-1, -1] = col[0]
+        return E
+
+    return _lowest_eigenvalue(assemble)
 
 
 # chandrasekhar_lowest's first trailing block, in rows, and the relative
@@ -383,10 +421,13 @@ def _scan_threshold(L: float):
     lambda_min(H(nu)) < 0 exactly when nu > nu_c(L).  Since
     lambda_max(T_0) < M_0(0), nu_c(L) lies above Herbst's 1/M_0(0) and
     falls towards it as the span grows.
+
+    T_0's column is positive, so -T_0 is a Toeplitz matrix with negative
+    off-diagonal entries, and _toeplitz_lowest solves it on its even half:
+    276 rows for span 44, 138 for span 22.
     """
     t, _ = _momentum_log_grid(0, SCAN_GRID.n, math.log(SCAN_GRID.r_max / SCAN_GRID.r_min))
-    t = t[:round(L / SCAN_GRID.log_step()) + 1]
-    return -1.0 / _lowest_eigenvalue(lambda: np.negative(_toeplitz_view(t)))
+    return -1.0 / _toeplitz_lowest(np.negative(t[:round(L / SCAN_GRID.log_step()) + 1]))
 
 
 def classify_coupling(nu: float):
@@ -451,30 +492,28 @@ def critical_coupling_mellin() -> CriticalCouplingResult:
 DEFAULT_HYDROGEN_GRID = GridSpec(1e-3, 120.0, 900)
 
 
-def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
-    """The max(1, n_levels - m) lowest eigenvalues of -Laplacian/2 - Z/r in
-    each channel m = 0..m_max, one ascending array per channel: Z^2 times
-    those at Z = 1 on grid (log-grid finite differences), which is exact,
-    since the dilation r -> r/Z that takes charge Z to 1 keeps the log step.
+@lru_cache(maxsize=16)
+def _hydrogen_unit(grid: GridSpec, m_max: int, n_levels: int):
+    """hydrogen_channels at Z = 1: one read-only ascending array per channel
+    m = 0..m_max, solved once per (grid, m_max, n_levels) and cold start.
+    A grid that raises DomainError is not cached and raises on every call.
 
-    The quadratic form in s = ln r with phi = f(e^s) is
-    (1/2) int (phi'^2 + m^2 phi^2) ds + int V(e^s) e^{2s} phi^2 ds over
-    int phi^2 e^{2s} ds; the diagonal weight is folded in symmetrically,
-    so each channel's matrix is tridiagonal.  DomainError for a bad Z, m_max
-    or n_levels, levels Z^2 E past double range and grid entries from
-    sqrt(max double) up, which LAPACK's bisection would square."""
-    if not math.sqrt(np.finfo(float).tiny) <= Z < math.inf:  # levels ~ Z^2 would round to 0
-        raise DomainError("Z = %r: need sqrt(smallest normal double) <= Z < inf" % Z)
-    if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
-            and m_max >= 0 and 1 <= n_levels <= grid.n):
-        raise DomainError("need integers m_max >= 0 and 1 <= n_levels <= %d nodes" % grid.n)
+    Each channel matrix is tridiagonal, and LAPACK's bisection (dstebz) runs
+    to the absolute tolerance 2 * tiny, the one LAPACK recommends.  Its
+    default width, eps times the matrix's norm, is large next to levels of
+    order 1 where the entries reach 5.8e9 (DEFAULT_HYDROGEN_GRID): it left
+    them 8.7e-7, 1.7e-6 and 4.3e-5 relative off in m = 0, 1, 2, the tight
+    tolerance 2.0e-12, 4.1e-14 and 3.2e-14, against a full dense solve
+    (measured).  At n = 900 the three channels take 3.1 ms together, 1.8 ms
+    at the default tolerance (process time, 1 BLAS thread).
+    """
     n, h = grid.n, grid.log_step()
     s = np.log(grid.nodes())
     big = math.sqrt(np.finfo(float).max)
+    chans = []
     with np.errstate(over="ignore", invalid="ignore"):  # entries past double range raise
         d = np.exp(-s)  # B^{-1/2} for B = diag(e^{2s})
         off = np.full(n - 1, -0.5 / (h * h)) * d[:-1] * d[1:]
-        chans = []
         for m in range(m_max + 1):
             # natural (free) ends: the log-coordinate eigenfunction tends to a
             # constant at the inner boundary, so Dirichlet ghosts would poison it
@@ -488,9 +527,37 @@ def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
             diag = main * d * d
             if not (np.abs(diag).max() < big and np.abs(off).max() < big):
                 raise DomainError("grid %s: matrix entries reach sqrt(max double)" % grid)
-            chans.append(sla.eigvalsh_tridiagonal(diag, off, select="i",
-                                                  select_range=(0, max(1, n_levels - m) - 1)))
-        chans = [Z * Z * ev for ev in chans]
+            ev = sla.eigvalsh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, max(1, n_levels - m) - 1),
+                                          tol=2.0 * np.finfo(float).tiny)
+            ev.flags.writeable = False
+            chans.append(ev)
+    return tuple(chans)
+
+
+def hydrogen_channels(Z: float, grid: GridSpec, m_max: int, n_levels: int):
+    """The max(1, n_levels - m) lowest eigenvalues of -Laplacian/2 - Z/r in
+    each channel m = 0..m_max, one ascending array per channel: Z^2 times
+    those at Z = 1 on grid (log-grid finite differences), which is exact,
+    since the dilation r -> r/Z that takes charge Z to 1 keeps the log step.
+    The Z = 1 levels are solved once per grid (_hydrogen_unit), and each
+    call returns fresh arrays Z * Z * ev, bitwise what an uncached solve
+    would give.
+
+    The quadratic form in s = ln r with phi = f(e^s) is
+    (1/2) int (phi'^2 + m^2 phi^2) ds + int V(e^s) e^{2s} phi^2 ds over
+    int phi^2 e^{2s} ds; the diagonal weight is folded in symmetrically,
+    so each channel's matrix is tridiagonal.  DomainError for a bad Z, m_max
+    or n_levels, levels Z^2 E past double range and grid entries from
+    sqrt(max double) up, which LAPACK's bisection would square; every call
+    checks all of them."""
+    if not math.sqrt(np.finfo(float).tiny) <= Z < math.inf:  # levels ~ Z^2 would round to 0
+        raise DomainError("Z = %r: need sqrt(smallest normal double) <= Z < inf" % Z)
+    if not (all(isinstance(c, (int, np.integer)) for c in (m_max, n_levels))
+            and m_max >= 0 and 1 <= n_levels <= grid.n):
+        raise DomainError("need integers m_max >= 0 and 1 <= n_levels <= %d nodes" % grid.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing levels raise
+        chans = [Z * Z * ev for ev in _hydrogen_unit(grid, m_max, n_levels)]
     if not all(np.isfinite(ev).all() for ev in chans):
         raise DomainError("Z = %r: the levels Z^2 E overflow" % Z)
     return chans
@@ -571,9 +638,12 @@ def lambda_min_anticomm(d: float):
     lowest eigenvalue of the leading L/h + 1 block of _anticomm_column(d)'s
     Toeplitz matrix.  Only d = 2 and 3 are gated against d - 2.  Past them
     the step error does not shrink with L: at L = 76 the excess is 0.015 at
-    d = 8, 0.077 at d = 12, 0.613 at d = 20 and 11.03 at d = 40 (measured)."""
+    d = 8, 0.077 at d = 12, 0.613 at d = 20 and 11.03 at d = 40 (measured).
+
+    Every off-diagonal entry of the column is <= 0 and offset 1 is
+    negative, so _toeplitz_lowest solves each block on its even half:
+    126, 276 and 476 rows for the spans 20, 44 and 76."""
     col = _anticomm_column(d)
-    trace = tuple((L, _lowest_eigenvalue(
-        lambda: _toeplitz_view(col[:round(L / ANTICOMM_STEP) + 1]).copy()))
-        for L in ANTICOMM_SPANS)
+    trace = tuple((L, _toeplitz_lowest(col[:round(L / ANTICOMM_STEP) + 1]))
+                  for L in ANTICOMM_SPANS)
     return trace[-1][1], trace

@@ -248,9 +248,11 @@ def test_hydrogen_refine_trace(capsys):
 
 
 def test_hydrogen_refine_trace_reuses_the_level_solve(capsys, monkeypatch):
-    # three channels on n = 900 and the half-grid check on 450 in
-    # hydrogen2d, then only the n / 4 grid for the trace: its n / 2 and n
-    # rows are hydrogen2d's own refinement trace, bit for bit
+    # from a cold start, three channels on n = 900 and the half-grid check on
+    # 450 in hydrogen2d, then only the n / 4 grid for the trace: its n / 2
+    # and n rows are hydrogen2d's own refinement trace, bit for bit.  Every
+    # grid's levels are solved at unit charge once, so another charge in
+    # the same process solves nothing
     sizes = []
     solve = spectra.sla.eigvalsh_tridiagonal
 
@@ -258,8 +260,13 @@ def test_hydrogen_refine_trace_reuses_the_level_solve(capsys, monkeypatch):
         sizes.append(len(d))
         return solve(d, e, **kwargs)
 
+    spectra._momentum_log_grid.cache_clear()
     monkeypatch.setattr(spectra.sla, "eigvalsh_tridiagonal", counted)
     code, out, _ = run(["hydrogen", "--refine-trace", "--format", "json"], capsys)
+    assert code == 0
+    assert sizes == [900, 900, 900, 450, 225]
+    code, _, _ = run(["hydrogen", "--charge", "2.5", "--refine-trace", "--format", "json"],
+                     capsys)
     assert code == 0
     assert sizes == [900, 900, 900, 450, 225]
     trace = [r for r in json.loads(out)["rows"] if r["provenance"] == "refinement trace"]

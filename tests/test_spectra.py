@@ -19,7 +19,7 @@ from opineq.quadrature import integrate_adaptive
 from opineq.spectra import (ANTICOMM_SPANS, ANTICOMM_STEP, DEFAULT_HYDROGEN_GRID,
                             SCAN_GRID, SCAN_SPANS, GridSpec,
                             _anticomm_column, _lowest_eigenvalue, _momentum_log_grid,
-                            _scan_threshold,
+                            _scan_threshold, _toeplitz_lowest,
                             chandrasekhar_lowest, classify_coupling,
                             critical_coupling_mellin, critical_coupling_toeplitz,
                             hydrogen2d, hydrogen_channels, lambda_min_anticomm,
@@ -263,7 +263,8 @@ def test_hydrogen_refinement_monotone():
 
 def _dense_hydrogen_channel(m, grid, count):
     """The log-grid finite-difference matrix of hydrogen_channels at Z = 1
-    assembled densely and solved with the general symmetric solver."""
+    assembled densely, its `count` lowest levels from a solve of the whole
+    spectrum (dsyevr's MRRR), independent of the bisection it checks."""
     n, h = grid.n, grid.log_step()
     s = np.log(grid.nodes())
     main = np.full(n, 1.0 / (h * h) + 0.5 * m * m) - np.exp(s)
@@ -275,18 +276,79 @@ def _dense_hydrogen_channel(m, grid, count):
     A = np.diag(main * d * d)
     idx = np.arange(n - 1)
     A[idx, idx + 1] = A[idx + 1, idx] = -0.5 / (h * h) * d[:-1] * d[1:]
-    return sla.eigvalsh(A, subset_by_index=[0, count - 1])
+    return sla.eigvalsh(A)[:count]
 
 
 @pytest.mark.parametrize("Z", [1.0, 1.7])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_hydrogen_channel_tridiagonal_matches_dense(Z, m):
+    # channel m of hydrogen_channels holds n_levels - m = 3 levels; the
+    # matrix does not depend on Z, so the levels are Z^2 times those at Z = 1.
+    # The bisection to LAPACK's absolute tolerance 2 * tiny lies within
+    # 2.0e-12 relative of the full spectrum in m = 0 and 4.1e-14 in m = 1, 2
+    # (measured); 1e-11 leaves five times that, and the default tolerance,
+    # off by 8.7e-7 to 4.3e-5 relative, fails it
     g = DEFAULT_HYDROGEN_GRID
-    # channel m of hydrogen_channels holds n_levels - m = 3 levels
-    # the matrix does not depend on Z: the levels are Z^2 times those at Z = 1
     ev = hydrogen_channels(Z, g, m, m + 3)[m]
     ref = Z * Z * _dense_hydrogen_channel(m, g, 3)
-    assert np.all(np.abs(ev - ref) <= 1e-13 * np.abs(ref))
+    assert np.all(np.abs(ev - ref) <= 1e-11 * np.abs(ref))
+
+
+@pytest.fixture
+def tridiagonal_solves(monkeypatch):
+    """The order of every matrix handed to the tridiagonal solver, from a
+    cold start."""
+    _momentum_log_grid.cache_clear()
+    orders, solve = [], sla.eigvalsh_tridiagonal
+
+    def recorder(d, e, **kwargs):
+        orders.append(len(d))
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvalsh_tridiagonal", recorder)
+    return orders
+
+
+def test_hydrogen2d_solves_each_grid_once(tridiagonal_solves):
+    # the three channels on n = 900 and channel 0 on the 450-node half grid
+    # are solved at Z = 1 once; every charge after that gets Z * Z times
+    # those cached levels, bitwise
+    unit = hydrogen2d(1.0, 2)
+    for Z in (0.5, 1.0, 2.5, 1e-100, 1e150):
+        rep = hydrogen2d(Z, 2)
+        for (n, e, g), (_, one, _) in zip(rep.levels, unit.levels):
+            assert e == Z * Z * one
+        for (k, ev), (_, ones) in zip(rep.refinement_trace, unit.refinement_trace):
+            assert ev == tuple(Z * Z * np.array(ones))
+    assert tridiagonal_solves == [900, 900, 900, 450]
+    assert spectra._hydrogen_unit.cache_info().currsize == 2
+
+
+def test_hydrogen_bad_grid_raises_on_every_call(tridiagonal_solves):
+    # a grid whose entries reach sqrt(max double) raises before any solve,
+    # and since nothing is cached, on every call
+    g = GridSpec(1e-150, 1.0, 900)
+    for _ in range(3):
+        with pytest.raises(DomainError, match="sqrt\\(max double\\)"):
+            hydrogen_channels(1.0, g, 0, 3)
+    assert tridiagonal_solves == []
+    info = spectra._hydrogen_unit.cache_info()
+    assert info.misses == 3 and info.currsize == 0
+
+
+def test_hydrogen_levels_are_fresh_arrays(tridiagonal_solves):
+    # the cached unit-charge levels are read-only, and a caller who writes
+    # into the arrays it got changes no later result
+    g = DEFAULT_HYDROGEN_GRID
+    first = hydrogen_channels(1.0, g, 2, 3)
+    kept = [ev.copy() for ev in first]
+    for ev in first:
+        ev[:] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(hydrogen_channels(1.0, g, 2, 3), kept))
+    for ev in spectra._hydrogen_unit(g, 2, 3):
+        with pytest.raises(ValueError):
+            ev[0] = 0.0
+    assert tridiagonal_solves == [900, 900, 900]
 
 
 @pytest.mark.parametrize("Z", [1.5e-154, 1e-100, 1e-78, 0.7, 2.5, 1e80, 1e150])
@@ -461,7 +523,9 @@ def test_deflation_sizes(solved_orders):
     solved_orders.clear()
     for d in (2, 3):
         lambda_min_anticomm(d)
-    assert solved_orders == 2 * [round(L / 0.08) + 1 for L in ANTICOMM_SPANS]
+    # each anticommutator block is solved on its even half, ceil(n / 2) rows
+    assert (solved_orders == 2 * [(round(L / 0.08) + 2) // 2 for L in ANTICOMM_SPANS]
+            == 2 * [126, 276, 476])
 
 
 def _channel_matrix(nu, m, span, n):
@@ -630,10 +694,46 @@ def test_lowest_eigenvalue_within_its_bisection_width():
                 assert abs(lam - full) <= 16.0 * eps * np.linalg.norm(H)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(16, 65), st.integers(0, 2 ** 32 - 1))
+def test_toeplitz_lowest_even_block_property(n, seed):
+    # a column with col[1] < 0 and every off-diagonal entry <= 0, a third of
+    # them exactly 0, and any diagonal: the ground state is positive and
+    # even, so the even block's lowest eigenvalue is lambda_min(T) up to the
+    # two solves' error.  On 3000 such draws it lies up to 5.1 eps ||T||_F
+    # from a full-spectrum solve of T, and the whole T's own single-index
+    # solve up to 4.5 (measured); one bisection width, 2 eps ||T||_F, fails
+    # both
+    rng = np.random.default_rng(seed)
+    col = -rng.exponential(size=n) * (rng.random(n) > 1.0 / 3.0)
+    col[1] = -rng.exponential() - 1e-3
+    col[0] = rng.normal(0.0, 5.0)
+    col *= 10.0 ** rng.uniform(-3.0, 3.0)
+    T = sla.toeplitz(col)
+    full = sla.eigvalsh(T)[0]
+    assert abs(_toeplitz_lowest(col) - full) <= 8.0 * np.finfo(float).eps * np.linalg.norm(T)
+
+
+@pytest.mark.parametrize("k, value", [(5, 1e-300), (1, 0.0), (1, 0.5), (7, np.nan)],
+                         ids=["positive-offset-5", "zero-offset-1", "positive-offset-1",
+                              "nan-offset-7"])
+def test_toeplitz_lowest_refuses_other_columns(k, value):
+    # a positive off-diagonal entry, however small, or a zero offset 1 leaves
+    # the ground state possibly odd or not simple
+    col = -np.linspace(1.0, 0.1, 20)
+    col[0] = 3.0
+    col[k] = value
+    with pytest.raises(DomainError):
+        _toeplitz_lowest(col)
+
+
 def test_scan_threshold_solves_t0_in_place():
-    # T_0 is symmetric, so its transpose is the Fortran-order array LAPACK
-    # takes and the solve overwrites it: a cold solve on SCAN_GRID peaks at
-    # 1.13 T_0.nbytes (measured), where a copy in Fortran order took 2.07
+    # -T_0's even block E, 276 rows on SCAN_GRID, is formed in one buffer
+    # with no n x n temporary, and it is symmetric, so its transpose is the
+    # Fortran-order array LAPACK takes and the solve overwrites it: a cold
+    # solve peaks at 1.26 E.nbytes (measured, the column's assembly
+    # included), where the whole T_0 solved in place took 1.13 T_0.nbytes,
+    # 4.5 E.nbytes
     _momentum_log_grid.cache_clear()
     tracemalloc.start()
     try:
@@ -641,7 +741,7 @@ def test_scan_threshold_solves_t0_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * SCAN_GRID.n ** 2
+    assert peak <= 1.5 * 8 * ((SCAN_GRID.n + 1) // 2) ** 2
 
 
 def test_lowest_eigenvalue_solves_h_in_place():
@@ -675,13 +775,20 @@ def _scan_matrix(nu):
 
 
 def test_scan_threshold_is_the_largest_eigenvalue_of_t0():
-    # the threshold solves -T_0 for its lowest eigenvalue; that is exactly
-    # the solve of T_0 for its largest.  Span 22 solves the leading block of
-    # SCAN_GRID's column, which is bitwise the column of the span-22 grid
+    # the threshold solves -T_0's even block for its lowest eigenvalue,
+    # which is -lambda_max(T_0): 1.08 (span 44) and 2.06 (span 22) eps
+    # ||T_0||_F from a full-spectrum solve of the whole T_0, where the whole
+    # T_0's single-index solve was 1.08 and 1.55 off (measured).  Span 22
+    # solves the leading block of SCAN_GRID's column, which is bitwise the
+    # column of the span-22 grid
+    eps = np.finfo(float).eps
+    scan, _ = _momentum_log_grid(0, SCAN_GRID.n, 44.0)
     for L, g in zip(SCAN_SPANS, (SCAN_GRID, GridSpec(math.exp(-22.0), 1.0, 276))):
         t, _ = _momentum_log_grid(0, g.n, math.log(g.r_max / g.r_min))
-        top = sla.eigvalsh(sla.toeplitz(t), subset_by_index=[g.n - 1, g.n - 1])[0]
-        assert _scan_threshold(L) == 1.0 / top
+        assert np.array_equal(t, scan[:g.n])
+        T = sla.toeplitz(t)
+        top = sla.eigvalsh(T)[-1]
+        assert abs(1.0 / _scan_threshold(L) - top) <= 4.0 * eps * np.linalg.norm(T)
 
 
 def test_scan_threshold_against_cholesky():
@@ -712,7 +819,8 @@ def test_scan_solves_once(solved_orders):
     # column; every later classification compares with the cached threshold
     _momentum_log_grid.cache_clear()
     first = critical_coupling_toeplitz()
-    assert solved_orders == [round(L / 0.08) + 1 for L in SCAN_SPANS] == [551, 276]
+    # each span's even block, ceil(n / 2) rows of its n = L/h + 1
+    assert solved_orders == [(round(L / 0.08) + 2) // 2 for L in SCAN_SPANS] == [276, 138]
     assert _momentum_log_grid.cache_info().currsize == 1
     solved_orders.clear()
     assert critical_coupling_toeplitz() == first
@@ -974,15 +1082,17 @@ def test_lambda_min_anticomm_repeat_makes_no_kernel_call(monkeypatch):
 
 def test_grid_cache_clear_clears_ridge_blocks():
     # the cold-start hook clears the channel columns, the scan thresholds,
-    # the ridge-moment cache, the kernel's closed-form scalars and the Kato
-    # lattice's zero-field operators; from a cold start every one refills
+    # the unit-charge hydrogen levels, the ridge-moment cache, the kernel's
+    # closed-form scalars and the Kato lattice's zero-field operators; from
+    # a cold start every one refills
     _momentum_log_grid.cache_clear()
     critical_coupling_toeplitz()
+    hydrogen2d(1.0, 2)
     lambda_min_anticomm(3)
     lattice.kinetic_matrix(lattice.make_fields(1.0, 1.0, lattice.SquareGrid(12.0, 16)),
                            0.0, "none")
-    caches = (_momentum_log_grid, _scan_threshold, anticomm._ridge_cache,
-              kernels._closed_form, lattice._zero_field)
+    caches = (_momentum_log_grid, _scan_threshold, spectra._hydrogen_unit,
+              anticomm._ridge_cache, kernels._closed_form, lattice._zero_field)
     assert all(c.cache_info().currsize > 0 for c in caches)
     _momentum_log_grid.cache_clear()
     assert all(c.cache_info().currsize == 0 for c in caches)

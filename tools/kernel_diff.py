@@ -46,6 +46,11 @@ the probe pickles into FILE, by name:
   `spectra.chandrasekhar_lowest` on the three pool grids for m = 0, 1, 2
   at nu = 0.3, 0.5, 0.7, and on `spectra.SCAN_GRID` for m = 0 at
   nu = 0.3;
+- `spectra.hydrogen_channels(Z, grid, m_max, 3)` at Z = 1, 2.5 and 1e-100,
+  with m_max = 2 on `spectra.DEFAULT_HYDROGEN_GRID` and m_max = 0 on its
+  n // 2 grid, each run once from a cold start (the `_momentum_log_grid`
+  cache_clear hook) and once right after it, under keys of their own, so
+  that a tree whose repeated calls differ from its first shows it;
 - every block and the norm of `lattice.kinetic_matrix` for the none,
   background, cavity and total fields on open boundaries and none on
   periodic ones, at n = 16, 24, 32 and mass 0 and 1, on the square of
@@ -90,6 +95,7 @@ MELLIN_S = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
 NONREL_SIGMA = (0.25, 0.5, 1.0, 2.0, 4.0)
 CLASSIFY_NU = tuple(0.05 + 0.025 * k for k in range(23))
 CHANDRA_NU = (0.3, 0.5, 0.7)
+HYDROGEN_Z = (1.0, 2.5, 1e-100)
 POOL_GRIDS = ((20.0, 300), (23.0, 400), (26.0, 500))  # perfbench's (span, n) pool
 # tests/test_spectra.py's KERNEL_TS
 KERNEL_TS = np.unique(np.concatenate([
@@ -150,6 +156,13 @@ def probe():
         res = spectra.critical_coupling_toeplitz()
         return np.array([res.nu_c, res.uncertainty])
 
+    def hydrogen(Z, grid, m_max, cold):
+        """{"m=k": channel k's levels} of hydrogen_channels(Z, grid, m_max, 3)."""
+        if cold:
+            spectra._momentum_log_grid.cache_clear()
+        return {"m=%d" % m: ev
+                for m, ev in enumerate(spectra.hydrogen_channels(Z, grid, m_max, 3))}
+
     def bumps(d):
         nodes = np.linspace(-14.0, 14.0, 561)
         s = np.arange(-182, 183) * anticomm.H_STEP
@@ -208,6 +221,12 @@ def probe():
             lambda nu=nu, m=m, g=g: np.array(spectra.chandrasekhar_lowest(nu, m, g)))
     jobs["chandrasekhar_lowest SCAN_GRID m=0 nu=0.3"] = (
         lambda: np.array(spectra.chandrasekhar_lowest(0.3, 0, spectra.SCAN_GRID)))
+    full = spectra.DEFAULT_HYDROGEN_GRID
+    half = spectra.GridSpec(full.r_min, full.r_max, full.n // 2)
+    for Z, (g, m_max), state in itertools.product(HYDROGEN_Z, ((full, 2), (half, 0)),
+                                                  ("cold", "warm")):
+        jobs["hydrogen_channels Z=%g grid=%s m_max=%d %s" % (Z, g, m_max, state)] = (
+            lambda Z=Z, g=g, m_max=m_max, cold=state == "cold": hydrogen(Z, g, m_max, cold))
     cases = [(c, "open") for c in FIELDS] + [("none", "periodic")]
     for (n, mass), (c, b) in itertools.product(LATTICE, cases):
         jobs["kinetic_matrix n=%d m=%g %s %s" % (n, mass, c, b)] = (
